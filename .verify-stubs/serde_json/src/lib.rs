@@ -91,12 +91,14 @@ fn write_string(s: &str, out: &mut String) {
 // ---- parser -----------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -247,12 +249,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. The input is a
+                    // `&str` and the run ends at an ASCII byte, so the
+                    // slice is valid UTF-8 and each byte is scanned once.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }

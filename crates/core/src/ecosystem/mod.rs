@@ -60,7 +60,8 @@ pub struct Ecosystem {
     lineup: ChannelLineup,
     blueprints: BTreeMap<ChannelId, ChannelBlueprint>,
     registry: TrackerRegistry,
-    policy_texts: HashMap<(String, String), String>,
+    /// Policy texts by host, then path, so a lookup borrows its keys.
+    policy_texts: HashMap<String, HashMap<String, String>>,
     off_air: BTreeMap<RunKind, BTreeSet<ChannelId>>,
     final_ids: Vec<ChannelId>,
     seed: u64,
@@ -218,7 +219,7 @@ impl Ecosystem {
 
         // ---- blueprints, registry entries, policy texts --------------
         let mut blueprints = BTreeMap::new();
-        let mut policy_texts = HashMap::new();
+        let mut policy_texts: HashMap<String, HashMap<String, String>> = HashMap::new();
         let mut final_ids = Vec::new();
         let mut lineup = ChannelLineup::new();
         let mut registered_hubs: BTreeSet<String> = BTreeSet::new();
@@ -274,10 +275,10 @@ impl Ecosystem {
             let policy_profile = policies_gen::profile_for(&plan, plan.policy_group.is_some());
             if let Some(profile) = &policy_profile {
                 let route = policy_url(&hosts, &plan.slug);
-                policy_texts.insert(
-                    (route.host().to_string(), route.path().to_string()),
-                    render_policy(profile),
-                );
+                policy_texts
+                    .entry(route.host().to_string())
+                    .or_default()
+                    .insert(route.path().to_string(), render_policy(profile));
             }
 
             let descriptor = descriptor_for(&plan, id);
@@ -347,9 +348,7 @@ impl Ecosystem {
 
     /// The policy text served at `host`/`path`, if any.
     pub fn policy_text(&self, host: &str, path: &str) -> Option<&str> {
-        self.policy_texts
-            .get(&(host.to_string(), path.to_string()))
-            .map(String::as_str)
+        self.policy_texts.get(host)?.get(path).map(String::as_str)
     }
 
     /// Channels off the air during a run (daytime-only broadcasters

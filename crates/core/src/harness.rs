@@ -541,7 +541,7 @@ impl<'a> StudyHarness<'a> {
         let (cookies, local_storage) = tv.extract_storage();
         tv.power_off();
 
-        let captures = proxy.captures();
+        let captures = proxy.take_captures();
         visit_span.add_field("captures", captures.len());
         visit_span.add_field("consented", consented);
         drop(visit_span);
@@ -570,7 +570,7 @@ fn merge_run(kind: RunKind, outcomes: Vec<VisitOutcome>) -> RunDataset {
     let mut channels_measured = Vec::new();
     let mut channel_names = BTreeMap::new();
     let mut visits = Vec::new();
-    let mut captures = Vec::new();
+    let mut captures = Vec::with_capacity(outcomes.iter().map(|o| o.captures.len()).sum());
     let mut cookie_jar: BTreeMap<CookieKey, StoredCookie> = BTreeMap::new();
     let mut storage: BTreeMap<(String, String), String> = BTreeMap::new();
     let mut screenshots = Vec::new();

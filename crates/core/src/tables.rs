@@ -16,6 +16,19 @@ fn header(title: &str) -> String {
     format!("{title}\n{}\n", "-".repeat(title.len()))
 }
 
+/// Width of the longest bar in Figures 5–7.
+const BAR_WIDTH: usize = 60;
+
+/// A figure bar for `value`, scaled so the series' `max` fills
+/// [`BAR_WIDTH`]. Any non-zero value draws at least one `#`, and a
+/// larger value never draws a shorter bar.
+fn bar(value: usize, max: usize) -> String {
+    if value == 0 {
+        return String::new();
+    }
+    "#".repeat((value * BAR_WIDTH).div_ceil(max.max(value)))
+}
+
 /// Table I: per-run data overview.
 pub fn table1(dataset: &StudyDataset, cookies: &CookieAnalysis) -> String {
     let mut s = header("Table I: Overview of the data collected for each measurement run");
@@ -143,8 +156,10 @@ pub fn table5(consent: &ConsentAnalysis) -> String {
 /// Figure 5: long-tail distribution of cookie-using third parties.
 pub fn figure5(cookies: &CookieAnalysis) -> String {
     let mut s = header("Figure 5: Cookie-using third parties by channel count (long tail)");
-    for (party, channels) in cookies.party_channel_counts.iter().take(15) {
-        let bar = "#".repeat((*channels).min(60));
+    let shown = &cookies.party_channel_counts[..cookies.party_channel_counts.len().min(15)];
+    let max = shown.iter().map(|(_, n)| *n).max().unwrap_or(0);
+    for (party, channels) in shown {
+        let bar = bar(*channels, max);
         let _ = writeln!(s, "{party:<24} {channels:>4} {bar}");
     }
     let rest = cookies.party_channel_counts.len().saturating_sub(15);
@@ -182,8 +197,9 @@ pub fn figure6(tracking: &TrackingAnalysis) -> String {
     for c in &counts {
         *hist.entry(*c).or_insert(0) += 1;
     }
+    let max = hist.values().copied().max().unwrap_or(0);
     for (trackers, channels) in hist.iter().rev() {
-        let bar = "#".repeat((*channels).min(60));
+        let bar = bar(*channels, max);
         let _ = writeln!(s, "{trackers:>3} trackers: {channels:>4} channels {bar}");
     }
     let stats = tracking.trackers_per_channel_stats();
@@ -196,8 +212,14 @@ pub fn figure6(tracking: &TrackingAnalysis) -> String {
 /// Figure 7: trackers by channel category.
 pub fn figure7(categories: &CategoryAnalysis) -> String {
     let mut s = header("Figure 7: Tracking requests by channel category");
-    for (category, channels, requests) in categories.ordered() {
-        let bar = "#".repeat((requests / 50).clamp(1, 60));
+    let rows = categories.ordered();
+    let max = rows
+        .iter()
+        .map(|(_, _, requests)| *requests)
+        .max()
+        .unwrap_or(0);
+    for (category, channels, requests) in rows {
+        let bar = bar(requests, max);
         let _ = writeln!(
             s,
             "{:<14} {:>4} channels {:>8} tracking requests {bar}",
@@ -333,6 +355,44 @@ mod tests {
         let row = t.lines().nth(3).unwrap();
         let total: usize = row.split_whitespace().last().unwrap().parse().unwrap();
         assert_eq!(total, ds.runs[0].screenshots.len());
+    }
+
+    #[test]
+    fn bars_are_scaled_and_monotone_in_the_value() {
+        for max in [1, 7, 60, 61, 8_699, 181_610] {
+            let lens: Vec<usize> = (0..=max).map(|v| bar(v, max).len()).collect();
+            assert!(lens.windows(2).all(|w| w[0] <= w[1]), "max {max}");
+            assert_eq!(lens[0], 0);
+            assert!(lens[1..].iter().all(|&n| n >= 1), "max {max}");
+            assert_eq!(lens[max], BAR_WIDTH, "max {max}");
+        }
+        // The Figure 7 pair that used to draw identical clamped bars.
+        assert!(bar(8_699, 181_610).len() < bar(181_610, 181_610).len());
+    }
+
+    #[test]
+    fn figure7_bars_follow_the_request_counts() {
+        let eco = Ecosystem::with_scale(3, 0.08);
+        let ds = StudyDataset {
+            runs: vec![StudyHarness::new(&eco).run(RunKind::General)],
+        };
+        let fp = FirstPartyMap::identify(&ds);
+        let categories = CategoryAnalysis::compute(&eco, &TrackingAnalysis::compute(&ds, &fp));
+        let fig = figure7(&categories);
+        let rows: Vec<(usize, usize)> = fig
+            .lines()
+            .filter_map(|line| {
+                let (head, bar) = line.split_once(" tracking requests")?;
+                let requests = head.split_whitespace().last()?.parse().ok()?;
+                Some((requests, bar.trim().len()))
+            })
+            .collect();
+        assert!(rows.len() > 2, "{fig}");
+        assert_eq!(rows[0].1, BAR_WIDTH, "the largest category fills the width");
+        for w in rows.windows(2) {
+            assert!(w[0].0 >= w[1].0 && w[0].1 >= w[1].1, "{fig}");
+        }
+        assert!(rows.last().unwrap().1 < BAR_WIDTH, "{fig}");
     }
 
     #[test]

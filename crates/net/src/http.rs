@@ -236,6 +236,15 @@ impl Request {
     pub fn searchable_text(&self) -> String {
         format!("{} {}", self.url, self.body)
     }
+
+    /// Releases the spare capacity that building the request left in
+    /// its header list and its URL's query list. A capture log keeps
+    /// every request it records, so it calls this rather than paying
+    /// for the builders' growth slack on each of them.
+    pub fn shrink_to_fit(&mut self) {
+        self.headers.0.shrink_to_fit();
+        self.url.shrink_to_fit();
+    }
 }
 
 /// Builder for [`Request`].
@@ -399,6 +408,20 @@ mod tests {
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_request_and_drops_spare_capacity() {
+        let mut u = url("http://tvping.com/p?c=rtl");
+        u.push_param("s", "1");
+        let mut req = Request::get(u)
+            .header("User-Agent", "tv")
+            .header("Referer", "http://hbbtv.rtl.de/app")
+            .build();
+        let before = req.clone();
+        req.shrink_to_fit();
+        assert_eq!(req, before);
+        assert_eq!(req.headers.0.capacity(), req.headers.0.len());
     }
 
     #[test]

@@ -167,8 +167,20 @@ impl Url {
     /// Returns a copy of this URL with one query parameter appended.
     pub fn with_param(&self, name: &str, value: &str) -> Url {
         let mut u = self.clone();
-        u.query.push((name.to_string(), value.to_string()));
+        u.push_param(name, value);
         u
+    }
+
+    /// Appends one query parameter in place; the owned form of
+    /// [`Url::with_param`] for callers that build up a URL they own.
+    pub fn push_param(&mut self, name: &str, value: &str) {
+        self.query.push((name.to_string(), value.to_string()));
+    }
+
+    /// Releases the query list's spare capacity (see
+    /// [`crate::Request::shrink_to_fit`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.query.shrink_to_fit();
     }
 
     /// The path plus serialized query string (`/p?a=b`). Useful for
@@ -343,6 +355,19 @@ mod tests {
             let u = Url::parse(s).unwrap();
             assert_eq!(u.to_text(), u.to_string(), "for {s}");
         }
+    }
+
+    #[test]
+    fn push_param_agrees_with_chained_with_param() {
+        let base = Url::parse("http://tvping.com/ping?c=rtl").unwrap();
+        let chained = base.with_param("s", "1").with_param("flag", "");
+        let mut pushed = base.clone();
+        pushed.push_param("s", "1");
+        pushed.push_param("flag", "");
+        assert_eq!(pushed, chained);
+        assert_eq!(pushed.to_text(), chained.to_text());
+        assert_eq!(pushed.to_string(), chained.to_string());
+        assert_eq!(pushed.to_text(), "http://tvping.com/ping?c=rtl&s=1&flag");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 use hbbtv_broadcast::ChannelId;
-use hbbtv_net::{Duration, Request, Response, Timestamp};
+use hbbtv_net::{Duration, Request, Response, Timestamp, Url};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -105,6 +105,11 @@ struct ProxyState {
     visits: Vec<VisitState>,
     log: Vec<CapturedExchange>,
     metrics: Option<ProxyMetrics>,
+    /// The last `Referer` header text and the host it parses to (`None`
+    /// when it does not parse). Nearly every referer of a visit is the
+    /// app's entry URL, so this one-entry memo spares a full URL parse
+    /// per exchange; a miss runs the same [`Url::parse`].
+    referer: Option<(String, Option<String>)>,
 }
 
 /// Telemetry counters a proxy shard increments as it records.
@@ -266,6 +271,13 @@ impl Proxy {
         self.state.lock().log.clone()
     }
 
+    /// Moves the capture log out, leaving it empty. Visits stay open, so
+    /// later records still attribute as before; the owner of a proxy
+    /// shard uses this to hand its log on without copying it.
+    pub fn take_captures(&self) -> Vec<CapturedExchange> {
+        std::mem::take(&mut self.state.lock().log)
+    }
+
     /// Runs `f` over the capture log without cloning it.
     pub fn with_captures<T>(&self, f: impl FnOnce(&[CapturedExchange]) -> T) -> T {
         f(&self.state.lock().log)
@@ -291,10 +303,19 @@ impl Proxy {
 /// Attributes and logs one exchange. `target` is the index of the visit
 /// the exchange was recorded through, or `None` for traffic outside any
 /// visit (boot traffic, sealed sessions).
-fn record_at(s: &mut ProxyState, target: Option<usize>, request: Request, response: Response) {
+fn record_at(s: &mut ProxyState, target: Option<usize>, mut request: Request, response: Response) {
+    request.shrink_to_fit();
     let t = request.timestamp;
-    let host = request.url.host().to_string();
-    let referer_host = request.referer().map(|u| u.host().to_string());
+    let referer_host = match request.headers.get("Referer") {
+        None => None,
+        Some(text) => {
+            if s.referer.as_ref().map(|(memo, _)| memo.as_str()) != Some(text) {
+                let host = Url::parse(text).ok().map(|u| u.host().to_string());
+                s.referer = Some((text.to_string(), host));
+            }
+            s.referer.as_ref().and_then(|(_, host)| host.as_deref())
+        }
+    };
 
     // Default attribution: the recording visit, if the request falls
     // within its attribution window.
@@ -309,7 +330,7 @@ fn record_at(s: &mut ProxyState, target: Option<usize>, request: Request, respon
     // that previous visit. This is the only rule that can move an
     // exchange, and it can only move it one visit back — never forward,
     // never further, never across sessions.
-    if let (Some(ref_host), Some(i)) = (&referer_host, target) {
+    if let (Some(ref_host), Some(i)) = (referer_host, target) {
         if i > 0 {
             let cur = &s.visits[i];
             let prev = &s.visits[i - 1];
@@ -327,7 +348,9 @@ fn record_at(s: &mut ProxyState, target: Option<usize>, request: Request, respon
     let (visit, channel, channel_name) = match attributed {
         Some(j) => {
             let v = &mut s.visits[j];
-            v.hosts.insert(host);
+            if !v.hosts.contains(request.url.host()) {
+                v.hosts.insert(request.url.host().to_string());
+            }
             (Some(v.id), Some(v.channel), Some(v.name.clone()))
         }
         None => (None, None, None),
@@ -597,6 +620,82 @@ mod tests {
         let v = shard.begin_visit(ChannelId(9), "Ch9", Timestamp::from_unix(T0));
         v.record(req("http://hbbtv-ch9.de/r", T0 + 1), ok());
         assert_eq!(shard.captures()[0].visit, Some(VisitId(7)));
+    }
+
+    #[test]
+    fn take_captures_empties_the_log_and_keeps_visits_open() {
+        let p = Proxy::new();
+        p.start_session("Red");
+        let zdf = p.begin_visit(ChannelId(1), "ZDF", Timestamp::from_unix(T0));
+        zdf.record(req("http://hbbtv.zdf.de/app", T0 + 2), ok());
+        let taken = p.take_captures();
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].visit, Some(VisitId(0)));
+        assert!(p.is_empty(), "the log moved out");
+        assert!(p.take_captures().is_empty());
+
+        // Visits survive the take: later records attribute as before,
+        // and the grace rule still sees hosts recorded before it.
+        let rtl = p.begin_visit(ChannelId(2), "RTL", Timestamp::from_unix(T0 + 900));
+        zdf.record(req("http://hbbtv.zdf.de/late", T0 + 10), ok());
+        rtl.record(
+            req_ref("http://tvping.com/p", "http://hbbtv.zdf.de/app", T0 + 903),
+            ok(),
+        );
+        rtl.record(req("http://hbbtv.rtl.de/app", T0 + 905), ok());
+        let log = p.take_captures();
+        let visits: Vec<_> = log.iter().map(|c| c.visit).collect();
+        assert_eq!(
+            visits,
+            [Some(VisitId(0)), Some(VisitId(0)), Some(VisitId(1))]
+        );
+        assert_eq!(log[2].channel, Some(ChannelId(2)));
+    }
+
+    #[test]
+    fn unparseable_referer_is_memoized_as_no_host() {
+        let p = Proxy::new();
+        p.start_session("Red");
+        let v = p.begin_visit(ChannelId(1), "ZDF", Timestamp::from_unix(T0));
+        v.record(
+            req_ref("http://tvping.com/p", "http://hbbtv.zdf.de/app", T0 + 1),
+            ok(),
+        );
+        for at in [T0 + 2, T0 + 3] {
+            v.record(req_ref("http://tvping.com/p", "not a url", at), ok());
+        }
+        assert_eq!(
+            p.state.lock().referer,
+            Some(("not a url".to_string(), None))
+        );
+        assert!(p.captures().iter().all(|c| c.visit == Some(VisitId(0))));
+    }
+
+    #[test]
+    fn memoized_referer_still_triggers_the_grace_rule_after_a_switch() {
+        let p = Proxy::new();
+        p.start_session("Red");
+        let zdf = p.begin_visit(ChannelId(1), "ZDF", Timestamp::from_unix(T0));
+        zdf.record(req("http://hbbtv.zdf.de/app", T0 + 1), ok());
+        // Memoizes the entry URL's host during the ZDF visit.
+        zdf.record(
+            req_ref("http://tvping.com/p", "http://hbbtv.zdf.de/app", T0 + 2),
+            ok(),
+        );
+        let rtl = p.begin_visit(ChannelId(2), "RTL", Timestamp::from_unix(T0 + 900));
+        // The same referer text, now a memo hit: within grace it moves
+        // back to ZDF, after grace it stays with RTL. A different
+        // referer in between replaces the memo and stays with RTL.
+        for (referer, at) in [
+            ("http://hbbtv.zdf.de/app", T0 + 903),
+            ("http://hbbtv.rtl.de/app", T0 + 904),
+            ("http://hbbtv.zdf.de/app", T0 + 905),
+            ("http://hbbtv.zdf.de/app", T0 + 950),
+        ] {
+            rtl.record(req_ref("http://tvping.com/p", referer, at), ok());
+        }
+        let visits: Vec<_> = p.captures().iter().map(|c| c.visit.unwrap().0).collect();
+        assert_eq!(visits, [0, 0, 0, 1, 0, 1]);
     }
 
     #[test]

@@ -380,9 +380,9 @@ impl<B: NetworkBackend> Tv<B> {
                 loads.extend(page.post_consent_resources.iter().cloned());
             }
         }
-        let referer = self.app_entry_url();
+        let referer = self.app_referer();
         for load in loads {
-            self.fire_load(&load, referer.clone());
+            self.fire_load(&load, referer.as_deref());
         }
     }
 
@@ -401,14 +401,14 @@ impl<B: NetworkBackend> Tv<B> {
             if due > self.clock.now() {
                 self.clock.jump_to(due);
             }
-            let (load, interval, burst) = {
+            let (interval, burst) = {
                 let b = &self.beacons[idx];
-                let interval = b.load.repeat_every.expect("beacons repeat");
-                (b.load.clone(), interval, b.load.burst)
+                (b.load.repeat_every.expect("beacons repeat"), b.load.burst)
             };
-            let referer = self.app_entry_url();
+            let referer = self.app_referer();
             for _ in 0..burst {
-                self.fire_load(&load, referer.clone());
+                let req = self.build_request(&self.beacons[idx].load, referer.as_deref());
+                self.deliver(req, 0);
             }
             self.beacons[idx].next_due = due + interval;
         }
@@ -484,11 +484,17 @@ impl<B: NetworkBackend> Tv<B> {
 
     // ----- internals -------------------------------------------------
 
-    fn app_entry_url(&self) -> Option<Url> {
+    fn app_entry_url(&self) -> Option<&Url> {
         self.ctx
             .as_ref()
             .and_then(|c| c.app.as_ref())
-            .map(|a| a.entry_url().clone())
+            .map(|a| a.entry_url())
+    }
+
+    /// The `Referer` every app request carries: the serialized entry
+    /// URL, written once per batch of loads rather than once per load.
+    fn app_referer(&self) -> Option<String> {
+        self.app_entry_url().map(Url::to_text)
     }
 
     fn page_ref(&self, id: PageId) -> Option<&AppPage> {
@@ -521,10 +527,10 @@ impl<B: NetworkBackend> Tv<B> {
         self.current_page = Some(id);
         self.link_cursor = 0;
         self.tech_message_until = None;
-        let referer = self.app_entry_url();
+        let referer = self.app_referer();
 
         // Storage writes happen as the page's script runs.
-        if let Some(first_party) = referer.as_ref().map(|u| u.etld1().clone()) {
+        if let Some(first_party) = self.app_entry_url().map(|u| u.etld1().clone()) {
             let now = self.clock.now();
             for w in &page.storage_writes {
                 let value = match w.kind {
@@ -539,9 +545,9 @@ impl<B: NetworkBackend> Tv<B> {
         // One-shot resources fire now; beacons are scheduled.
         for load in page.resources.clone() {
             match load.repeat_every {
-                None => self.fire_load(&load, referer.clone()),
+                None => self.fire_load(&load, referer.as_deref()),
                 Some(interval) => {
-                    self.fire_load(&load, referer.clone());
+                    self.fire_load(&load, referer.as_deref());
                     self.beacons.push(BeaconState {
                         next_due: self.clock.now() + interval,
                         load,
@@ -554,7 +560,7 @@ impl<B: NetworkBackend> Tv<B> {
         // granted earlier on this channel.
         if self.consent_granted {
             for load in page.post_consent_resources.clone() {
-                self.fire_load(&load, referer.clone());
+                self.fire_load(&load, referer.as_deref());
             }
         }
 
@@ -578,16 +584,17 @@ impl<B: NetworkBackend> Tv<B> {
         }
     }
 
-    fn fire_load(&mut self, load: &ResourceLoad, referer: Option<Url>) {
+    fn fire_load(&mut self, load: &ResourceLoad, referer: Option<&str>) {
         let req = self.build_request(load, referer);
         self.deliver(req, 0);
     }
 
-    fn build_request(&mut self, load: &ResourceLoad, referer: Option<Url>) -> Request {
+    fn build_request(&self, load: &ResourceLoad, referer: Option<&str>) -> Request {
         let now = self.clock.now();
+        let no_program = ProgramInfo::default();
         let (channel_name, program) = match &self.ctx {
-            Some(c) => (c.descriptor.name.clone(), c.program.clone()),
-            None => (String::new(), ProgramInfo::default()),
+            Some(c) => (c.descriptor.name.as_str(), &c.program),
+            None => ("", &no_program),
         };
         let mut url = load.url.clone();
         let mut body_pairs: Vec<(String, String)> = Vec::new();
@@ -599,27 +606,28 @@ impl<B: NetworkBackend> Tv<B> {
                         .unwrap_or_else(|| self.session_id.clone()),
                 ),
                 LeakItem::SessionId => Some(self.session_id.clone()),
-                other => self.device.leak_value(other, &program, &channel_name, now),
+                other => self.device.leak_value(other, program, channel_name, now),
             };
             if let Some(v) = value {
                 match load.method {
-                    Method::Get => url = url.with_param(item.param_name(), &v),
+                    Method::Get => url.push_param(item.param_name(), &v),
                     _ => body_pairs.push((item.param_name().to_string(), v)),
                 }
             }
         }
+        let cookie = self.jar.header_for(url.etld1(), now);
         let mut builder = match load.method {
-            Method::Post => Request::post(url.clone()),
-            _ => Request::get(url.clone()),
+            Method::Post => Request::post(url),
+            _ => Request::get(url),
         };
         builder = builder.at(now).header("User-Agent", &self.device.os);
         if self.dnt {
             builder = builder.header("DNT", "1");
         }
         if let Some(r) = referer {
-            builder = builder.header("Referer", &r.to_string());
+            builder = builder.header("Referer", r);
         }
-        if let Some(cookie) = self.jar.header_for(url.etld1(), now) {
+        if let Some(cookie) = cookie {
             builder = builder.header("Cookie", &cookie);
         }
         if !body_pairs.is_empty() {
@@ -644,7 +652,7 @@ impl<B: NetworkBackend> Tv<B> {
                 let mut builder = Request::get(location.clone())
                     .at(now)
                     .header("User-Agent", &self.device.os)
-                    .header("Referer", &req_url.to_string());
+                    .header("Referer", &req_url.to_text());
                 if let Some(cookie) = self.jar.header_for(location.etld1(), now) {
                     builder = builder.header("Cookie", &cookie);
                 }

@@ -6,6 +6,7 @@
 #     scripts/check.sh                # full gate
 #     scripts/check.sh --quick        # fmt + clippy only (fast inner loop)
 #     scripts/check.sh --bench-smoke  # also smoke-run the matcher benches
+#                                     # and a 5 s perfbench paper_batch run
 #     scripts/check.sh --matcher-smoke # also regenerate BENCH_matcher.json
 #                                     # at 10^2..10^5 rules and assert the
 #                                     # indexed engine's scaling contract
@@ -101,6 +102,19 @@ if [ "$bench_smoke" -eq 1 ]; then
     # PR that introduced the indexed engine.
     echo "==> matcher_bench (writes BENCH_matcher.json)"
     cargo run --release -p hbbtv-bench --bin matcher_bench BENCH_matcher.json
+    # A short run of the repository benchmark's reference workload: its
+    # last line must report that every oracle check passed.
+    echo "==> perfbench paper_batch (5 s, oracle must pass)"
+    last=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload paper_batch --seed 42 --seconds 5 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct": true'*) ;;
+        *)
+            echo "error: perfbench paper_batch did not report correct: true" >&2
+            echo "$last" >&2
+            exit 1
+            ;;
+    esac
 fi
 
 if [ "$matcher_smoke" -eq 1 ]; then

@@ -1,7 +1,7 @@
 //! Reproducibility: the whole study is a pure function of (seed, scale),
 //! and the parallel execution paths are byte-identical to sequential.
 
-use hbbtv_study::analysis::par_chunks;
+use hbbtv_study::analysis::{par_chunks, Runtime};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, RunKind, StudyHarness};
 use proptest::prelude::*;
@@ -204,5 +204,39 @@ fn scale_preserves_structure() {
         assert!(funnel.radio * 100 / funnel.received.max(1) >= 8);
         assert!(funnel.tv_channels > funnel.free_to_air);
         assert!(funnel.candidates > funnel.final_set);
+    }
+}
+
+/// FNV-1a, 64 bit: a dependency-free content digest for the pin below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the simulator's output, not just its self-consistency: the
+/// parallel == sequential tests above would drift together if a change
+/// to the visit path altered a byte. The serialized dataset and the
+/// rendered tables at (seed 42, scale 0.05) must keep the lengths and
+/// FNV-1a digests recorded here, at one and at two pool workers. A
+/// deliberate change to the simulated world (or, for `TABLES`, to the
+/// renderers) updates these constants in the same commit.
+#[test]
+fn run_all_output_digest_is_pinned() {
+    const DATASET: (usize, u64) = (11_858_177, 15_706_177_644_372_311_720);
+    const TABLES: (usize, u64) = (7_637, 11_309_708_543_252_639_002);
+    let eco = Ecosystem::with_scale(42, 0.05);
+    for workers in [1, 2] {
+        let (json, tables) = Runtime::with_workers(workers).install(|| {
+            let ds = StudyHarness::new(&eco).run_all();
+            let json = serde_json::to_string(&ds).expect("serializes");
+            let tables = StudyReport::compute(&eco, &ds).render(&ds);
+            (json, tables)
+        });
+        let got = (
+            (json.len(), fnv1a64(json.as_bytes())),
+            (tables.len(), fnv1a64(tables.as_bytes())),
+        );
+        assert_eq!(got, (DATASET, TABLES), "{workers} workers");
     }
 }

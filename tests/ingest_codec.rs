@@ -10,13 +10,15 @@
 use hbbtv_broadcast::ChannelId;
 use hbbtv_ingest::fault::SplitMix64;
 use hbbtv_ingest::frame::{
-    capture_frame, Ack, Bye, Command, ErrInfo, Frame, Hello, RunTrailer, SessionStat, StatsReport,
-    StatsRequest, VisitBegin, VisitEnd, PROTO_VERSION,
+    capture_frame, parse_capture_batch, Ack, Bye, Command, ErrInfo, Frame, Hello, RunTrailer,
+    SessionStat, StatsReport, StatsRequest, VisitBegin, VisitEnd, PROTO_VERSION,
 };
 use hbbtv_ingest::FrameDecoder;
 use hbbtv_net::{Request, Response, Status, Timestamp};
 use hbbtv_proxy::{CapturedExchange, VisitId};
+use hbbtv_study::{Ecosystem, RunKind, StudyHarness};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// A deterministic frame of every type, driven by an rng so proptest
 /// explores payload shapes (string lengths, counts, option-ness).
@@ -285,4 +287,38 @@ proptest! {
         prop_assert!(decoded.len() <= frames.len());
         prop_assert_eq!(&decoded[..], &frames[..decoded.len()]);
     }
+}
+
+/// Best of five decodes of one capture payload.
+fn best_decode_time(payload: &[u8]) -> Duration {
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let batch = parse_capture_batch(std::hint::black_box(payload));
+            let elapsed = t.elapsed();
+            assert!(batch.is_ok(), "probe payloads decode");
+            elapsed
+        })
+        .min()
+        .expect("five samples")
+}
+
+/// Capture decoding is linear in the payload: a batch of twice the
+/// exchanges decodes in well under three times the time of one. A
+/// string parser that rescans the remaining input per character is
+/// quadratic and lands near four.
+#[test]
+fn capture_batch_decode_time_is_linear() {
+    let eco = Ecosystem::with_scale(42, 0.02);
+    let mut sample = StudyHarness::new(&eco).run(RunKind::General).captures;
+    sample.truncate(256);
+    assert_eq!(sample.len(), 256, "the study yields enough exchanges");
+    // Non-ASCII text and escapes must survive the run-at-a-time scan.
+    sample[0].channel_name = Some("Zürich \"Süd\"\n\tTV \u{1F4FA}".into());
+    let one = capture_frame(0, &sample[..128]).payload;
+    let two = capture_frame(0, &sample).payload;
+    assert_eq!(parse_capture_batch(&two).expect("decodes"), sample);
+
+    let ratio = best_decode_time(&two).as_secs_f64() / best_decode_time(&one).as_secs_f64();
+    assert!(ratio < 3.0, "2x payload decodes {ratio:.2}x slower than 1x");
 }
