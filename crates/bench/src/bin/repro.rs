@@ -12,32 +12,18 @@
 //! `--scale`, the full 3,575-service world of the paper is generated
 //! and all five measurement runs are performed.
 
-use hbbtv_bench::{full_report, run_study, DEFAULT_SEED};
+use hbbtv_bench::cli::study_args_or_exit;
+use hbbtv_bench::{full_report, run_study};
 use hbbtv_study::tables;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut seed = DEFAULT_SEED;
-    let mut sections: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a number in (0, 1]");
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            other => sections.push(other.to_string()),
-        }
-    }
+    let args = study_args_or_exit(
+        "repro [--scale <0..1>] [--seed <u64>] [section ...]",
+        1.0,
+        &[],
+    );
+    let (scale, seed) = (args.scale, args.seed);
+    let mut sections = args.positional;
     if sections.is_empty() {
         sections.push("all".to_string());
     }

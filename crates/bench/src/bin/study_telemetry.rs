@@ -23,6 +23,7 @@
 //! across `HBBTV_POOL_WORKERS` settings as the cross-process drift
 //! gate.
 
+use hbbtv_bench::cli::study_args_or_exit;
 use hbbtv_study::obs::{MemoryRecorder, SimClock, Telemetry, TelemetryMode};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, StudyHarness, TelemetryConfig};
@@ -30,31 +31,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut out = "BENCH_study.json".to_string();
-    let mut scale = 0.1f64;
-    let mut seed = 42u64;
-    let mut render_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a number in (0, 1]");
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--render" => {
-                render_out = Some(it.next().expect("--render needs a path"));
-            }
-            other => out = other.to_string(),
-        }
-    }
+    let args = study_args_or_exit(
+        "study_telemetry [output.json] [--scale <0..1>] [--seed <u64>] [--render <path>]",
+        0.1,
+        &["--render"],
+    );
+    let (scale, seed) = (args.scale, args.seed);
+    let render_out = args.values[0].clone();
+    let out = args
+        .positional
+        .last()
+        .cloned()
+        .unwrap_or_else(|| "BENCH_study.json".to_string());
 
     eprintln!("study_telemetry: seed {seed}, scale {scale}");
     let eco = Ecosystem::with_scale(seed, scale);

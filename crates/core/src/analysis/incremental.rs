@@ -56,7 +56,7 @@ use hbbtv_graph::Graph;
 use hbbtv_net::{ContentType, CookieKey, Etld1, Url};
 use hbbtv_obs::Telemetry;
 use hbbtv_policies::compliance::{check_profiling_window, TrackingObservation};
-use hbbtv_policies::{DocRef, PolicyCorpusReport, PolicyPipeline};
+use hbbtv_policies::{DocRef, PolicyCorpus};
 use hbbtv_proxy::CapturedExchange;
 use hbbtv_stats::describe;
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
@@ -269,11 +269,12 @@ struct FrameBuilder {
     // ---- memoized classification ----
     class_memo: HashMap<(u32, bool, u8), u8>,
     // ---- policy corpus state ----
-    /// (run index, capture index) of every §VII candidate document.
-    doc_idx: Vec<(u32, u32)>,
-    /// Pipeline output memoized on the candidate count (append-only,
-    /// so an unchanged count means an unchanged corpus).
-    corpus_memo: Option<(usize, PolicyCorpusReport)>,
+    /// The §VII-A pipeline folded over every candidate document fed so
+    /// far.
+    corpus: PolicyCorpus,
+    /// (run index, capture index) of the §VII candidate documents
+    /// appended since the last report, not yet fed to `corpus`.
+    new_docs: Vec<(u32, u32)>,
     /// Per-channel-name pixel/fingerprint observations in capture
     /// order, for the §VII-C window check.
     tracking_obs: BTreeMap<String, Vec<TrackingObservation>>,
@@ -344,8 +345,8 @@ impl FrameBuilder {
             potential_ids: 0,
             timestamp_exclusions: 0,
             class_memo: HashMap::new(),
-            doc_idx: Vec::new(),
-            corpus_memo: None,
+            corpus: PolicyCorpus::new(),
+            new_docs: Vec::new(),
             tracking_obs: BTreeMap::new(),
             consent_runs: Vec::new(),
             technical_tokens,
@@ -642,7 +643,7 @@ impl FrameBuilder {
                 self.tracking_obs.entry(name).or_default().push(o);
             }
             if c.response.content_type == ContentType::Html && c.response.body.len() > 300 {
-                self.doc_idx.push((run_idx as u32, (cap_base + j) as u32));
+                self.new_docs.push((run_idx as u32, (cap_base + j) as u32));
             }
 
             cols.url_sym.push(u);
@@ -1112,29 +1113,22 @@ impl FrameBuilder {
         }
     }
 
+    /// Feeds the candidate documents appended since the last report to
+    /// the running corpus, then reports it: a report touches only new
+    /// documents' bodies, plus the SimHash grouping over the unique
+    /// policies.
     fn fold_policies(&mut self, dataset: &StudyDataset) -> PolicyAnalysis {
-        let documents: Vec<DocRef<'_>> = self
-            .doc_idx
-            .iter()
-            .map(|&(r, i)| {
-                let c = &dataset.runs[r as usize].captures[i as usize];
-                DocRef {
-                    url: &c.request.url,
-                    channel: c.channel_name.as_deref().unwrap_or("unattributed"),
-                    run: &c.session,
-                    raw_text: &c.response.body,
-                }
-            })
-            .collect();
-        let corpus = match &self.corpus_memo {
-            Some((n, corpus)) if *n == documents.len() => corpus.clone(),
-            _ => {
-                let corpus =
-                    PolicyPipeline::new().run_refs(&documents, PolicyAnalysis::manual_override);
-                self.corpus_memo = Some((documents.len(), corpus.clone()));
-                corpus
-            }
-        };
+        for (r, i) in self.new_docs.drain(..) {
+            let c = &dataset.runs[r as usize].captures[i as usize];
+            let doc = DocRef {
+                url: &c.request.url,
+                channel: c.channel_name.as_deref().unwrap_or("unattributed"),
+                run: &c.session,
+                raw_text: &c.response.body,
+            };
+            self.corpus.push(&doc, PolicyAnalysis::manual_override);
+        }
+        let corpus = self.corpus.report();
         let mut window_reports = BTreeMap::new();
         for policy in &corpus.unique {
             if policy.annotation.profiling_window.is_none() {
@@ -1744,6 +1738,34 @@ mod tests {
         assert!(inc.spill_writes() > 0, "the 4 KiB budget forces spills");
         assert!(inc.resident_bytes() <= 4096, "budget holds after report");
         assert!(inc.peak_resident_bytes() >= inc.resident_bytes());
+    }
+
+    /// One-capture epochs put a channel's image-only captures in sealed
+    /// segments before the epoch that first elects its first party, so
+    /// the election invalidates them and `refresh` must recompute their
+    /// partials. Every step still renders like the reference build.
+    #[test]
+    fn first_time_elections_recompute_sealed_segments() {
+        let eco = Ecosystem::with_scale(11, 0.05);
+        let mut run = StudyHarness::new(&eco).run(RunKind::General);
+        run.captures.truncate(200);
+        let caps = std::mem::take(&mut run.captures);
+        let mut inc = IncrementalStudy::with_budget(None);
+        inc.push_run(run.clone());
+        for (n, c) in caps.into_iter().enumerate() {
+            run.captures.push(c.clone());
+            inc.extend_run(vec![c]);
+            let ds = StudyDataset {
+                runs: vec![run.clone()],
+            };
+            assert_eq!(
+                inc.render(&eco),
+                StudyReport::compute(&eco, &ds).render(&ds),
+                "after {} captures",
+                n + 1
+            );
+        }
+        assert!(inc.delta_recomputes() > 0, "no segment was ever recomputed");
     }
 
     /// `refresh` fans segment recomputes over the worker pool; with the

@@ -9,7 +9,7 @@ use hbbtv_net::ContentType;
 use hbbtv_policies::compliance::{
     check_opt_out_contradiction, check_profiling_window, TrackingObservation, WindowViolationReport,
 };
-use hbbtv_policies::{DocRef, GdprArticle, PolicyCorpusReport, PolicyPipeline};
+use hbbtv_policies::{DocRef, GdprArticle, PolicyCorpus, PolicyCorpusReport};
 use std::collections::BTreeMap;
 
 /// The §VII computation.
@@ -41,8 +41,7 @@ impl PolicyAnalysis {
     /// §VII pipeline.
     pub fn compute(dataset: &StudyDataset) -> Self {
         let documents = Self::gather_docs(dataset);
-        let pipeline = PolicyPipeline::new();
-        let corpus = pipeline.run_refs(&documents, Self::manual_override);
+        let corpus = PolicyCorpus::run_refs(&documents, |_, d| Self::manual_override(d));
         let window_reports = Self::window_naive(dataset, &corpus);
         Self::aggregate(corpus, window_reports)
     }
@@ -52,8 +51,7 @@ impl PolicyAnalysis {
     /// instead of a full capture re-scan per window-declaring policy.
     pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
         let documents = Self::gather_docs(frame.dataset);
-        let pipeline = PolicyPipeline::new();
-        let corpus = pipeline.run_refs(&documents, Self::manual_override);
+        let corpus = PolicyCorpus::run_refs(&documents, |_, d| Self::manual_override(d));
         let window_reports = Self::window_from_frame(frame, &corpus);
         Self::aggregate(corpus, window_reports)
     }
@@ -63,8 +61,7 @@ impl PolicyAnalysis {
     /// Kept as the differential-testing and benchmark baseline.
     pub fn compute_reference(dataset: &StudyDataset) -> Self {
         let documents = Self::gather_docs(dataset);
-        let pipeline = PolicyPipeline::new();
-        let corpus = pipeline.run_refs_linear(&documents, Self::manual_override);
+        let corpus = PolicyCorpus::run_refs_linear(&documents, |_, d| Self::manual_override(d));
         let window_reports = Self::window_naive(dataset, &corpus);
         Self::aggregate(corpus, window_reports)
     }
@@ -92,7 +89,7 @@ impl PolicyAnalysis {
     /// The manual-correction pass (the paper rescued 18 false
     /// negatives): a human recognizes a policy heading even when the
     /// classifier stumbles over mixed content.
-    pub(crate) fn manual_override(_i: usize, d: &DocRef<'_>) -> bool {
+    pub(crate) fn manual_override(d: &DocRef<'_>) -> bool {
         d.raw_text.contains("Datenschutzerkl") || d.raw_text.contains("Privacy Policy")
     }
 

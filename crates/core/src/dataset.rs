@@ -54,22 +54,17 @@ pub struct RunDataset {
 }
 
 impl RunDataset {
-    /// Number of HTTP (plaintext) requests captured.
-    pub fn http_count(&self) -> usize {
-        self.captures.iter().filter(|c| !c.is_https()).count()
-    }
-
-    /// Number of HTTPS requests captured.
-    pub fn https_count(&self) -> usize {
-        self.captures.iter().filter(|c| c.is_https()).count()
-    }
-
-    /// HTTPS share in percent of all requests.
-    pub fn https_share_percent(&self) -> f64 {
-        if self.captures.is_empty() {
-            return 0.0;
-        }
-        self.https_count() as f64 / self.captures.len() as f64 * 100.0
+    /// `(HTTP requests, HTTPS requests, HTTPS share in percent of all
+    /// requests)`, from one walk over the captures.
+    pub fn protocol_split(&self) -> (usize, usize, f64) {
+        let https = self.captures.iter().filter(|c| c.is_https()).count();
+        let total = self.captures.len();
+        let share = if total == 0 {
+            0.0
+        } else {
+            https as f64 / total as f64 * 100.0
+        };
+        (total - https, https, share)
     }
 
     /// Captures attributed to each channel (after grace re-attribution)
@@ -183,16 +178,15 @@ mod tests {
 
     #[test]
     fn https_share() {
-        let d = dataset(1, 99);
-        assert_eq!(d.https_count(), 1);
-        assert_eq!(d.http_count(), 99);
-        assert!((d.https_share_percent() - 1.0).abs() < 1e-9);
+        let (http, https, share) = dataset(1, 99).protocol_split();
+        assert_eq!(https, 1);
+        assert_eq!(http, 99);
+        assert!((share - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_dataset_share_is_zero() {
-        let d = dataset(0, 0);
-        assert_eq!(d.https_share_percent(), 0.0);
+        assert_eq!(dataset(0, 0).protocol_split(), (0, 0, 0.0));
     }
 
     #[test]

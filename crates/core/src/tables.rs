@@ -39,14 +39,15 @@ pub fn table1(dataset: &StudyDataset, cookies: &CookieAnalysis) -> String {
     );
     for run_ds in &dataset.runs {
         let row = cookies.per_run.get(&run_ds.run);
+        let (http, https, https_share) = run_ds.protocol_split();
         let _ = writeln!(
             s,
             "{:<8} {:>9} {:>10} {:>10} {:>6.2}% {:>9} {:>9} {:>9} {:>7}",
             run_ds.run.label(),
             run_ds.channels_measured.len(),
-            run_ds.http_count(),
-            run_ds.https_count(),
-            run_ds.https_share_percent(),
+            http,
+            https,
+            https_share,
             row.map(|r| r.total).unwrap_or(0),
             row.map(|r| r.first_party).unwrap_or(0),
             row.map(|r| r.third_party).unwrap_or(0),

@@ -15,7 +15,7 @@
 //! | Boilerpipe text extraction | [`extract_main_text`] |
 //! | Language detection (majority voting) | [`detect_language`] |
 //! | Policy/other classifiers (99+% F1) | [`PolicyClassifier`] (naive Bayes, trained at runtime on the bundled corpus) |
-//! | SHA-1 dedup + SimHash grouping | [`sha1_hex`], [`SimHash`], [`PolicyPipeline`] |
+//! | SHA-1 dedup + SimHash grouping | [`sha1_hex`], [`SimHash`], [`PolicyCorpus`] |
 //! | MAPP / GDPR annotation | [`annotate_policy`], [`GdprArticle`], [`LegalBasis`] |
 //! | Policy-vs-practice comparison | [`compliance`] |
 //!
@@ -45,5 +45,5 @@ pub use gdpr::{GdprArticle, IpAnonymization, LegalBasis};
 pub use generator::{render_policy, PolicyLanguage, PolicyProfile};
 pub use hashing::{hamming_distance, sha1_hex, SimHash};
 pub use language::{detect_language, DetectedLanguage};
-pub use pipeline::{CollectedDocument, DocRef, PolicyCorpusReport, PolicyPipeline, UniquePolicy};
+pub use pipeline::{CollectedDocument, DocRef, PolicyCorpus, PolicyCorpusReport, UniquePolicy};
 pub use text::extract_main_text;

@@ -33,7 +33,7 @@ pub struct CollectedDocument {
 /// a [`CollectedDocument`]; callers that already hold the captures can
 /// hand the pipeline these views instead and no body is copied. The
 /// owned type remains for callers that construct documents from scratch
-/// ([`PolicyPipeline::run`] adapts it to this view internally).
+/// ([`PolicyCorpus::run`] adapts it to this view internally).
 #[derive(Debug, Clone, Copy)]
 pub struct DocRef<'a> {
     /// Where the document was served from.
@@ -100,31 +100,84 @@ impl PolicyCorpusReport {
     }
 }
 
-/// The §VII-A pipeline: preprocess → classify (+ manual correction) →
-/// language → dedup → group.
+/// Per-distinct-text pipeline state: every stage is a pure function of
+/// the raw text, so each stage runs at most once per text.
 #[derive(Debug)]
-pub struct PolicyPipeline {
-    classifier: PolicyClassifier,
+struct Memo {
+    main: String,
+    classifier_policy: bool,
+    language: Option<DetectedLanguage>,
+    sha1: Option<String>,
+    simhash: Option<SimHash>,
+    annotation: Option<PolicyAnnotation>,
 }
 
-impl PolicyPipeline {
-    /// Creates a pipeline with the bundled classifier.
+/// The §VII-A pipeline as a running fold: preprocess → classify
+/// (+ manual correction) → language → dedup on every
+/// [`PolicyCorpus::push`], SimHash grouping on every
+/// [`PolicyCorpus::report`].
+///
+/// The capture corpus is heavily duplicated across the five runs (every
+/// run re-fetches the same policy pages), so the per-document work —
+/// text extraction, classification, language detection, hashing,
+/// annotation — is memoized per *distinct* raw text. The report is
+/// identical to processing each document independently: the manual
+/// override still runs per rejected document (it may carry caller
+/// state), and all counts, dedup decisions, and orderings are
+/// unchanged. A live caller pushes each document once, as it arrives,
+/// and reports whenever it likes; a report over N documents equals
+/// [`PolicyCorpus::run_refs`] over those N.
+#[derive(Debug)]
+pub struct PolicyCorpus {
+    classifier: PolicyClassifier,
+    /// The reference path: no memo sharing, linear keyword annotation.
+    linear: bool,
+    memo_of: HashMap<String, usize>,
+    memos: Vec<Memo>,
+    documents_seen: usize,
+    policies_per_run: BTreeMap<String, usize>,
+    policies_collected: usize,
+    manual_corrections: usize,
+    language_counts: BTreeMap<String, usize>,
+    /// Dedup keys `(SHA-1, channel)`: per-channel exact duplicates
+    /// across runs collapse; identical group policies on *different*
+    /// channels are kept (§VII-A).
+    seen: HashSet<(String, String)>,
+    unique: Vec<UniquePolicy>,
+}
+
+impl PolicyCorpus {
+    /// An empty corpus with the bundled classifier.
     pub fn new() -> Self {
-        PolicyPipeline {
+        PolicyCorpus {
             classifier: PolicyClassifier::bundled(),
+            linear: false,
+            memo_of: HashMap::new(),
+            memos: Vec::new(),
+            documents_seen: 0,
+            policies_per_run: BTreeMap::new(),
+            policies_collected: 0,
+            manual_corrections: 0,
+            language_counts: BTreeMap::new(),
+            seen: HashSet::new(),
+            unique: Vec::new(),
         }
     }
 
-    /// Runs the pipeline over collected documents.
-    ///
-    /// `manual_override` plays the role of the authors' manual
-    /// evaluation: it receives documents the classifier rejected and may
-    /// rescue false negatives (the paper corrected 18).
-    pub fn run<F>(
-        &self,
-        documents: &[CollectedDocument],
-        mut manual_override: F,
-    ) -> PolicyCorpusReport
+    /// The pre-optimization reference corpus: every document is
+    /// processed independently (no per-text memoization) and annotated
+    /// with the linear keyword scan instead of the automaton. Kept for
+    /// differential testing; its reports equal [`PolicyCorpus::new`]'s.
+    pub fn linear() -> Self {
+        PolicyCorpus {
+            linear: true,
+            ..Self::new()
+        }
+    }
+
+    /// Runs the pipeline over owned documents (see
+    /// [`PolicyCorpus::run_refs`]).
+    pub fn run<F>(documents: &[CollectedDocument], mut manual_override: F) -> PolicyCorpusReport
     where
         F: FnMut(&CollectedDocument) -> bool,
     {
@@ -137,208 +190,174 @@ impl PolicyPipeline {
                 raw_text: &d.raw_text,
             })
             .collect();
-        self.run_refs(&refs, |i, _| manual_override(&documents[i]))
+        Self::run_refs(&refs, |i, _| manual_override(&documents[i]))
     }
 
-    /// [`PolicyPipeline::run`] over borrowed document views.
+    /// Pushes every document into a fresh corpus and reports it.
     ///
-    /// The capture corpus is heavily duplicated across the five runs
-    /// (every run re-fetches the same policy pages), so the per-document
-    /// work — text extraction, classification, language detection,
-    /// hashing, annotation — is memoized per *distinct* raw text. The
-    /// report is identical to processing each document independently:
-    /// every stage is a pure function of the text, `manual_override`
-    /// still runs per rejected document (it may carry caller state), and
-    /// all counts, dedup decisions, and orderings are unchanged.
-    pub fn run_refs<F>(&self, documents: &[DocRef<'_>], manual_override: F) -> PolicyCorpusReport
+    /// `manual_override` plays the role of the authors' manual
+    /// evaluation: it receives documents the classifier rejected (with
+    /// their index) and may rescue false negatives (the paper corrected
+    /// 18).
+    pub fn run_refs<F>(documents: &[DocRef<'_>], manual_override: F) -> PolicyCorpusReport
     where
         F: FnMut(usize, &DocRef<'_>) -> bool,
     {
-        self.run_refs_impl(documents, manual_override, false)
+        Self::new().fold(documents, manual_override)
     }
 
-    /// The pre-optimization reference path: every document is processed
-    /// independently (no per-text memoization) and annotated with the
-    /// linear keyword scan instead of the automaton. Kept for
-    /// differential testing and as the before-side of the analysis
-    /// benchmark; the report is identical to [`PolicyPipeline::run_refs`].
-    pub fn run_refs_linear<F>(
-        &self,
-        documents: &[DocRef<'_>],
-        manual_override: F,
-    ) -> PolicyCorpusReport
+    /// [`PolicyCorpus::run_refs`] on the [`PolicyCorpus::linear`]
+    /// reference path; the report is identical.
+    pub fn run_refs_linear<F>(documents: &[DocRef<'_>], manual_override: F) -> PolicyCorpusReport
     where
         F: FnMut(usize, &DocRef<'_>) -> bool,
     {
-        self.run_refs_impl(documents, manual_override, true)
+        Self::linear().fold(documents, manual_override)
     }
 
-    fn run_refs_impl<F>(
-        &self,
-        documents: &[DocRef<'_>],
-        mut manual_override: F,
-        reference: bool,
-    ) -> PolicyCorpusReport
+    fn fold<F>(mut self, documents: &[DocRef<'_>], mut manual_override: F) -> PolicyCorpusReport
     where
         F: FnMut(usize, &DocRef<'_>) -> bool,
     {
-        struct Memo {
-            main: String,
-            classifier_policy: bool,
-            language: Option<DetectedLanguage>,
-            sha1: Option<String>,
-            simhash: Option<SimHash>,
-            annotation: Option<PolicyAnnotation>,
-        }
-
-        let mut memo_of: HashMap<&str, usize> = HashMap::new();
-        let mut memos: Vec<Memo> = Vec::new();
-        let mut policies_per_run: BTreeMap<String, usize> = BTreeMap::new();
-        let mut language_counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut manual_corrections = 0usize;
-        let mut accepted: Vec<(usize, usize, DetectedLanguage)> = Vec::new();
-
-        let fresh_memo = |memos: &mut Vec<Memo>, raw_text: &str| {
-            let main = extract_main_text(raw_text);
-            let classifier_policy = !main.is_empty() && self.classifier.is_policy(&main);
-            memos.push(Memo {
-                main,
-                classifier_policy,
-                language: None,
-                sha1: None,
-                simhash: None,
-                annotation: None,
-            });
-            memos.len() - 1
-        };
-
         for (i, doc) in documents.iter().enumerate() {
-            let mi = if reference {
-                // Reference path: no sharing, every document pays full
-                // price — exactly the old per-document pipeline.
-                fresh_memo(&mut memos, doc.raw_text)
-            } else {
-                match memo_of.get(doc.raw_text) {
-                    Some(&mi) => mi,
-                    None => {
-                        let mi = fresh_memo(&mut memos, doc.raw_text);
-                        memo_of.insert(doc.raw_text, mi);
-                        mi
-                    }
-                }
-            };
-            if memos[mi].main.is_empty() {
-                continue;
-            }
-            let mut is_policy = memos[mi].classifier_policy;
-            if !is_policy && manual_override(i, doc) {
-                is_policy = true;
-                manual_corrections += 1;
-            }
-            if !is_policy {
-                continue;
-            }
-            let language = match memos[mi].language {
-                Some(l) => l,
-                None => {
-                    let l = detect_language(&memos[mi].main);
-                    memos[mi].language = Some(l);
-                    l
-                }
-            };
-            *policies_per_run.entry(doc.run.to_string()).or_insert(0) += 1;
-            *language_counts.entry(format!("{language:?}")).or_insert(0) += 1;
-            accepted.push((i, mi, language));
+            self.push(doc, |d| manual_override(i, d));
         }
-        let policies_collected = accepted.len();
+        self.report()
+    }
 
-        // Dedup on (SHA-1, channel): per-channel exact duplicates across
-        // runs collapse; identical group policies on *different* channels
-        // are kept (§VII-A).
-        let mut seen: HashSet<(String, String)> = HashSet::new();
-        let mut unique: Vec<UniquePolicy> = Vec::new();
-        for (i, mi, language) in accepted {
-            let doc = &documents[i];
-            let sha1 = match &memos[mi].sha1 {
-                Some(s) => s.clone(),
-                None => {
-                    let s = sha1_hex(memos[mi].main.as_bytes());
-                    memos[mi].sha1 = Some(s.clone());
-                    s
-                }
-            };
-            if !seen.insert((sha1.clone(), doc.channel.to_string())) {
-                continue;
-            }
-            let simhash = match memos[mi].simhash {
-                Some(h) => h,
-                None => {
-                    let h = SimHash::of_text(&memos[mi].main);
-                    memos[mi].simhash = Some(h);
-                    h
-                }
-            };
-            let annotation = match &memos[mi].annotation {
-                Some(a) => a.clone(),
-                None => {
-                    let a = if reference {
-                        annotate_policy_linear(&memos[mi].main)
-                    } else {
-                        annotate_policy(&memos[mi].main)
-                    };
-                    memos[mi].annotation = Some(a.clone());
-                    a
-                }
-            };
-            unique.push(UniquePolicy {
-                channel: doc.channel.to_string(),
-                language,
-                sha1,
-                simhash,
-                annotation,
-                host_domain: doc.url.etld1().to_string(),
-                text: memos[mi].main.clone(),
-            });
+    /// Feeds one document through classification, language detection,
+    /// and dedup. `manual_override` runs only if the classifier rejects
+    /// the document.
+    pub fn push<F>(&mut self, doc: &DocRef<'_>, manual_override: F)
+    where
+        F: FnOnce(&DocRef<'_>) -> bool,
+    {
+        self.documents_seen += 1;
+        let mi = self.memo_index(doc.raw_text);
+        let memo = &mut self.memos[mi];
+        if memo.main.is_empty() {
+            return;
         }
-
-        // Greedy SimHash grouping.
-        let mut group_of: Vec<Option<usize>> = vec![None; unique.len()];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in 0..unique.len() {
-            if group_of[i].is_some() {
-                continue;
+        if !memo.classifier_policy {
+            if !manual_override(doc) {
+                return;
             }
-            let mut members = vec![i];
-            for (j, slot) in group_of.iter().enumerate().skip(i + 1) {
-                if slot.is_none() && unique[i].simhash.near(unique[j].simhash, SIMHASH_THRESHOLD) {
-                    members.push(j);
-                }
-            }
-            if members.len() > 1 {
-                let gid = groups.len();
-                for &m in &members {
-                    group_of[m] = Some(gid);
-                }
-                groups.push(members);
-            }
+            self.manual_corrections += 1;
         }
+        let language = *memo
+            .language
+            .get_or_insert_with(|| detect_language(&memo.main));
+        *self
+            .policies_per_run
+            .entry(doc.run.to_string())
+            .or_insert(0) += 1;
+        *self
+            .language_counts
+            .entry(format!("{language:?}"))
+            .or_insert(0) += 1;
+        self.policies_collected += 1;
 
+        let sha1 = memo
+            .sha1
+            .get_or_insert_with(|| sha1_hex(memo.main.as_bytes()))
+            .clone();
+        if !self.seen.insert((sha1.clone(), doc.channel.to_string())) {
+            return;
+        }
+        let simhash = *memo
+            .simhash
+            .get_or_insert_with(|| SimHash::of_text(&memo.main));
+        let linear = self.linear;
+        let annotation = memo
+            .annotation
+            .get_or_insert_with(|| {
+                if linear {
+                    annotate_policy_linear(&memo.main)
+                } else {
+                    annotate_policy(&memo.main)
+                }
+            })
+            .clone();
+        self.unique.push(UniquePolicy {
+            channel: doc.channel.to_string(),
+            language,
+            sha1,
+            simhash,
+            annotation,
+            host_domain: doc.url.etld1().to_string(),
+            text: memo.main.clone(),
+        });
+    }
+
+    /// The memo slot for `raw_text`, extracting and classifying the text
+    /// on first sight.
+    fn memo_index(&mut self, raw_text: &str) -> usize {
+        if self.linear {
+            // The reference path shares nothing: every document pays
+            // full price, so it checks the memo as well as the stages.
+            self.memos.clear();
+        } else if let Some(&mi) = self.memo_of.get(raw_text) {
+            return mi;
+        } else {
+            self.memo_of.insert(raw_text.to_string(), self.memos.len());
+        }
+        let main = extract_main_text(raw_text);
+        let classifier_policy = !main.is_empty() && self.classifier.is_policy(&main);
+        self.memos.push(Memo {
+            main,
+            classifier_policy,
+            language: None,
+            sha1: None,
+            simhash: None,
+            annotation: None,
+        });
+        self.memos.len() - 1
+    }
+
+    /// The report over every document pushed so far. SimHash grouping
+    /// is redone here, over the unique policies only.
+    pub fn report(&self) -> PolicyCorpusReport {
         PolicyCorpusReport {
-            documents_seen: documents.len(),
-            policies_per_run,
-            policies_collected,
-            manual_corrections,
-            language_counts,
-            unique,
-            simhash_groups: groups,
+            documents_seen: self.documents_seen,
+            policies_per_run: self.policies_per_run.clone(),
+            policies_collected: self.policies_collected,
+            manual_corrections: self.manual_corrections,
+            language_counts: self.language_counts.clone(),
+            unique: self.unique.clone(),
+            simhash_groups: simhash_groups(&self.unique),
         }
     }
 }
 
-impl Default for PolicyPipeline {
+impl Default for PolicyCorpus {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Greedy SimHash grouping: each ungrouped policy collects every later
+/// ungrouped near-duplicate; groups of one are dropped.
+fn simhash_groups(unique: &[UniquePolicy]) -> Vec<Vec<usize>> {
+    let mut grouped = vec![false; unique.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in 0..unique.len() {
+        if grouped[i] {
+            continue;
+        }
+        let mut members = vec![i];
+        for (j, done) in grouped.iter().enumerate().skip(i + 1) {
+            if !done && unique[i].simhash.near(unique[j].simhash, SIMHASH_THRESHOLD) {
+                members.push(j);
+            }
+        }
+        if members.len() > 1 {
+            for &m in &members {
+                grouped[m] = true;
+            }
+            groups.push(members);
+        }
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -365,7 +384,7 @@ mod tests {
             doc("KanalA", "Yellow", &shared), // same channel, same hash → dropped
             doc("KanalB", "Red", &shared),    // different channel → kept
         ];
-        let report = PolicyPipeline::new().run(&docs, |_| false);
+        let report = PolicyCorpus::run(&docs, |_| false);
         assert_eq!(report.policies_collected, 3);
         assert_eq!(report.unique.len(), 2);
         // The two kept copies are (at least) near-duplicates.
@@ -381,7 +400,7 @@ mod tests {
             "Nur heute: das grosse Pfannenset für 49,99 Euro! Rufen Sie jetzt an \
              und sichern Sie sich gratis Versand für alle Bestellungen.",
         )];
-        let report = PolicyPipeline::new().run(&docs, |_| false);
+        let report = PolicyCorpus::run(&docs, |_| false);
         assert_eq!(report.policies_collected, 0);
         assert!(report.unique.is_empty());
     }
@@ -396,8 +415,8 @@ mod tests {
             render_policy(&PolicyProfile::typical("Misch", "Misch Media"))
         );
         let docs = vec![doc("Misch", "Blue", &mixed)];
-        let strict = PolicyPipeline::new().run(&docs, |_| false);
-        let corrected = PolicyPipeline::new().run(&docs, |d| d.channel == "Misch");
+        let strict = PolicyCorpus::run(&docs, |_| false);
+        let corrected = PolicyCorpus::run(&docs, |d| d.channel == "Misch");
         // Whether or not the classifier already accepts the mixed text,
         // the corrected run must contain it and count corrections
         // consistently.
@@ -414,7 +433,7 @@ mod tests {
             doc("Zwei", "Yellow", &b),
             doc("Eins", "Red", &a),
         ];
-        let report = PolicyPipeline::new().run(&docs, |_| false);
+        let report = PolicyCorpus::run(&docs, |_| false);
         assert_eq!(report.policies_per_run["Yellow"], 2);
         assert_eq!(report.policies_per_run["Red"], 1);
         assert_eq!(report.language_counts["German"], 3);
@@ -437,7 +456,7 @@ mod tests {
             doc("Eins", "Red", &render_policy(&p1)),
             doc("Zwei", "Red", &render_policy(&p2)),
         ];
-        let report = PolicyPipeline::new().run(&docs, |_| false);
+        let report = PolicyCorpus::run(&docs, |_| false);
         assert_eq!(report.unique.len(), 2);
         assert!(
             report.simhash_groups.is_empty(),
@@ -451,7 +470,7 @@ mod tests {
         let text = render_policy(&PolicyProfile::typical("Eins", "Eins Media"));
         let mut d = doc("Eins", "Red", &text);
         d.url = "http://cdn.smartclip.net/policies/eins".parse().unwrap();
-        let report = PolicyPipeline::new().run(&[d], |_| false);
+        let report = PolicyCorpus::run(&[d], |_| false);
         assert_eq!(report.unique[0].host_domain, "smartclip.net");
     }
 }

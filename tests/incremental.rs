@@ -8,11 +8,15 @@
 //! rendered report after every appended epoch equals both reference
 //! paths over the same prefix dataset. A second property round-trips
 //! the spill/load path by running the same appends under a tiny
-//! resident budget and requiring the identical final render.
+//! resident budget and requiring the identical final render. A plain
+//! test pins the §VII-A policy corpus, which the engine folds only over
+//! the candidate documents appended since its last report.
 
-use hbbtv_study::analysis::IncrementalStudy;
+use hbbtv_net::ContentType;
+use hbbtv_proxy::CapturedExchange;
+use hbbtv_study::analysis::{IncrementalStudy, PolicyAnalysis};
 use hbbtv_study::report::StudyReport;
-use hbbtv_study::{Ecosystem, RunKind, StudyDataset, StudyHarness};
+use hbbtv_study::{Ecosystem, RunDataset, RunKind, StudyDataset, StudyHarness};
 use proptest::prelude::*;
 
 /// Cuts `n` into successive epoch lengths drawn from `cuts` (cycled),
@@ -43,6 +47,68 @@ fn assert_parity(live: &str, eco: &Ecosystem, prefix: &StudyDataset, at: &str) {
     assert_eq!(live, built.as_str(), "incremental != frame build {at}");
     let naive = StudyReport::compute_naive(eco, prefix).render(prefix);
     assert_eq!(live, naive.as_str(), "incremental != naive {at}");
+}
+
+/// A §VII-A candidate document: a large HTML response.
+fn is_candidate(c: &CapturedExchange) -> bool {
+    c.response.content_type == ContentType::Html && c.response.body.len() > 300
+}
+
+/// Each run is cut just past its first, middle, and last candidate
+/// document and then at its end, with a report after every epoch, so
+/// documents reach the engine in several epochs with reports between
+/// them. Every live corpus must equal a batch run over the same prefix.
+#[test]
+fn policy_corpus_matches_batch_at_reports_between_document_epochs() {
+    let eco = Ecosystem::with_scale(11, 0.05);
+    let harness = StudyHarness::new(&eco);
+    let runs = vec![harness.run(RunKind::General), harness.run(RunKind::Red)];
+
+    let mut inc = IncrementalStudy::with_budget(None);
+    let mut prefix = StudyDataset { runs: Vec::new() };
+    let mut doc_epochs = 0;
+    for run in &runs {
+        let mut meta = run.clone();
+        let caps = std::mem::take(&mut meta.captures);
+        inc.push_run(meta);
+        prefix.runs.push(RunDataset {
+            captures: Vec::new(),
+            ..run.clone()
+        });
+
+        let docs: Vec<usize> = (0..caps.len())
+            .filter(|&i| is_candidate(&caps[i]))
+            .collect();
+        let mut ends: Vec<usize> = [docs.first(), docs.get(docs.len() / 2), docs.last()]
+            .into_iter()
+            .flatten()
+            .map(|&i| i + 1)
+            .collect();
+        ends.push(caps.len());
+        ends.dedup();
+        let mut start = 0;
+        for end in ends {
+            let epoch = caps[start..end].to_vec();
+            start = end;
+            if epoch.iter().any(is_candidate) {
+                doc_epochs += 1;
+            }
+            prefix
+                .runs
+                .last_mut()
+                .expect("run pushed above")
+                .captures
+                .extend(epoch.iter().cloned());
+            inc.extend_run(epoch);
+            assert_eq!(
+                inc.report(&eco).policies.corpus,
+                PolicyAnalysis::compute(&prefix).corpus,
+                "after {end} captures of {}",
+                run.run
+            );
+        }
+    }
+    assert!(doc_epochs >= 3, "documents landed in {doc_epochs} epochs");
 }
 
 proptest! {
