@@ -19,10 +19,6 @@
 //! closed output sets (a state's outputs include every needle ending at
 //! any suffix of the path to it), precomputed at build so the walk
 //! itself never chases failure links.
-//!
-//! The raw tables are exposed (`raw_*` accessors + [`Automaton::from_raw`])
-//! so the filter-list crate can serialize an automaton into its
-//! prebuilt "HBFL" image and revalidate it on load without rebuilding.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +31,7 @@ const VACANT: u32 = u32::MAX;
 /// Built once from `(needle, id)` pairs; [`step`](Automaton::step) is
 /// two indexed loads per input byte, [`outputs`](Automaton::outputs)
 /// yields the ids of every needle ending at the current position.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Automaton {
     /// Byte → column. Class 0 is reserved for bytes in no needle; its
     /// column is all-root by construction.
@@ -207,73 +203,6 @@ impl Automaton {
     pub fn is_trivial(&self) -> bool {
         self.out_ids.is_empty()
     }
-
-    /// Raw byte→class map, for serialization.
-    pub fn raw_classes(&self) -> &[u8; 256] {
-        &self.classes
-    }
-
-    /// Raw row-major transition table, for serialization.
-    pub fn raw_trans(&self) -> &[u32] {
-        &self.trans
-    }
-
-    /// Raw per-state output offsets, for serialization.
-    pub fn raw_out_start(&self) -> &[u32] {
-        &self.out_start
-    }
-
-    /// Raw flattened output ids, for serialization.
-    pub fn raw_out_ids(&self) -> &[u32] {
-        &self.out_ids
-    }
-
-    /// Reassembles an automaton from raw tables (the deserialization
-    /// path), revalidating every structural invariant so a corrupt
-    /// image can never index out of bounds at match time.
-    pub fn from_raw(
-        classes: [u8; 256],
-        n_classes: u32,
-        trans: Vec<u32>,
-        out_start: Vec<u32>,
-        out_ids: Vec<u32>,
-    ) -> Result<Automaton, String> {
-        if n_classes == 0 || n_classes > 256 {
-            return Err(format!("automaton: bad class count {n_classes}"));
-        }
-        if classes.iter().any(|&c| (c as u32) >= n_classes) {
-            return Err("automaton: class map entry out of range".into());
-        }
-        if trans.is_empty() || !trans.len().is_multiple_of(n_classes as usize) {
-            return Err(format!(
-                "automaton: transition table length {} not a multiple of {n_classes}",
-                trans.len()
-            ));
-        }
-        let n_states = (trans.len() / n_classes as usize) as u32;
-        if trans.iter().any(|&t| t >= n_states) {
-            return Err("automaton: transition target out of range".into());
-        }
-        if out_start.len() != n_states as usize + 1 {
-            return Err(format!(
-                "automaton: output index length {} for {n_states} states",
-                out_start.len()
-            ));
-        }
-        if out_start.windows(2).any(|w| w[0] > w[1]) {
-            return Err("automaton: output index not monotone".into());
-        }
-        if *out_start.last().unwrap() as usize != out_ids.len() {
-            return Err("automaton: output index does not cover output ids".into());
-        }
-        Ok(Automaton {
-            classes: Box::new(classes),
-            n_classes,
-            trans,
-            out_start,
-            out_ids,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -329,47 +258,12 @@ mod tests {
         let a = build_strs(&[("ab", 0)]);
         // 'a', 'b' used -> classes 1, 2; everything else class 0.
         assert_eq!(a.n_classes(), 3);
-        assert_eq!(a.raw_classes()[b'z' as usize], 0);
+        assert_eq!(a.classes[b'z' as usize], 0);
         // Class-0 column must be all-root.
         let k = a.n_classes() as usize;
         for s in 0..a.n_states() as usize {
-            assert_eq!(a.raw_trans()[s * k], 0);
+            assert_eq!(a.trans[s * k], 0);
         }
-    }
-
-    #[test]
-    fn raw_roundtrip_rebuilds_identical_machine() {
-        let a = build_strs(&[("track", 0), ("rack", 1), ("ck", 2)]);
-        let b = Automaton::from_raw(
-            *a.raw_classes(),
-            a.n_classes(),
-            a.raw_trans().to_vec(),
-            a.raw_out_start().to_vec(),
-            a.raw_out_ids().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_raw_rejects_structural_corruption() {
-        let a = build_strs(&[("ab", 0)]);
-        let (cls, k) = (*a.raw_classes(), a.n_classes());
-        let (t, s, o) = (
-            a.raw_trans().to_vec(),
-            a.raw_out_start().to_vec(),
-            a.raw_out_ids().to_vec(),
-        );
-        assert!(Automaton::from_raw(cls, 0, t.clone(), s.clone(), o.clone()).is_err());
-        let mut bad_t = t.clone();
-        bad_t[0] = 10_000;
-        assert!(Automaton::from_raw(cls, k, bad_t, s.clone(), o.clone()).is_err());
-        let mut bad_s = s.clone();
-        bad_s.pop();
-        assert!(Automaton::from_raw(cls, k, t.clone(), bad_s, o.clone()).is_err());
-        let mut bad_o = o.clone();
-        bad_o.push(0);
-        assert!(Automaton::from_raw(cls, k, t, s, bad_o).is_err());
     }
 
     proptest! {

@@ -26,33 +26,37 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Every network failure ends the same way: one stderr line, exit 1.
+fn fail(reason: impl std::fmt::Display) -> ! {
+    eprintln!("{reason}");
+    std::process::exit(1);
+}
+
 fn poll(stream: &mut TcpStream, decoder: &mut FrameDecoder, seq: u32) -> StatsReport {
     let req = Frame::json(Command::Stats, seq, &StatsRequest::default());
     stream
         .write_all(&req.encode())
-        .expect("STATS request sends");
+        .unwrap_or_else(|e| fail(format!("cannot send STATS request: {e}")));
     let mut buf = [0u8; 64 * 1024];
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        while let Some(frame) = decoder.next_frame().expect("answer stream decodes") {
+        while let Some(frame) = decoder
+            .next_frame()
+            .unwrap_or_else(|e| fail(format!("undecodable answer from collector: {e}")))
+        {
             if frame.command == Command::StatsReply {
-                return frame.parse().expect("STATS_REPLY parses");
+                return frame
+                    .parse()
+                    .unwrap_or_else(|e| fail(format!("malformed STATS_REPLY: {e}")));
             }
         }
         if Instant::now() > deadline {
-            eprintln!("collector did not answer STATS within 10s");
-            std::process::exit(1);
+            fail("collector did not answer STATS within 10s");
         }
         match stream.read(&mut buf) {
-            Ok(0) => {
-                eprintln!("collector hung up");
-                std::process::exit(1);
-            }
+            Ok(0) => fail("collector hung up"),
             Ok(n) => decoder.push_bytes(&buf[..n]),
-            Err(e) => {
-                eprintln!("read error: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(format!("read error: {e}")),
         }
     }
 }
@@ -124,7 +128,7 @@ fn main() {
     }
 
     let mut stream = TcpStream::connect(&target)
-        .unwrap_or_else(|e| panic!("cannot connect to collector at {target}: {e}"));
+        .unwrap_or_else(|e| fail(format!("cannot connect to collector at {target}: {e}")));
     let mut decoder = FrameDecoder::new();
     let mut polls = 0u64;
     let mut seq = 0u32;

@@ -15,11 +15,8 @@
 //! bucket engine with its Aho–Corasick residual prefilter behind
 //! `matches_view`.
 //!
-//! Each synthetic scale also round-trips the list through the HBFL
-//! prebuilt image: the loaded engine must produce byte-identical
-//! `MatchOutcome`s (same firing rule, same source line) before the row
-//! is recorded, and the instrumented pass runs on the freshly loaded
-//! engine so `load_mode`/`automaton_states` describe the prebuilt path.
+//! Each synthetic list is built inside its row's counting window, so
+//! the row's `automaton_states` and query cells describe that engine.
 
 use hbbtv_bench::matcher_workload::{synthetic_list, url_workload};
 use hbbtv_filterlists::{bundled, stats, FilterList, MatchOutcome, RequestContext, UrlView};
@@ -73,8 +70,8 @@ fn instrumented_pass(
 }
 
 /// Query-path cells only; engine-construction cells are reported
-/// separately by [`load_json`] because they are recorded at build/load
-/// time, outside the per-workload counting window.
+/// separately by [`load_json`] because they are recorded at build
+/// time, not gated on the per-query switch.
 fn stats_json(s: &stats::MatcherStats) -> String {
     format!(
         "{{ \"queries\": {}, \"bucket_probes\": {}, \"bucket_candidates\": {}, \"residual_checks\": {}, \"residual_walks\": {}, \"hits\": {}, \"rules_per_query\": {:.2}, \"first_match_p50\": {}, \"first_match_p99\": {}, \"first_match_max\": {} }}",
@@ -91,15 +88,12 @@ fn stats_json(s: &stats::MatcherStats) -> String {
     )
 }
 
-/// Engine-construction cells: how many engines this window built or
-/// loaded, and the DFA states they materialized.
+/// Engine-construction cells: how many engines this window built, and
+/// the DFA states they materialized.
 fn load_json(s: &stats::MatcherStats) -> String {
     format!(
-        "{{ \"automaton_states\": {}, \"engines_built\": {}, \"engines_prebuilt\": {}, \"load_mode\": \"{}\" }}",
-        s.automaton_states,
-        s.engines_built,
-        s.engines_prebuilt,
-        s.load_mode()
+        "{{ \"automaton_states\": {}, \"engines_built\": {} }}",
+        s.automaton_states, s.engines_built
     )
 }
 
@@ -147,18 +141,6 @@ fn linear_pass(lists: &[&FilterList], urls: &[Url], ctx: RequestContext) -> usiz
     hits
 }
 
-/// A comparable key for a match outcome: which variant fired, and for
-/// block rules the exact source line, so "byte-identical outcome" means
-/// the same rule won, not merely the same boolean.
-fn outcome_key(o: &MatchOutcome<'_>) -> String {
-    match o {
-        MatchOutcome::Blocked(r) => format!("blocked:{}", r.source),
-        MatchOutcome::HostBlocked => "host".to_string(),
-        MatchOutcome::Allowed => "allowed".to_string(),
-        MatchOutcome::NoMatch => "none".to_string(),
-    }
-}
-
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -168,8 +150,7 @@ fn main() {
 
     // Bundled Table III lists, probed together per URL as the fused
     // per-exchange classification does. Forcing the registry here also
-    // records the boot-time engine constructions (parsed text or
-    // prebuilt HBFL images, depending on HBBTV_PREBUILT_DIR).
+    // records the boot-time engine constructions.
     stats::reset();
     let lists = bundled::all_refs();
     let boot = stats::snapshot();
@@ -226,53 +207,31 @@ fn main() {
     ));
 
     // Synthetic scales: indexed should stay flat while linear grows
-    // with the rule count. Every scale round-trips through the HBFL
-    // prebuilt image and must match it outcome for outcome.
+    // with the rule count.
     let mut scale_rows = Vec::new();
     for (i, n) in SCALES.into_iter().enumerate() {
         let iters = ITERS_SCALES[i];
-        let list = synthetic_list(n, LIST_SEED);
         let work = url_workload(64, n, URL_SEED);
+
+        // Instrumented pass with the build itself inside the counting
+        // window, so the row's load cells describe this engine.
+        stats::reset();
+        stats::enable();
+        let list = synthetic_list(n, LIST_SEED);
         let one = [&list];
-        let hits = indexed_pass(&one, &work, ctx);
+        let hits = rule_pass(&one, &work, ctx);
+        stats::disable();
+        let scale_stats = stats::snapshot();
+        assert_eq!(
+            hits,
+            indexed_pass(&one, &work, ctx),
+            "matching_rule_view disagrees with matches_view at {n} rules"
+        );
         assert_eq!(
             hits,
             linear_pass(&one, &work, ctx),
             "engines disagree at {n} rules"
         );
-        assert_eq!(
-            hits,
-            rule_pass(&one, &work, ctx),
-            "matching_rule_view disagrees with matches_view at {n} rules"
-        );
-
-        // HBFL round trip: encode, load, and require byte-identical
-        // outcomes (same rule source line) from the loaded engine.
-        let t = Instant::now();
-        let image = list.to_prebuilt();
-        let encode_s = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let loaded = FilterList::from_prebuilt(&image).expect("prebuilt image loads");
-        let load_s = t.elapsed().as_secs_f64();
-        let mut buf = String::new();
-        for u in &work {
-            let view = UrlView::of_url(u, &mut buf);
-            assert_eq!(
-                outcome_key(&list.matching_rule_view(&view, ctx)),
-                outcome_key(&loaded.matching_rule_view(&view, ctx)),
-                "prebuilt engine diverges at {n} rules on {u}"
-            );
-        }
-
-        // Instrumented pass on a freshly loaded engine, with the load
-        // itself inside the counting window, so the row's load cells
-        // describe the prebuilt path (automaton states, load_mode).
-        stats::reset();
-        stats::enable();
-        let counted = FilterList::from_prebuilt(&image).expect("prebuilt image loads");
-        std::hint::black_box(rule_pass(&[&counted], &work, ctx));
-        stats::disable();
-        let scale_stats = stats::snapshot();
 
         let checks = work.len() as f64;
         let t_idx = time_best(iters, || indexed_pass(&one, &work, ctx));
@@ -284,7 +243,7 @@ fn main() {
             t_lin / t_idx
         );
         scale_rows.push(format!(
-            "    {{ \"rules\": {}, \"urls\": {}, \"iters\": {}, \"hits\": {}, \"indexed_urls_per_s\": {:.0}, \"linear_urls_per_s\": {:.0}, \"speedup\": {:.2}, \"prebuilt\": {{ \"bytes\": {}, \"encode_s\": {:.6}, \"load_s\": {:.6}, \"outcome_parity\": true, \"load\": {} }}, \"engine\": {} }}",
+            "    {{ \"rules\": {}, \"urls\": {}, \"iters\": {}, \"hits\": {}, \"indexed_urls_per_s\": {:.0}, \"linear_urls_per_s\": {:.0}, \"speedup\": {:.2}, \"load\": {}, \"engine\": {} }}",
             n,
             work.len(),
             iters,
@@ -292,9 +251,6 @@ fn main() {
             checks / t_idx,
             checks / t_lin,
             t_lin / t_idx,
-            image.len(),
-            encode_s,
-            load_s,
             load_json(&scale_stats),
             stats_json(&scale_stats)
         ));

@@ -21,7 +21,6 @@
 //! truth for which of them each list covers.
 
 use crate::matcher::FilterList;
-use std::path::Path;
 use std::sync::OnceLock;
 
 /// Synthetic EasyList snapshot (Adblock syntax): classic ad-serving
@@ -140,88 +139,35 @@ google-analytics.com
 /// first use, then shared by reference from every analysis pass and
 /// worker thread. (`FilterList` is `Sync`; the matcher holds no
 /// interior mutability.)
-///
-/// When `HBBTV_PREBUILT_DIR` is set and contains `<slug>.hbfl`, the
-/// list is loaded from that prebuilt image
-/// ([`FilterList::from_prebuilt`]) instead of being parsed — same
-/// engine, none of the parse/index work. A missing file falls back to
-/// parsing silently; an *invalid* image is reported on stderr and then
-/// falls back, so a stale or corrupt cache degrades to correctness, not
-/// to a crash.
 static EASYLIST: OnceLock<FilterList> = OnceLock::new();
 static EASYPRIVACY: OnceLock<FilterList> = OnceLock::new();
 static PIHOLE: OnceLock<FilterList> = OnceLock::new();
 static PERFLYST: OnceLock<FilterList> = OnceLock::new();
 static KAMRAN: OnceLock<FilterList> = OnceLock::new();
 
-/// Environment variable naming a directory of `<slug>.hbfl` images.
-pub const PREBUILT_DIR_ENV: &str = "HBBTV_PREBUILT_DIR";
-
-/// The five bundled list slugs, in [`all_refs`] order — the file stems
-/// the prebuilt registry looks for under [`PREBUILT_DIR_ENV`].
-pub const SLUGS: [&str; 5] = ["pihole", "easylist", "easyprivacy", "perflyst", "kamran"];
-
-/// Loads `<dir>/<slug>.hbfl` if the env hook is set and the image is
-/// valid; otherwise parses `text` via `parse`.
-fn load_or_parse(slug: &str, parse: impl FnOnce() -> FilterList) -> FilterList {
-    if let Ok(dir) = std::env::var(PREBUILT_DIR_ENV) {
-        let path = Path::new(&dir).join(format!("{slug}.hbfl"));
-        if let Ok(bytes) = std::fs::read(&path) {
-            match FilterList::from_prebuilt(&bytes) {
-                Ok(list) => return list,
-                Err(err) => eprintln!(
-                    "hbbtv-filterlists: ignoring invalid prebuilt image {}: {err}",
-                    path.display()
-                ),
-            }
-        }
-    }
-    parse()
-}
-
 /// The shared synthetic EasyList.
 pub fn easylist_ref() -> &'static FilterList {
-    EASYLIST.get_or_init(|| {
-        load_or_parse("easylist", || {
-            FilterList::parse_adblock("EasyList", EASYLIST_TEXT)
-        })
-    })
+    EASYLIST.get_or_init(|| FilterList::parse_adblock("EasyList", EASYLIST_TEXT))
 }
 
 /// The shared synthetic EasyPrivacy.
 pub fn easyprivacy_ref() -> &'static FilterList {
-    EASYPRIVACY.get_or_init(|| {
-        load_or_parse("easyprivacy", || {
-            FilterList::parse_adblock("EasyPrivacy", EASYPRIVACY_TEXT)
-        })
-    })
+    EASYPRIVACY.get_or_init(|| FilterList::parse_adblock("EasyPrivacy", EASYPRIVACY_TEXT))
 }
 
 /// The shared synthetic Pi-hole hosts list.
 pub fn pihole_ref() -> &'static FilterList {
-    PIHOLE.get_or_init(|| {
-        load_or_parse("pihole", || {
-            FilterList::parse_hosts_list("Pi-hole", PIHOLE_TEXT)
-        })
-    })
+    PIHOLE.get_or_init(|| FilterList::parse_hosts_list("Pi-hole", PIHOLE_TEXT))
 }
 
 /// The shared synthetic Perflyst Smart-TV list.
 pub fn perflyst_ref() -> &'static FilterList {
-    PERFLYST.get_or_init(|| {
-        load_or_parse("perflyst", || {
-            FilterList::parse_hosts_list("Perflyst SmartTV", PERFLYST_TEXT)
-        })
-    })
+    PERFLYST.get_or_init(|| FilterList::parse_hosts_list("Perflyst SmartTV", PERFLYST_TEXT))
 }
 
 /// The shared synthetic Kamran Smart-TV list.
 pub fn kamran_ref() -> &'static FilterList {
-    KAMRAN.get_or_init(|| {
-        load_or_parse("kamran", || {
-            FilterList::parse_hosts_list("Kamran SmartTV", KAMRAN_TEXT)
-        })
-    })
+    KAMRAN.get_or_init(|| FilterList::parse_hosts_list("Kamran SmartTV", KAMRAN_TEXT))
 }
 
 /// All five shared lists in the order Table III reports them.

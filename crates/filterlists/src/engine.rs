@@ -1,8 +1,6 @@
 //! Indexed match engine: a three-tier layout — domain buckets, resource
 //! -kind partitions, and an Aho–Corasick residual — in the style of
-//! production adblock engines, with a flat arena representation that
-//! serializes directly into the prebuilt "HBFL" image
-//! ([`crate::prebuilt`]).
+//! production adblock engines, over a flat arena representation.
 //!
 //! **Tier 1 — domain buckets.** Every `||` (domain-anchored) rule lands
 //! in an open-addressed hash table keyed by its domain pattern; at match
@@ -37,8 +35,7 @@
 //!
 //! Rule options (`$third-party`, `$image`, …) are packed into each
 //! rule's compiled record, so the entire match path runs without
-//! touching the parsed `Rule` vector — which is what lets a prebuilt
-//! image serve matches without materializing rules at all.
+//! touching the parsed `Rule` vector.
 
 use crate::matcher::{RequestContext, UrlView};
 use crate::rule::{split_domain_pattern, Anchor, Parts, ResourceKind, Rule};
@@ -53,7 +50,7 @@ use std::hash::Hasher;
 /// buys nothing here, while its per-lookup cost dominates small-list
 /// matching (several suffix probes across five lists per exchange).
 #[derive(Default)]
-pub(crate) struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
 
@@ -97,14 +94,14 @@ impl Hasher for FxHasher {
 }
 
 /// Build-hasher for the engine's (build-time) hash tables.
-pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 /// One FxHash of a byte string — the probe hash for [`BucketTable`] and
 /// [`DomainSet`]. Both the builder and the (possibly deserialized)
 /// prober use this same function, which is what makes the serialized
 /// slot layout portable.
 #[inline]
-pub(crate) fn fx_hash(bytes: &[u8]) -> u64 {
+fn fx_hash(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
     h.finish()
@@ -114,15 +111,15 @@ pub(crate) fn fx_hash(bytes: &[u8]) -> u64 {
 /// engine — domains, pattern parts, needles, host domains — is a `Span`
 /// into one string, so the whole structure is flat and
 /// serialization-friendly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Span {
-    pub(crate) off: u32,
-    pub(crate) len: u32,
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    off: u32,
+    len: u32,
 }
 
 impl Span {
     #[inline]
-    pub(crate) fn of(self, arena: &str) -> &str {
+    fn of(self, arena: &str) -> &str {
         &arena[self.off as usize..(self.off + self.len) as usize]
     }
 }
@@ -160,19 +157,19 @@ impl<'p> Parts<'p> for ArenaParts<'p> {
 }
 
 // Compiled-rule tags.
-pub(crate) const TAG_NEVER: u8 = 0;
-pub(crate) const TAG_DOMAIN: u8 = 1;
-pub(crate) const TAG_START: u8 = 2;
-pub(crate) const TAG_SUBSTRING: u8 = 3;
+const TAG_NEVER: u8 = 0;
+const TAG_DOMAIN: u8 = 1;
+const TAG_START: u8 = 2;
+const TAG_SUBSTRING: u8 = 3;
 
 // Compiled-rule flags: pattern anchoring plus the `$option` gates,
 // packed so the match path never consults the parsed `Rule`.
-pub(crate) const F_ANCHORED: u8 = 1 << 0;
-pub(crate) const F_END_SEP: u8 = 1 << 1;
-pub(crate) const F_THIRD_ONLY: u8 = 1 << 2;
-pub(crate) const F_FIRST_ONLY: u8 = 1 << 3;
-pub(crate) const F_IMAGE_ONLY: u8 = 1 << 4;
-pub(crate) const F_SCRIPT_ONLY: u8 = 1 << 5;
+const F_ANCHORED: u8 = 1 << 0;
+const F_END_SEP: u8 = 1 << 1;
+const F_THIRD_ONLY: u8 = 1 << 2;
+const F_FIRST_ONLY: u8 = 1 << 3;
+const F_IMAGE_ONLY: u8 = 1 << 4;
+const F_SCRIPT_ONLY: u8 = 1 << 5;
 
 /// One compiled rule: tag, flags, and the `*`-split literal parts as a
 /// range into [`RuleIndex::parts`]. 8 bytes, fixed width.
@@ -185,12 +182,12 @@ pub(crate) const F_SCRIPT_ONLY: u8 = 1 << 5;
 /// * `TAG_SUBSTRING` — unanchored pattern over the URL text.
 /// * `TAG_NEVER` — a rule that cannot match any host (empty or
 ///   wildcarded domain part), kept so rule indices stay aligned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct MatcherRec {
-    pub(crate) tag: u8,
-    pub(crate) flags: u8,
-    pub(crate) parts_len: u16,
-    pub(crate) parts_start: u32,
+#[derive(Debug, Clone, Copy)]
+struct MatcherRec {
+    tag: u8,
+    flags: u8,
+    parts_len: u16,
+    parts_start: u32,
 }
 
 /// An open-addressed domain → candidate-ids table with linear probing.
@@ -200,21 +197,21 @@ pub(crate) struct MatcherRec {
 /// layout is deterministic — the property that makes the serialized
 /// image byte-stable.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BucketTable {
-    pub(crate) mask: u32,
-    pub(crate) slots: Vec<BucketSlot>,
+struct BucketTable {
+    mask: u32,
+    slots: Vec<BucketSlot>,
 }
 
 /// One [`BucketTable`] slot: the domain key and its candidate-id range
 /// in the partition's flat `ids` vector.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BucketSlot {
-    pub(crate) dom: Span,
-    pub(crate) ids_start: u32,
-    pub(crate) ids_len: u32,
+struct BucketSlot {
+    dom: Span,
+    ids_start: u32,
+    ids_len: u32,
 }
 
-pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
+const EMPTY_SLOT: u32 = u32::MAX;
 
 impl BucketTable {
     /// Builds the table from `(domain, ids)` groups (insertion order =
@@ -273,28 +270,28 @@ impl BucketTable {
 }
 
 /// Sentinel for "this partition has no residual automaton".
-pub(crate) const NO_AUTOMATON: u32 = u32::MAX;
+const NO_AUTOMATON: u32 = u32::MAX;
 
 /// The per-resource-kind slice of the engine: this kind's domain
 /// buckets plus its residual (automaton index + always-check list).
 /// Partitions with identical member sets are shared across kinds via
 /// [`RuleIndex::of_kind`].
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Partition {
-    pub(crate) table: BucketTable,
+struct Partition {
+    table: BucketTable,
     /// Flat candidate-id lists the bucket slots point into; each
     /// bucket's ids ascend (rule order), preserving first-match-wins.
-    pub(crate) ids: Vec<u32>,
+    ids: Vec<u32>,
     /// Index into [`RuleIndex::automatons`], or [`NO_AUTOMATON`].
-    pub(crate) automaton: u32,
+    automaton: u32,
     /// Residual rules with no literal part (all-wildcard patterns):
     /// checked on every query, ascending.
-    pub(crate) always: Vec<u32>,
+    always: Vec<u32>,
 }
 
 /// Maps a [`ResourceKind`] to its partition slot.
 #[inline]
-pub(crate) fn kind_slot(kind: ResourceKind) -> usize {
+fn kind_slot(kind: ResourceKind) -> usize {
     match kind {
         ResourceKind::Document => 0,
         ResourceKind::Script => 1,
@@ -311,17 +308,17 @@ pub(crate) fn kind_slot(kind: ResourceKind) -> usize {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RuleIndex {
     /// Every literal the engine reads: domains, pattern parts.
-    pub(crate) arena: Box<str>,
+    arena: Box<str>,
     /// One compiled record per rule, index-aligned with the rule list.
-    pub(crate) matchers: Vec<MatcherRec>,
+    matchers: Vec<MatcherRec>,
     /// Flattened `*`-split literal parts, referenced by `matchers`.
-    pub(crate) parts: Vec<Span>,
+    parts: Vec<Span>,
     /// Deduplicated kind partitions (≥ 1 once any rule exists).
-    pub(crate) partitions: Vec<Partition>,
+    partitions: Vec<Partition>,
     /// `kind_slot` → index into `partitions`.
-    pub(crate) of_kind: [u8; 4],
+    of_kind: [u8; 4],
     /// Deduplicated residual automatons, shared across partitions.
-    pub(crate) automatons: Vec<Automaton>,
+    automatons: Vec<Automaton>,
 }
 
 thread_local! {
@@ -749,11 +746,11 @@ impl RuleIndex {
 /// serializes the same way.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DomainSet {
-    pub(crate) arena: Box<str>,
-    pub(crate) mask: u32,
+    arena: Box<str>,
+    mask: u32,
     /// `(off, len)` spans; empty slots have `off == u32::MAX`.
-    pub(crate) slots: Vec<Span>,
-    pub(crate) len: u32,
+    slots: Vec<Span>,
+    len: u32,
 }
 
 impl DomainSet {

@@ -40,7 +40,6 @@ pub mod bundled;
 mod engine;
 mod hosts;
 mod matcher;
-mod prebuilt;
 mod rule;
 pub mod stats;
 

@@ -1,10 +1,9 @@
 //! Filter-list matching over captured URLs.
 
-use crate::engine::{DomainSet, RuleIndex, Span};
+use crate::engine::{DomainSet, RuleIndex};
 use crate::rule::{after_host, parse_adblock_line, ResourceKind, Rule};
 use hbbtv_net::Url;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Per-request context the `$third-party` and `$image`/`$script` options
 /// need.
@@ -102,97 +101,6 @@ impl ListStats {
     }
 }
 
-/// Where a list's parsed [`Rule`]s live.
-///
-/// A text-parsed list owns them outright. A prebuilt list
-/// ([`FilterList::from_prebuilt`]) matches entirely through its decoded
-/// [`RuleIndex`] and only stores the original rule *source lines*; the
-/// `Rule` vector is re-parsed lazily, once, the first time something
-/// actually needs a rule value — [`FilterList::matching_rule`] reporting
-/// which rule fired, or the linear reference scan. Parsing is
-/// deterministic, so the lazy vector is identical to what the producer
-/// indexed.
-#[derive(Debug, Clone)]
-pub(crate) enum RuleStore {
-    /// Rules parsed from list text at construction.
-    Parsed {
-        rules: Vec<Rule>,
-        exceptions: Vec<Rule>,
-    },
-    /// Rules deferred behind their source lines (prebuilt image).
-    Prebuilt {
-        /// Concatenated source lines of all rules, then all exceptions.
-        src: Box<str>,
-        rule_lines: Vec<Span>,
-        exc_lines: Vec<Span>,
-        cache: OnceLock<Box<(Vec<Rule>, Vec<Rule>)>>,
-    },
-}
-
-impl RuleStore {
-    fn force(&self) -> (&[Rule], &[Rule]) {
-        match self {
-            RuleStore::Parsed { rules, exceptions } => (rules, exceptions),
-            RuleStore::Prebuilt {
-                src,
-                rule_lines,
-                exc_lines,
-                cache,
-            } => {
-                let parsed = cache.get_or_init(|| {
-                    let parse = |lines: &[Span]| {
-                        lines
-                            .iter()
-                            .map(|s| {
-                                parse_adblock_line(s.of(src))
-                                    .expect("prebuilt store holds only lines that parsed before")
-                            })
-                            .collect()
-                    };
-                    Box::new((parse(rule_lines), parse(exc_lines)))
-                });
-                (&parsed.0, &parsed.1)
-            }
-        }
-    }
-
-    fn rules(&self) -> &[Rule] {
-        self.force().0
-    }
-
-    fn exceptions(&self) -> &[Rule] {
-        self.force().1
-    }
-
-    /// Rule count without forcing a prebuilt store.
-    fn rule_count(&self) -> usize {
-        match self {
-            RuleStore::Parsed { rules, .. } => rules.len(),
-            RuleStore::Prebuilt { rule_lines, .. } => rule_lines.len(),
-        }
-    }
-
-    /// Source lines (rules, exceptions) — what the prebuilt encoder
-    /// stores. No forcing needed in either representation.
-    pub(crate) fn source_lines(&self) -> (Vec<&str>, Vec<&str>) {
-        match self {
-            RuleStore::Parsed { rules, exceptions } => (
-                rules.iter().map(|r| r.source.as_str()).collect(),
-                exceptions.iter().map(|r| r.source.as_str()).collect(),
-            ),
-            RuleStore::Prebuilt {
-                src,
-                rule_lines,
-                exc_lines,
-                ..
-            } => (
-                rule_lines.iter().map(|s| s.of(src)).collect(),
-                exc_lines.iter().map(|s| s.of(src)).collect(),
-            ),
-        }
-    }
-}
-
 /// A named filter list in either Adblock or hosts syntax.
 ///
 /// # Examples
@@ -208,11 +116,12 @@ impl RuleStore {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilterList {
-    pub(crate) name: String,
-    pub(crate) store: RuleStore,
-    pub(crate) hosts: DomainSet,
-    pub(crate) index: RuleIndex,
-    pub(crate) exception_index: RuleIndex,
+    name: String,
+    rules: Vec<Rule>,
+    exceptions: Vec<Rule>,
+    hosts: DomainSet,
+    index: RuleIndex,
+    exception_index: RuleIndex,
 }
 
 impl FilterList {
@@ -231,13 +140,11 @@ impl FilterList {
         }
         let index = RuleIndex::build(&rules);
         let exception_index = RuleIndex::build(&exceptions);
-        crate::stats::note_engine(
-            index.automaton_states() + exception_index.automaton_states(),
-            false,
-        );
+        crate::stats::note_engine(index.automaton_states() + exception_index.automaton_states());
         FilterList {
             name: name.to_string(),
-            store: RuleStore::Parsed { rules, exceptions },
+            rules,
+            exceptions,
             hosts: DomainSet::default(),
             index,
             exception_index,
@@ -248,13 +155,11 @@ impl FilterList {
     pub fn parse_hosts_list(name: &str, text: &str) -> Self {
         let mut domains: Vec<String> = crate::hosts::parse_hosts(text).into_iter().collect();
         domains.sort();
-        crate::stats::note_engine(0, false);
+        crate::stats::note_engine(0);
         FilterList {
             name: name.to_string(),
-            store: RuleStore::Parsed {
-                rules: Vec::new(),
-                exceptions: Vec::new(),
-            },
+            rules: Vec::new(),
+            exceptions: Vec::new(),
             hosts: DomainSet::build(&domains),
             index: RuleIndex::default(),
             exception_index: RuleIndex::default(),
@@ -268,23 +173,12 @@ impl FilterList {
 
     /// Number of active (non-exception) rules plus blocked domains.
     pub fn len(&self) -> usize {
-        self.store.rule_count() + self.hosts.len()
+        self.rules.len() + self.hosts.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The parsed block rules (lazily materialized for prebuilt lists).
-    pub(crate) fn rules(&self) -> &[Rule] {
-        self.store.rules()
-    }
-
-    /// The parsed exception rules (lazily materialized for prebuilt
-    /// lists).
-    pub(crate) fn exceptions(&self) -> &[Rule] {
-        self.store.exceptions()
     }
 
     /// Whether the list flags this request.
@@ -306,10 +200,9 @@ impl FilterList {
         self.matching_rule_view(&view, ctx)
     }
 
-    /// [`FilterList::matches`] over a prebuilt view — the zero-alloc
+    /// [`FilterList::matches`] over a caller-built view — the zero-alloc
     /// steady-state path. Runs entirely on the compiled index: no
-    /// `Rule` value is touched, which is what lets a prebuilt list
-    /// serve this path without ever re-parsing its rules.
+    /// `Rule` value is touched.
     pub fn matches_view(&self, view: &UrlView<'_>, ctx: RequestContext) -> bool {
         if self.hosts.blocks_host(view.host) {
             return true;
@@ -317,7 +210,7 @@ impl FilterList {
         self.index.any_match(view, ctx) && !self.exception_index.any_match(view, ctx)
     }
 
-    /// [`FilterList::matching_rule`] over a prebuilt view. The indexed
+    /// [`FilterList::matching_rule`] over a caller-built view. The indexed
     /// lookup reports the same first-in-list-order rule as the linear
     /// scan (see [`FilterList::matching_rule_linear`]).
     pub fn matching_rule_view(&self, view: &UrlView<'_>, ctx: RequestContext) -> MatchOutcome<'_> {
@@ -330,7 +223,7 @@ impl FilterList {
                 if self.exception_index.any_match(view, ctx) {
                     MatchOutcome::Allowed
                 } else {
-                    MatchOutcome::Blocked(&self.rules()[i as usize])
+                    MatchOutcome::Blocked(&self.rules[i as usize])
                 }
             }
         }
@@ -355,14 +248,14 @@ impl FilterList {
         let text = url.to_string();
         let host = url.host();
         let hit = self
-            .rules()
+            .rules
             .iter()
             .find(|r| rule_applies(r, &text, host, ctx));
         match hit {
             None => MatchOutcome::NoMatch,
             Some(rule) => {
                 let excepted = self
-                    .exceptions()
+                    .exceptions
                     .iter()
                     .any(|e| rule_applies(e, &text, host, ctx));
                 if excepted {

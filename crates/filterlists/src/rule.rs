@@ -211,9 +211,7 @@ fn is_separator(c: char) -> bool {
 
 /// A sequence of `*`-separated literal parts, abstracted so the one
 /// backtracking matcher serves every storage layout: the per-call split
-/// (`&[&str]`), and the engine's arena-backed `(offset, len)` ranges
-/// (which can come straight out of a prebuilt image without
-/// materializing strings).
+/// (`&[&str]`), and the engine's arena-backed `(offset, len)` ranges.
 pub(crate) trait Parts<'p>: Copy {
     /// Splits off the first part, or `None` when exhausted.
     fn split_first(self) -> Option<(&'p str, Self)>;
@@ -233,8 +231,8 @@ impl<'p, S: AsRef<str>> Parts<'p> for &'p [S] {
 /// (that is what the `*` between them means). When `end_sep` is set, the
 /// character right after the final matched part must be a separator (or
 /// the end of the text). Generic over the part representation (see
-/// [`Parts`]) so the linear scan and the indexed/prebuilt engines run
-/// through exactly the same code.
+/// [`Parts`]) so the linear scan and the indexed engine run through
+/// exactly the same code.
 pub(crate) fn parts_match<'p, P: Parts<'p>>(
     text: &str,
     parts: P,

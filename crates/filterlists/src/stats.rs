@@ -12,10 +12,8 @@
 //! pass with counting on, outside its timed loops).
 //!
 //! Engine *construction* events ([`note_engine`](crate)) are recorded
-//! unconditionally — builds happen a handful of times per process, and
-//! the `engine.load_mode` question ("did this process parse its lists
-//! or map prebuilt images?") must be answerable without arming the
-//! per-query cells first.
+//! unconditionally — builds happen a handful of times per process, so
+//! counting them needs no arming of the per-query cells first.
 
 use hbbtv_obs::{Counter, Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
@@ -34,7 +32,6 @@ struct Cells {
     first_match_distance: Histogram,
     automaton_states: Counter,
     engines_built: Counter,
-    engines_prebuilt: Counter,
 }
 
 fn cells() -> &'static Cells {
@@ -49,7 +46,6 @@ fn cells() -> &'static Cells {
         first_match_distance: Histogram::new(),
         automaton_states: Counter::new(),
         engines_built: Counter::new(),
-        engines_prebuilt: Counter::new(),
     })
 }
 
@@ -82,7 +78,6 @@ pub fn reset() {
     c.first_match_distance.reset();
     c.automaton_states.reset();
     c.engines_built.reset();
-    c.engines_prebuilt.reset();
 }
 
 /// Folds one finished index query into the global cells.
@@ -107,18 +102,13 @@ pub(crate) fn note_query(
     }
 }
 
-/// Records one engine construction: `states` DFA states materialized,
-/// via a prebuilt image (`prebuilt`) or by parsing list text. Called
-/// unconditionally — construction is rare and `load_mode` must not
-/// depend on the per-query switch.
-pub(crate) fn note_engine(states: u64, prebuilt: bool) {
+/// Records one engine construction with `states` DFA states
+/// materialized. Called unconditionally — construction is rare, so the
+/// count need not depend on the per-query switch.
+pub(crate) fn note_engine(states: u64) {
     let c = cells();
     c.automaton_states.add(states);
-    if prebuilt {
-        c.engines_prebuilt.inc();
-    } else {
-        c.engines_built.inc();
-    }
+    c.engines_built.inc();
 }
 
 /// A frozen view of the global match-engine cells.
@@ -143,12 +133,10 @@ pub struct MatcherStats {
     /// answer to "how far did we scan?").
     pub first_match_distance: HistogramSummary,
     /// Total DFA states across every residual automaton constructed
-    /// this process (counted at build/load, not gated on [`enable`]).
+    /// this process (counted at build, not gated on [`enable`]).
     pub automaton_states: u64,
     /// Engines built by parsing list text.
     pub engines_built: u64,
-    /// Engines loaded from prebuilt (HBFL) images.
-    pub engines_prebuilt: u64,
 }
 
 impl MatcherStats {
@@ -158,17 +146,6 @@ impl MatcherStats {
             0.0
         } else {
             (self.bucket_candidates + self.residual_checks) as f64 / self.queries as f64
-        }
-    }
-
-    /// How this process obtained its engines: `"parsed"`, `"prebuilt"`,
-    /// `"mixed"`, or `"none"` when no engine has been constructed.
-    pub fn load_mode(&self) -> &'static str {
-        match (self.engines_built > 0, self.engines_prebuilt > 0) {
-            (true, true) => "mixed",
-            (false, true) => "prebuilt",
-            (true, false) => "parsed",
-            (false, false) => "none",
         }
     }
 }
@@ -186,6 +163,5 @@ pub fn snapshot() -> MatcherStats {
         first_match_distance: c.first_match_distance.summary(),
         automaton_states: c.automaton_states.get(),
         engines_built: c.engines_built.get(),
-        engines_prebuilt: c.engines_prebuilt.get(),
     }
 }

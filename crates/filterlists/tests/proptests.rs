@@ -155,77 +155,6 @@ proptest! {
         }
     }
 
-    /// Differential test over the full serving path: an engine loaded
-    /// back from its HBFL prebuilt image answers byte-identically —
-    /// same boolean verdict, same firing rule — to both the in-memory
-    /// build it was serialized from and the linear oracle, on the same
-    /// generated (rule set, URL, context) triples as the in-memory
-    /// differential test (so the Aho–Corasick residual, kind
-    /// partitions, and always-list all round-trip through the image).
-    #[test]
-    fn prebuilt_engine_equals_memory_and_linear(
-        lines in prop::collection::vec(rule_line(), 1..12),
-        host_d in pool_domain(),
-        sub in "[a-z]{1,5}",
-        path in "/[a-z0-9/]{0,10}",
-        host_shape in 0usize..3,
-        third in any::<bool>(),
-    ) {
-        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        let list = FilterList::parse_adblock("diff", &text);
-        let image = list.to_prebuilt();
-        let loaded = FilterList::from_prebuilt(&image).expect("own image loads");
-        prop_assert_eq!(loaded.name(), list.name());
-        prop_assert_eq!(loaded.len(), list.len());
-        let host = match host_shape {
-            0 => host_d.clone(),
-            1 => format!("{sub}.{host_d}"),
-            _ => format!("{sub}{host_d}"), // lookalike suffix, no dot
-        };
-        let url: Url = format!("http://{host}{path}").parse().unwrap();
-        for kind in [ResourceKind::Other, ResourceKind::Image, ResourceKind::Script] {
-            let ctx = RequestContext { third_party: third, kind };
-            prop_assert_eq!(
-                loaded.matching_rule(&url, ctx),
-                list.matching_rule(&url, ctx),
-                "prebuilt outcome diverged from memory for {} against:\n{}", url, text
-            );
-            prop_assert_eq!(
-                loaded.matching_rule(&url, ctx),
-                list.matching_rule_linear(&url, ctx),
-                "prebuilt outcome diverged from linear for {} against:\n{}", url, text
-            );
-        }
-    }
-
-    /// Flipping any bit of a prebuilt image, or truncating it at any
-    /// point, makes the loader return a clean `Err` — never a panic
-    /// and never a quietly different engine (the payload checksum
-    /// covers every byte after the header, and the header fields are
-    /// each validated).
-    #[test]
-    fn corrupt_prebuilt_images_are_rejected(
-        lines in prop::collection::vec(rule_line(), 1..8),
-        pos_seed in 0usize..1_000_000,
-        bit in 0u32..8,
-        cut_seed in 0usize..1_000_000,
-    ) {
-        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        let image = FilterList::parse_adblock("c", &text).to_prebuilt();
-        let mut flipped = image.clone();
-        let pos = pos_seed % flipped.len();
-        flipped[pos] ^= 1 << bit;
-        prop_assert!(
-            FilterList::from_prebuilt(&flipped).is_err(),
-            "accepted an image with byte {} flipped", pos
-        );
-        let cut = cut_seed % image.len();
-        prop_assert!(
-            FilterList::from_prebuilt(&image[..cut]).is_err(),
-            "accepted an image truncated to {} bytes", cut
-        );
-    }
-
     /// A substring rule matches iff the URL text contains the literal
     /// (for wildcard-free, separator-free patterns).
     #[test]

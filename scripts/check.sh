@@ -123,13 +123,14 @@ fi
 if [ "$matcher_smoke" -eq 1 ]; then
     # The indexed engine's scaling contract, measured on the 10^2..10^5
     # synthetic sweep (the binary itself already asserts indexed ==
-    # linear == prebuilt outcomes at every scale before writing a row):
+    # linear outcomes at every scale before writing a row):
     #   * speedup is monotone non-decreasing across 1k -> 10k -> 100k
     #     (the pre-automaton engine regressed 39x -> 30x at the last
     #     step it could measure);
     #   * residual checks per query at 10^4 rules dropped >= 10x vs the
     #     frozen pre-automaton baseline;
-    #   * the 10^5 row exists and its prebuilt image round-tripped.
+    #   * the 10^5 row exists and its first-match histogram is not
+    #     degenerate.
     echo "==> matcher_smoke (regenerates BENCH_matcher.json)"
     cargo run --release -p hbbtv-bench --bin matcher_bench BENCH_matcher.json
     if command -v python3 >/dev/null 2>&1; then
@@ -157,8 +158,6 @@ assert per_query <= BASELINE_RESIDUAL_PER_QUERY / 10, \
     f"needs <= {BASELINE_RESIDUAL_PER_QUERY / 10:.1f}"
 
 big = rows[100_000]
-assert big["prebuilt"]["outcome_parity"] is True
-assert big["prebuilt"]["load"]["load_mode"] == "prebuilt"
 assert big["engine"]["first_match_p50"] < big["engine"]["first_match_p99"], \
     "first-match histogram is degenerate at 10^5"
 

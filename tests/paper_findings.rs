@@ -4,20 +4,25 @@
 
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, RunKind, StudyHarness};
+use std::sync::OnceLock;
 
-fn report() -> (Ecosystem, hbbtv_study::StudyDataset, StudyReport) {
-    let eco = Ecosystem::with_scale(99, 0.15);
-    let harness = StudyHarness::new(&eco);
-    let dataset = hbbtv_study::StudyDataset {
-        runs: vec![
-            harness.run(RunKind::General),
-            harness.run(RunKind::Red),
-            harness.run(RunKind::Blue),
-            harness.run(RunKind::Yellow),
-        ],
-    };
-    let report = StudyReport::compute(&eco, &dataset);
-    (eco, dataset, report)
+/// The scale-0.15 study every test reads, built once per test binary.
+fn report() -> &'static (Ecosystem, hbbtv_study::StudyDataset, StudyReport) {
+    static STUDY: OnceLock<(Ecosystem, hbbtv_study::StudyDataset, StudyReport)> = OnceLock::new();
+    STUDY.get_or_init(|| {
+        let eco = Ecosystem::with_scale(99, 0.15);
+        let harness = StudyHarness::new(&eco);
+        let dataset = hbbtv_study::StudyDataset {
+            runs: vec![
+                harness.run(RunKind::General),
+                harness.run(RunKind::Red),
+                harness.run(RunKind::Blue),
+                harness.run(RunKind::Yellow),
+            ],
+        };
+        let report = StudyReport::compute(&eco, &dataset);
+        (eco, dataset, report)
+    })
 }
 
 #[test]
