@@ -90,10 +90,16 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---- parser -----------------------------------------------------------
 
+/// How many arrays and objects may nest, as in the real crate: deeper
+/// input fails with an error instead of exhausting the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
@@ -101,6 +107,7 @@ fn parse_value(s: &str) -> Result<Value, Error> {
         src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -155,57 +162,74 @@ impl<'a> Parser<'a> {
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            other => Err(Error(format!("bad value at {}: {other:?}", self.pos))),
+        }
+    }
+
+    /// Parses one array or object one level deeper, failing past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        other => return Err(Error(format!("bad array at {}: {other:?}", self.pos))),
-                    }
-                }
+                other => return Err(Error(format!("bad array at {}: {other:?}", self.pos))),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Object(pairs));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(pairs));
-                        }
-                        other => {
-                            return Err(Error(format!("bad object at {}: {other:?}", self.pos)))
-                        }
-                    }
-                }
+                other => return Err(Error(format!("bad object at {}: {other:?}", self.pos))),
             }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(Error(format!("bad value at {}: {other:?}", self.pos))),
         }
     }
 

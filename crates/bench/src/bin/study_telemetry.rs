@@ -66,9 +66,9 @@ fn main() {
         );
     }
 
-    // The pre-substrate baseline first, then the frame-backed path, each
-    // under its own Profile scope so the per-stage wall histograms can be
-    // compared side by side.
+    // The naive oracle first, then the analysis engine, each under its
+    // own Profile scope so the per-stage wall histograms can be compared
+    // side by side.
     let naive_tel = Telemetry::scope(
         TelemetryMode::Profile,
         SimClock::starting_at(hbbtv_net::Timestamp::MEASUREMENT_START),
@@ -89,14 +89,13 @@ fn main() {
     let analysis_wall = t1.elapsed().as_secs_f64();
     std::hint::black_box(&report);
 
-    // Drift gate: the optimized substrate must render the byte-identical
-    // report. A mismatch here means an analysis regressed, not just
+    // Drift gate: the engine must render the byte-identical report. A mismatch here means an analysis regressed, not just
     // slowed down.
     let rendered = report.render(&dataset);
     assert_eq!(
         rendered,
         naive_report.render(&dataset),
-        "frame-backed report drifted from the naive reference"
+        "engine report drifted from the naive reference"
     );
     if let Some(path) = &render_out {
         std::fs::write(path, &rendered).expect("writing the rendered report");
@@ -127,11 +126,11 @@ fn main() {
     }
     sections.push(format!("  \"runs\": [\n{}\n  ]", run_rows.join(",\n")));
 
-    // Per-stage naive-vs-frame walls from the two scopes' span
-    // histograms; `speedup` is naive / frame, rounded to one decimal.
-    // The one-time frame build gets its own stage line (no naive
-    // counterpart — the naive path has no frame) instead of being
-    // silently charged to whichever stage touched the frame first.
+    // Per-stage naive-vs-engine walls from the two scopes' span
+    // histograms (the `frame_*` keys hold the engine's numbers);
+    // `speedup` is naive / engine, rounded to one decimal. The engine's
+    // epoch sealing gets its own stage line (no naive counterpart)
+    // instead of being charged to whichever stage ran first.
     let frame_walls = analysis_tel.histograms_snapshot();
     let frame_build_us = frame_walls.get("wall.frame.build").map_or(0, |h| h.max);
     let mut stage_rows = vec![format!(
@@ -154,7 +153,7 @@ fn main() {
         stage_rows.join(",\n")
     ));
 
-    // The 1→N-core scaling sweep: the whole study plus the frame-backed
+    // The 1→N-core scaling sweep: the whole study plus the engine's
     // analysis on private pools of doubling worker counts, each point
     // gated on rendering the byte-identical report. Worker counts are
     // pool threads; the submitting thread always helps, so a "1-worker"
@@ -254,7 +253,7 @@ fn main() {
     let final_delta_s = t.elapsed().as_secs_f64();
     assert_eq!(
         final_render, rendered,
-        "incremental final render drifted from the frame-backed report"
+        "incremental final render drifted from the one-shot engine report"
     );
     let append_rate = total_exchanges as f64 / append_wall.max(1e-9);
     eprintln!(

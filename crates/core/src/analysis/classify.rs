@@ -1,29 +1,16 @@
-//! Fused per-exchange classification for the §V-D tracking scan.
+//! Fused per-exchange classification for the naive §V-D tracking scan.
 //!
-//! Every consumer of a captured exchange used to re-derive the same
-//! facts — serialize the URL, look up the eTLD+1, decide the party
-//! relationship, map the content type to a resource kind, and probe
-//! each bundled filter list. [`ExchangeClass::classify`] computes all
-//! of it in one pass: the URL is serialized exactly once and all five
-//! list probes run over the same borrowed [`UrlView`].
+//! [`ExchangeClass::classify`] derives an exchange's eTLD+1, party
+//! relationship, and resource kind, and probes each bundled filter list,
+//! in one pass: the URL is serialized exactly once and all five list
+//! probes run over the same borrowed [`UrlView`]. The analysis engine
+//! memoizes the same five verdicts per distinct (URL, party relation,
+//! content type) key instead.
 
 use crate::analysis::first_party::FirstPartyMap;
 use hbbtv_filterlists::{bundled, RequestContext, ResourceKind, UrlView};
 use hbbtv_net::{ContentType, Etld1};
 use hbbtv_proxy::CapturedExchange;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of [`ExchangeClass::classify`] invocations, the
-/// instrument behind the "classify at most once per exchange per study"
-/// guarantee (asserted in `tests/telemetry.rs`).
-static CLASSIFY_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`ExchangeClass::classify`] invocations in this process so
-/// far. Tests snapshot it before and after a report computation; the
-/// delta is the number of classifications that computation performed.
-pub fn classify_calls() -> u64 {
-    CLASSIFY_CALLS.load(Ordering::Relaxed)
-}
 
 /// Everything the tracking scan needs to know about one exchange.
 #[derive(Debug, Clone)]
@@ -64,19 +51,6 @@ impl ExchangeClass {
     /// kind, and all five bundled-list verdicts, with a single URL
     /// serialization.
     pub fn classify(c: &CapturedExchange, fp_map: &FirstPartyMap) -> Self {
-        let text = c.request.url.to_text();
-        Self::classify_with_text(c, fp_map, &text)
-    }
-
-    /// [`ExchangeClass::classify`] over a URL the caller already
-    /// serialized (the capture frame serializes each URL once during its
-    /// build and reuses the text here).
-    pub(crate) fn classify_with_text(
-        c: &CapturedExchange,
-        fp_map: &FirstPartyMap,
-        text: &str,
-    ) -> Self {
-        CLASSIFY_CALLS.fetch_add(1, Ordering::Relaxed);
         let etld1 = c.request.url.etld1().clone();
         let third_party = c
             .channel
@@ -84,7 +58,8 @@ impl ExchangeClass {
             .unwrap_or(true);
         let kind = resource_kind_of_content(c.response.content_type);
         let ctx = RequestContext { third_party, kind };
-        let view = UrlView::new(text, c.request.url.host(), etld1.as_str());
+        let text = c.request.url.to_text();
+        let view = UrlView::new(&text, c.request.url.host(), etld1.as_str());
         ExchangeClass {
             on_pihole: bundled::pihole_ref().matches_view(&view, ctx),
             on_easylist: bundled::easylist_ref().matches_view(&view, ctx),

@@ -4,7 +4,6 @@
 //! classification.
 
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::frame::{CaptureFrame, ExchangeFacts};
 use crate::analysis::parallel::par_chunks_auto;
 use crate::analysis::tracking::{is_fingerprint_script, is_tracking_pixel};
 use crate::dataset::StudyDataset;
@@ -14,6 +13,34 @@ use hbbtv_net::{CookieKey, Etld1};
 use hbbtv_stats::{describe, Describe};
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The analysis engine's `Set-Cookie` fast path: extracts exactly the
+/// fields the cookie rows keep — trimmed name and value, and the
+/// explicit `Domain` attribute when present — with the same accept/skip rule and `Domain`
+/// normalization as [`hbbtv_net::SetCookie::parse`] (last `Domain`
+/// wins, leading dot stripped). Expiry and flag attributes are skipped;
+/// no row ever reads them. A unit test below diffs every extracted row
+/// against the full parser.
+pub(crate) fn lean_set_cookie(v: &str) -> Option<(String, String, Option<Etld1>)> {
+    let mut parts = v.split(';').map(str::trim);
+    let pair = parts.next()?;
+    let (name, value) = pair.split_once('=')?;
+    let name = name.trim();
+    if name.is_empty() {
+        return None;
+    }
+    let mut domain = None;
+    for attr in parts {
+        let (key, val) = match attr.split_once('=') {
+            Some((k, v)) => (k.trim(), v.trim()),
+            None => (attr, ""),
+        };
+        if key.eq_ignore_ascii_case("domain") {
+            domain = Some(Etld1::from_host(val.trim_start_matches('.')));
+        }
+    }
+    Some((name.to_string(), value.trim().to_string(), domain))
+}
 
 /// Per-chunk partial of the §V-C capture scan. Every field is a set (or
 /// map of sets), so merging two partials is a union — associative and
@@ -63,8 +90,9 @@ impl CookiePartial {
     }
 }
 
-/// The frame-path twin of [`CookiePartial`], collecting the frame's
-/// interned cookie-key and domain symbols instead of cloned strings.
+/// The symbol-space twin of [`CookiePartial`], collecting the analysis
+/// engine's interned cookie-key and domain symbols instead of cloned
+/// strings.
 /// Symbols are bijective with their strings, so every set and grouping
 /// has exactly the cardinality of its string counterpart;
 /// [`SymCookiePartial::resolve`] maps back for the shared tail.
@@ -103,8 +131,7 @@ impl SymCookiePartial {
     }
 
     /// Resolves symbols back to the strings [`CookieAnalysis::finish`]
-    /// aggregates over. Takes the interning tables as plain slices so
-    /// both the frame path and the incremental builder can call it.
+    /// aggregates over, given the engine's interning tables.
     pub(crate) fn resolve(self, cookie_keys: &[CookieKey], etld1s: &[Etld1]) -> CookiePartial {
         let key = |s: &u32| cookie_keys[*s as usize].clone();
         let dom = |s: &u32| etld1s[*s as usize].clone();
@@ -311,105 +338,6 @@ impl CookieAnalysis {
         Self::finish(per_run, third_party_per_run, global, ls_total)
     }
 
-    /// [`CookieAnalysis::compute`] over the shared [`CaptureFrame`]: the
-    /// canonical tracking verdict and the parsed, party-resolved cookie
-    /// rows come straight from the frame, so the per-capture URL
-    /// serialization, five list probes, and `Set-Cookie` parse all
-    /// disappear. The scan collects interned `u32` symbols instead of
-    /// cloning (domain, name) string pairs — symbols are bijective with
-    /// keys, so set sizes and groupings are unchanged — and resolves
-    /// them back to strings only at the aggregation boundary. Output is
-    /// identical to the naive path.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let mut per_run = BTreeMap::new();
-        let mut third_party_per_run = BTreeMap::new();
-        let mut global = SymCookiePartial::default();
-        let mut ls_total = 0usize;
-
-        let scan = |facts: &[ExchangeFacts]| {
-            let mut p = SymCookiePartial::default();
-            for f in facts {
-                let range = f.cookies.start as usize..f.cookies.end as usize;
-                for row in &frame.cookie_rows[range] {
-                    p.keys.insert(row.key_sym);
-                    p.parties.insert(row.domain_sym);
-                    if f.canonical_tracking {
-                        p.keys_by_tracking.insert(row.key_sym);
-                    }
-                    if let Some(ch) = f.channel {
-                        p.per_channel_keys
-                            .entry(ch)
-                            .or_default()
-                            .insert(row.key_sym);
-                        if row.third_party {
-                            p.tp_keys.insert(row.key_sym);
-                            p.per_channel_3p_keys
-                                .entry(ch)
-                                .or_default()
-                                .insert(row.key_sym);
-                            p.tp_parties
-                                .entry(row.domain_sym)
-                                .or_default()
-                                .insert(row.key_sym);
-                            p.party_channels
-                                .entry(row.domain_sym)
-                                .or_default()
-                                .insert(ch);
-                        } else {
-                            p.fp_keys.insert(row.key_sym);
-                        }
-                    }
-                }
-            }
-            p
-        };
-
-        for (slice, run_ds) in frame.runs.iter().zip(&frame.dataset.runs) {
-            let facts = &frame.facts[slice.exchanges.clone()];
-            let run = par_chunks_auto(facts, scan).into_iter().fold(
-                SymCookiePartial::default(),
-                |mut acc, p| {
-                    acc.merge(p);
-                    acc
-                },
-            );
-            per_run.insert(
-                slice.run,
-                CookieRow {
-                    total: run.keys.len(),
-                    first_party: run.fp_keys.len(),
-                    third_party: run.tp_keys.len(),
-                    local_storage: run_ds.local_storage.len(),
-                },
-            );
-            ls_total += run_ds.local_storage.len();
-            // The naive path iterates parties in eTLD+1 order and f64
-            // summation is order-sensitive, so sort before describing.
-            let mut party_counts: Vec<(&hbbtv_net::Etld1, usize)> = run
-                .tp_parties
-                .iter()
-                .map(|(p, ks)| (frame.etld1(*p), ks.len()))
-                .collect();
-            party_counts.sort_by(|a, b| a.0.cmp(b.0));
-            let counts: Vec<f64> = party_counts.iter().map(|(_, n)| *n as f64).collect();
-            third_party_per_run.insert(
-                slice.run,
-                ThirdPartyRow {
-                    parties: run.tp_parties.len(),
-                    cookies: run.tp_parties.values().map(BTreeSet::len).sum(),
-                    per_party: describe(&counts),
-                },
-            );
-            global.merge(run);
-        }
-        Self::finish(
-            per_run,
-            third_party_per_run,
-            global.resolve(&frame.cookie_keys, &frame.etld1s),
-            ls_total,
-        )
-    }
-
     /// The order-independent tail shared by both scan paths:
     /// Cookiepedia classification and all aggregate statistics.
     pub(crate) fn finish(
@@ -580,5 +508,36 @@ mod tests {
         let fp = FirstPartyMap::identify(&ds);
         let c = CookieAnalysis::compute(&ds, &fp);
         assert!(c.per_run[&RunKind::General].local_storage > 0);
+    }
+
+    #[test]
+    fn lean_set_cookie_matches_the_full_parser() {
+        for raw in [
+            "uid=abc123; Domain=xiti.com; Secure",
+            "a=b",
+            " sp = v ; domain = .tracker.example ; Max-Age=60",
+            "n=v; Domain=a.com; Domain=b.com",
+            "n=v; Domain",
+            "n=v; Domain=; HttpOnly",
+            "n=  padded value  ; Expires=1695000000",
+            "=novalue",
+            "bare",
+            "",
+        ] {
+            let lean = lean_set_cookie(raw);
+            match hbbtv_net::SetCookie::parse(raw) {
+                Ok(sc) => {
+                    let (name, value, domain) =
+                        lean.unwrap_or_else(|| panic!("lean rejected accepted header {raw:?}"));
+                    assert_eq!(name, sc.cookie.name, "{raw:?}");
+                    assert_eq!(value, sc.cookie.value, "{raw:?}");
+                    assert_eq!(domain.is_some(), sc.explicit_domain, "{raw:?}");
+                    if let Some(d) = domain {
+                        assert_eq!(d, sc.cookie.domain, "{raw:?}");
+                    }
+                }
+                Err(_) => assert!(lean.is_none(), "lean accepted rejected header {raw:?}"),
+            }
+        }
     }
 }

@@ -5,11 +5,9 @@
 //! channel connects to that first-party node.
 
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::frame::CaptureFrame;
 use crate::dataset::StudyDataset;
 use hbbtv_graph::Graph;
 use hbbtv_stats::{describe, Describe};
-use std::collections::HashMap;
 
 /// Channel nodes are prefixed to keep them distinct from domain nodes.
 pub const CHANNEL_PREFIX: &str = "ch:";
@@ -56,85 +54,6 @@ impl GraphAnalysis {
             if domain != fp {
                 graph.add_edge(fp.as_str(), domain.as_str());
             }
-        }
-        Self::measure(graph)
-    }
-
-    /// [`GraphAnalysis::compute`] over the shared [`CaptureFrame`]: the
-    /// hot loop aggregates edges over interned symbol pairs (channel
-    /// labels interned locally, domains by their frame eTLD+1 symbol)
-    /// and never touches a string; distinct unordered pairs are resolved
-    /// back to labels only when the graph is materialized, the way
-    /// `SymCookiePartial` resolves at the aggregation boundary.
-    ///
-    /// `Graph::add_edge` creates both endpoint nodes before rejecting a
-    /// duplicate or self-loop, but duplicates can never introduce a node
-    /// the first occurrence didn't, and self-loops are impossible here
-    /// (channel labels carry the `ch:` prefix; the second edge is only
-    /// emitted when `domain != fp`). Replaying the distinct unordered
-    /// pairs in first-occurrence order therefore reproduces the naive
-    /// node ids and adjacency exactly.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        // Domain ids live above the channel-label ids.
-        const DOMAIN_BASE: u64 = 1 << 32;
-
-        let mut chan_labels: Vec<String> = Vec::new();
-        let mut chan_label_ids: HashMap<(hbbtv_broadcast::ChannelId, Option<&str>), u64> =
-            HashMap::new();
-        let etld1_sym: HashMap<&hbbtv_net::Etld1, u32> = frame
-            .etld1s
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d, i as u32))
-            .collect();
-        let mut fp_ids: HashMap<hbbtv_broadcast::ChannelId, u64> = HashMap::new();
-
-        let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-        let mut edges: Vec<(u64, u64)> = Vec::new();
-        let mut push = |a: u64, b: u64| {
-            if seen.insert((a.min(b), a.max(b))) {
-                edges.push((a, b));
-            }
-        };
-
-        for (c, f) in frame.captures.iter().zip(&frame.facts) {
-            let Some(ch) = f.channel else { continue };
-            let fp_id = match fp_ids.entry(ch) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let Some(fp) = frame.first_parties.first_party(ch) else {
-                        continue;
-                    };
-                    // Election candidates are capture eTLD+1s, so the
-                    // first party is always already interned.
-                    *e.insert(DOMAIN_BASE + u64::from(etld1_sym[fp]))
-                }
-            };
-            let chan_id = *chan_label_ids
-                .entry((ch, c.channel_name.as_deref()))
-                .or_insert_with(|| {
-                    chan_labels.push(format!(
-                        "{CHANNEL_PREFIX}{}",
-                        c.channel_name.as_deref().unwrap_or("unknown")
-                    ));
-                    (chan_labels.len() - 1) as u64
-                });
-            push(chan_id, fp_id);
-            let dom_id = DOMAIN_BASE + u64::from(f.etld1_sym);
-            if dom_id != fp_id {
-                push(fp_id, dom_id);
-            }
-        }
-        let label = |id: u64| -> &str {
-            if id >= DOMAIN_BASE {
-                frame.etld1((id - DOMAIN_BASE) as u32).as_str()
-            } else {
-                chan_labels[id as usize].as_str()
-            }
-        };
-        let mut graph = Graph::new();
-        for (a, b) in edges {
-            graph.add_edge(label(a), label(b));
         }
         Self::measure(graph)
     }
@@ -220,42 +139,6 @@ mod tests {
             "boutique trackers hang off one FP"
         );
         assert!(g.nodes_with_10_edges >= 1);
-    }
-
-    #[test]
-    fn frame_path_builds_the_identical_graph() {
-        let eco = Ecosystem::with_scale(51, 0.08);
-        let harness = StudyHarness::new(&eco);
-        let ds = crate::StudyDataset {
-            runs: vec![
-                harness.run(RunKind::General),
-                harness.run(RunKind::Red),
-                harness.run(RunKind::Yellow),
-            ],
-        };
-        let fp = FirstPartyMap::identify(&ds);
-        let naive = GraphAnalysis::compute(&ds, &fp);
-        let frame = crate::analysis::frame::CaptureFrame::build(&ds);
-        let fast = GraphAnalysis::compute_from_frame(&frame);
-        let shape = |g: &GraphAnalysis| -> Vec<(String, Vec<String>)> {
-            g.graph
-                .nodes()
-                .map(|id| {
-                    (
-                        g.graph.label(id).to_string(),
-                        g.graph
-                            .neighbors(id)
-                            .map(|n| g.graph.label(n).to_string())
-                            .collect(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(
-            shape(&fast),
-            shape(&naive),
-            "node ids and adjacency must match the naive insertion order"
-        );
     }
 
     #[test]

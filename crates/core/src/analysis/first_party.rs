@@ -20,9 +20,9 @@ pub struct FirstPartyMap {
 }
 
 impl FirstPartyMap {
-    /// Builds a map from an already-elected assignment (the capture
-    /// frame runs the same election as [`FirstPartyMap::identify`] over
-    /// its precomputed per-exchange facts).
+    /// Builds a map from an already-elected assignment (the analysis
+    /// engine runs the same election as [`FirstPartyMap::identify`],
+    /// epoch by epoch, over its interned per-exchange facts).
     pub(crate) fn from_entries(entries: impl IntoIterator<Item = (ChannelId, Etld1)>) -> Self {
         FirstPartyMap {
             map: entries.into_iter().collect(),

@@ -1,22 +1,30 @@
-//! Incremental, out-of-core study computation: epoch segments and
+//! The analysis engine: epoch segments, cached per-pass partials, and
 //! O(k) report deltas.
 //!
-//! [`IncrementalStudy`] accepts captures in epochs (arbitrary batch
-//! boundaries inside each run) and can render a [`StudyReport`] at any
-//! prefix that is byte-identical to [`StudyReport::compute`] /
-//! [`StudyReport::compute_naive`] over the same dataset. Appending an
-//! epoch costs work proportional to the epoch (plus any earlier
-//! segments invalidated by a first-party flip or a new sync-value
-//! owner), not to the whole dataset:
+//! Every §V–§VII finding is computed here, by one engine with two
+//! front ends. [`StudyReport::compute`] seals each run of a borrowed
+//! dataset as one epoch and reports once; [`IncrementalStudy`] owns a
+//! growing dataset, accepts captures in epochs (arbitrary batch
+//! boundaries inside each run), and can report at any prefix. Both end
+//! in the same fold sequence, and both are byte-identical to the naive
+//! oracle [`StudyReport::compute_naive`]. Appending an epoch costs work
+//! proportional to the epoch (plus any earlier segments invalidated by
+//! a first-party flip or a new sync-value owner), not to the whole
+//! dataset:
 //!
 //! * Each epoch seals into an immutable [`SegmentCols`] block of
 //!   fixed-width symbol columns. The variable-width tables (URL texts,
 //!   eTLD+1s, cookie keys, graph labels, sync values) grow
 //!   monotonically in the builder and are shared by every segment, so
 //!   a segment is only `u32`/`u8` arrays and can spill to disk.
-//! * Every analysis pass keeps a per-segment partial (the same
-//!   symbol-space partials the parallel frame path folds); a report
-//!   folds the cached partials and resolves symbols once at the end.
+//! * Sealing fans the pure per-capture work (URL serialization, the
+//!   pixel/fingerprint heuristics, the lean `Set-Cookie` parse, body
+//!   leak verdicts) and the list probes of newly seen URLs and
+//!   classification keys over the worker pool. Interning stays
+//!   sequential in capture order, so symbols and outputs are the same
+//!   at any worker count.
+//! * Every analysis pass keeps a per-segment partial; a report folds
+//!   the cached partials and resolves symbols once at the end.
 //! * Partials that depend on cross-epoch state — the first-party
 //!   election (cookies, tracking, graph) and the sync-value owner
 //!   table (syncing) — are invalidated per segment when that state
@@ -26,20 +34,24 @@
 //!   [`IncrementalStudy::with_budget`]) caps how many segment blocks
 //!   stay in memory; the least-recently-used blocks spill through
 //!   [`FrameStore`] and reload transparently.
+//!
+//! [`FRAME_BUDGET_ENV`]: crate::analysis::frame_store::FRAME_BUDGET_ENV
 
 use crate::analysis::category::{CategoryAnalysis, ChildrenCaseStudy};
 use crate::analysis::classify::resource_kind_of_content;
 use crate::analysis::consent_analysis::{ConsentAnalysis, OverlayRow, PrivacyPrevalenceRow};
-use crate::analysis::cookies::{CookieAnalysis, CookieRow, SymCookiePartial, ThirdPartyRow};
+use crate::analysis::cookies::{
+    lean_set_cookie, CookieAnalysis, CookieRow, SymCookiePartial, ThirdPartyRow,
+};
 use crate::analysis::ecosystem_graph::{GraphAnalysis, CHANNEL_PREFIX};
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::frame::lean_set_cookie;
 use crate::analysis::frame_store::{
     FrameStore, SegmentCols, FLAG_CANONICAL, FLAG_FINGERPRINT, FLAG_PIXEL,
 };
 use crate::analysis::leakage::{LeakageAnalysis, GENRE_KEYWORDS};
-use crate::analysis::parallel::par_map;
+use crate::analysis::parallel::{par_chunks_auto, par_map};
 use crate::analysis::policy_analysis::PolicyAnalysis;
+use crate::analysis::pool::adaptive_chunk_len;
 use crate::analysis::significance::SignificanceReport;
 use crate::analysis::syncing::{is_potential_id, SyncEvent, SyncingAnalysis};
 use crate::analysis::tracking::{
@@ -53,7 +65,7 @@ use hbbtv_broadcast::ChannelId;
 use hbbtv_consent::{analyze_nudging, annotate, branding_catalog, NoticeBranding, PrivacyInfoKind};
 use hbbtv_filterlists::{bundled, RequestContext, ResourceKind, UrlView};
 use hbbtv_graph::Graph;
-use hbbtv_net::{ContentType, CookieKey, Etld1, Url};
+use hbbtv_net::{ContentType, CookieKey, Etld1, Timestamp, Url};
 use hbbtv_obs::Telemetry;
 use hbbtv_policies::compliance::{check_profiling_window, TrackingObservation};
 use hbbtv_policies::{DocRef, PolicyCorpus};
@@ -61,10 +73,11 @@ use hbbtv_proxy::CapturedExchange;
 use hbbtv_stats::describe;
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
 use hbbtv_tv::DeviceProfile;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 
-/// Domain node ids live above channel-label ids in the graph fold,
-/// mirroring [`GraphAnalysis::compute_from_frame`].
+/// Domain node ids live above channel-label ids in the graph fold.
 const DOMAIN_BASE: u64 = 1 << 32;
 
 /// Filter-list verdict bits for the classification memo.
@@ -77,11 +90,55 @@ const BIT_KAMRAN: u8 = 16;
 /// The leakage needle search over `searchable_text()` (url + " " +
 /// body) without materializing the join: only a needle containing a
 /// space can straddle the boundary, and only then is the joined string
-/// rebuilt. Identical to the frame path's `contains` closure.
+/// rebuilt.
 fn contains_needle(url_text: &str, body: &str, needle: &str) -> bool {
     url_text.contains(needle)
         || body.contains(needle)
         || (needle.contains(' ') && format!("{url_text} {body}").contains(needle))
+}
+
+/// The §V-B keyword needles, hoisted out of the per-capture loop.
+struct LeakNeedles {
+    /// The study TV's identifying strings (manufacturer, model, OS,
+    /// language, IP, MAC).
+    technical: Vec<String>,
+    /// `genre=<keyword>` for every known genre.
+    genre: Vec<String>,
+}
+
+impl LeakNeedles {
+    fn new() -> Self {
+        let device = DeviceProfile::study_tv();
+        let technical = [
+            device.manufacturer.clone(),
+            device.model.clone(),
+            device.os.split(' ').next().unwrap_or("").to_string(),
+            device.language.clone(),
+            device.ip.clone(),
+            device.mac.clone(),
+        ]
+        .into_iter()
+        .filter(|t| !t.is_empty())
+        .collect();
+        let genre = GENRE_KEYWORDS
+            .iter()
+            .map(|g| format!("genre={g}"))
+            .collect();
+        LeakNeedles { technical, genre }
+    }
+
+    /// The (technical, genre keyword) verdicts over a request's URL text
+    /// and body.
+    fn verdicts(&self, url_text: &str, body: &str) -> (bool, bool) {
+        (
+            self.technical
+                .iter()
+                .any(|t| contains_needle(url_text, body, t)),
+            self.genre
+                .iter()
+                .any(|g| contains_needle(url_text, body, g)),
+        )
+    }
 }
 
 /// Maps a stored `ContentType` discriminant back to the enum. The
@@ -131,6 +188,90 @@ struct UrlInfo {
     sync_vals: Vec<u32>,
 }
 
+impl UrlInfo {
+    /// Every fact about `url` (serialized as `text`) that needs no
+    /// interning table: the list probes, the bodyless leak verdicts,
+    /// and the query extractions. `etld1_sym` and `sync_vals` are left
+    /// for the sequential interning pass; the potential-ID query values
+    /// come back beside the info, in query order.
+    fn probe(url: &Url, text: &str, needles: &LeakNeedles) -> (UrlInfo, Vec<String>) {
+        let lists = bundled::all_refs();
+        let guards = [bundled::easylist_ref(), bundled::easyprivacy_ref()];
+        let guard_ctx = RequestContext {
+            third_party: true,
+            kind: ResourceKind::Document,
+        };
+        let view = UrlView::new(text, url.host(), url.etld1().as_str());
+        let (tech_bodyless, genre_keyword_bodyless) = needles.verdicts(text, "");
+        let info = UrlInfo {
+            host: url.host().to_string(),
+            etld1_sym: 0,
+            canonical: lists
+                .iter()
+                .any(|l| l.matches_view(&view, RequestContext::third_party_image())),
+            guarded: guards.iter().any(|g| g.matches_view(&view, guard_ctx)),
+            tech_bodyless,
+            genre_param: url.query_param("genre").is_some(),
+            genre_keyword_bodyless,
+            has_show: url.query_param("show").is_some(),
+            has_uid: url.query_param("uid").is_some(),
+            brand: url.query_param("brand").map(str::to_string),
+            sync_vals: Vec::new(),
+        };
+        let sync_values = url
+            .query_pairs()
+            .iter()
+            .filter(|(_, v)| is_potential_id(v))
+            .map(|(_, v)| v.clone())
+            .collect();
+        (info, sync_values)
+    }
+}
+
+/// What one capture contributes that depends on the capture alone,
+/// computed on the worker pool before the sequential interning pass.
+struct CaptureScan {
+    /// The serialized request URL; moved into the URL table when the
+    /// text is new.
+    url_text: String,
+    /// §V-D1 tracking-pixel heuristic.
+    is_pixel: bool,
+    /// §V-D2 fingerprint-script heuristic.
+    is_fingerprint: bool,
+    /// Lean-parsed `Set-Cookie` rows as (owning domain, name, value),
+    /// the domain falling back to the request's eTLD+1.
+    cookies: Vec<(Etld1, String, String)>,
+    /// The (technical, genre keyword) leak verdicts over URL and body;
+    /// `None` for bodyless requests, whose verdicts are per URL.
+    body_leak: Option<(bool, bool)>,
+}
+
+impl CaptureScan {
+    fn of(c: &CapturedExchange, needles: &LeakNeedles) -> Self {
+        let url = &c.request.url;
+        let url_text = url.to_text();
+        let cookies = c
+            .response
+            .headers
+            .iter()
+            .filter(|h| h.name.eq_ignore_ascii_case("Set-Cookie"))
+            .filter_map(|h| lean_set_cookie(&h.value))
+            .map(|(name, value, domain)| {
+                (domain.unwrap_or_else(|| url.etld1().clone()), name, value)
+            })
+            .collect();
+        let body = c.request.body.as_str();
+        let body_leak = (!body.is_empty()).then(|| needles.verdicts(&url_text, body));
+        CaptureScan {
+            is_pixel: is_tracking_pixel(c),
+            is_fingerprint: is_fingerprint_script(c),
+            url_text,
+            cookies,
+            body_leak,
+        }
+    }
+}
+
 /// One sealed epoch: its immutable columns (resident or spilled) plus
 /// every cached per-pass partial.
 struct Segment {
@@ -171,6 +312,16 @@ struct SyncSegment {
     runs: BTreeSet<RunKind>,
 }
 
+impl SyncSegment {
+    fn merge(&mut self, other: SyncSegment) {
+        self.events.extend(other.events);
+        self.synced.extend(other.synced);
+        self.domains.extend(other.domains);
+        self.channels.extend(other.channels);
+        self.runs.extend(other.runs);
+    }
+}
+
 /// Per-segment §V-B partial. Receivers are eTLD+1 symbols, resolved at
 /// fold time.
 #[derive(Default)]
@@ -181,6 +332,58 @@ struct LeakSegment {
     personal: usize,
     brands: BTreeSet<String>,
     per_channel: BTreeMap<ChannelId, usize>,
+}
+
+impl LeakSegment {
+    fn merge(&mut self, other: LeakSegment) {
+        self.channels_with_technical
+            .extend(other.channels_with_technical);
+        self.technical_receivers.extend(other.technical_receivers);
+        self.channels_with_genre.extend(other.channels_with_genre);
+        self.personal += other.personal;
+        self.brands.extend(other.brands);
+        for (ch, n) in other.per_channel {
+            *self.per_channel.entry(ch).or_insert(0) += n;
+        }
+    }
+}
+
+/// Everything sealing caches for a range of one segment's rows: the
+/// partials [`FrameBuilder::refresh`] can recompute, the seal-only ones
+/// (leakage needs the request bodies), and the invalidation scopes.
+/// Ranges fold in row order, so the merged partial is the whole
+/// segment's.
+#[derive(Default)]
+struct EpochPartial {
+    cookie: SymCookiePartial,
+    tracking: SymTrackingPartial,
+    graph: Vec<(u64, u64)>,
+    syncing: SyncSegment,
+    leakage: LeakSegment,
+    sig_req: BTreeMap<ChannelId, usize>,
+    sig_cok: BTreeMap<ChannelId, usize>,
+    /// Channels with captures in the rows.
+    channels: BTreeSet<ChannelId>,
+    /// Potential-ID query values the rows' URLs carry.
+    values: BTreeSet<u32>,
+}
+
+impl EpochPartial {
+    fn merge(&mut self, other: EpochPartial) {
+        self.cookie.merge(other.cookie);
+        self.tracking.merge(other.tracking);
+        self.graph.extend(other.graph);
+        self.syncing.merge(other.syncing);
+        self.leakage.merge(other.leakage);
+        for (ch, n) in other.sig_req {
+            *self.sig_req.entry(ch).or_insert(0) += n;
+        }
+        for (ch, n) in other.sig_cok {
+            *self.sig_cok.entry(ch).or_insert(0) += n;
+        }
+        self.channels.extend(other.channels);
+        self.values.extend(other.values);
+    }
 }
 
 /// Per-run §VI partial, computed once when the run is pushed
@@ -231,10 +434,11 @@ fn consent_partial(run_ds: &RunDataset) -> ConsentRunPartial {
     part
 }
 
-/// The growing state behind [`IncrementalStudy`]: monotone interning
-/// tables, cross-epoch election and owner state, the sealed segments
-/// with their cached partials, and the residency machinery.
-struct FrameBuilder {
+/// The analysis engine behind [`StudyReport::compute`] and
+/// [`IncrementalStudy`]: monotone interning tables, cross-epoch
+/// election and owner state, the sealed segments with their cached
+/// partials, and the residency machinery.
+pub(crate) struct FrameBuilder {
     // ---- monotone interning tables (always resident) ----
     url_texts: Vec<String>,
     url_info: Vec<UrlInfo>,
@@ -249,7 +453,9 @@ struct FrameBuilder {
     /// Channels each cookie key was set on (for §V-D5).
     cookie_channels: BTreeMap<u32, BTreeSet<ChannelId>>,
     cookiepedia: Cookiepedia,
+    /// Interned `ch:`-prefixed graph labels.
     glabels: Vec<String>,
+    /// Label symbol by raw channel name (`unknown` when unnamed).
     sym_of_glabel: HashMap<String, u32>,
     // ---- cross-epoch election state ----
     candidates: BTreeMap<ChannelId, (u64, Etld1)>,
@@ -267,7 +473,13 @@ struct FrameBuilder {
     potential_ids: usize,
     timestamp_exclusions: usize,
     // ---- memoized classification ----
+    /// The five list verdicts per (URL symbol, third party, content
+    /// type) key, as `BIT_*` flags.
     class_memo: HashMap<(u32, bool, u8), u8>,
+    /// Memo misses so far: how many real classifications ran.
+    classify_calls: u64,
+    /// `Set-Cookie` rows sealed so far.
+    cookie_rows: usize,
     // ---- policy corpus state ----
     /// The §VII-A pipeline folded over every candidate document fed so
     /// far.
@@ -275,14 +487,17 @@ struct FrameBuilder {
     /// (run index, capture index) of the §VII candidate documents
     /// appended since the last report, not yet fed to `corpus`.
     new_docs: Vec<(u32, u32)>,
-    /// Per-channel-name pixel/fingerprint observations in capture
-    /// order, for the §VII-C window check.
-    tracking_obs: BTreeMap<String, Vec<TrackingObservation>>,
+    /// Pixel/fingerprint exchanges as (instant, URL symbol) in capture
+    /// order, keyed by the channel name's label symbol, for the §VII-C
+    /// window check. Observations are materialized only for the
+    /// channels whose policy declares a window.
+    tracking_obs: HashMap<u32, Vec<(Timestamp, u32)>>,
+    /// The materialized observations of channels whose policy declares
+    /// a window, caught up with `tracking_obs` on each report.
+    window_obs: HashMap<u32, Vec<TrackingObservation>>,
     // ---- per-run consent partials ----
     consent_runs: Vec<ConsentRunPartial>,
-    // ---- leakage needles (hoisted) ----
-    technical_tokens: Vec<String>,
-    genre_needles: Vec<String>,
+    needles: LeakNeedles,
     // ---- segments and residency ----
     segments: Vec<Segment>,
     /// Segments containing each channel's captures (election-flip
@@ -297,7 +512,6 @@ struct FrameBuilder {
     resident_bytes: usize,
     peak_resident_bytes: usize,
     delta_recomputes: u64,
-    delta_reports: u64,
     /// Spill counters already forwarded to telemetry.
     emitted_spill_writes: u64,
     emitted_spill_loads: u64,
@@ -305,22 +519,6 @@ struct FrameBuilder {
 
 impl FrameBuilder {
     fn new(budget: Option<usize>) -> Self {
-        let device = DeviceProfile::study_tv();
-        let technical_tokens: Vec<String> = [
-            device.manufacturer.clone(),
-            device.model.clone(),
-            device.os.split(' ').next().unwrap_or("").to_string(),
-            device.language.clone(),
-            device.ip.clone(),
-            device.mac.clone(),
-        ]
-        .into_iter()
-        .filter(|t| !t.is_empty())
-        .collect();
-        let genre_needles = GENRE_KEYWORDS
-            .iter()
-            .map(|g| format!("genre={g}"))
-            .collect();
         FrameBuilder {
             url_texts: Vec::new(),
             url_info: Vec::new(),
@@ -345,12 +543,14 @@ impl FrameBuilder {
             potential_ids: 0,
             timestamp_exclusions: 0,
             class_memo: HashMap::new(),
+            classify_calls: 0,
+            cookie_rows: 0,
             corpus: PolicyCorpus::new(),
             new_docs: Vec::new(),
-            tracking_obs: BTreeMap::new(),
+            tracking_obs: HashMap::new(),
+            window_obs: HashMap::new(),
             consent_runs: Vec::new(),
-            technical_tokens,
-            genre_needles,
+            needles: LeakNeedles::new(),
             segments: Vec::new(),
             segs_of_channel: HashMap::new(),
             segs_of_value: HashMap::new(),
@@ -359,7 +559,6 @@ impl FrameBuilder {
             resident_bytes: 0,
             peak_resident_bytes: 0,
             delta_recomputes: 0,
-            delta_reports: 0,
             emitted_spill_writes: 0,
             emitted_spill_loads: 0,
         }
@@ -386,13 +585,13 @@ impl FrameBuilder {
     }
 
     fn intern_glabel(&mut self, name: Option<&str>) -> u32 {
-        let label = format!("{CHANNEL_PREFIX}{}", name.unwrap_or("unknown"));
-        if let Some(&s) = self.sym_of_glabel.get(&label) {
+        let name = name.unwrap_or("unknown");
+        if let Some(&s) = self.sym_of_glabel.get(name) {
             return s;
         }
         let s = self.glabels.len() as u32;
-        self.sym_of_glabel.insert(label.clone(), s);
-        self.glabels.push(label);
+        self.glabels.push(format!("{CHANNEL_PREFIX}{name}"));
+        self.sym_of_glabel.insert(name.to_string(), s);
         s
     }
 
@@ -409,64 +608,57 @@ impl FrameBuilder {
         s
     }
 
-    /// Interns a URL text, computing every URL-determined fact (list
-    /// probes, leak needles, query extractions) exactly once per
-    /// distinct URL.
-    fn intern_url(&mut self, url: &Url) -> u32 {
-        let text = url.to_text();
-        if let Some(&s) = self.sym_of_url.get(&text) {
-            return s;
-        }
-        let lists = bundled::all_refs();
-        let guards = [bundled::easylist_ref(), bundled::easyprivacy_ref()];
-        let guard_ctx = RequestContext {
-            third_party: true,
-            kind: ResourceKind::Document,
-        };
-        let view = UrlView::new(&text, url.host(), url.etld1().as_str());
-        let canonical = lists
-            .iter()
-            .any(|l| l.matches_view(&view, RequestContext::third_party_image()));
-        let guarded = guards.iter().any(|g| g.matches_view(&view, guard_ctx));
-        let etld1_sym = self.intern_etld1(url.etld1());
-        let tech_bodyless = self
-            .technical_tokens
-            .iter()
-            .any(|t| contains_needle(&text, "", t));
-        let genre_keyword_bodyless = self
-            .genre_needles
-            .iter()
-            .any(|g| contains_needle(&text, "", g));
-        let mut sync_vals = Vec::new();
-        for (_, v) in url.query_pairs() {
-            if is_potential_id(v) {
-                sync_vals.push(self.intern_value(v));
-            }
-        }
-        let info = UrlInfo {
-            host: url.host().to_string(),
-            etld1_sym,
-            canonical,
-            guarded,
-            tech_bodyless,
-            genre_param: url.query_param("genre").is_some(),
-            genre_keyword_bodyless,
-            has_show: url.query_param("show").is_some(),
-            has_uid: url.query_param("uid").is_some(),
-            brand: url.query_param("brand").map(str::to_string),
-            sync_vals,
-        };
-        let s = self.url_info.len() as u32;
-        self.url_texts.push(text.clone());
+    /// Completes a new URL's probed info with its interned eTLD+1 and
+    /// potential-ID value symbols, in that order, and appends it to the
+    /// URL table.
+    fn push_url_info(&mut self, url: &Url, mut info: UrlInfo, values: &[String]) {
+        info.etld1_sym = self.intern_etld1(url.etld1());
+        info.sync_vals = values.iter().map(|v| self.intern_value(v)).collect();
         self.url_info.push(info);
-        self.sym_of_url.insert(text, s);
-        s
+    }
+
+    /// The one-shot front end: seals every run of a borrowed dataset as
+    /// one epoch, recording the seal wall as `wall.frame.build` (profile
+    /// mode) and the engine's table sizes as `frame.*` counters on
+    /// `tel`.
+    pub(crate) fn seal_all(dataset: &StudyDataset, tel: &Telemetry) -> Self {
+        let t0 = std::time::Instant::now();
+        let mut b = FrameBuilder::new(None);
+        for (r, run_ds) in dataset.runs.iter().enumerate() {
+            b.consent_runs.push(consent_partial(run_ds));
+            b.append_epoch(r, run_ds.run, &run_ds.captures, 0);
+        }
+        if tel.mode().profile_on() {
+            tel.histogram("wall.frame.build")
+                .record(t0.elapsed().as_micros() as u64);
+        }
+        if tel.is_enabled() {
+            let exchanges: usize = b
+                .segments
+                .iter()
+                .filter_map(|s| s.cols.as_ref())
+                .map(SegmentCols::len)
+                .sum();
+            tel.counter("frame.exchanges").add(exchanges as u64);
+            tel.counter("frame.set_cookie_rows")
+                .add(b.cookie_rows as u64);
+            tel.counter("frame.symbols").add(b.etld1s.len() as u64);
+            tel.counter("frame.classify_calls").add(b.classify_calls);
+            tel.counter("frame.unique_urls")
+                .add(b.url_texts.len() as u64);
+        }
+        b
     }
 
     /// Seals one epoch of captures (already appended to run `run_idx`
     /// of the dataset at offset `cap_base`) into a segment: builds the
     /// columns, updates cross-epoch state, invalidates any segments
     /// the new state dirties, and caches this segment's partials.
+    ///
+    /// The per-capture scan, the probes of URLs first seen here, the
+    /// classification misses and the row-chunk partials fan out over
+    /// the worker pool; the interning pass walks the captures in order,
+    /// so every symbol is a pure function of capture order.
     fn append_epoch(
         &mut self,
         run_idx: usize,
@@ -477,33 +669,73 @@ impl FrameBuilder {
         if caps.is_empty() {
             return;
         }
+        let needles = &self.needles;
+        let mut scans: Vec<CaptureScan> = par_chunks_auto(caps, |chunk| {
+            chunk
+                .iter()
+                .map(|c| CaptureScan::of(c, needles))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+
+        // URL symbols: a new text takes the next symbol, so first
+        // occurrences arrive in symbol order below.
+        let mut url_syms: Vec<u32> = Vec::with_capacity(caps.len());
+        let mut new_urls: Vec<usize> = Vec::new();
+        for (j, scan) in scans.iter_mut().enumerate() {
+            let u = match self.sym_of_url.get(scan.url_text.as_str()) {
+                Some(&u) => u,
+                None => {
+                    let u = self.url_texts.len() as u32;
+                    let text = std::mem::take(&mut scan.url_text);
+                    self.sym_of_url.insert(text.clone(), u);
+                    self.url_texts.push(text);
+                    new_urls.push(j);
+                    u
+                }
+            };
+            url_syms.push(u);
+        }
+        let (url_texts, needles) = (&self.url_texts, &self.needles);
+        let mut probes = par_chunks_auto(&new_urls, |chunk| {
+            chunk
+                .iter()
+                .map(|&j| {
+                    let text = &url_texts[url_syms[j] as usize];
+                    UrlInfo::probe(&caps[j].request.url, text, needles)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten();
+
         let mut cols = SegmentCols {
             cookie_off: vec![0],
             ..SegmentCols::default()
         };
-        let mut leak = LeakSegment::default();
-        let mut sig_req: BTreeMap<ChannelId, usize> = BTreeMap::new();
-        let mut sig_cok: BTreeMap<ChannelId, usize> = BTreeMap::new();
-        let mut channels_here: BTreeSet<ChannelId> = BTreeSet::new();
+        let mut body_leaks: Vec<Option<(bool, bool)>> = Vec::with_capacity(caps.len());
         let mut election_touched: BTreeSet<ChannelId> = BTreeSet::new();
         let mut owner_dirty: BTreeSet<u32> = BTreeSet::new();
-        let mut vals_here: BTreeSet<u32> = BTreeSet::new();
 
-        for (j, c) in caps.iter().enumerate() {
-            let u = self.intern_url(&c.request.url);
+        for (j, (c, scan)) in caps.iter().zip(scans).enumerate() {
+            let u = url_syms[j];
+            if u as usize == self.url_info.len() {
+                let (info, values) = probes.next().expect("one probe per new URL");
+                self.push_url_info(&c.request.url, info, &values);
+            }
             let (etld1_sym, guarded) = {
                 let info = &self.url_info[u as usize];
                 (info.etld1_sym, info.guarded)
             };
             let ct = c.response.content_type as u8;
             debug_assert_eq!(content_type_from_u8(ct), c.response.content_type);
-            let is_pixel = is_tracking_pixel(c);
-            let is_fingerprint = is_fingerprint_script(c);
             let mut flags = 0u8;
-            if is_pixel {
+            if scan.is_pixel {
                 flags |= FLAG_PIXEL;
             }
-            if is_fingerprint {
+            if scan.is_fingerprint {
                 flags |= FLAG_FINGERPRINT;
             }
             if self.url_info[u as usize].canonical {
@@ -516,23 +748,15 @@ impl FrameBuilder {
             };
             let channel_col = c.channel.map(|ch| ch.0).unwrap_or(u32::MAX);
 
-            // Cookie rows: the lean Set-Cookie parse, party resolution,
-            // and the §V-C3 pass-1 owner bookkeeping.
-            let mut rows_added = 0usize;
-            for h in c.response.headers.iter() {
-                if !h.name.eq_ignore_ascii_case("Set-Cookie") {
-                    continue;
-                }
-                let Some((name, value, dom)) = lean_set_cookie(&h.value) else {
-                    continue;
-                };
-                let domain = dom.unwrap_or_else(|| c.request.url.etld1().clone());
+            // Cookie rows: symbol interning and the §V-C3 pass-1 owner
+            // bookkeeping.
+            self.cookie_rows += scan.cookies.len();
+            for (domain, name, value) in scan.cookies {
                 let d_sym = self.intern_etld1(&domain);
                 let key = CookieKey { domain, name };
                 let k_sym = self.intern_cookie_key(&key);
                 cols.cookie_key.push(k_sym);
                 cols.cookie_domain.push(d_sym);
-                rows_added += 1;
                 if let Some(ch) = c.channel {
                     self.cookie_channels.entry(k_sym).or_default().insert(ch);
                 }
@@ -553,12 +777,6 @@ impl FrameBuilder {
             }
 
             if let Some(ch) = c.channel {
-                channels_here.insert(ch);
-                *sig_req.entry(ch).or_insert(0) += 1;
-                let cok = sig_cok.entry(ch).or_insert(0);
-                if rows_added > 0 {
-                    *cok += 1;
-                }
                 // First-party election (§V-A): content-bearing,
                 // unguarded responses compete on earliest timestamp.
                 if matches!(
@@ -581,66 +799,15 @@ impl FrameBuilder {
                 }
             }
 
-            // §V-B leakage and the §VII-C observation index share one
-            // borrow scope over the interning tables.
-            let obs = {
-                let url_text = self.url_texts[u as usize].as_str();
-                let info = &self.url_info[u as usize];
-                let body = c.request.body.as_str();
-                let (has_technical, has_genre) = if body.is_empty() {
-                    (
-                        info.tech_bodyless,
-                        info.genre_param || info.genre_keyword_bodyless,
-                    )
-                } else {
-                    (
-                        self.technical_tokens
-                            .iter()
-                            .any(|t| contains_needle(url_text, body, t)),
-                        info.genre_param
-                            || self
-                                .genre_needles
-                                .iter()
-                                .any(|g| contains_needle(url_text, body, g)),
-                    )
-                };
-                if has_technical {
-                    leak.technical_receivers.insert(info.etld1_sym);
-                    if let Some(ch) = c.channel {
-                        leak.channels_with_technical.insert(ch);
-                    }
+            if scan.is_pixel || scan.is_fingerprint {
+                if let Some(name) = c.channel_name.as_deref() {
+                    let name_sym = match c.channel {
+                        Some(_) => chan_label,
+                        None => self.intern_glabel(Some(name)),
+                    };
+                    let obs = self.tracking_obs.entry(name_sym).or_default();
+                    obs.push((c.request.timestamp, u));
                 }
-                if has_genre {
-                    if let Some(ch) = c.channel {
-                        leak.channels_with_genre.insert(ch);
-                    }
-                }
-                if let Some(b) = &info.brand {
-                    leak.brands.insert(b.clone());
-                }
-                if has_genre || info.has_show || info.brand.is_some() {
-                    leak.personal += 1;
-                    if let Some(ch) = c.channel {
-                        *leak.per_channel.entry(ch).or_insert(0) += 1;
-                    }
-                }
-                vals_here.extend(info.sync_vals.iter().copied());
-                if (is_pixel || is_fingerprint) && c.channel_name.is_some() {
-                    Some((
-                        c.channel_name.clone().expect("checked is_some"),
-                        TrackingObservation {
-                            at: c.request.timestamp,
-                            tracker: self.etld1s[info.etld1_sym as usize].to_string(),
-                            carried_user_id: info.has_uid,
-                            carried_show: info.has_show,
-                        },
-                    ))
-                } else {
-                    None
-                }
-            };
-            if let Some((name, o)) = obs {
-                self.tracking_obs.entry(name).or_default().push(o);
             }
             if c.response.content_type == ContentType::Html && c.response.body.len() > 300 {
                 self.new_docs.push((run_idx as u32, (cap_base + j) as u32));
@@ -653,6 +820,7 @@ impl FrameBuilder {
             cols.content_type.push(ct);
             cols.flags.push(flags);
             cols.cookie_off.push(cols.cookie_key.len() as u32);
+            body_leaks.push(scan.body_leak);
         }
 
         // Election flips: re-derive the winner of every touched
@@ -702,28 +870,21 @@ impl FrameBuilder {
             }
         }
 
-        // Cache this segment's partials against the now-current state.
-        let cookie = cookie_partial(&cols, &self.fp_syms);
-        let mut memo = ClassMemo::over(&self.class_memo);
-        let tracking = tracking_partial(
-            &cols,
-            &self.url_texts,
-            &self.url_info,
-            &self.etld1s,
-            &self.fp_syms,
-            &mut memo,
-        );
-        let fresh = memo.fresh;
-        self.class_memo.extend(fresh);
-        let graph = graph_edges(&cols, &self.fp_syms);
-        let syncing = sync_segment(
-            &cols,
-            run,
-            &self.url_info,
-            &self.sync_values,
-            &self.owners,
-            &self.etld1s,
-        );
+        // Cache this segment's partials against the now-current state,
+        // folding row chunks on the worker pool.
+        self.fill_class_memo(&[&cols]);
+        let n = cols.len();
+        let step = adaptive_chunk_len(n);
+        let chunks: Vec<Range<usize>> = (0..n).step_by(step).map(|a| a..n.min(a + step)).collect();
+        let p = par_map(&chunks, |_, rows| {
+            self.seal_partial(&cols, rows.clone(), &body_leaks[rows.clone()], run)
+        })
+        .into_iter()
+        .reduce(|mut acc, p| {
+            acc.merge(p);
+            acc
+        })
+        .expect("a sealed epoch has rows");
 
         let seg_id = self.segments.len();
         let bytes = cols.byte_size();
@@ -732,18 +893,18 @@ impl FrameBuilder {
             run,
             cols: Some(cols),
             bytes,
-            cookie: Some(cookie),
-            tracking: Some(tracking),
-            graph: Some(graph),
-            syncing: Some(syncing),
-            leakage: leak,
-            sig_req,
-            sig_cok,
+            cookie: Some(p.cookie),
+            tracking: Some(p.tracking),
+            graph: Some(dedup_edges(p.graph)),
+            syncing: Some(p.syncing),
+            leakage: p.leakage,
+            sig_req: p.sig_req,
+            sig_cok: p.sig_cok,
         });
-        for ch in channels_here {
+        for ch in p.channels {
             self.segs_of_channel.entry(ch).or_default().push(seg_id);
         }
-        for v in vals_here {
+        for v in p.values {
             self.segs_of_value.entry(v).or_default().push(seg_id);
         }
         self.lru.push(seg_id);
@@ -792,22 +953,113 @@ impl FrameBuilder {
         }
     }
 
+    /// The [`EpochPartial`] of rows `rows` of a segment being sealed;
+    /// `body_leaks` holds those rows' body leak verdicts.
+    fn seal_partial(
+        &self,
+        cols: &SegmentCols,
+        rows: Range<usize>,
+        body_leaks: &[Option<(bool, bool)>],
+        run: RunKind,
+    ) -> EpochPartial {
+        let mut p = EpochPartial {
+            cookie: cookie_partial(cols, rows.clone(), &self.fp_syms),
+            tracking: tracking_partial(cols, rows.clone(), &self.fp_syms, &self.class_memo),
+            graph: graph_edges(cols, rows.clone(), &self.fp_syms),
+            syncing: sync_segment(
+                cols,
+                rows.clone(),
+                run,
+                &self.url_info,
+                &self.sync_values,
+                &self.owners,
+                &self.etld1s,
+            ),
+            ..EpochPartial::default()
+        };
+        let leak = &mut p.leakage;
+        for (i, body_leak) in rows.zip(body_leaks) {
+            let info = &self.url_info[cols.url_sym[i] as usize];
+            let ch_raw = cols.channel[i];
+            let channel = (ch_raw != u32::MAX).then_some(ChannelId(ch_raw));
+            if let Some(ch) = channel {
+                p.channels.insert(ch);
+                *p.sig_req.entry(ch).or_insert(0) += 1;
+                let cok = p.sig_cok.entry(ch).or_insert(0);
+                if !cols.rows_of(i).is_empty() {
+                    *cok += 1;
+                }
+            }
+            p.values.extend(info.sync_vals.iter().copied());
+
+            // §V-B: bodyless requests take the URL's verdicts.
+            let (has_technical, genre_keyword) =
+                body_leak.unwrap_or((info.tech_bodyless, info.genre_keyword_bodyless));
+            let has_genre = info.genre_param || genre_keyword;
+            if has_technical {
+                leak.technical_receivers.insert(info.etld1_sym);
+                if let Some(ch) = channel {
+                    leak.channels_with_technical.insert(ch);
+                }
+            }
+            if has_genre {
+                if let Some(ch) = channel {
+                    leak.channels_with_genre.insert(ch);
+                }
+            }
+            if let Some(b) = &info.brand {
+                leak.brands.insert(b.clone());
+            }
+            if has_genre || info.has_show || info.brand.is_some() {
+                leak.personal += 1;
+                if let Some(ch) = channel {
+                    *leak.per_channel.entry(ch).or_insert(0) += 1;
+                }
+            }
+        }
+        p
+    }
+
+    /// Probes the five lists for every classification key of `blocks`
+    /// that the memo lacks, fanned over the worker pool, and records
+    /// the misses. Afterwards every key of `blocks` is a memo hit.
+    fn fill_class_memo(&mut self, blocks: &[&SegmentCols]) {
+        let mut misses: Vec<(u32, bool, u8)> = Vec::new();
+        for cols in blocks {
+            for i in 0..cols.len() {
+                let key = class_key(cols, i, &self.fp_syms);
+                if let Entry::Vacant(e) = self.class_memo.entry(key) {
+                    e.insert(0);
+                    misses.push(key);
+                }
+            }
+        }
+        let (url_texts, url_info, etld1s) = (&self.url_texts, &self.url_info, &self.etld1s);
+        let bits = par_chunks_auto(&misses, |chunk| {
+            chunk
+                .iter()
+                .map(|&key| list_bits(key, url_texts, url_info, etld1s))
+                .collect::<Vec<_>>()
+        });
+        self.classify_calls += misses.len() as u64;
+        for (key, bits) in misses.into_iter().zip(bits.into_iter().flatten()) {
+            self.class_memo.insert(key, bits);
+        }
+    }
+
     /// Recomputes every invalidated partial from its segment's columns
-    /// (reloading spilled columns on demand) and returns how many
-    /// segments needed recomputation.
+    /// (reloading spilled columns on demand), counting the segments in
+    /// `delta_recomputes`.
     ///
     /// The recomputes fan out over the worker pool: an election flip
     /// invalidates every segment carrying the flipped channel, so a
     /// refresh after one is the widest burst of work a report does.
-    /// Each segment's partials are pure functions of its columns and
-    /// the (frozen-for-the-duration) builder tables, so workers share
-    /// the tables read-only; the classification memo is snapshotted and
-    /// each worker's fresh entries are merged back afterwards in
-    /// segment order (see [`ClassMemo`] — the merge order is
-    /// irrelevant to results, ordering just keeps the map's iteration
-    /// future-proof against becoming order-sensitive). Reports are
-    /// byte-identical at any worker count.
-    fn refresh(&mut self) -> u64 {
+    /// The classification misses are filled first, so each segment's
+    /// partials are pure functions of its columns and the
+    /// (frozen-for-the-duration) builder tables, and workers share the
+    /// tables read-only. Reports are byte-identical at any worker
+    /// count.
+    fn refresh(&mut self) {
         let dirty: Vec<usize> = (0..self.segments.len())
             .filter(|&s| {
                 let seg = &self.segments[s];
@@ -819,7 +1071,7 @@ impl FrameBuilder {
             .collect();
         if dirty.is_empty() {
             self.enforce_budget();
-            return 0;
+            return;
         }
         // Residency is LRU bookkeeping — sequential by nature. Load
         // every dirty segment first, then take the column blocks out so
@@ -851,36 +1103,52 @@ impl FrameBuilder {
                 }
             })
             .collect();
+        let blocks: Vec<&SegmentCols> = jobs
+            .iter()
+            .filter(|j| j.need_tracking)
+            .map(|j| &j.cols)
+            .collect();
+        self.fill_class_memo(&blocks);
 
-        let url_texts = &self.url_texts;
         let url_info = &self.url_info;
         let etld1s = &self.etld1s;
         let fp_syms = &self.fp_syms;
         let sync_values = &self.sync_values;
         let owners = &self.owners;
-        let base_memo = &self.class_memo;
+        let memo = &self.class_memo;
         type Recompute = (
             Option<SymCookiePartial>,
             Option<SymTrackingPartial>,
             Option<Vec<(u64, u64)>>,
             Option<SyncSegment>,
-            HashMap<(u32, bool, u8), u8>,
         );
         let results: Vec<Recompute> = par_map(&jobs, |_, job| {
-            let mut memo = ClassMemo::over(base_memo);
-            let cookie = job.need_cookie.then(|| cookie_partial(&job.cols, fp_syms));
-            let tracking = job.need_tracking.then(|| {
-                tracking_partial(&job.cols, url_texts, url_info, etld1s, fp_syms, &mut memo)
+            let all = 0..job.cols.len();
+            let cookie = job
+                .need_cookie
+                .then(|| cookie_partial(&job.cols, all.clone(), fp_syms));
+            let tracking = job
+                .need_tracking
+                .then(|| tracking_partial(&job.cols, all.clone(), fp_syms, memo));
+            let graph = job
+                .need_graph
+                .then(|| graph_edges(&job.cols, all.clone(), fp_syms));
+            let syncing = job.need_syncing.then(|| {
+                sync_segment(
+                    &job.cols,
+                    all,
+                    job.run,
+                    url_info,
+                    sync_values,
+                    owners,
+                    etld1s,
+                )
             });
-            let graph = job.need_graph.then(|| graph_edges(&job.cols, fp_syms));
-            let syncing = job
-                .need_syncing
-                .then(|| sync_segment(&job.cols, job.run, url_info, sync_values, owners, etld1s));
-            (cookie, tracking, graph, syncing, memo.fresh)
+            (cookie, tracking, graph, syncing)
         });
 
-        let recomputed = jobs.len() as u64;
-        for (job, (cookie, tracking, graph, syncing, fresh)) in jobs.into_iter().zip(results) {
+        self.delta_recomputes += jobs.len() as u64;
+        for (job, (cookie, tracking, graph, syncing)) in jobs.into_iter().zip(results) {
             let seg = &mut self.segments[job.s];
             if let Some(p) = cookie {
                 seg.cookie = Some(p);
@@ -895,11 +1163,81 @@ impl FrameBuilder {
                 seg.syncing = Some(p);
             }
             seg.cols = Some(job.cols);
-            self.class_memo.extend(fresh);
         }
         self.enforce_budget();
-        self.delta_recomputes += recomputed;
-        recomputed
+    }
+
+    /// The fold sequence both front ends report through: refreshes
+    /// invalidated partials, then folds every pass over `dataset` (the
+    /// dataset the segments were sealed from), each under its
+    /// `analysis.*` span on `tel`, in canonical order. The
+    /// first-parties span covers the refresh, the work a first-party
+    /// election costs beyond sealing.
+    pub(crate) fn report(
+        &mut self,
+        eco: &Ecosystem,
+        dataset: &StudyDataset,
+        tel: &Telemetry,
+    ) -> StudyReport {
+        let first_parties = {
+            let _s = tel.span("analysis.first_parties");
+            self.refresh();
+            self.fp_map.clone()
+        };
+        let tracking = {
+            let _s = tel.span("analysis.tracking");
+            self.fold_tracking(dataset)
+        };
+        let cookies = {
+            let _s = tel.span("analysis.cookies");
+            self.fold_cookies(dataset)
+        };
+        let categories = {
+            let _s = tel.span("analysis.categories");
+            CategoryAnalysis::compute(eco, &tracking)
+        };
+        let children = {
+            let _s = tel.span("analysis.children");
+            self.fold_children(eco, &tracking)
+        };
+        let leakage = {
+            let _s = tel.span("analysis.leakage");
+            self.fold_leakage()
+        };
+        let syncing = {
+            let _s = tel.span("analysis.syncing");
+            self.fold_syncing()
+        };
+        let graph = {
+            let _s = tel.span("analysis.graph");
+            self.fold_graph()
+        };
+        let consent = {
+            let _s = tel.span("analysis.consent");
+            self.fold_consent(dataset)
+        };
+        let policies = {
+            let _s = tel.span("analysis.policies");
+            self.fold_policies(dataset)
+        };
+        let significance = {
+            let _s = tel.span("analysis.significance");
+            self.fold_significance(dataset)
+        };
+        StudyReport {
+            first_parties,
+            leakage,
+            cookies,
+            syncing,
+            tracking,
+            categories,
+            children,
+            graph,
+            consent,
+            policies,
+            significance,
+            telemetry: None,
+        }
     }
 
     // ---- folds (all partials must be fresh; see `refresh`) ----
@@ -1134,11 +1472,25 @@ impl FrameBuilder {
             if policy.annotation.profiling_window.is_none() {
                 continue;
             }
-            let observations = self
-                .tracking_obs
-                .get(policy.channel.as_str())
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
+            let observations: &[TrackingObservation] =
+                match self.sym_of_glabel.get(policy.channel.as_str()) {
+                    Some(&sym) => {
+                        let rows = self.tracking_obs.get(&sym).map_or(&[][..], Vec::as_slice);
+                        let done = self.window_obs.entry(sym).or_default();
+                        let (url_info, etld1s) = (&self.url_info, &self.etld1s);
+                        done.extend(rows[done.len()..].iter().map(|&(at, u)| {
+                            let info = &url_info[u as usize];
+                            TrackingObservation {
+                                at,
+                                tracker: etld1s[info.etld1_sym as usize].to_string(),
+                                carried_user_id: info.has_uid,
+                                carried_show: info.has_show,
+                            }
+                        }));
+                        done
+                    }
+                    None => &[],
+                };
             let report = check_profiling_window(&policy.annotation, observations);
             window_reports.insert(policy.channel.clone(), report);
         }
@@ -1160,20 +1512,24 @@ impl FrameBuilder {
     }
 }
 
-/// §V-C over one segment's columns against the current first-party
-/// assignment, mirroring [`CookieAnalysis::compute_from_frame`]'s scan.
-fn cookie_partial(cols: &SegmentCols, fp_syms: &HashMap<ChannelId, u32>) -> SymCookiePartial {
+/// §V-C over a segment's rows against the current first-party
+/// assignment: [`CookieAnalysis::compute`]'s scan over symbols.
+fn cookie_partial(
+    cols: &SegmentCols,
+    rows: Range<usize>,
+    fp_syms: &HashMap<ChannelId, u32>,
+) -> SymCookiePartial {
     let mut p = SymCookiePartial::default();
-    for i in 0..cols.len() {
-        let rows = cols.rows_of(i);
-        if rows.is_empty() {
+    for i in rows {
+        let cookie_rows = cols.rows_of(i);
+        if cookie_rows.is_empty() {
             continue;
         }
         let tracking = cols.flags[i] & (FLAG_PIXEL | FLAG_FINGERPRINT | FLAG_CANONICAL) != 0;
         let ch_raw = cols.channel[i];
         let channel = (ch_raw != u32::MAX).then_some(ChannelId(ch_raw));
         let fp_sym = channel.and_then(|ch| fp_syms.get(&ch).copied());
-        for r in rows {
+        for r in cookie_rows {
             let k = cols.cookie_key[r];
             let d = cols.cookie_domain[r];
             p.keys.insert(k);
@@ -1201,100 +1557,70 @@ fn cookie_partial(cols: &SegmentCols, fp_syms: &HashMap<ChannelId, u32>) -> SymC
     p
 }
 
-/// A two-level view of the builder's classification memo, so segment
-/// recomputes can run on pool workers: `base` is a read-only snapshot
-/// shared by every worker, `fresh` collects the entries this worker
-/// computed. After the parallel region the caller folds every `fresh`
-/// map back into the builder's memo. Classification is a pure function
-/// of its key, so two workers racing on the same key compute the same
-/// byte and the merge order cannot change any result.
-struct ClassMemo<'a> {
-    base: &'a HashMap<(u32, bool, u8), u8>,
-    fresh: HashMap<(u32, bool, u8), u8>,
+/// The classification memo key of exchange `i`: (URL symbol, third
+/// party against the current first-party assignment, content type).
+fn class_key(cols: &SegmentCols, i: usize, fp_syms: &HashMap<ChannelId, u32>) -> (u32, bool, u8) {
+    let ch_raw = cols.channel[i];
+    let fp = (ch_raw != u32::MAX)
+        .then(|| fp_syms.get(&ChannelId(ch_raw)))
+        .flatten();
+    let third_party = match fp {
+        Some(&fp) => fp != cols.etld1_sym[i],
+        None => true,
+    };
+    (cols.url_sym[i], third_party, cols.content_type[i])
 }
 
-impl<'a> ClassMemo<'a> {
-    fn over(base: &'a HashMap<(u32, bool, u8), u8>) -> Self {
-        ClassMemo {
-            base,
-            fresh: HashMap::new(),
-        }
-    }
-}
-
-/// The five memoized list verdicts for a (URL, party relation,
-/// content type) triple, as bit flags.
-fn class_bits(
-    u: u32,
-    third_party: bool,
-    ct: u8,
+/// The five list verdicts for a classification key, as `BIT_*` flags.
+fn list_bits(
+    (u, third_party, ct): (u32, bool, u8),
     url_texts: &[String],
     url_info: &[UrlInfo],
     etld1s: &[Etld1],
-    memo: &mut ClassMemo<'_>,
 ) -> u8 {
-    if let Some(&bits) = memo.base.get(&(u, third_party, ct)) {
-        return bits;
+    let info = &url_info[u as usize];
+    let text = url_texts[u as usize].as_str();
+    let view = UrlView::new(text, &info.host, etld1s[info.etld1_sym as usize].as_str());
+    let ctx = RequestContext {
+        third_party,
+        kind: resource_kind_of_content(content_type_from_u8(ct)),
+    };
+    let mut bits = 0u8;
+    if bundled::pihole_ref().matches_view(&view, ctx) {
+        bits |= BIT_PIHOLE;
     }
-    *memo.fresh.entry((u, third_party, ct)).or_insert_with(|| {
-        let info = &url_info[u as usize];
-        let text = url_texts[u as usize].as_str();
-        let view = UrlView::new(text, &info.host, etld1s[info.etld1_sym as usize].as_str());
-        let ctx = RequestContext {
-            third_party,
-            kind: resource_kind_of_content(content_type_from_u8(ct)),
-        };
-        let mut bits = 0u8;
-        if bundled::pihole_ref().matches_view(&view, ctx) {
-            bits |= BIT_PIHOLE;
-        }
-        if bundled::easylist_ref().matches_view(&view, ctx) {
-            bits |= BIT_EASYLIST;
-        }
-        if bundled::easyprivacy_ref().matches_view(&view, ctx) {
-            bits |= BIT_EASYPRIVACY;
-        }
-        if bundled::perflyst_ref().matches_view(&view, ctx) {
-            bits |= BIT_PERFLYST;
-        }
-        if bundled::kamran_ref().matches_view(&view, ctx) {
-            bits |= BIT_KAMRAN;
-        }
-        bits
-    })
+    if bundled::easylist_ref().matches_view(&view, ctx) {
+        bits |= BIT_EASYLIST;
+    }
+    if bundled::easyprivacy_ref().matches_view(&view, ctx) {
+        bits |= BIT_EASYPRIVACY;
+    }
+    if bundled::perflyst_ref().matches_view(&view, ctx) {
+        bits |= BIT_PERFLYST;
+    }
+    if bundled::kamran_ref().matches_view(&view, ctx) {
+        bits |= BIT_KAMRAN;
+    }
+    bits
 }
 
-/// §V-D over one segment's columns against the current first-party
-/// assignment, mirroring [`TrackingAnalysis::compute_from_frame`]'s
-/// scan with verdicts memoized per (URL, party, content-type).
+/// §V-D over a segment's rows against the current first-party
+/// assignment, reading the list verdicts from the filled memo.
 fn tracking_partial(
     cols: &SegmentCols,
-    url_texts: &[String],
-    url_info: &[UrlInfo],
-    etld1s: &[Etld1],
+    rows: Range<usize>,
     fp_syms: &HashMap<ChannelId, u32>,
-    memo: &mut ClassMemo<'_>,
+    memo: &HashMap<(u32, bool, u8), u8>,
 ) -> SymTrackingPartial {
     let mut p = SymTrackingPartial::default();
-    for i in 0..cols.len() {
+    for i in rows {
         p.total += 1;
-        let u = cols.url_sym[i];
         let sym = cols.etld1_sym[i];
         let ch_raw = cols.channel[i];
         let channel = (ch_raw != u32::MAX).then_some(ChannelId(ch_raw));
-        let third_party = match channel.and_then(|ch| fp_syms.get(&ch).copied()) {
-            Some(fp) => fp != sym,
-            None => true,
-        };
-        let bits = class_bits(
-            u,
-            third_party,
-            cols.content_type[i],
-            url_texts,
-            url_info,
-            etld1s,
-            memo,
-        );
+        let key = class_key(cols, i, fp_syms);
+        let third_party = key.1;
+        let bits = memo[&key];
         let on_el = bits & BIT_EASYLIST != 0;
         let on_ep = bits & BIT_EASYPRIVACY != 0;
         let on_ph = bits & BIT_PIHOLE != 0;
@@ -1353,14 +1679,15 @@ fn tracking_partial(
     p
 }
 
-/// The ecosystem-graph edges of one segment in first-occurrence order,
-/// deduplicated on unordered id pairs within the segment (the fold
-/// re-deduplicates globally), mirroring
-/// [`GraphAnalysis::compute_from_frame`].
-fn graph_edges(cols: &SegmentCols, fp_syms: &HashMap<ChannelId, u32>) -> Vec<(u64, u64)> {
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
+/// The ecosystem-graph edges of a segment's rows in first-occurrence
+/// order, as unordered id pairs may repeat (see [`dedup_edges`]).
+fn graph_edges(
+    cols: &SegmentCols,
+    rows: Range<usize>,
+    fp_syms: &HashMap<ChannelId, u32>,
+) -> Vec<(u64, u64)> {
     let mut edges: Vec<(u64, u64)> = Vec::new();
-    for i in 0..cols.len() {
+    for i in rows {
         let ch_raw = cols.channel[i];
         if ch_raw == u32::MAX {
             continue;
@@ -1368,23 +1695,39 @@ fn graph_edges(cols: &SegmentCols, fp_syms: &HashMap<ChannelId, u32>) -> Vec<(u6
         let Some(&fp) = fp_syms.get(&ChannelId(ch_raw)) else {
             continue;
         };
-        let chan_id = u64::from(cols.chan_label[i]);
         let fp_id = DOMAIN_BASE + u64::from(fp);
-        if seen.insert((chan_id.min(fp_id), chan_id.max(fp_id))) {
-            edges.push((chan_id, fp_id));
-        }
+        edges.push((u64::from(cols.chan_label[i]), fp_id));
         let dom_id = DOMAIN_BASE + u64::from(cols.etld1_sym[i]);
-        if dom_id != fp_id && seen.insert((fp_id.min(dom_id), fp_id.max(dom_id))) {
+        if dom_id != fp_id {
             edges.push((fp_id, dom_id));
         }
     }
-    edges
+    dedup_edges(edges)
 }
 
-/// §V-C3 pass 2 over one segment's columns against the current owner
+/// Keeps the first occurrence of every unordered id pair (the fold
+/// re-deduplicates across segments).
+///
+/// `Graph::add_edge` creates both endpoint nodes before rejecting a
+/// duplicate or self-loop, but a duplicate never introduces a node its
+/// first occurrence didn't, and self-loops cannot occur (channel labels
+/// carry the `ch:` prefix; the second edge is only emitted when the
+/// domain differs from the first party). Replaying the distinct
+/// unordered pairs in first-occurrence order therefore reproduces
+/// [`GraphAnalysis::compute`]'s node ids and adjacency exactly.
+fn dedup_edges(edges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    let mut seen: HashSet<(u64, u64)> = HashSet::new();
+    edges
+        .into_iter()
+        .filter(|&(a, b)| seen.insert((a.min(b), a.max(b))))
+        .collect()
+}
+
+/// §V-C3 pass 2 over a segment's rows against the current owner
 /// table, in capture and query-pair order.
 fn sync_segment(
     cols: &SegmentCols,
+    rows: Range<usize>,
     run: RunKind,
     url_info: &[UrlInfo],
     sync_values: &[String],
@@ -1392,7 +1735,7 @@ fn sync_segment(
     etld1s: &[Etld1],
 ) -> SyncSegment {
     let mut out = SyncSegment::default();
-    for i in 0..cols.len() {
+    for i in rows {
         let info = &url_info[cols.url_sym[i] as usize];
         if info.sync_vals.is_empty() {
             continue;
@@ -1531,19 +1874,11 @@ impl IncrementalStudy {
     /// of whatever the latest epochs invalidated.
     pub fn report(&mut self, eco: &Ecosystem) -> StudyReport {
         let t0 = std::time::Instant::now();
-        let recomputed = self.builder.refresh();
-        let first_parties = self.builder.fp_map.clone();
-        let cookies = self.builder.fold_cookies(&self.dataset);
-        let tracking = self.builder.fold_tracking(&self.dataset);
-        let categories = CategoryAnalysis::compute(eco, &tracking);
-        let children = self.builder.fold_children(eco, &tracking);
-        let leakage = self.builder.fold_leakage();
-        let syncing = self.builder.fold_syncing();
-        let graph = self.builder.fold_graph();
-        let consent = self.builder.fold_consent(&self.dataset);
-        let policies = self.builder.fold_policies(&self.dataset);
-        let significance = self.builder.fold_significance(&self.dataset);
-        self.builder.delta_reports += 1;
+        let before = self.builder.delta_recomputes;
+        let report = self
+            .builder
+            .report(eco, &self.dataset, &Telemetry::disabled());
+        let recomputed = self.builder.delta_recomputes - before;
         if self.tel.is_enabled() {
             self.tel.counter("frame.delta_reports").add(1);
             self.tel.counter("frame.delta_recomputes").add(recomputed);
@@ -1569,20 +1904,7 @@ impl IncrementalStudy {
                     .record(t0.elapsed().as_micros() as u64);
             }
         }
-        StudyReport {
-            first_parties,
-            leakage,
-            cookies,
-            syncing,
-            tracking,
-            categories,
-            children,
-            graph,
-            consent,
-            policies,
-            significance,
-            telemetry: None,
-        }
+        report
     }
 
     /// [`IncrementalStudy::report`] rendered against the accumulated
@@ -1670,7 +1992,7 @@ mod tests {
             inc.push_run(run);
             let live = inc.render(&eco);
             let built = StudyReport::compute(&eco, &ds).render(&ds);
-            assert_eq!(live, built, "incremental == frame build after {kind:?}");
+            assert_eq!(live, built, "incremental == one-shot after {kind:?}");
             let naive = StudyReport::compute_naive(&eco, &ds).render(&ds);
             assert_eq!(live, naive, "incremental == naive after {kind:?}");
         }
@@ -1743,7 +2065,7 @@ mod tests {
     /// One-capture epochs put a channel's image-only captures in sealed
     /// segments before the epoch that first elects its first party, so
     /// the election invalidates them and `refresh` must recompute their
-    /// partials. Every step still renders like the reference build.
+    /// partials. Every step still renders like the one-shot engine.
     #[test]
     fn first_time_elections_recompute_sealed_segments() {
         let eco = Ecosystem::with_scale(11, 0.05);
@@ -1805,7 +2127,7 @@ mod tests {
         assert_eq!(
             single,
             StudyReport::compute(&eco, &ds).render(&ds),
-            "parallel refresh diverged from the reference build"
+            "parallel refresh diverged from the one-shot engine"
         );
     }
 }

@@ -5,7 +5,6 @@
 //! and for behavioral data (show genres, show titles, brands). We apply
 //! the same keyword search to the captured traffic.
 
-use crate::analysis::frame::CaptureFrame;
 use crate::dataset::StudyDataset;
 use hbbtv_broadcast::ChannelId;
 use hbbtv_net::Etld1;
@@ -93,121 +92,6 @@ impl LeakageAnalysis {
             if has_genre || has_show || c.request.url.query_param("brand").is_some() {
                 personal += 1;
                 if let Some(ch) = c.channel {
-                    *per_channel.entry(ch).or_insert(0) += 1;
-                }
-            }
-        }
-
-        LeakageAnalysis {
-            channels_with_technical,
-            technical_receivers,
-            channels_with_genre,
-            personal_data_requests: personal,
-            brands_observed: brands,
-            per_channel,
-        }
-    }
-
-    /// [`LeakageAnalysis::compute`] over the shared [`CaptureFrame`].
-    ///
-    /// Instead of allocating `searchable_text()` (url + body joined) per
-    /// request, the needles are searched in the frame's prebuilt URL text
-    /// and the request body separately — equivalent for space-free
-    /// needles, with the joined string rebuilt only for needles that
-    /// contain a space (and so could straddle the join). The per-capture
-    /// `format!("genre={g}")` allocations are hoisted out of the loop,
-    /// and for bodyless requests (the GET-dominated common case) the
-    /// whole keyword verdict is a pure function of the URL, so it is
-    /// memoized per distinct URL symbol.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let device = DeviceProfile::study_tv();
-        let technical_tokens: Vec<String> = [
-            device.manufacturer.clone(),
-            device.model.clone(),
-            device.os.split(' ').next().unwrap_or("").to_string(),
-            device.language.clone(),
-            device.ip.clone(),
-            device.mac.clone(),
-        ]
-        .into_iter()
-        .filter(|t| !t.is_empty())
-        .collect();
-        let genre_needles: Vec<String> = GENRE_KEYWORDS
-            .iter()
-            .map(|g| format!("genre={g}"))
-            .collect();
-
-        let contains = |url_text: &str, body: &str, needle: &str| -> bool {
-            url_text.contains(needle)
-                || body.contains(needle)
-                || (needle.contains(' ') && format!("{url_text} {body}").contains(needle))
-        };
-
-        // The URL-determined part of each verdict, one slot per distinct
-        // URL: `tech_bodyless`/`genre_keyword_bodyless` are the complete
-        // keyword verdicts for requests with an empty body (including
-        // the straddle case, whose joined text is then `url + " "`).
-        struct UrlLeak<'u> {
-            tech_bodyless: bool,
-            genre_param: bool,
-            genre_keyword_bodyless: bool,
-            has_show: bool,
-            brand: Option<&'u str>,
-        }
-        let mut url_memo: Vec<Option<UrlLeak<'_>>> = Vec::new();
-        url_memo.resize_with(frame.url_count, || None);
-
-        let mut channels_with_technical = BTreeSet::new();
-        let mut technical_receivers = BTreeSet::new();
-        let mut channels_with_genre = BTreeSet::new();
-        let mut personal = 0usize;
-        let mut brands = BTreeSet::new();
-        let mut per_channel: BTreeMap<ChannelId, usize> = BTreeMap::new();
-
-        for (c, f) in frame.captures.iter().zip(&frame.facts) {
-            let url_text = f.url_text.as_str();
-            let body = c.request.body.as_str();
-            let m = url_memo[f.url_sym as usize].get_or_insert_with(|| UrlLeak {
-                tech_bodyless: technical_tokens
-                    .iter()
-                    .any(|t| contains(url_text, "", t.as_str())),
-                genre_param: c.request.url.query_param("genre").is_some(),
-                genre_keyword_bodyless: genre_needles
-                    .iter()
-                    .any(|g| contains(url_text, "", g.as_str())),
-                has_show: c.request.url.query_param("show").is_some(),
-                brand: c.request.url.query_param("brand"),
-            });
-            let (has_technical, has_genre) = if body.is_empty() {
-                (m.tech_bodyless, m.genre_param || m.genre_keyword_bodyless)
-            } else {
-                (
-                    technical_tokens
-                        .iter()
-                        .any(|t| contains(url_text, body, t.as_str())),
-                    m.genre_param
-                        || genre_needles
-                            .iter()
-                            .any(|g| contains(url_text, body, g.as_str())),
-                )
-            };
-            if has_technical {
-                technical_receivers.insert(f.class.etld1.clone());
-                if let Some(ch) = f.channel {
-                    channels_with_technical.insert(ch);
-                }
-            }
-            if has_genre {
-                if let Some(ch) = f.channel {
-                    channels_with_genre.insert(ch);
-                }
-            }
-            if let Some(b) = m.brand {
-                brands.insert(b.to_string());
-            }
-            if has_genre || m.has_show || m.brand.is_some() {
-                personal += 1;
-                if let Some(ch) = f.channel {
                     *per_channel.entry(ch).or_insert(0) += 1;
                 }
             }

@@ -12,7 +12,6 @@ pub mod consent_analysis;
 pub mod cookies;
 pub mod ecosystem_graph;
 pub mod first_party;
-pub mod frame;
 pub mod frame_store;
 pub mod incremental;
 pub mod leakage;
@@ -25,12 +24,11 @@ pub mod syncing;
 pub mod tracking;
 
 pub use category::{CategoryAnalysis, ChildrenCaseStudy};
-pub use classify::{classify_calls, ExchangeClass};
+pub use classify::ExchangeClass;
 pub use consent_analysis::ConsentAnalysis;
 pub use cookies::CookieAnalysis;
 pub use ecosystem_graph::GraphAnalysis;
 pub use first_party::FirstPartyMap;
-pub use frame::CaptureFrame;
 pub use incremental::IncrementalStudy;
 pub use leakage::LeakageAnalysis;
 pub use parallel::{

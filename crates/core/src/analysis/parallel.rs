@@ -8,12 +8,13 @@
 //! result, regardless of worker count or steal pattern. Two callers
 //! build on it:
 //!
-//! * The heavy analysis loops (filter-list matching in Table III,
-//!   cookie classification, tracking-pixel scans) are folds over
-//!   independent captures; [`par_chunks`] splits the capture slice into
-//!   fixed-length chunks and `par_map`s the per-chunk partial
-//!   statistics, and [`par_chunks_auto`] picks the chunk length
-//!   adaptively from the pool's recent queue-depth telemetry.
+//! * The heavy analysis loops are folds over independent captures:
+//!   the analysis engine's per-capture scan, URL probes, and row-chunk
+//!   partials when it seals an epoch, and the naive oracle's per-pass
+//!   scans. [`par_chunks`] splits a slice into fixed-length chunks and
+//!   `par_map`s the per-chunk partial statistics, and
+//!   [`par_chunks_auto`] picks the chunk length adaptively from the
+//!   pool's recent queue-depth telemetry.
 //! * The study harness fans the channel visits of one run out over the
 //!   pool (`StudyHarness::run_parallel`); each item is one hermetic
 //!   visit and the ordered results merge in canonical channel order.
@@ -22,8 +23,8 @@
 //!
 //! Calls nest without spawning: a `par_chunks` issued from inside a
 //! pool worker queues its chunks on that worker's own deque and helps
-//! drain them, so `StudyReport::compute` fanning stages × chunks uses
-//! the same fixed set of threads throughout.
+//! drain them, so nested fan-outs use the same fixed set of threads
+//! throughout.
 //!
 //! [`pool`]: super::pool
 
@@ -75,7 +76,7 @@ where
 /// Only the *number* of chunks varies with the adaptation — the fold
 /// result cannot, because every analysis built on chunk partials merges
 /// them associatively over ordered disjoint segments (enforced by the
-/// frame-parity suite and `matches_sequential_fold_for_many_chunk_sizes`).
+/// engine-parity suite and `matches_sequential_fold_for_many_chunk_sizes`).
 pub fn par_chunks_auto<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

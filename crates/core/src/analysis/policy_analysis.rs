@@ -2,7 +2,6 @@
 //! preprocessing/classification pipeline, GDPR content statistics, and
 //! the policy-vs-practice checks (including "5 PM to 6 AM").
 
-use crate::analysis::frame::CaptureFrame;
 use crate::analysis::tracking::{is_fingerprint_script, is_tracking_pixel};
 use crate::dataset::StudyDataset;
 use hbbtv_net::ContentType;
@@ -43,16 +42,6 @@ impl PolicyAnalysis {
         let documents = Self::gather_docs(dataset);
         let corpus = PolicyCorpus::run_refs(&documents, |_, d| Self::manual_override(d));
         let window_reports = Self::window_naive(dataset, &corpus);
-        Self::aggregate(corpus, window_reports)
-    }
-
-    /// [`PolicyAnalysis::compute`] with the §VII-C window check answered
-    /// from the shared [`CaptureFrame`]'s per-channel tracking index
-    /// instead of a full capture re-scan per window-declaring policy.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let documents = Self::gather_docs(frame.dataset);
-        let corpus = PolicyCorpus::run_refs(&documents, |_, d| Self::manual_override(d));
-        let window_reports = Self::window_from_frame(frame, &corpus);
         Self::aggregate(corpus, window_reports)
     }
 
@@ -173,42 +162,6 @@ impl PolicyAnalysis {
                     });
                 }
             }
-            let report = check_profiling_window(&policy.annotation, &observations);
-            window_reports.insert(policy.channel.clone(), report);
-        }
-        window_reports
-    }
-
-    /// [`PolicyAnalysis::window_naive`] answered from the frame's
-    /// per-channel index of pixel/fingerprint exchanges: each policy
-    /// reads exactly its channel's tracking rows (already in dataset
-    /// order) instead of re-scanning every capture.
-    fn window_from_frame(
-        frame: &CaptureFrame<'_>,
-        corpus: &PolicyCorpusReport,
-    ) -> BTreeMap<String, WindowViolationReport> {
-        let mut window_reports = BTreeMap::new();
-        for policy in &corpus.unique {
-            if policy.annotation.profiling_window.is_none() {
-                continue;
-            }
-            let indices = frame
-                .tracking_by_channel_name
-                .get(policy.channel.as_str())
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let observations: Vec<TrackingObservation> = indices
-                .iter()
-                .map(|&i| {
-                    let c = frame.captures[i];
-                    TrackingObservation {
-                        at: c.request.timestamp,
-                        tracker: frame.facts[i].class.etld1.to_string(),
-                        carried_user_id: c.request.url.query_param("uid").is_some(),
-                        carried_show: c.request.url.query_param("show").is_some(),
-                    }
-                })
-                .collect();
             let report = check_profiling_window(&policy.annotation, &observations);
             window_reports.insert(policy.channel.clone(), report);
         }

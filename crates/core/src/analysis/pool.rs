@@ -22,13 +22,13 @@
 //! batches) until its sub-batch completes. The submitting thread of a
 //! top-level call participates the same way, so a call with `k` pool
 //! workers has at most `k + 1` executors, no matter how deeply calls
-//! nest. This is what keeps `StudyReport::compute` — report stages
-//! fanned over the pool, each stage fanning capture chunks — at a fixed
-//! thread count instead of the stages × cores army the old per-call
-//! scoped pool spawned, and it is what lets an idle worker steal the
-//! tail visits of a slow run (`StudyHarness::run_all` fans runs and
-//! visits over the same pool, so the `visit_wall_p99 ≈ 400× p50`
-//! channels no longer gate the whole study).
+//! nest. This is what keeps nested fan-outs (the analysis engine's
+//! segment refreshes, each folding row chunks) at a fixed thread count
+//! instead of an outer × inner army of threads, and it is what lets an
+//! idle worker steal the tail visits of a slow run
+//! (`StudyHarness::run_all` fans runs and visits over the same pool, so
+//! the `visit_wall_p99 ≈ 400× p50` channels no longer gate the whole
+//! study).
 //!
 //! **Determinism is by construction, not by scheduling.** Results land
 //! in per-item slots indexed by canonical position, and `f` receives the
@@ -49,7 +49,7 @@
 //! process-wide oversubscription factor: deep queues mean splitting was
 //! finer than the executor count could consume, so initial chunks grow;
 //! starved queues shrink them. [`adaptive_chunk_len`] feeds that factor
-//! to the capture-scan call sites that used a fixed 4096-capture chunk.
+//! to the capture-scan and epoch-sealing call sites.
 //!
 //! # The one `unsafe` in the workspace
 //!
@@ -442,7 +442,7 @@ fn configured_workers() -> usize {
 /// items: enough chunks to spread over every executor times the adapted
 /// oversubscription factor, clamped to `64..=4096`. Chunk boundaries
 /// never change analysis output (the per-chunk partials merge
-/// associatively, which the frame-parity suite enforces), so the length
+/// associatively, which the engine-parity suite enforces), so the length
 /// is free to follow the telemetry.
 pub(crate) fn adaptive_chunk_len(len: usize) -> usize {
     let (shared, _) = current_pool();

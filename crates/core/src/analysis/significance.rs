@@ -6,7 +6,6 @@
 //!   (user interaction) matters more than the channel.
 //! * The channel category has a *medium* effect.
 
-use crate::analysis::frame::CaptureFrame;
 use crate::dataset::StudyDataset;
 use hbbtv_broadcast::ChannelId;
 use hbbtv_stats::{kruskal_wallis, KruskalWallis, StatsError};
@@ -40,35 +39,6 @@ impl SignificanceReport {
                     *req.entry(ch).or_insert(0) += 1;
                     cok.entry(ch).or_insert(0);
                     if !c.response.set_cookies().is_empty() {
-                        *cok.entry(ch).or_insert(0) += 1;
-                    }
-                }
-            }
-            requests_by_run.push(req.values().map(|&n| n as f64).collect());
-            cookies_by_run.push(cok.values().map(|&n| n as f64).collect());
-            for (ch, n) in req {
-                per_channel.entry(ch).or_default().push(n as f64);
-            }
-        }
-        Self::finish(requests_by_run, cookies_by_run, per_channel)
-    }
-
-    /// [`SignificanceReport::compute`] over the shared [`CaptureFrame`]:
-    /// the cookie-setting bit is read off the frame's pre-parsed cookie
-    /// row ranges instead of re-parsing every response's headers.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let mut requests_by_run: Vec<Vec<f64>> = Vec::new();
-        let mut cookies_by_run: Vec<Vec<f64>> = Vec::new();
-        let mut per_channel: BTreeMap<ChannelId, Vec<f64>> = BTreeMap::new();
-
-        for slice in &frame.runs {
-            let mut req: BTreeMap<ChannelId, usize> = BTreeMap::new();
-            let mut cok: BTreeMap<ChannelId, usize> = BTreeMap::new();
-            for f in &frame.facts[slice.exchanges.clone()] {
-                if let Some(ch) = f.channel {
-                    *req.entry(ch).or_insert(0) += 1;
-                    cok.entry(ch).or_insert(0);
-                    if !f.cookies.is_empty() {
                         *cok.entry(ch).or_insert(0) += 1;
                     }
                 }

@@ -6,7 +6,6 @@
 //! detected when a potential ID owned by one party appears in an HTTP
 //! request sent to *another* party.
 
-use crate::analysis::frame::CaptureFrame;
 use crate::dataset::StudyDataset;
 use crate::run::RunKind;
 use hbbtv_broadcast::ChannelId;
@@ -124,94 +123,6 @@ impl SyncingAnalysis {
                             value: value.clone(),
                             channel: c.channel,
                             run: run_ds.run,
-                        });
-                    }
-                }
-            }
-        }
-
-        SyncingAnalysis {
-            potential_ids: potential,
-            timestamp_exclusions: excluded,
-            synced_values,
-            events,
-            syncing_domains,
-            channels,
-            runs,
-        }
-    }
-
-    /// [`SyncingAnalysis::compute`] over the shared [`CaptureFrame`]:
-    /// pass 1 walks the frame's pre-parsed Set-Cookie rows (no header
-    /// re-parse), pass 2 borrows each receiver domain from the frame and
-    /// clones it only when a transfer actually fires. Which query values
-    /// hit the owner table is a pure function of the URL, so that lookup
-    /// is memoized per distinct URL symbol — repeated beacon fetches
-    /// skip the per-pair map probes entirely.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let mut owners: BTreeMap<&str, BTreeSet<&Etld1>> = BTreeMap::new();
-        let mut potential = 0usize;
-        let mut excluded = 0usize;
-        let mut seen_values: BTreeSet<(&Etld1, &str)> = BTreeSet::new();
-        for row in &frame.cookie_rows {
-            let domain = &row.key.domain;
-            let value = row.value.as_str();
-            if !seen_values.insert((domain, value)) {
-                continue;
-            }
-            if is_potential_id(value) {
-                potential += 1;
-                owners.entry(value).or_default().insert(domain);
-            } else if (10..=25).contains(&value.len()) {
-                excluded += 1;
-            }
-        }
-
-        let mut events = Vec::new();
-        let mut synced_values = BTreeSet::new();
-        let mut syncing_domains = BTreeSet::new();
-        let mut channels = BTreeSet::new();
-        let mut runs = BTreeSet::new();
-        // Memoized owner-table hits per distinct URL, in query-pair
-        // order (the order the naive scan emits events in).
-        type UrlHits<'h> = Vec<(&'h str, &'h BTreeSet<&'h Etld1>)>;
-        let mut url_hits: Vec<Option<UrlHits<'_>>> = vec![None; frame.url_count];
-        for slice in &frame.runs {
-            for i in slice.exchanges.clone() {
-                let f = &frame.facts[i];
-                let hits = url_hits[f.url_sym as usize].get_or_insert_with(|| {
-                    frame.captures[i]
-                        .request
-                        .url
-                        .query_pairs()
-                        .iter()
-                        .filter_map(|(_, value)| {
-                            owners.get(value.as_str()).map(|set| (value.as_str(), set))
-                        })
-                        .collect()
-                });
-                if hits.is_empty() {
-                    continue;
-                }
-                let receiver = &f.class.etld1;
-                for &(value, owner_set) in hits.iter() {
-                    for owner in owner_set {
-                        if *owner == receiver {
-                            continue;
-                        }
-                        synced_values.insert(value.to_string());
-                        syncing_domains.insert((*owner).clone());
-                        syncing_domains.insert(receiver.clone());
-                        if let Some(ch) = f.channel {
-                            channels.insert(ch);
-                        }
-                        runs.insert(slice.run);
-                        events.push(SyncEvent {
-                            owner: (*owner).clone(),
-                            receiver: receiver.clone(),
-                            value: value.to_string(),
-                            channel: f.channel,
-                            run: slice.run,
                         });
                     }
                 }

@@ -3,7 +3,6 @@
 
 use crate::analysis::classify::ExchangeClass;
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::frame::{CaptureFrame, ExchangeFacts};
 use crate::analysis::parallel::par_chunks_auto;
 use crate::dataset::StudyDataset;
 use crate::run::RunKind;
@@ -154,8 +153,8 @@ impl TrackingPartial {
     }
 }
 
-/// [`TrackingPartial`] with interned eTLD+1 domain keys — the hot-loop
-/// shape shared by the frame path and the incremental epoch segments.
+/// [`TrackingPartial`] with interned eTLD+1 domain keys — the per-segment
+/// shape the analysis engine caches for every sealed epoch.
 /// [`SymTrackingPartial::resolve`] re-keys the symbol maps by the
 /// domains they intern before the shared tail; distinct symbols mean
 /// distinct domains, so the rebuilt BTree orderings match the naive
@@ -344,95 +343,6 @@ impl TrackingAnalysis {
             global.merge(merged);
         }
         Self::finish(per_run, global)
-    }
-
-    /// [`TrackingAnalysis::compute`] over the shared [`CaptureFrame`]:
-    /// the per-exchange classification, pixel, and fingerprint bits come
-    /// from the frame, and the hot loop keys its maps by interned eTLD+1
-    /// symbols (`u32`) instead of cloning domain strings. The symbol
-    /// maps convert back to `Etld1` keys before the shared tail runs, so
-    /// every ordering (including dominance tie-breaks) is identical to
-    /// the naive path.
-    pub fn compute_from_frame(frame: &CaptureFrame<'_>) -> Self {
-        let scan = |facts: &[ExchangeFacts]| -> SymTrackingPartial {
-            let mut p = SymTrackingPartial::default();
-            for f in facts {
-                p.total += 1;
-                let cls = &f.class;
-                let sym = f.etld1_sym;
-                let (on_el, on_ep, on_ph) = (cls.on_easylist, cls.on_easyprivacy, cls.on_pihole);
-                if on_el {
-                    p.row.on_easylist += 1;
-                }
-                if on_ep {
-                    p.row.on_easyprivacy += 1;
-                }
-                if on_ph {
-                    p.row.on_pihole += 1;
-                }
-                if cls.on_perflyst {
-                    p.perflyst_hits += 1;
-                }
-                if cls.on_kamran {
-                    p.kamran_hits += 1;
-                }
-
-                if f.is_pixel {
-                    p.row.tracking_pixels += 1;
-                    p.pixel_parties.insert(sym);
-                    *p.pixel_party_requests.entry(sym).or_insert(0) += 1;
-                    if let Some(ch) = f.channel {
-                        p.channels_with_pixels.insert(ch);
-                        p.pixel_party_channels.entry(sym).or_default().insert(ch);
-                    }
-                }
-                if f.is_fingerprint {
-                    p.row.fingerprints += 1;
-                    p.fp_providers.insert(sym);
-                    if let Some(ch) = f.channel {
-                        p.fp_channels.insert(ch);
-                        // Inside a channel the class's third-party bit
-                        // *is* `fp_map.is_third_party(ch, domain)`.
-                        if !cls.third_party {
-                            p.fp_requests_first_party += 1;
-                            p.fp_provider_is_fp.insert(sym);
-                        }
-                    }
-                    if on_el {
-                        p.fp_el += 1;
-                    }
-                    if on_ep {
-                        p.fp_ep += 1;
-                    }
-                }
-
-                if f.is_pixel || f.is_fingerprint || on_el || on_ep || on_ph {
-                    if let Some(ch) = f.channel {
-                        *p.req_per_channel.entry(ch).or_insert(0) += 1;
-                        p.trackers_per_channel.entry(ch).or_default().insert(sym);
-                    }
-                }
-            }
-            p
-        };
-
-        let mut per_run: BTreeMap<RunKind, TrackingRow> = BTreeMap::new();
-        let mut global = SymTrackingPartial::default();
-        for slice in &frame.runs {
-            let facts = &frame.facts[slice.exchanges.clone()];
-            let mut merged = SymTrackingPartial::default();
-            for partial in par_chunks_auto(facts, scan) {
-                merged.merge(partial);
-            }
-            let row = per_run.entry(slice.run).or_default();
-            row.on_pihole += merged.row.on_pihole;
-            row.on_easylist += merged.row.on_easylist;
-            row.on_easyprivacy += merged.row.on_easyprivacy;
-            row.tracking_pixels += merged.row.tracking_pixels;
-            row.fingerprints += merged.row.fingerprints;
-            global.merge(merged);
-        }
-        Self::finish(per_run, global.resolve(&frame.etld1s))
     }
 
     /// The order-independent tail shared by both scan paths.

@@ -1,9 +1,10 @@
 //! The complete study report: every analysis, bundled and renderable.
 
+use crate::analysis::incremental::FrameBuilder;
 use crate::analysis::{
-    par_map_observed, CaptureFrame, CategoryAnalysis, ChildrenCaseStudy, ConsentAnalysis,
-    CookieAnalysis, FirstPartyMap, GraphAnalysis, LeakageAnalysis, PolicyAnalysis, PoolObserver,
-    SignificanceReport, SyncingAnalysis, TrackingAnalysis,
+    CategoryAnalysis, ChildrenCaseStudy, ConsentAnalysis, CookieAnalysis, FirstPartyMap,
+    GraphAnalysis, LeakageAnalysis, PolicyAnalysis, SignificanceReport, SyncingAnalysis,
+    TrackingAnalysis,
 };
 use crate::dataset::StudyDataset;
 use crate::ecosystem::Ecosystem;
@@ -53,225 +54,46 @@ impl StudyReport {
         Self::compute_with_telemetry(eco, dataset, &Telemetry::disabled())
     }
 
-    /// Computes every analysis over the shared [`CaptureFrame`], fanning
-    /// the independent passes out over the worker pool, and timing each
-    /// stage under a span on `tel`.
+    /// Computes every analysis through the analysis engine (see
+    /// [`crate::analysis::incremental`]): each run of the borrowed
+    /// dataset seals as one epoch, then the cached partials fold into
+    /// the report, each pass timed under its `analysis.*` span on
+    /// `tel` in canonical order. Profile mode also records the seal
+    /// wall as `wall.frame.build`.
     ///
     /// With a disabled scope this is exactly [`StudyReport::compute`]:
-    /// the spans are no-ops and the result is identical. With any scope
-    /// attached, the spans are re-emitted *after* the parallel fan-out in
-    /// the fixed pre-parallel stage order (the sim clock is frozen during
-    /// analysis, so span ids, order, and sim durations are unaffected by
-    /// scheduling); measured wall times ride along only in profile mode
-    /// via [`hbbtv_obs::Span::set_wall_us`].
+    /// the spans are no-ops and the result is identical.
     pub fn compute_with_telemetry(
         eco: &Ecosystem,
         dataset: &StudyDataset,
         tel: &Telemetry,
     ) -> Self {
         let whole = tel.span("analysis.report");
-        let profile = tel.mode().profile_on();
-
-        // The shared substrate: first-party election, classification
-        // (memoized per distinct URL/party/kind triple), and Set-Cookie
-        // parsing happen at most once per exchange.
-        let t0 = std::time::Instant::now();
-        let frame = CaptureFrame::build(dataset);
-        let frame_wall = t0.elapsed().as_micros() as u64;
+        let report = FrameBuilder::seal_all(dataset, tel).report(eco, dataset, tel);
         if tel.is_enabled() {
-            tel.counter("frame.exchanges").add(frame.len() as u64);
-            tel.counter("frame.set_cookie_rows")
-                .add(frame.cookie_rows.len() as u64);
-            tel.counter("frame.symbols").add(frame.etld1s.len() as u64);
-            tel.counter("frame.classify_calls")
-                .add(frame.classify_invocations);
-            tel.counter("frame.unique_urls").add(frame.url_count as u64);
-        }
-        if profile {
-            tel.histogram("wall.frame.build").record(frame_wall);
-        }
-
-        // Wave 1: the eight mutually independent passes. Each returns its
-        // own wall time so the post-hoc spans can carry real numbers even
-        // though the passes ran concurrently.
-        enum StageOut {
-            Tracking(Box<TrackingAnalysis>),
-            Cookies(Box<CookieAnalysis>),
-            Leakage(Box<LeakageAnalysis>),
-            Syncing(Box<SyncingAnalysis>),
-            Graph(Box<GraphAnalysis>),
-            Consent(Box<ConsentAnalysis>),
-            Policies(Box<PolicyAnalysis>),
-            Significance(Box<SignificanceReport>),
-        }
-        let stages: [fn(&CaptureFrame<'_>) -> StageOut; 8] = [
-            |f| StageOut::Tracking(Box::new(TrackingAnalysis::compute_from_frame(f))),
-            |f| StageOut::Cookies(Box::new(CookieAnalysis::compute_from_frame(f))),
-            |f| StageOut::Leakage(Box::new(LeakageAnalysis::compute_from_frame(f))),
-            |f| StageOut::Syncing(Box::new(SyncingAnalysis::compute_from_frame(f))),
-            |f| StageOut::Graph(Box::new(GraphAnalysis::compute_from_frame(f))),
-            |f| StageOut::Consent(Box::new(ConsentAnalysis::compute(f.dataset))),
-            |f| StageOut::Policies(Box::new(PolicyAnalysis::compute_from_frame(f))),
-            |f| StageOut::Significance(Box::new(SignificanceReport::compute_from_frame(f))),
-        ];
-        let observer = profile.then(PoolObserver::default);
-        let outs = par_map_observed(&stages, observer.as_ref(), |_, stage| {
-            let t = std::time::Instant::now();
-            let out = stage(&frame);
-            (out, t.elapsed().as_micros() as u64)
-        });
-        if let Some(obs) = &observer {
-            tel.counter("pool.analysis.workers").add(obs.workers.get());
-            tel.histogram("pool.analysis.items_per_worker")
-                .merge_from(&obs.items_per_worker);
-            tel.gauge("pool.analysis.queue_depth")
-                .raise_to(obs.queue_depth.get());
-            tel.counter("pool.analysis.steals").add(obs.steals.get());
-        }
-
-        let (mut tracking, mut cookies, mut leakage, mut syncing) = (None, None, None, None);
-        let (mut graph, mut consent, mut policies, mut significance) = (None, None, None, None);
-        let mut walls: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for (out, wall) in outs {
-            let name = match out {
-                StageOut::Tracking(a) => {
-                    tracking = Some(*a);
-                    "tracking"
-                }
-                StageOut::Cookies(a) => {
-                    cookies = Some(*a);
-                    "cookies"
-                }
-                StageOut::Leakage(a) => {
-                    leakage = Some(*a);
-                    "leakage"
-                }
-                StageOut::Syncing(a) => {
-                    syncing = Some(*a);
-                    "syncing"
-                }
-                StageOut::Graph(a) => {
-                    graph = Some(*a);
-                    "graph"
-                }
-                StageOut::Consent(a) => {
-                    consent = Some(*a);
-                    "consent"
-                }
-                StageOut::Policies(a) => {
-                    policies = Some(*a);
-                    "policies"
-                }
-                StageOut::Significance(a) => {
-                    significance = Some(*a);
-                    "significance"
-                }
-            };
-            walls.insert(name, wall);
-        }
-        let tracking = tracking.expect("wave 1 produced every stage");
-        let cookies = cookies.expect("wave 1 produced every stage");
-        let leakage = leakage.expect("wave 1 produced every stage");
-        let syncing = syncing.expect("wave 1 produced every stage");
-        let graph = graph.expect("wave 1 produced every stage");
-        let consent = consent.expect("wave 1 produced every stage");
-        let policies = policies.expect("wave 1 produced every stage");
-        let significance = significance.expect("wave 1 produced every stage");
-        if tel.is_enabled() {
+            let corpus = &report.policies.corpus;
             tel.counter("policy_scan.documents")
-                .add(policies.corpus.documents_seen as u64);
+                .add(corpus.documents_seen as u64);
             tel.counter("policy_scan.policies")
-                .add(policies.corpus.policies_collected as u64);
+                .add(corpus.policies_collected as u64);
             tel.counter("policy_scan.unique")
-                .add(policies.corpus.unique.len() as u64);
+                .add(corpus.unique.len() as u64);
         }
-
-        // Wave 2: the two passes that read wave-1 output.
-        let t = std::time::Instant::now();
-        let categories = CategoryAnalysis::compute(eco, &tracking);
-        walls.insert("categories", t.elapsed().as_micros() as u64);
-
-        // Targeting cookies for the children case study, off the frame's
-        // pre-parsed rows.
-        let t = std::time::Instant::now();
-        let children = {
-            let cookiepedia = Cookiepedia::bundled();
-            let mut targeting: BTreeSet<CookieKey> = BTreeSet::new();
-            let mut cookie_channels: BTreeMap<CookieKey, BTreeSet<ChannelId>> = BTreeMap::new();
-            for (i, f) in frame.facts.iter().enumerate() {
-                for row in frame.cookie_rows_of(i) {
-                    if let Some(ch) = f.channel {
-                        cookie_channels
-                            .entry(row.key.clone())
-                            .or_default()
-                            .insert(ch);
-                    }
-                    if cookiepedia.classify(&row.key) == Some(CookieCategory::Targeting) {
-                        targeting.insert(row.key.clone());
-                    }
-                }
-            }
-            ChildrenCaseStudy::compute(eco, &tracking, &targeting, &cookie_channels)
-        };
-        walls.insert("children", t.elapsed().as_micros() as u64);
-
-        // Re-emit the per-stage spans in the canonical (pre-parallel)
-        // order so span ids and journal bytes are scheduling-independent.
-        // The first-parties stage reports only the election loop's wall
-        // time — the rest of the frame build (scans, interning,
-        // classification) is shared substrate for every stage and is
-        // recorded separately as `wall.frame.build`, never charged to
-        // whichever stage happened to need the frame first.
-        let emit = |name: &'static str, wall_us: u64| {
-            let mut span = tel.span(name);
-            span.set_wall_us(wall_us);
-        };
-        emit("analysis.first_parties", frame.election_us);
-        for (span_name, key) in [
-            ("analysis.tracking", "tracking"),
-            ("analysis.cookies", "cookies"),
-            ("analysis.categories", "categories"),
-            ("analysis.children", "children"),
-            ("analysis.leakage", "leakage"),
-            ("analysis.syncing", "syncing"),
-            ("analysis.graph", "graph"),
-            ("analysis.consent", "consent"),
-            ("analysis.policies", "policies"),
-            ("analysis.significance", "significance"),
-        ] {
-            emit(span_name, walls.get(key).copied().unwrap_or(0));
-        }
-        let first_parties = frame.first_parties.clone();
-        drop(frame);
         drop(whole);
-
-        StudyReport {
-            leakage,
-            syncing,
-            graph,
-            consent,
-            policies,
-            significance,
-            categories,
-            children,
-            cookies,
-            tracking,
-            first_parties,
-            telemetry: None,
-        }
+        report
     }
 
-    /// The pre-substrate computation: every pass re-derives what it
-    /// needs straight from the dataset, sequentially, with the linear
-    /// (unmemoized, non-automaton) policy pipeline. Kept as the parity
-    /// and benchmark baseline for [`StudyReport::compute`].
+    /// The naive oracle: every pass re-derives what it needs straight
+    /// from the dataset, sequentially, with the linear (unmemoized,
+    /// non-automaton) policy pipeline. Kept as the parity and benchmark
+    /// baseline for [`StudyReport::compute`].
     pub fn compute_naive(eco: &Ecosystem, dataset: &StudyDataset) -> Self {
         Self::compute_naive_with_telemetry(eco, dataset, &Telemetry::disabled())
     }
 
     /// [`StudyReport::compute_naive`], timing each pass under a span on
-    /// `tel` (the same span names and order as the optimized path, so
-    /// the two profiles compare stage by stage).
+    /// `tel` (the same span names and order as the engine, so the two
+    /// profiles compare stage by stage).
     pub fn compute_naive_with_telemetry(
         eco: &Ecosystem,
         dataset: &StudyDataset,

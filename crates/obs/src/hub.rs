@@ -250,7 +250,6 @@ impl Telemetry {
             parent,
             t0: inner.clock.now().as_unix(),
             wall: inner.mode.profile_on().then(std::time::Instant::now),
-            wall_override: None,
             fields: Vec::new(),
         }
     }
@@ -460,7 +459,6 @@ pub struct Span {
     parent: u64,
     t0: u64,
     wall: Option<std::time::Instant>,
-    wall_override: Option<u64>,
     fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -483,7 +481,6 @@ impl Span {
             parent: 0,
             t0: 0,
             wall: None,
-            wall_override: None,
             fields: Vec::new(),
         }
     }
@@ -502,18 +499,6 @@ impl Span {
     pub fn add_field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         if self.inner.is_some() {
             self.fields.push((key, value.into()));
-        }
-    }
-
-    /// Overrides the wall-clock duration recorded on close.
-    ///
-    /// Useful when work was measured elsewhere (e.g. on a worker pool)
-    /// and the span only marks its place in the journal. Honored only in
-    /// [`TelemetryMode::Profile`] — in every other mode the span carries
-    /// no wall data at all, so the byte-stable journal is unaffected.
-    pub fn set_wall_us(&mut self, us: u64) {
-        if self.inner.is_some() {
-            self.wall_override = Some(us);
         }
     }
 }
@@ -536,10 +521,7 @@ impl Drop for Span {
             .entry(format!("span.{}", self.name))
             .or_default()
             .record(dur);
-        let wall_us = self.wall.map(|t| {
-            self.wall_override
-                .unwrap_or_else(|| t.elapsed().as_micros() as u64)
-        });
+        let wall_us = self.wall.map(|t| t.elapsed().as_micros() as u64);
         if let Some(us) = wall_us {
             inner
                 .histograms

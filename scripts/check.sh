@@ -13,7 +13,7 @@
 #                                     # indexed engine's scaling contract
 #     scripts/check.sh --obs-smoke    # also run a journaled study and
 #                                     # verify the journal + golden snapshot
-#     scripts/check.sh --analysis-smoke  # also run the frame-vs-naive
+#     scripts/check.sh --analysis-smoke  # also run the engine-vs-naive
 #                                        # study bench and the parity suite
 #     scripts/check.sh --pool-smoke   # also run the scaling bench at 1 and
 #                                     # 2 pool workers and fail if the
@@ -191,16 +191,16 @@ EOF
 fi
 
 if [ "$analysis_smoke" -eq 1 ]; then
-    # The one-pass analysis substrate: study_telemetry runs the naive
-    # and frame-backed report back to back and aborts if the rendered
-    # reports drift by a byte, then writes the stage-by-stage timings.
+    # The analysis engine: study_telemetry runs the naive oracle and
+    # the engine back to back and aborts if the rendered reports drift
+    # by a byte, then writes the stage-by-stage timings.
     bench="$(mktemp /tmp/analysis_smoke_XXXXXX.json)"
     echo "==> study_telemetry (writes $bench)"
     cargo run --release -p hbbtv-bench --bin study_telemetry -- "$bench"
     rm -f "$bench"
-    # Every analysis struct, frame vs naive, field by field.
-    echo "==> frame parity suite"
-    cargo test -q -p hbbtv-study --test frame_parity
+    # Every analysis struct, engine vs naive, field by field.
+    echo "==> engine parity suite"
+    cargo test -q -p hbbtv-study --test engine_parity
 fi
 
 if [ "$pool_smoke" -eq 1 ]; then

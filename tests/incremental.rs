@@ -1,8 +1,10 @@
 //! Property-based incrementality: random epoch boundaries must never
 //! change a single rendered byte.
 //!
-//! The incremental engine's contract is *incremental == build-once ==
-//! naive, byte-for-byte, at every step*. These properties drive it with
+//! The incremental engine's contract is *epoch-by-epoch == one-shot ==
+//! naive, byte-for-byte, at every step*. The one-shot
+//! `StudyReport::compute` seals one epoch per run, so it reaches the
+//! same fold through different epoch boundaries and invalidations. These properties drive it with
 //! randomly seeded studies cut at varying epoch boundaries — including
 //! a degenerate few-capture first epoch per run — and assert the
 //! rendered report after every appended epoch equals both reference
@@ -44,7 +46,7 @@ fn epoch_lengths(n: usize, cuts: &[usize]) -> Vec<usize> {
 /// `live`.
 fn assert_parity(live: &str, eco: &Ecosystem, prefix: &StudyDataset, at: &str) {
     let built = StudyReport::compute(eco, prefix).render(prefix);
-    assert_eq!(live, built.as_str(), "incremental != frame build {at}");
+    assert_eq!(live, built.as_str(), "incremental != one-shot {at}");
     let naive = StudyReport::compute_naive(eco, prefix).render(prefix);
     assert_eq!(live, naive.as_str(), "incremental != naive {at}");
 }
@@ -115,8 +117,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random epoch boundaries, parity at every prefix: after each
-    /// appended epoch the live render equals the build-once frame path
-    /// and the naive path over the same prefix dataset.
+    /// appended epoch the live render equals the one-shot engine and
+    /// the naive path over the same prefix dataset.
     #[test]
     fn random_epochs_render_identically_at_every_prefix(
         seed in 0u64..10_000,

@@ -10,8 +10,8 @@
 use hbbtv_broadcast::ChannelId;
 use hbbtv_ingest::fault::SplitMix64;
 use hbbtv_ingest::frame::{
-    capture_frame, parse_capture_batch, Ack, Bye, Command, ErrInfo, Frame, Hello, RunTrailer,
-    SessionStat, StatsReport, StatsRequest, VisitBegin, VisitEnd, PROTO_VERSION,
+    capture_frame, parse_capture_batch, Ack, Bye, Command, ErrInfo, Frame, FrameError, Hello,
+    RunTrailer, SessionStat, StatsReport, StatsRequest, VisitBegin, VisitEnd, PROTO_VERSION,
 };
 use hbbtv_ingest::FrameDecoder;
 use hbbtv_net::{Request, Response, Status, Timestamp};
@@ -321,4 +321,24 @@ fn capture_batch_decode_time_is_linear() {
 
     let ratio = best_decode_time(&two).as_secs_f64() / best_decode_time(&one).as_secs_f64();
     assert!(ratio < 3.0, "2x payload decodes {ratio:.2}x slower than 1x");
+}
+
+/// Deeply nested JSON fails with a typed error instead of overflowing
+/// the stack. The collector decodes on pool workers with 2 MiB stacks,
+/// so the payload is parsed on a thread of exactly that size: 100,000
+/// `[` bytes (well under `MAX_FRAME_LEN`) must come back as
+/// `BadPayload`, not abort the process.
+#[test]
+fn deeply_nested_capture_payload_is_a_typed_error() {
+    let payload = vec![b'['; 100_000];
+    let result = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || parse_capture_batch(&payload))
+        .expect("spawn a 2 MiB-stack decoder thread")
+        .join()
+        .expect("the decoder thread must not panic");
+    match result {
+        Err(FrameError::BadPayload { command, .. }) => assert_eq!(command, Command::Capture),
+        other => panic!("expected BadPayload, got {other:?}"),
+    }
 }

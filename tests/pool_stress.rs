@@ -46,8 +46,8 @@ fn chunk_partials_are_identical_across_worker_counts() {
     }
 }
 
-/// The whole study — harness fan-out, frame build, stage-parallel
-/// report — renders byte-identically at every forced worker count, and
+/// The whole study — harness fan-out, parallel epoch sealing, segment
+/// refreshes — renders byte-identically at every forced worker count, and
 /// identically to the strictly sequential reference.
 #[test]
 fn study_report_renders_identically_at_every_worker_count() {

@@ -5,16 +5,10 @@
 use hbbtv_study::obs::{Event, FieldValue, MemoryRecorder, NullRecorder};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, RunKind, StudyHarness, Telemetry, TelemetryConfig, TelemetryMode};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const SEED: u64 = 23;
 const SCALE: f64 = 0.05;
-
-/// Serializes the tests that read the process-global
-/// [`hbbtv_study::analysis::classify_calls`] counter against the other
-/// report-computing test in this binary, so concurrent classification
-/// can't skew the delta.
-static CLASSIFY_GATE: Mutex<()> = Mutex::new(());
 
 fn dataset_fingerprint(ds: &hbbtv_study::StudyDataset) -> Vec<String> {
     ds.runs
@@ -42,7 +36,6 @@ fn span_name(ev: &Event) -> Option<&str> {
 /// with telemetry on, off, and absent.
 #[test]
 fn telemetry_never_changes_the_study() {
-    let _gate = CLASSIFY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let eco = Ecosystem::with_scale(SEED, SCALE);
 
     let absent = StudyHarness::new(&eco).run_all();
@@ -70,15 +63,13 @@ fn telemetry_never_changes_the_study() {
     assert_eq!(plain.render(&absent), profiled.render(&journaled));
 }
 
-/// The issue's classify-once invariant: one study computes
-/// [`hbbtv_study::analysis::ExchangeClass::classify`] at most once per
-/// captured exchange — the shared frame is built once and every pass
-/// reads it, instead of each pass re-classifying the whole dataset.
-/// (The frame memoizes classification per distinct URL/party/kind
-/// triple, so the real call count lands well below one per exchange.)
+/// The classify-once invariant: one study classifies each exchange at
+/// most once. The analysis engine memoizes the five list verdicts per
+/// distinct (URL, party relation, content type) key and publishes its
+/// memo misses as `frame.classify_calls`, so the real classification
+/// count lands well below one per exchange.
 #[test]
 fn classify_runs_at_most_once_per_exchange_per_study() {
-    let _gate = CLASSIFY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let eco = Ecosystem::with_scale(SEED, SCALE);
     let dataset = StudyHarness::new(&eco).run_all();
     let total: u64 = dataset.runs.iter().map(|r| r.captures.len() as u64).sum();
@@ -89,20 +80,23 @@ fn classify_runs_at_most_once_per_exchange_per_study() {
         hbbtv_study::obs::SimClock::starting_at(hbbtv_study::obs::Timestamp::MEASUREMENT_START),
         1 << 41,
     );
-    let before = hbbtv_study::analysis::classify_calls();
     let report = StudyReport::compute_with_telemetry(&eco, &dataset, &tel);
-    let after = hbbtv_study::analysis::classify_calls();
-    let calls = after - before;
-    assert!(calls > 0, "the study classifies something");
+    let misses = tel.counter_value("frame.classify_calls");
+    assert!(misses > 0, "the study classifies something");
     assert!(
-        calls <= total,
-        "at most one classify call per exchange per study ({calls} > {total})"
+        misses <= total,
+        "at most one classification per exchange per study ({misses} > {total})"
     );
-    // The frame's deterministic cells agree with the dataset and with
-    // the observed call count.
-    assert_eq!(tel.counter_value("frame.classify_calls"), calls);
+    // Generated traffic repeats URLs heavily; the memo must actually
+    // collapse duplicates, not just bound them.
+    assert!(
+        misses < total / 2,
+        "{misses} classifications for {total} exchanges"
+    );
+    // The engine's table cells agree with the dataset.
     assert_eq!(tel.counter_value("frame.exchanges"), total);
-    assert!(tel.counter_value("frame.unique_urls") > 0);
+    let unique_urls = tel.counter_value("frame.unique_urls");
+    assert!(unique_urls > 0 && unique_urls <= total);
     assert!(tel.counter_value("frame.symbols") > 0);
     assert!(!report.first_parties.is_empty());
 }
