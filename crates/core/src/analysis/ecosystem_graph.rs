@@ -142,6 +142,41 @@ mod tests {
     }
 
     #[test]
+    fn frame_path_builds_the_identical_graph() {
+        let eco = Ecosystem::with_scale(51, 0.08);
+        let harness = StudyHarness::new(&eco);
+        let ds = crate::StudyDataset {
+            runs: vec![
+                harness.run(RunKind::General),
+                harness.run(RunKind::Red),
+                harness.run(RunKind::Yellow),
+            ],
+        };
+        let fp = FirstPartyMap::identify(&ds);
+        let naive = GraphAnalysis::compute(&ds, &fp);
+        let engine = crate::report::StudyReport::compute(&eco, &ds).graph;
+        let shape = |g: &GraphAnalysis| -> Vec<(String, Vec<String>)> {
+            g.graph
+                .nodes()
+                .map(|id| {
+                    (
+                        g.graph.label(id).to_string(),
+                        g.graph
+                            .neighbors(id)
+                            .map(|n| g.graph.label(n).to_string())
+                            .collect(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            shape(&engine),
+            shape(&naive),
+            "node ids and adjacency must match the naive insertion order"
+        );
+    }
+
+    #[test]
     fn tvping_connects_through_first_parties() {
         let g = analysis();
         let tvping = g.domain_degree("tvping.com").unwrap_or(0);

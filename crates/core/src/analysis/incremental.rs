@@ -1981,6 +1981,41 @@ mod tests {
     }
 
     #[test]
+    fn classification_is_memoized_across_duplicate_urls() {
+        let eco = Ecosystem::with_scale(11, 0.05);
+        let harness = StudyHarness::new(&eco);
+        let ds = StudyDataset {
+            runs: vec![harness.run(RunKind::General), harness.run(RunKind::Red)],
+        };
+        let mut b = FrameBuilder::seal_all(&ds, &Telemetry::disabled());
+        b.refresh();
+        let exchanges: usize = ds.runs.iter().map(|r| r.captures.len()).sum();
+        assert!(b.classify_calls > 0);
+        assert!(
+            b.classify_calls <= exchanges as u64,
+            "at most one classification per exchange"
+        );
+        assert!(b.url_texts.len() <= exchanges);
+        // Generated traffic repeats URLs heavily; the memo must actually
+        // collapse duplicates, not just bound them.
+        assert!(
+            b.classify_calls < exchanges as u64 / 2,
+            "{} classifications for {} exchanges",
+            b.classify_calls,
+            exchanges
+        );
+        // Exchanges sharing a URL symbol carry byte-identical URL texts.
+        for seg in &b.segments {
+            let cols = seg.cols.as_ref().expect("no budget, so nothing spills");
+            let caps = &ds.runs[seg.run_idx].captures;
+            assert_eq!(cols.len(), caps.len());
+            for (c, &u) in caps.iter().zip(&cols.url_sym) {
+                assert_eq!(b.url_texts[u as usize], c.request.url.to_text());
+            }
+        }
+    }
+
+    #[test]
     fn whole_run_appends_match_both_reference_paths() {
         let eco = Ecosystem::with_scale(11, 0.05);
         let harness = StudyHarness::new(&eco);
