@@ -838,18 +838,17 @@ impl FrameBuilder {
         if !flipped.is_empty() {
             self.fp_map =
                 FirstPartyMap::from_entries(self.elected.iter().map(|(ch, d)| (*ch, d.clone())));
-            let fp_syms: HashMap<ChannelId, u32> = self
+            self.fp_syms = self
                 .elected
                 .iter()
                 .map(|(ch, d)| (*ch, self.sym_of_etld1[d]))
                 .collect();
-            self.fp_syms = fp_syms;
-            let mut dirty: BTreeSet<usize> = BTreeSet::new();
-            for ch in &flipped {
-                if let Some(segs) = self.segs_of_channel.get(ch) {
-                    dirty.extend(segs.iter().copied());
-                }
-            }
+            let dirty: BTreeSet<usize> = flipped
+                .iter()
+                .filter_map(|ch| self.segs_of_channel.get(ch))
+                .flatten()
+                .copied()
+                .collect();
             for s in dirty {
                 self.segments[s].cookie = None;
                 self.segments[s].tracking = None;
@@ -858,16 +857,14 @@ impl FrameBuilder {
         }
         // Owner growth: a value gaining an owner invalidates the
         // syncing partial of every segment whose captures carry it.
-        if !owner_dirty.is_empty() {
-            let mut dirty: BTreeSet<usize> = BTreeSet::new();
-            for v in &owner_dirty {
-                if let Some(segs) = self.segs_of_value.get(v) {
-                    dirty.extend(segs.iter().copied());
-                }
-            }
-            for s in dirty {
-                self.segments[s].syncing = None;
-            }
+        let dirty: BTreeSet<usize> = owner_dirty
+            .iter()
+            .filter_map(|v| self.segs_of_value.get(v))
+            .flatten()
+            .copied()
+            .collect();
+        for s in dirty {
+            self.segments[s].syncing = None;
         }
 
         // Cache this segment's partials against the now-current state,
@@ -1079,37 +1076,19 @@ impl FrameBuilder {
         for &s in &dirty {
             self.ensure_resident(s);
         }
-        struct Job {
-            s: usize,
-            cols: SegmentCols,
-            run: RunKind,
-            need_cookie: bool,
-            need_tracking: bool,
-            need_graph: bool,
-            need_syncing: bool,
-        }
-        let jobs: Vec<Job> = dirty
+        let jobs: Vec<(usize, SegmentCols)> = dirty
             .iter()
-            .map(|&s| {
-                let seg = &mut self.segments[s];
-                Job {
-                    s,
-                    cols: seg.cols.take().expect("just made resident"),
-                    run: seg.run,
-                    need_cookie: seg.cookie.is_none(),
-                    need_tracking: seg.tracking.is_none(),
-                    need_graph: seg.graph.is_none(),
-                    need_syncing: seg.syncing.is_none(),
-                }
-            })
+            .map(|&s| (s, self.segments[s].cols.take().expect("just made resident")))
             .collect();
         let blocks: Vec<&SegmentCols> = jobs
             .iter()
-            .filter(|j| j.need_tracking)
-            .map(|j| &j.cols)
+            .filter(|(s, _)| self.segments[*s].tracking.is_none())
+            .map(|(_, cols)| cols)
             .collect();
         self.fill_class_memo(&blocks);
 
+        // A dirty segment's `None` partials are the ones to recompute.
+        let segments = &self.segments;
         let url_info = &self.url_info;
         let etld1s = &self.etld1s;
         let fp_syms = &self.fp_syms;
@@ -1122,47 +1101,36 @@ impl FrameBuilder {
             Option<Vec<(u64, u64)>>,
             Option<SyncSegment>,
         );
-        let results: Vec<Recompute> = par_map(&jobs, |_, job| {
-            let all = 0..job.cols.len();
-            let cookie = job
-                .need_cookie
-                .then(|| cookie_partial(&job.cols, all.clone(), fp_syms));
-            let tracking = job
-                .need_tracking
-                .then(|| tracking_partial(&job.cols, all.clone(), fp_syms, memo));
-            let graph = job
-                .need_graph
-                .then(|| graph_edges(&job.cols, all.clone(), fp_syms));
-            let syncing = job.need_syncing.then(|| {
-                sync_segment(
-                    &job.cols,
-                    all,
-                    job.run,
-                    url_info,
-                    sync_values,
-                    owners,
-                    etld1s,
-                )
-            });
+        let results: Vec<Recompute> = par_map(&jobs, |_, (s, cols)| {
+            let seg = &segments[*s];
+            let all = 0..cols.len();
+            let cookie = seg
+                .cookie
+                .is_none()
+                .then(|| cookie_partial(cols, all.clone(), fp_syms));
+            let tracking = seg
+                .tracking
+                .is_none()
+                .then(|| tracking_partial(cols, all.clone(), fp_syms, memo));
+            let graph = seg
+                .graph
+                .is_none()
+                .then(|| graph_edges(cols, all.clone(), fp_syms));
+            let syncing = seg
+                .syncing
+                .is_none()
+                .then(|| sync_segment(cols, all, seg.run, url_info, sync_values, owners, etld1s));
             (cookie, tracking, graph, syncing)
         });
 
         self.delta_recomputes += jobs.len() as u64;
-        for (job, (cookie, tracking, graph, syncing)) in jobs.into_iter().zip(results) {
-            let seg = &mut self.segments[job.s];
-            if let Some(p) = cookie {
-                seg.cookie = Some(p);
-            }
-            if let Some(p) = tracking {
-                seg.tracking = Some(p);
-            }
-            if let Some(p) = graph {
-                seg.graph = Some(p);
-            }
-            if let Some(p) = syncing {
-                seg.syncing = Some(p);
-            }
-            seg.cols = Some(job.cols);
+        for ((s, cols), (cookie, tracking, graph, syncing)) in jobs.into_iter().zip(results) {
+            let seg = &mut self.segments[s];
+            seg.cookie = seg.cookie.take().or(cookie);
+            seg.tracking = seg.tracking.take().or(tracking);
+            seg.graph = seg.graph.take().or(graph);
+            seg.syncing = seg.syncing.take().or(syncing);
+            seg.cols = Some(cols);
         }
         self.enforce_budget();
     }
