@@ -25,7 +25,11 @@ fn bench_tables(c: &mut Criterion) {
     c.bench_function("table1", |b| {
         b.iter(|| {
             let cookies = CookieAnalysis::compute(black_box(&dataset), &fp);
-            black_box(tables::table1(&dataset, &cookies))
+            black_box(tables::table1(
+                &dataset,
+                &cookies,
+                &dataset.protocol_splits(),
+            ))
         })
     });
 

@@ -44,7 +44,10 @@ fn main() {
         println!("{funnel}\n");
     }
     if want("table1") {
-        println!("{}", tables::table1(&dataset, &report.cookies));
+        println!(
+            "{}",
+            tables::table1(&dataset, &report.cookies, &report.protocol)
+        );
     }
     if want("table2") {
         println!("{}", tables::table2(&report.cookies));

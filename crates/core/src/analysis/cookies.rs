@@ -110,29 +110,32 @@ pub(crate) struct SymCookiePartial {
 }
 
 impl SymCookiePartial {
-    pub(crate) fn merge(&mut self, other: SymCookiePartial) {
-        self.keys.extend(other.keys);
-        self.fp_keys.extend(other.fp_keys);
-        self.tp_keys.extend(other.tp_keys);
-        for (party, keys) in other.tp_parties {
-            self.tp_parties.entry(party).or_default().extend(keys);
+    pub(crate) fn merge(&mut self, other: &SymCookiePartial) {
+        self.keys.extend(&other.keys);
+        self.fp_keys.extend(&other.fp_keys);
+        self.tp_keys.extend(&other.tp_keys);
+        for (party, keys) in &other.tp_parties {
+            self.tp_parties.entry(*party).or_default().extend(keys);
         }
-        self.keys_by_tracking.extend(other.keys_by_tracking);
-        self.parties.extend(other.parties);
-        for (ch, keys) in other.per_channel_keys {
-            self.per_channel_keys.entry(ch).or_default().extend(keys);
+        self.keys_by_tracking.extend(&other.keys_by_tracking);
+        self.parties.extend(&other.parties);
+        for (ch, keys) in &other.per_channel_keys {
+            self.per_channel_keys.entry(*ch).or_default().extend(keys);
         }
-        for (ch, keys) in other.per_channel_3p_keys {
-            self.per_channel_3p_keys.entry(ch).or_default().extend(keys);
+        for (ch, keys) in &other.per_channel_3p_keys {
+            self.per_channel_3p_keys
+                .entry(*ch)
+                .or_default()
+                .extend(keys);
         }
-        for (party, chs) in other.party_channels {
-            self.party_channels.entry(party).or_default().extend(chs);
+        for (party, chs) in &other.party_channels {
+            self.party_channels.entry(*party).or_default().extend(chs);
         }
     }
 
     /// Resolves symbols back to the strings [`CookieAnalysis::finish`]
     /// aggregates over, given the engine's interning tables.
-    pub(crate) fn resolve(self, cookie_keys: &[CookieKey], etld1s: &[Etld1]) -> CookiePartial {
+    pub(crate) fn resolve(&self, cookie_keys: &[CookieKey], etld1s: &[Etld1]) -> CookiePartial {
         let key = |s: &u32| cookie_keys[*s as usize].clone();
         let dom = |s: &u32| etld1s[*s as usize].clone();
         CookiePartial {
@@ -158,8 +161,8 @@ impl SymCookiePartial {
                 .collect(),
             party_channels: self
                 .party_channels
-                .into_iter()
-                .map(|(p, chs)| (dom(&p), chs))
+                .iter()
+                .map(|(p, chs)| (dom(p), chs.clone()))
                 .collect(),
         }
     }

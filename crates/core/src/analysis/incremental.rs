@@ -1,5 +1,5 @@
 //! The analysis engine: epoch segments, cached per-pass partials, and
-//! O(k) report deltas.
+//! running accumulators that make a report cost O(new epochs).
 //!
 //! Every §V–§VII finding is computed here, by one engine with two
 //! front ends. [`StudyReport::compute`] seals each run of a borrowed
@@ -8,9 +8,9 @@
 //! boundaries inside each run), and can report at any prefix. Both end
 //! in the same fold sequence, and both are byte-identical to the naive
 //! oracle [`StudyReport::compute_naive`]. Appending an epoch costs work
-//! proportional to the epoch (plus any earlier segments invalidated by
-//! a first-party flip or a new sync-value owner), not to the whole
-//! dataset:
+//! proportional to the epoch, and so does the next report (plus, for
+//! both, any earlier segments invalidated by a first-party flip or a
+//! new sync-value owner), not to the whole dataset:
 //!
 //! * Each epoch seals into an immutable [`SegmentCols`] block of
 //!   fixed-width symbol columns. The variable-width tables (URL texts,
@@ -23,13 +23,23 @@
 //!   classification keys over the worker pool. Interning stays
 //!   sequential in capture order, so symbols and outputs are the same
 //!   at any worker count.
-//! * Every analysis pass keeps a per-segment partial; a report folds
-//!   the cached partials and resolves symbols once at the end.
+//! * Every analysis pass keeps a per-segment partial, and sealing
+//!   merges it into a running accumulator: per run for cookies,
+//!   tracking, §IV-D counts and the HTTPS count of Table I; across runs
+//!   for leakage, sync transfers (in segment order) and the ecosystem
+//!   graph (distinct edges in segment order). A report reads the
+//!   accumulators, resolves their symbols, and re-measures the graph
+//!   only if it gained an edge; it merges no segment partial and reads
+//!   no capture.
 //! * Partials that depend on cross-epoch state — the first-party
 //!   election (cookies, tracking, graph) and the sync-value owner
 //!   table (syncing) — are invalidated per segment when that state
 //!   actually changes and recomputed from the segment's columns on the
-//!   next report, reloading spilled columns on demand.
+//!   next report, reloading spilled columns on demand. Set unions
+//!   cannot be undone, so the refresh then rebuilds the accumulators
+//!   the stale partials went into from the segments' partials: the
+//!   runs of the recomputed segments, and the graph or sync
+//!   accumulator when their partials were recomputed.
 //! * A resident-byte budget ([`FRAME_BUDGET_ENV`], or an explicit
 //!   [`IncrementalStudy::with_budget`]) caps how many segment blocks
 //!   stay in memory; the least-recently-used blocks spill through
@@ -57,7 +67,7 @@ use crate::analysis::syncing::{is_potential_id, SyncEvent, SyncingAnalysis};
 use crate::analysis::tracking::{
     is_fingerprint_script, is_tracking_pixel, SymTrackingPartial, TrackingAnalysis, TrackingRow,
 };
-use crate::dataset::{RunDataset, StudyDataset};
+use crate::dataset::{protocol_split, RunDataset, StudyDataset};
 use crate::report::StudyReport;
 use crate::run::RunKind;
 use crate::Ecosystem;
@@ -292,13 +302,6 @@ struct Segment {
     graph: Option<Vec<(u64, u64)>>,
     /// §V-C3 partial; `None` = invalidated by owner-table growth.
     syncing: Option<SyncSegment>,
-    /// §V-B partial (never invalidated: leakage is election-free).
-    leakage: LeakSegment,
-    /// Per-channel request counts for §IV-D.
-    sig_req: BTreeMap<ChannelId, usize>,
-    /// Per-channel cookie-setting counts for §IV-D (zero entries mark
-    /// channels seen without cookies, as the naive scan records).
-    sig_cok: BTreeMap<ChannelId, usize>,
 }
 
 /// Per-segment §V-C3 partial: the detected transfers, in capture
@@ -313,12 +316,12 @@ struct SyncSegment {
 }
 
 impl SyncSegment {
-    fn merge(&mut self, other: SyncSegment) {
-        self.events.extend(other.events);
-        self.synced.extend(other.synced);
-        self.domains.extend(other.domains);
-        self.channels.extend(other.channels);
-        self.runs.extend(other.runs);
+    fn merge(&mut self, other: &SyncSegment) {
+        self.events.extend(other.events.iter().cloned());
+        self.synced.extend(other.synced.iter().cloned());
+        self.domains.extend(other.domains.iter().cloned());
+        self.channels.extend(&other.channels);
+        self.runs.extend(&other.runs);
     }
 }
 
@@ -370,25 +373,48 @@ struct EpochPartial {
 
 impl EpochPartial {
     fn merge(&mut self, other: EpochPartial) {
-        self.cookie.merge(other.cookie);
-        self.tracking.merge(other.tracking);
+        self.cookie.merge(&other.cookie);
+        self.tracking.merge(&other.tracking);
         self.graph.extend(other.graph);
-        self.syncing.merge(other.syncing);
+        self.syncing.merge(&other.syncing);
         self.leakage.merge(other.leakage);
-        for (ch, n) in other.sig_req {
-            *self.sig_req.entry(ch).or_insert(0) += n;
-        }
-        for (ch, n) in other.sig_cok {
-            *self.sig_cok.entry(ch).or_insert(0) += n;
-        }
+        add_counts(&mut self.sig_req, &other.sig_req);
+        add_counts(&mut self.sig_cok, &other.sig_cok);
         self.channels.extend(other.channels);
         self.values.extend(other.values);
     }
 }
 
-/// Per-run §VI partial, computed once when the run is pushed
-/// (screenshots arrive with the run metadata, not with capture
-/// epochs).
+/// Adds per-channel counts into `into`.
+fn add_counts(into: &mut BTreeMap<ChannelId, usize>, from: &BTreeMap<ChannelId, usize>) {
+    for (ch, n) in from {
+        *into.entry(*ch).or_insert(0) += n;
+    }
+}
+
+/// One run's running accumulators: the partials of every segment of
+/// the run, merged as the segment seals, so a report reads them
+/// instead of re-merging segments.
+#[derive(Default)]
+struct RunAcc {
+    /// §VI partial, computed when the run is pushed (screenshots arrive
+    /// with the run metadata, not with capture epochs).
+    consent: ConsentRunPartial,
+    /// §V-C partials of the run's segments; rebuilt from them when a
+    /// refresh recomputes one.
+    cookie: SymCookiePartial,
+    /// §V-D partials of the run's segments; rebuilt like `cookie`.
+    tracking: SymTrackingPartial,
+    /// Per-channel request counts for §IV-D.
+    sig_req: BTreeMap<ChannelId, usize>,
+    /// Per-channel cookie-setting counts for §IV-D (zero entries mark
+    /// channels seen without cookies, as the naive scan records).
+    sig_cok: BTreeMap<ChannelId, usize>,
+    /// HTTPS captures sealed so far, for Table I.
+    https: usize,
+}
+
+/// Per-run §VI partial.
 #[derive(Default)]
 struct ConsentRunPartial {
     overlays: OverlayRow,
@@ -495,8 +521,27 @@ pub(crate) struct FrameBuilder {
     /// The materialized observations of channels whose policy declares
     /// a window, caught up with `tracking_obs` on each report.
     window_obs: HashMap<u32, Vec<TrackingObservation>>,
-    // ---- per-run consent partials ----
-    consent_runs: Vec<ConsentRunPartial>,
+    // ---- running accumulators (see `fold_segment`) ----
+    /// One per run, in dataset order.
+    runs: Vec<RunAcc>,
+    /// The §V-C partials of every run, merged.
+    cookie_all: SymCookiePartial,
+    /// The §V-D partials of every run, merged.
+    tracking_all: SymTrackingPartial,
+    /// §V-B over every segment (election-free, so never rebuilt).
+    leakage: LeakSegment,
+    /// §V-C3 over every segment, transfers in segment order.
+    syncing: SyncSegment,
+    /// The distinct unordered edges in `graph`.
+    graph_seen: HashSet<(u64, u64)>,
+    /// The ecosystem graph: every segment's edges in segment order.
+    graph: Graph,
+    /// The last report's measurement of `graph`; `None` once an edge
+    /// is added.
+    graph_measured: Option<GraphAnalysis>,
+    /// Segment partials merged into the accumulators so far, rebuilds
+    /// included.
+    partials_folded: u64,
     needles: LeakNeedles,
     // ---- segments and residency ----
     segments: Vec<Segment>,
@@ -512,7 +557,8 @@ pub(crate) struct FrameBuilder {
     resident_bytes: usize,
     peak_resident_bytes: usize,
     delta_recomputes: u64,
-    /// Spill counters already forwarded to telemetry.
+    /// Counters already forwarded to telemetry.
+    emitted_partials_folded: u64,
     emitted_spill_writes: u64,
     emitted_spill_loads: u64,
 }
@@ -549,7 +595,15 @@ impl FrameBuilder {
             new_docs: Vec::new(),
             tracking_obs: HashMap::new(),
             window_obs: HashMap::new(),
-            consent_runs: Vec::new(),
+            runs: Vec::new(),
+            cookie_all: SymCookiePartial::default(),
+            tracking_all: SymTrackingPartial::default(),
+            leakage: LeakSegment::default(),
+            syncing: SyncSegment::default(),
+            graph_seen: HashSet::new(),
+            graph: Graph::new(),
+            graph_measured: None,
+            partials_folded: 0,
             needles: LeakNeedles::new(),
             segments: Vec::new(),
             segs_of_channel: HashMap::new(),
@@ -559,6 +613,7 @@ impl FrameBuilder {
             resident_bytes: 0,
             peak_resident_bytes: 0,
             delta_recomputes: 0,
+            emitted_partials_folded: 0,
             emitted_spill_writes: 0,
             emitted_spill_loads: 0,
         }
@@ -625,7 +680,7 @@ impl FrameBuilder {
         let t0 = std::time::Instant::now();
         let mut b = FrameBuilder::new(None);
         for (r, run_ds) in dataset.runs.iter().enumerate() {
-            b.consent_runs.push(consent_partial(run_ds));
+            b.push_run(run_ds);
             b.append_epoch(r, run_ds.run, &run_ds.captures, 0);
         }
         if tel.mode().profile_on() {
@@ -648,6 +703,14 @@ impl FrameBuilder {
                 .add(b.url_texts.len() as u64);
         }
         b
+    }
+
+    /// Opens the accumulators of a run (its captures arrive as epochs).
+    fn push_run(&mut self, run_ds: &RunDataset) {
+        self.runs.push(RunAcc {
+            consent: consent_partial(run_ds),
+            ..RunAcc::default()
+        });
     }
 
     /// Seals one epoch of captures (already appended to run `run_idx`
@@ -716,6 +779,7 @@ impl FrameBuilder {
             ..SegmentCols::default()
         };
         let mut body_leaks: Vec<Option<(bool, bool)>> = Vec::with_capacity(caps.len());
+        let mut https = 0usize;
         let mut election_touched: BTreeSet<ChannelId> = BTreeSet::new();
         let mut owner_dirty: BTreeSet<u32> = BTreeSet::new();
 
@@ -729,6 +793,7 @@ impl FrameBuilder {
                 let info = &self.url_info[u as usize];
                 (info.etld1_sym, info.guarded)
             };
+            https += usize::from(c.is_https());
             let ct = c.response.content_type as u8;
             debug_assert_eq!(content_type_from_u8(ct), c.response.content_type);
             let mut flags = 0u8;
@@ -885,6 +950,11 @@ impl FrameBuilder {
 
         let seg_id = self.segments.len();
         let bytes = cols.byte_size();
+        let acc = &mut self.runs[run_idx];
+        acc.https += https;
+        add_counts(&mut acc.sig_req, &p.sig_req);
+        add_counts(&mut acc.sig_cok, &p.sig_cok);
+        self.leakage.merge(p.leakage);
         self.segments.push(Segment {
             run_idx,
             run,
@@ -894,10 +964,8 @@ impl FrameBuilder {
             tracking: Some(p.tracking),
             graph: Some(dedup_edges(p.graph)),
             syncing: Some(p.syncing),
-            leakage: p.leakage,
-            sig_req: p.sig_req,
-            sig_cok: p.sig_cok,
         });
+        self.fold_segment(seg_id);
         for ch in p.channels {
             self.segs_of_channel.entry(ch).or_default().push(seg_id);
         }
@@ -908,6 +976,86 @@ impl FrameBuilder {
         self.resident_bytes += bytes;
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
         self.enforce_budget();
+    }
+
+    /// Merges segment `s`'s fresh partials into the running
+    /// accumulators: cookie and tracking into its run's and the all-run
+    /// ones, its sync transfers after the earlier segments', and its
+    /// edges the graph lacks. Counts one fold.
+    fn fold_segment(&mut self, s: usize) {
+        let seg = &self.segments[s];
+        let acc = &mut self.runs[seg.run_idx];
+        let cookie = seg.cookie.as_ref().expect("fresh");
+        let tracking = seg.tracking.as_ref().expect("fresh");
+        acc.cookie.merge(cookie);
+        acc.tracking.merge(tracking);
+        self.cookie_all.merge(cookie);
+        self.tracking_all.merge(tracking);
+        self.syncing.merge(seg.syncing.as_ref().expect("fresh"));
+        self.add_edges(s);
+        self.partials_folded += 1;
+    }
+
+    /// Adds segment `s`'s edges that the graph lacks, in order, and
+    /// drops the cached measurement if any edge was new.
+    fn add_edges(&mut self, s: usize) {
+        for &(a, b) in self.segments[s].graph.as_ref().expect("fresh") {
+            if self.graph_seen.insert((a.min(b), a.max(b))) {
+                let label = |id| graph_label(id, &self.glabels, &self.etld1s);
+                self.graph.add_edge(label(a), label(b));
+                self.graph_measured = None;
+            }
+        }
+    }
+
+    /// Rebuilds the accumulators a refresh left stale from the
+    /// segments' fresh partials: the cookie and tracking accumulators
+    /// of each run in `runs` (then the all-run ones from the runs'),
+    /// the graph if a segment's edges were recomputed, and the sync
+    /// transfers if a segment's were. Every segment re-folded counts
+    /// one fold.
+    fn rebuild(&mut self, runs: &BTreeSet<usize>, graph: bool, syncing: bool) {
+        for &r in runs {
+            let acc = &mut self.runs[r];
+            acc.cookie = SymCookiePartial::default();
+            acc.tracking = SymTrackingPartial::default();
+            for seg in self.segments.iter().filter(|seg| seg.run_idx == r) {
+                acc.cookie.merge(seg.cookie.as_ref().expect("refreshed"));
+                acc.tracking
+                    .merge(seg.tracking.as_ref().expect("refreshed"));
+            }
+        }
+        if !runs.is_empty() {
+            self.cookie_all = SymCookiePartial::default();
+            self.tracking_all = SymTrackingPartial::default();
+            for acc in &self.runs {
+                self.cookie_all.merge(&acc.cookie);
+                self.tracking_all.merge(&acc.tracking);
+            }
+        }
+        if graph {
+            self.graph_seen.clear();
+            self.graph = Graph::new();
+            self.graph_measured = None;
+            for s in 0..self.segments.len() {
+                self.add_edges(s);
+            }
+        }
+        if syncing {
+            self.syncing = SyncSegment::default();
+            for seg in &self.segments {
+                self.syncing.merge(seg.syncing.as_ref().expect("refreshed"));
+            }
+        }
+        let refolded = if graph || syncing {
+            self.segments.len()
+        } else {
+            self.segments
+                .iter()
+                .filter(|seg| runs.contains(&seg.run_idx))
+                .count()
+        };
+        self.partials_folded += refolded as u64;
     }
 
     /// Reloads segment `s`'s columns if spilled and marks it most
@@ -1046,7 +1194,8 @@ impl FrameBuilder {
 
     /// Recomputes every invalidated partial from its segment's columns
     /// (reloading spilled columns on demand), counting the segments in
-    /// `delta_recomputes`.
+    /// `delta_recomputes`, and rebuilds the accumulators the stale
+    /// partials had been folded into.
     ///
     /// The recomputes fan out over the worker pool: an election flip
     /// invalidates every segment carrying the flipped channel, so a
@@ -1124,19 +1273,28 @@ impl FrameBuilder {
         });
 
         self.delta_recomputes += jobs.len() as u64;
+        let mut stale_runs = BTreeSet::new();
+        let (mut graph_stale, mut sync_stale) = (false, false);
         for ((s, cols), (cookie, tracking, graph, syncing)) in jobs.into_iter().zip(results) {
             let seg = &mut self.segments[s];
+            if cookie.is_some() || tracking.is_some() {
+                stale_runs.insert(seg.run_idx);
+            }
+            graph_stale |= graph.is_some();
+            sync_stale |= syncing.is_some();
             seg.cookie = seg.cookie.take().or(cookie);
             seg.tracking = seg.tracking.take().or(tracking);
             seg.graph = seg.graph.take().or(graph);
             seg.syncing = seg.syncing.take().or(syncing);
             seg.cols = Some(cols);
         }
+        self.rebuild(&stale_runs, graph_stale, sync_stale);
         self.enforce_budget();
     }
 
     /// The fold sequence both front ends report through: refreshes
-    /// invalidated partials, then folds every pass over `dataset` (the
+    /// invalidated partials (rebuilding the accumulators they were in),
+    /// then resolves every pass's accumulators against `dataset` (the
     /// dataset the segments were sealed from), each under its
     /// `analysis.*` span on `tel`, in canonical order. The
     /// first-parties span covers the refresh, the work a first-party
@@ -1190,9 +1348,10 @@ impl FrameBuilder {
         };
         let significance = {
             let _s = tel.span("analysis.significance");
-            self.fold_significance(dataset)
+            self.fold_significance()
         };
         StudyReport {
+            protocol: self.fold_protocol(dataset),
             first_parties,
             leakage,
             cookies,
@@ -1208,18 +1367,13 @@ impl FrameBuilder {
         }
     }
 
-    // ---- folds (all partials must be fresh; see `refresh`) ----
+    // ---- folds: each resolves its accumulators (`refresh` first) ----
 
     fn fold_cookies(&self, dataset: &StudyDataset) -> CookieAnalysis {
         let mut per_run = BTreeMap::new();
         let mut third_party_per_run = BTreeMap::new();
-        let mut global = SymCookiePartial::default();
-        let mut ls_total = 0usize;
-        for (r, run_ds) in dataset.runs.iter().enumerate() {
-            let mut run = SymCookiePartial::default();
-            for seg in self.segments.iter().filter(|s| s.run_idx == r) {
-                run.merge(seg.cookie.clone().expect("refreshed"));
-            }
+        for (run_ds, acc) in dataset.runs.iter().zip(&self.runs) {
+            let run = &acc.cookie;
             per_run.insert(
                 run_ds.run,
                 CookieRow {
@@ -1229,7 +1383,6 @@ impl FrameBuilder {
                     local_storage: run_ds.local_storage.len(),
                 },
             );
-            ls_total += run_ds.local_storage.len();
             // The naive path iterates parties in eTLD+1 order and f64
             // summation is order-sensitive, so sort before describing.
             let mut party_counts: Vec<(&Etld1, usize)> = run
@@ -1247,135 +1400,89 @@ impl FrameBuilder {
                     per_party: describe(&counts),
                 },
             );
-            global.merge(run);
         }
         CookieAnalysis::finish(
             per_run,
             third_party_per_run,
-            global.resolve(&self.cookie_keys, &self.etld1s),
-            ls_total,
+            self.cookie_all.resolve(&self.cookie_keys, &self.etld1s),
+            dataset.runs.iter().map(|r| r.local_storage.len()).sum(),
         )
     }
 
     fn fold_tracking(&self, dataset: &StudyDataset) -> TrackingAnalysis {
         let mut per_run = BTreeMap::new();
-        let mut global = SymTrackingPartial::default();
-        for (r, run_ds) in dataset.runs.iter().enumerate() {
-            let mut merged = SymTrackingPartial::default();
-            for seg in self.segments.iter().filter(|s| s.run_idx == r) {
-                merged.merge(seg.tracking.clone().expect("refreshed"));
-            }
+        for (run_ds, acc) in dataset.runs.iter().zip(&self.runs) {
+            let merged = &acc.tracking.row;
             let row: &mut TrackingRow = per_run.entry(run_ds.run).or_default();
-            row.on_pihole += merged.row.on_pihole;
-            row.on_easylist += merged.row.on_easylist;
-            row.on_easyprivacy += merged.row.on_easyprivacy;
-            row.tracking_pixels += merged.row.tracking_pixels;
-            row.fingerprints += merged.row.fingerprints;
-            global.merge(merged);
+            row.on_pihole += merged.on_pihole;
+            row.on_easylist += merged.on_easylist;
+            row.on_easyprivacy += merged.on_easyprivacy;
+            row.tracking_pixels += merged.tracking_pixels;
+            row.fingerprints += merged.fingerprints;
         }
-        TrackingAnalysis::finish(per_run, global.resolve(&self.etld1s))
+        TrackingAnalysis::finish(per_run, self.tracking_all.resolve(&self.etld1s))
     }
 
-    fn fold_significance(&self, dataset: &StudyDataset) -> SignificanceReport {
+    fn fold_significance(&self) -> SignificanceReport {
         let mut requests_by_run: Vec<Vec<f64>> = Vec::new();
         let mut cookies_by_run: Vec<Vec<f64>> = Vec::new();
         let mut per_channel: BTreeMap<ChannelId, Vec<f64>> = BTreeMap::new();
-        for r in 0..dataset.runs.len() {
-            let mut req: BTreeMap<ChannelId, usize> = BTreeMap::new();
-            let mut cok: BTreeMap<ChannelId, usize> = BTreeMap::new();
-            for seg in self.segments.iter().filter(|s| s.run_idx == r) {
-                for (ch, n) in &seg.sig_req {
-                    *req.entry(*ch).or_insert(0) += n;
-                }
-                for (ch, n) in &seg.sig_cok {
-                    *cok.entry(*ch).or_insert(0) += n;
-                }
-            }
-            requests_by_run.push(req.values().map(|&n| n as f64).collect());
-            cookies_by_run.push(cok.values().map(|&n| n as f64).collect());
-            for (ch, n) in req {
-                per_channel.entry(ch).or_default().push(n as f64);
+        for acc in &self.runs {
+            requests_by_run.push(acc.sig_req.values().map(|&n| n as f64).collect());
+            cookies_by_run.push(acc.sig_cok.values().map(|&n| n as f64).collect());
+            for (ch, &n) in &acc.sig_req {
+                per_channel.entry(*ch).or_default().push(n as f64);
             }
         }
         SignificanceReport::finish(requests_by_run, cookies_by_run, per_channel)
     }
 
     fn fold_leakage(&self) -> LeakageAnalysis {
-        let mut channels_with_technical = BTreeSet::new();
-        let mut technical_receivers = BTreeSet::new();
-        let mut channels_with_genre = BTreeSet::new();
-        let mut personal = 0usize;
-        let mut brands = BTreeSet::new();
-        let mut per_channel: BTreeMap<ChannelId, usize> = BTreeMap::new();
-        for seg in &self.segments {
-            let l = &seg.leakage;
-            channels_with_technical.extend(l.channels_with_technical.iter().copied());
-            technical_receivers.extend(
-                l.technical_receivers
-                    .iter()
-                    .map(|&s| self.etld1s[s as usize].clone()),
-            );
-            channels_with_genre.extend(l.channels_with_genre.iter().copied());
-            personal += l.personal;
-            brands.extend(l.brands.iter().cloned());
-            for (ch, n) in &l.per_channel {
-                *per_channel.entry(*ch).or_insert(0) += n;
-            }
-        }
+        let l = &self.leakage;
         LeakageAnalysis {
-            channels_with_technical,
-            technical_receivers,
-            channels_with_genre,
-            personal_data_requests: personal,
-            brands_observed: brands,
-            per_channel,
+            channels_with_technical: l.channels_with_technical.clone(),
+            technical_receivers: l
+                .technical_receivers
+                .iter()
+                .map(|&s| self.etld1s[s as usize].clone())
+                .collect(),
+            channels_with_genre: l.channels_with_genre.clone(),
+            personal_data_requests: l.personal,
+            brands_observed: l.brands.clone(),
+            per_channel: l.per_channel.clone(),
         }
     }
 
     fn fold_syncing(&self) -> SyncingAnalysis {
-        let mut events = Vec::new();
-        let mut synced_values = BTreeSet::new();
-        let mut syncing_domains = BTreeSet::new();
-        let mut channels = BTreeSet::new();
-        let mut runs = BTreeSet::new();
-        for seg in &self.segments {
-            let s = seg.syncing.as_ref().expect("refreshed");
-            events.extend(s.events.iter().cloned());
-            synced_values.extend(s.synced.iter().cloned());
-            syncing_domains.extend(s.domains.iter().cloned());
-            channels.extend(s.channels.iter().copied());
-            runs.extend(s.runs.iter().copied());
-        }
+        let s = &self.syncing;
         SyncingAnalysis {
             potential_ids: self.potential_ids,
             timestamp_exclusions: self.timestamp_exclusions,
-            synced_values,
-            events,
-            syncing_domains,
-            channels,
-            runs,
+            synced_values: s.synced.clone(),
+            events: s.events.clone(),
+            syncing_domains: s.domains.clone(),
+            channels: s.channels.clone(),
+            runs: s.runs.clone(),
         }
     }
 
-    fn glabel(&self, id: u64) -> &str {
-        if id >= DOMAIN_BASE {
-            self.etld1s[(id - DOMAIN_BASE) as usize].as_str()
-        } else {
-            self.glabels[id as usize].as_str()
-        }
+    /// The graph's measurement, re-taken only when an edge was added
+    /// since the last report.
+    fn fold_graph(&mut self) -> GraphAnalysis {
+        let graph = &self.graph;
+        self.graph_measured
+            .get_or_insert_with(|| GraphAnalysis::measure(graph.clone()))
+            .clone()
     }
 
-    fn fold_graph(&self) -> GraphAnalysis {
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
-        let mut graph = Graph::new();
-        for seg in &self.segments {
-            for &(a, b) in seg.graph.as_ref().expect("refreshed") {
-                if seen.insert((a.min(b), a.max(b))) {
-                    graph.add_edge(self.glabel(a), self.glabel(b));
-                }
-            }
-        }
-        GraphAnalysis::measure(graph)
+    /// Table I's request split per run, from the sealed HTTPS counts.
+    fn fold_protocol(&self, dataset: &StudyDataset) -> Vec<(usize, usize, f64)> {
+        dataset
+            .runs
+            .iter()
+            .zip(&self.runs)
+            .map(|(run_ds, acc)| protocol_split(run_ds.captures.len(), acc.https))
+            .collect()
     }
 
     fn fold_consent(&self, dataset: &StudyDataset) -> ConsentAnalysis {
@@ -1386,7 +1493,11 @@ impl FrameBuilder {
         let mut brandings: BTreeMap<NoticeBranding, BTreeSet<ChannelId>> = BTreeMap::new();
         let mut deepest_layer_per_run = BTreeMap::new();
         let mut channels_with_pointer = BTreeSet::new();
-        for (run_ds, part) in dataset.runs.iter().zip(&self.consent_runs) {
+        for (run_ds, part) in dataset
+            .runs
+            .iter()
+            .zip(self.runs.iter().map(|acc| &acc.consent))
+        {
             overlays_per_run.insert(run_ds.run, part.overlays.clone());
             prevalence_per_run.insert(run_ds.run, part.prevalence.clone());
             deepest_layer_per_run.insert(run_ds.run, part.deepest);
@@ -1477,6 +1588,16 @@ impl FrameBuilder {
             .map(|(s, chs)| (self.cookie_keys[*s as usize].clone(), chs.clone()))
             .collect();
         ChildrenCaseStudy::compute(eco, tracking, &targeting, &cookie_channels)
+    }
+}
+
+/// The graph label of node `id`: a domain above [`DOMAIN_BASE`], a
+/// channel label below it.
+fn graph_label<'a>(id: u64, glabels: &'a [String], etld1s: &'a [Etld1]) -> &'a str {
+    if id >= DOMAIN_BASE {
+        etld1s[(id - DOMAIN_BASE) as usize].as_str()
+    } else {
+        glabels[id as usize].as_str()
     }
 }
 
@@ -1802,7 +1923,7 @@ impl IncrementalStudy {
     /// [`IncrementalStudy::extend_run`] for mid-run streaming.
     pub fn push_run(&mut self, mut run: RunDataset) {
         let caps = std::mem::take(&mut run.captures);
-        self.builder.consent_runs.push(consent_partial(&run));
+        self.builder.push_run(&run);
         self.dataset.runs.push(run);
         if !caps.is_empty() {
             self.extend_run(caps);
@@ -1838,8 +1959,12 @@ impl IncrementalStudy {
 
     /// Renders the report for everything appended so far —
     /// byte-identical to [`StudyReport::compute`] over the same
-    /// dataset. Costs one fold over cached partials plus recomputation
-    /// of whatever the latest epochs invalidated.
+    /// dataset. Reads the running accumulators, so the cost is
+    /// independent of how many segments came before: resolving symbols
+    /// over the distinct keys, re-measuring the graph if an edge was
+    /// added, SimHash grouping of the policy corpus, plus recomputing
+    /// whatever the latest epochs invalidated (and rebuilding the
+    /// accumulators that held it).
     pub fn report(&mut self, eco: &Ecosystem) -> StudyReport {
         let t0 = std::time::Instant::now();
         let before = self.builder.delta_recomputes;
@@ -1850,6 +1975,11 @@ impl IncrementalStudy {
         if self.tel.is_enabled() {
             self.tel.counter("frame.delta_reports").add(1);
             self.tel.counter("frame.delta_recomputes").add(recomputed);
+            let b = &mut self.builder;
+            self.tel
+                .counter("frame.partials_folded")
+                .add(b.partials_folded - b.emitted_partials_folded);
+            b.emitted_partials_folded = b.partials_folded;
             let w = self.builder.store.spill_writes - self.builder.emitted_spill_writes;
             if w > 0 {
                 self.tel.counter("frame.spill_writes").add(w);
@@ -1916,6 +2046,14 @@ impl IncrementalStudy {
     /// Segments whose partials were recomputed across all reports.
     pub fn delta_recomputes(&self) -> u64 {
         self.builder.delta_recomputes
+    }
+
+    /// Segment partials merged into the running accumulators so far:
+    /// one per sealed segment, plus one per segment a rebuild after a
+    /// recompute re-folds. A report with no new epoch and nothing to
+    /// recompute adds none.
+    pub fn partials_folded(&self) -> u64 {
+        self.builder.partials_folded
     }
 }
 
@@ -2068,7 +2206,8 @@ mod tests {
     /// One-capture epochs put a channel's image-only captures in sealed
     /// segments before the epoch that first elects its first party, so
     /// the election invalidates them and `refresh` must recompute their
-    /// partials. Every step still renders like the one-shot engine.
+    /// partials. Every step still renders like the one-shot engine, and
+    /// the last like the naive oracle.
     #[test]
     fn first_time_elections_recompute_sealed_segments() {
         let eco = Ecosystem::with_scale(11, 0.05);
@@ -2077,20 +2216,137 @@ mod tests {
         let caps = std::mem::take(&mut run.captures);
         let mut inc = IncrementalStudy::with_budget(None);
         inc.push_run(run.clone());
+        let mut live = String::new();
         for (n, c) in caps.into_iter().enumerate() {
             run.captures.push(c.clone());
             inc.extend_run(vec![c]);
             let ds = StudyDataset {
                 runs: vec![run.clone()],
             };
+            live = inc.render(&eco);
             assert_eq!(
-                inc.render(&eco),
+                live,
                 StudyReport::compute(&eco, &ds).render(&ds),
                 "after {} captures",
                 n + 1
             );
         }
         assert!(inc.delta_recomputes() > 0, "no segment was ever recomputed");
+        let ds = StudyDataset { runs: vec![run] };
+        assert_eq!(
+            live,
+            StudyReport::compute_naive(&eco, &ds).render(&ds),
+            "final render vs the naive oracle"
+        );
+    }
+
+    /// A channel whose first run carries only captures that cannot
+    /// elect a first party (images, JSON, ...) is first elected in the
+    /// second run. The election dirties first-run segments that earlier
+    /// reports already folded into that run's accumulators, so the
+    /// refresh must rebuild them. Both front ends share the
+    /// accumulators, so every epoch is checked against the naive
+    /// oracle.
+    #[test]
+    fn later_run_elections_rebuild_consumed_accumulators() {
+        let eco = Ecosystem::with_scale(11, 0.05);
+        let harness = StudyHarness::new(&eco);
+        let mut run1 = harness.run(RunKind::General);
+        let run2 = harness.run(RunKind::Red);
+        let electing = |c: &CapturedExchange| {
+            matches!(
+                c.response.content_type,
+                ContentType::Html | ContentType::JavaScript | ContentType::Css
+            )
+        };
+        // A channel run 2 elects that also has non-electing captures in
+        // run 1; run 1 keeps only those.
+        let fp2 = FirstPartyMap::identify(&StudyDataset {
+            runs: vec![run2.clone()],
+        });
+        let ch = run1
+            .captures
+            .iter()
+            .filter(|c| !electing(c))
+            .filter_map(|c| c.channel)
+            .find(|&ch| fp2.first_party(ch).is_some())
+            .expect("a channel both runs carry");
+        run1.captures
+            .retain(|c| c.channel != Some(ch) || !electing(c));
+
+        // The accumulator-fed structs in full (the graph by node order
+        // and adjacency: its label index is a HashMap), plus the render.
+        let shape = |r: &StudyReport, ds: &StudyDataset| {
+            let g = &r.graph.graph;
+            let graph: Vec<(&str, Vec<&str>)> = g
+                .nodes()
+                .map(|id| (g.label(id), g.neighbors(id).map(|n| g.label(n)).collect()))
+                .collect();
+            format!(
+                "{:?}\n{:?}\n{:?}\n{:?}\n{graph:?}\n{}",
+                r.cookies,
+                r.tracking,
+                r.syncing,
+                r.leakage,
+                r.render(ds)
+            )
+        };
+        let mut inc = IncrementalStudy::with_budget(None);
+        let mut ds = StudyDataset { runs: Vec::new() };
+        for run in [run1, run2] {
+            let mut meta = run;
+            let caps = std::mem::take(&mut meta.captures);
+            inc.push_run(meta.clone());
+            ds.runs.push(meta);
+            for chunk in caps.chunks(caps.len().div_ceil(6)) {
+                inc.extend_run(chunk.to_vec());
+                ds.runs
+                    .last_mut()
+                    .unwrap()
+                    .captures
+                    .extend_from_slice(chunk);
+                assert_eq!(
+                    shape(&inc.report(&eco), &ds),
+                    shape(&StudyReport::compute_naive(&eco, &ds), &ds),
+                    "after {} segments",
+                    inc.segments()
+                );
+            }
+        }
+        assert!(inc.delta_recomputes() > 0, "the election dirtied nothing");
+        assert!(
+            inc.partials_folded() > inc.segments() as u64,
+            "no accumulator was rebuilt"
+        );
+    }
+
+    /// The O(k) guard: a report folds only the segments sealed since
+    /// the last one. With nothing to recompute, every segment is folded
+    /// exactly once however often the study reports, and a report with
+    /// no new epoch folds nothing.
+    #[test]
+    fn reports_fold_each_segment_once() {
+        let eco = Ecosystem::with_scale(42, 0.05);
+        let ds = StudyHarness::new(&eco).run_all();
+        let epoch = ds.total_requests() / 60;
+        let mut inc = IncrementalStudy::with_budget(None);
+        for mut meta in ds.runs {
+            let caps = std::mem::take(&mut meta.captures);
+            inc.push_run(meta);
+            for chunk in caps.chunks(epoch) {
+                inc.extend_run(chunk.to_vec());
+                inc.report(&eco);
+                assert_eq!(inc.delta_recomputes(), 0, "this stream recomputes nothing");
+                assert_eq!(inc.partials_folded(), inc.segments() as u64);
+                inc.report(&eco);
+                assert_eq!(
+                    inc.partials_folded(),
+                    inc.segments() as u64,
+                    "a report with no new epoch folded a partial"
+                );
+            }
+        }
+        assert!(inc.segments() >= 50, "{} epochs", inc.segments());
     }
 
     /// `refresh` fans segment recomputes over the worker pool; with the

@@ -180,7 +180,7 @@ pub(crate) struct SymTrackingPartial {
 }
 
 impl SymTrackingPartial {
-    pub(crate) fn merge(&mut self, other: SymTrackingPartial) {
+    pub(crate) fn merge(&mut self, other: &SymTrackingPartial) {
         self.row.on_pihole += other.row.on_pihole;
         self.row.on_easylist += other.row.on_easylist;
         self.row.on_easyprivacy += other.row.on_easyprivacy;
@@ -189,61 +189,65 @@ impl SymTrackingPartial {
         self.total += other.total;
         self.perflyst_hits += other.perflyst_hits;
         self.kamran_hits += other.kamran_hits;
-        self.pixel_parties.extend(other.pixel_parties);
-        self.channels_with_pixels.extend(other.channels_with_pixels);
-        for (d, chs) in other.pixel_party_channels {
-            self.pixel_party_channels.entry(d).or_default().extend(chs);
+        self.pixel_parties.extend(&other.pixel_parties);
+        self.channels_with_pixels
+            .extend(&other.channels_with_pixels);
+        for (d, chs) in &other.pixel_party_channels {
+            self.pixel_party_channels.entry(*d).or_default().extend(chs);
         }
-        for (d, n) in other.pixel_party_requests {
-            *self.pixel_party_requests.entry(d).or_insert(0) += n;
+        for (d, n) in &other.pixel_party_requests {
+            *self.pixel_party_requests.entry(*d).or_insert(0) += n;
         }
-        self.fp_channels.extend(other.fp_channels);
-        self.fp_providers.extend(other.fp_providers);
-        self.fp_provider_is_fp.extend(other.fp_provider_is_fp);
+        self.fp_channels.extend(&other.fp_channels);
+        self.fp_providers.extend(&other.fp_providers);
+        self.fp_provider_is_fp.extend(&other.fp_provider_is_fp);
         self.fp_requests_first_party += other.fp_requests_first_party;
         self.fp_el += other.fp_el;
         self.fp_ep += other.fp_ep;
-        for (ch, n) in other.req_per_channel {
-            *self.req_per_channel.entry(ch).or_insert(0) += n;
+        for (ch, n) in &other.req_per_channel {
+            *self.req_per_channel.entry(*ch).or_insert(0) += n;
         }
-        for (ch, set) in other.trackers_per_channel {
-            self.trackers_per_channel.entry(ch).or_default().extend(set);
+        for (ch, set) in &other.trackers_per_channel {
+            self.trackers_per_channel
+                .entry(*ch)
+                .or_default()
+                .extend(set);
         }
     }
 
     /// Resolves symbol keys back to `Etld1` strings for
     /// [`TrackingAnalysis::finish`].
-    pub(crate) fn resolve(self, etld1s: &[Etld1]) -> TrackingPartial {
+    pub(crate) fn resolve(&self, etld1s: &[Etld1]) -> TrackingPartial {
         let domain = |s: &u32| etld1s[*s as usize].clone();
-        let domain_set = |s: BTreeSet<u32>| -> BTreeSet<Etld1> { s.iter().map(domain).collect() };
+        let domain_set = |s: &BTreeSet<u32>| -> BTreeSet<Etld1> { s.iter().map(domain).collect() };
         TrackingPartial {
-            row: self.row,
+            row: self.row.clone(),
             total: self.total,
             perflyst_hits: self.perflyst_hits,
             kamran_hits: self.kamran_hits,
-            pixel_parties: domain_set(self.pixel_parties),
-            channels_with_pixels: self.channels_with_pixels,
+            pixel_parties: domain_set(&self.pixel_parties),
+            channels_with_pixels: self.channels_with_pixels.clone(),
             pixel_party_channels: self
                 .pixel_party_channels
-                .into_iter()
-                .map(|(s, chs)| (domain(&s), chs))
+                .iter()
+                .map(|(s, chs)| (domain(s), chs.clone()))
                 .collect(),
             pixel_party_requests: self
                 .pixel_party_requests
-                .into_iter()
-                .map(|(s, n)| (domain(&s), n))
+                .iter()
+                .map(|(s, n)| (domain(s), *n))
                 .collect(),
-            fp_channels: self.fp_channels,
-            fp_providers: domain_set(self.fp_providers),
-            fp_provider_is_fp: domain_set(self.fp_provider_is_fp),
+            fp_channels: self.fp_channels.clone(),
+            fp_providers: domain_set(&self.fp_providers),
+            fp_provider_is_fp: domain_set(&self.fp_provider_is_fp),
             fp_requests_first_party: self.fp_requests_first_party,
             fp_el: self.fp_el,
             fp_ep: self.fp_ep,
-            req_per_channel: self.req_per_channel,
+            req_per_channel: self.req_per_channel.clone(),
             trackers_per_channel: self
                 .trackers_per_channel
-                .into_iter()
-                .map(|(ch, set)| (ch, domain_set(set)))
+                .iter()
+                .map(|(ch, set)| (*ch, domain_set(set)))
                 .collect(),
         }
     }

@@ -53,18 +53,23 @@ pub struct RunDataset {
     pub consented_channels: Vec<ChannelId>,
 }
 
+/// `(HTTP requests, HTTPS requests, HTTPS share in percent)` of
+/// `total` requests of which `https` used HTTPS.
+pub(crate) fn protocol_split(total: usize, https: usize) -> (usize, usize, f64) {
+    let share = if total == 0 {
+        0.0
+    } else {
+        https as f64 / total as f64 * 100.0
+    };
+    (total - https, https, share)
+}
+
 impl RunDataset {
     /// `(HTTP requests, HTTPS requests, HTTPS share in percent of all
     /// requests)`, from one walk over the captures.
     pub fn protocol_split(&self) -> (usize, usize, f64) {
         let https = self.captures.iter().filter(|c| c.is_https()).count();
-        let total = self.captures.len();
-        let share = if total == 0 {
-            0.0
-        } else {
-            https as f64 / total as f64 * 100.0
-        };
-        (total - https, https, share)
+        protocol_split(self.captures.len(), https)
     }
 
     /// Captures attributed to each channel (after grace re-attribution)
@@ -122,6 +127,11 @@ impl StudyDataset {
             .map(|r| r.channels_measured.len() as f64 * r.run.watch_time().as_secs() as f64)
             .sum::<f64>()
             / 3600.0
+    }
+
+    /// [`RunDataset::protocol_split`] of every run, in run order.
+    pub fn protocol_splits(&self) -> Vec<(usize, usize, f64)> {
+        self.runs.iter().map(RunDataset::protocol_split).collect()
     }
 
     /// Total screenshots (41,617 in the paper).

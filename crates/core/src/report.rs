@@ -19,6 +19,9 @@ use std::fmt::Write as _;
 /// Everything §V–§VII produce, computed in one pass.
 #[derive(Debug)]
 pub struct StudyReport {
+    /// Table I's (HTTP, HTTPS, HTTPS %) request split per run, in
+    /// dataset order.
+    pub protocol: Vec<(usize, usize, f64)>,
     /// First-party identification (§V-A).
     pub first_parties: FirstPartyMap,
     /// Data leakage (§V-B).
@@ -174,6 +177,7 @@ impl StudyReport {
         drop(whole);
 
         StudyReport {
+            protocol: dataset.protocol_splits(),
             leakage,
             syncing,
             graph,
@@ -245,7 +249,7 @@ impl StudyReport {
             dataset.total_interactions(),
             dataset.hours_watched()
         );
-        s.push_str(&tables::table1(dataset, &self.cookies));
+        s.push_str(&tables::table1(dataset, &self.cookies, &self.protocol));
         s.push('\n');
         s.push_str(&tables::table2(&self.cookies));
         s.push('\n');

@@ -29,17 +29,23 @@ fn bar(value: usize, max: usize) -> String {
     "#".repeat((value * BAR_WIDTH).div_ceil(max.max(value)))
 }
 
-/// Table I: per-run data overview.
-pub fn table1(dataset: &StudyDataset, cookies: &CookieAnalysis) -> String {
+/// Table I: per-run data overview. `protocol` holds each run's
+/// (HTTP, HTTPS, HTTPS %) request split in dataset order, as
+/// [`StudyDataset::protocol_splits`] computes and
+/// [`crate::report::StudyReport::protocol`] carries it.
+pub fn table1(
+    dataset: &StudyDataset,
+    cookies: &CookieAnalysis,
+    protocol: &[(usize, usize, f64)],
+) -> String {
     let mut s = header("Table I: Overview of the data collected for each measurement run");
     let _ = writeln!(
         s,
         "{:<8} {:>9} {:>10} {:>10} {:>7} {:>9} {:>9} {:>9} {:>7}",
         "Run", "Channels", "HTTP Req.", "HTTPS Req.", "HTTPS%", "Cookies", "1P", "3P", "LocSt"
     );
-    for run_ds in &dataset.runs {
+    for (run_ds, &(http, https, https_share)) in dataset.runs.iter().zip(protocol) {
         let row = cookies.per_run.get(&run_ds.run);
-        let (http, https, https_share) = run_ds.protocol_split();
         let _ = writeln!(
             s,
             "{:<8} {:>9} {:>10} {:>10} {:>6.2}% {:>9} {:>9} {:>9} {:>7}",
@@ -308,7 +314,7 @@ mod tests {
         let categories = CategoryAnalysis::compute(&eco, &tracking);
 
         for rendered in [
-            table1(&ds, &cookies),
+            table1(&ds, &cookies, &ds.protocol_splits()),
             table2(&cookies),
             table3(&tracking),
             table4(&consent),
@@ -419,7 +425,7 @@ mod tests {
         };
         let fp = FirstPartyMap::identify(&ds);
         let cookies = CookieAnalysis::compute(&ds, &fp);
-        let t = table1(&ds, &cookies);
+        let t = table1(&ds, &cookies, &ds.protocol_splits());
         assert!(t.contains("General"));
         assert!(t.contains("HTTPS"));
     }

@@ -8,7 +8,7 @@
 //! cut lands, which batches swap — all pure functions of `(plan,
 //! frames)`.
 //!
-//! The seven kinds cover the failure classes a long-running collector
+//! The eight kinds cover the failure classes a long-running collector
 //! fleet actually sees (flaky embedded TCP stacks, power cuts
 //! mid-write, buggy retry loops, middleboxes, confused operators):
 //!
@@ -21,6 +21,7 @@
 //! | [`FaultKind::ReorderedBatches`] | adjacent `CAPTURE`s swapped | per-session seq numbers |
 //! | [`FaultKind::StalledWriter`] | writer goes silent, socket open | heartbeat-timeout GC |
 //! | [`FaultKind::GarbageStats`] | `STATS` frame with a junk payload | request validation, session-local rejection |
+//! | [`FaultKind::DeepNesting`] | a `CAPTURE` payload of [`NESTING_DEPTH`] `[` | decoder depth limit, typed decode error |
 
 use crate::frame::{Command, Frame};
 
@@ -47,11 +48,20 @@ pub enum FaultKind {
     /// payload lands mid-stream (a broken operator tool on the data
     /// port). Must reject only the offending session.
     GarbageStats,
+    /// One `CAPTURE` frame, well formed and in sequence, carries
+    /// [`NESTING_DEPTH`] nested `[` instead of a batch (a hostile or
+    /// corrupted encoder). The decoder must fail with a typed error,
+    /// not recurse until the stack overflows.
+    DeepNesting,
 }
+
+/// Open brackets in a [`FaultKind::DeepNesting`] payload: deep enough
+/// to overflow the stack of a decoder that recursed per level.
+pub const NESTING_DEPTH: usize = 100_000;
 
 impl FaultKind {
     /// Every kind, for suites that sweep all of them.
-    pub const ALL: [FaultKind; 7] = [
+    pub const ALL: [FaultKind; 8] = [
         FaultKind::GarbagePrefix,
         FaultKind::TornFrame,
         FaultKind::MidFrameDisconnect,
@@ -59,6 +69,7 @@ impl FaultKind {
         FaultKind::ReorderedBatches,
         FaultKind::StalledWriter,
         FaultKind::GarbageStats,
+        FaultKind::DeepNesting,
     ];
 }
 
@@ -220,6 +231,20 @@ impl FaultPlan {
                 emit(target..frames.len(), &mut steps);
                 steps.push(FaultStep::Disconnect);
             }
+            FaultKind::DeepNesting => {
+                // The frame keeps the target's command and seq, so only
+                // the payload decode can reject it; the writer keeps
+                // streaming the rest of the session.
+                emit(0..target, &mut steps);
+                let nested = Frame {
+                    command: Command::Capture,
+                    seq: frames[target].seq,
+                    payload: vec![b'['; NESTING_DEPTH],
+                };
+                steps.push(FaultStep::Write(nested.encode()));
+                emit(target + 1..frames.len(), &mut steps);
+                steps.push(FaultStep::Disconnect);
+            }
         }
         steps
     }
@@ -329,6 +354,37 @@ mod tests {
         }
         .compile(&frames);
         assert!(matches!(script.last(), Some(FaultStep::StallUntilClosed)));
+    }
+
+    #[test]
+    fn deep_nesting_swaps_one_capture_payload_for_brackets() {
+        let frames = sample_frames();
+        let script = FaultPlan {
+            kind: FaultKind::DeepNesting,
+            seed: 5,
+        }
+        .compile(&frames);
+        let mut bytes = Vec::new();
+        for step in &script {
+            if let FaultStep::Write(b) = step {
+                bytes.extend_from_slice(b);
+            }
+        }
+        let mut dec = crate::frame::FrameDecoder::new();
+        dec.push_bytes(&bytes);
+        let mut decoded = Vec::new();
+        while let Some(f) = dec.next_frame().expect("every frame is well formed") {
+            decoded.push(f);
+        }
+        assert_eq!(decoded.len(), frames.len(), "one frame swapped, none lost");
+        let nested: Vec<&Frame> = decoded
+            .iter()
+            .filter(|f| f.payload == vec![b'['; NESTING_DEPTH])
+            .collect();
+        assert_eq!(nested.len(), 1);
+        assert_eq!(nested[0].command, Command::Capture);
+        assert!(crate::frame::parse_capture_batch(&nested[0].payload).is_err());
+        assert_eq!(script.last(), Some(&FaultStep::Disconnect));
     }
 
     #[test]

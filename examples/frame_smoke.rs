@@ -11,9 +11,13 @@
 //!    renders a live report from the incremental engine and diffs it
 //!    byte-for-byte against the post-hoc [`StudyReport::compute`] over
 //!    the same prefix of runs,
-//! 3. checks the segment budget actually engaged (segments spilled and
+//! 3. checks after every live report that the engine folded each
+//!    segment's partials into its running accumulators at most once
+//!    plus once per recompute (`partials_folded ≤ segments +
+//!    delta_recomputes`): a report that re-merged history fails here,
+//! 4. checks the segment budget actually engaged (segments spilled and
 //!    resident bytes stayed at or under the cap) when one is set,
-//! 4. diffs the final live render against the full in-process build.
+//! 5. diffs the final live render against the full in-process build.
 //!
 //! Exits nonzero (panics) on any failure, so it works as a CI gate.
 
@@ -89,13 +93,22 @@ fn main() {
             "live report drifted from post-hoc after {} of {total_runs} runs",
             done + 1
         );
+        let inc = live.incremental();
+        assert!(
+            inc.partials_folded() <= inc.segments() as u64 + inc.delta_recomputes(),
+            "live reports re-folded history: {} partials folded for {} segments and {} recomputes",
+            inc.partials_folded(),
+            inc.segments(),
+            inc.delta_recomputes()
+        );
         println!(
-            "live report OK after {}/{} runs: {} segments, {} resident bytes, \
+            "live report OK after {}/{} runs: {} segments, {} partials folded, {} resident bytes, \
              delta {:?} vs full {:?}",
             done + 1,
             total_runs,
-            live.incremental().segments(),
-            live.incremental().resident_bytes(),
+            inc.segments(),
+            inc.partials_folded(),
+            inc.resident_bytes(),
             live_wall,
             full_wall,
         );

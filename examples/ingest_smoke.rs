@@ -9,7 +9,8 @@
 //!    sharded TV sessions, and diffs the reassembled dataset's rendered
 //!    analysis report byte-for-byte against the in-process build,
 //! 3. replays one fault of every kind at the same collector and checks
-//!    each is contained (rejected or GC'd, nothing assembled).
+//!    each is contained (rejected or GC'd, nothing assembled), a
+//!    100,000-deep nested `CAPTURE` payload as a typed decode error.
 //!
 //! Exits nonzero (panics) on any failure, so it works as a CI gate.
 
@@ -96,9 +97,16 @@ fn main() {
             FaultOutcome::StallTimeout,
             "{kind:?}: stalled session was never collected"
         );
-        fault_server
+        let rejections = fault_server
             .wait_rejections(i + 1, Duration::from_secs(20))
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        if kind == FaultKind::DeepNesting {
+            let reason = &rejections.last().expect("a rejection").reason;
+            assert!(
+                reason.contains("bad Capture payload"),
+                "{kind:?} must be a typed decode error, got: {reason}"
+            );
+        }
         assert!(
             fault_server.complete_runs("smoke-faults").is_empty(),
             "{kind:?}: a faulty session must not produce a run"

@@ -25,7 +25,7 @@ fn test_config() -> IngestConfig {
     }
 }
 
-/// Sweeps all seven fault kinds against one collector. For each kind, two
+/// Sweeps all eight fault kinds against one collector. For each kind, two
 /// healthy sibling sessions stream the golden fixture concurrently with
 /// the faulty session; the faulty one must be rejected or GC'd, and the
 /// siblings' study must reassemble byte-identically.
@@ -91,6 +91,11 @@ fn every_fault_kind_is_rejected_and_siblings_survive() {
             FaultKind::GarbageStats => assert!(
                 newest.reason.contains("STATS"),
                 "{kind:?} must be rejected at STATS request validation, got: {}",
+                newest.reason
+            ),
+            FaultKind::DeepNesting => assert!(
+                newest.reason.contains("bad Capture payload"),
+                "{kind:?} must be a typed capture decode error, got: {}",
                 newest.reason
             ),
             // Garbage and torn frames surface wherever the corruption
