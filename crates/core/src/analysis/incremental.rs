@@ -1412,13 +1412,13 @@ impl FrameBuilder {
     fn fold_tracking(&self, dataset: &StudyDataset) -> TrackingAnalysis {
         let mut per_run = BTreeMap::new();
         for (run_ds, acc) in dataset.runs.iter().zip(&self.runs) {
-            let merged = &acc.tracking.row;
+            let run = &acc.tracking.row;
             let row: &mut TrackingRow = per_run.entry(run_ds.run).or_default();
-            row.on_pihole += merged.on_pihole;
-            row.on_easylist += merged.on_easylist;
-            row.on_easyprivacy += merged.on_easyprivacy;
-            row.tracking_pixels += merged.tracking_pixels;
-            row.fingerprints += merged.fingerprints;
+            row.on_pihole += run.on_pihole;
+            row.on_easylist += run.on_easylist;
+            row.on_easyprivacy += run.on_easyprivacy;
+            row.tracking_pixels += run.tracking_pixels;
+            row.fingerprints += run.fingerprints;
         }
         TrackingAnalysis::finish(per_run, self.tracking_all.resolve(&self.etld1s))
     }
@@ -1493,11 +1493,8 @@ impl FrameBuilder {
         let mut brandings: BTreeMap<NoticeBranding, BTreeSet<ChannelId>> = BTreeMap::new();
         let mut deepest_layer_per_run = BTreeMap::new();
         let mut channels_with_pointer = BTreeSet::new();
-        for (run_ds, part) in dataset
-            .runs
-            .iter()
-            .zip(self.runs.iter().map(|acc| &acc.consent))
-        {
+        for (run_ds, acc) in dataset.runs.iter().zip(&self.runs) {
+            let part = &acc.consent;
             overlays_per_run.insert(run_ds.run, part.overlays.clone());
             prevalence_per_run.insert(run_ds.run, part.prevalence.clone());
             deepest_layer_per_run.insert(run_ds.run, part.deepest);
