@@ -14,14 +14,14 @@ use hbbtv_stats::{describe, Describe};
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The analysis engine's `Set-Cookie` fast path: extracts exactly the
-/// fields the cookie rows keep — trimmed name and value, and the
-/// explicit `Domain` attribute when present — with the same accept/skip rule and `Domain`
-/// normalization as [`hbbtv_net::SetCookie::parse`] (last `Domain`
-/// wins, leading dot stripped). Expiry and flag attributes are skipped;
-/// no row ever reads them. A unit test below diffs every extracted row
-/// against the full parser.
-pub(crate) fn lean_set_cookie(v: &str) -> Option<(String, String, Option<Etld1>)> {
+/// The analysis engine's `Set-Cookie` fast path: borrows exactly the
+/// fields the cookie rows keep — trimmed name and value, and the host
+/// of the explicit `Domain` attribute when present — with the same
+/// accept/skip rule as [`hbbtv_net::SetCookie::parse`] (last `Domain`
+/// wins, leading dot stripped; the owner is [`Etld1::from_host`] of
+/// it). Expiry and flag attributes are skipped; no row ever reads them.
+/// A unit test below diffs every extracted row against the full parser.
+pub(crate) fn lean_set_cookie(v: &str) -> Option<(&str, &str, Option<&str>)> {
     let mut parts = v.split(';').map(str::trim);
     let pair = parts.next()?;
     let (name, value) = pair.split_once('=')?;
@@ -36,10 +36,10 @@ pub(crate) fn lean_set_cookie(v: &str) -> Option<(String, String, Option<Etld1>)
             None => (attr, ""),
         };
         if key.eq_ignore_ascii_case("domain") {
-            domain = Some(Etld1::from_host(val.trim_start_matches('.')));
+            domain = Some(val.trim_start_matches('.'));
         }
     }
-    Some((name.to_string(), value.trim().to_string(), domain))
+    Some((name, value.trim(), domain))
 }
 
 /// Per-chunk partial of the §V-C capture scan. Every field is a set (or
@@ -536,7 +536,7 @@ mod tests {
                     assert_eq!(value, sc.cookie.value, "{raw:?}");
                     assert_eq!(domain.is_some(), sc.explicit_domain, "{raw:?}");
                     if let Some(d) = domain {
-                        assert_eq!(d, sc.cookie.domain, "{raw:?}");
+                        assert_eq!(Etld1::from_host(d), sc.cookie.domain, "{raw:?}");
                     }
                 }
                 Err(_) => assert!(lean.is_none(), "lean accepted rejected header {raw:?}"),

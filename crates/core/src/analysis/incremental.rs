@@ -19,10 +19,12 @@
 //!   a segment is only `u32`/`u8` arrays and can spill to disk.
 //! * Sealing fans the pure per-capture work (URL serialization, the
 //!   pixel/fingerprint heuristics, the lean `Set-Cookie` parse, body
-//!   leak verdicts) and the list probes of newly seen URLs and
-//!   classification keys over the worker pool. Interning stays
-//!   sequential in capture order, so symbols and outputs are the same
-//!   at any worker count.
+//!   leak verdicts) over the worker pool in chunks, each interning its
+//!   keys into chunk-local tables. A sequential merge then interns
+//!   only each chunk's distinct keys, chunks in capture order, so
+//!   symbols and outputs are the same at any worker count. The list
+//!   probes of URLs new to the study and of new classification keys
+//!   fan out too.
 //! * Every analysis pass keeps a per-segment partial, and sealing
 //!   merges it into a running accumulator: per run for cookies,
 //!   tracking, §IV-D counts and the HTTPS count of Table I; across runs
@@ -202,9 +204,8 @@ impl UrlInfo {
     /// Every fact about `url` (serialized as `text`) that needs no
     /// interning table: the list probes, the bodyless leak verdicts,
     /// and the query extractions. `etld1_sym` and `sync_vals` are left
-    /// for the sequential interning pass; the potential-ID query values
-    /// come back beside the info, in query order.
-    fn probe(url: &Url, text: &str, needles: &LeakNeedles) -> (UrlInfo, Vec<String>) {
+    /// for the merge, which has them from the chunk scan.
+    fn probe(url: &Url, text: &str, needles: &LeakNeedles) -> UrlInfo {
         let lists = bundled::all_refs();
         let guards = [bundled::easylist_ref(), bundled::easyprivacy_ref()];
         let guard_ctx = RequestContext {
@@ -213,7 +214,7 @@ impl UrlInfo {
         };
         let view = UrlView::new(text, url.host(), url.etld1().as_str());
         let (tech_bodyless, genre_keyword_bodyless) = needles.verdicts(text, "");
-        let info = UrlInfo {
+        UrlInfo {
             host: url.host().to_string(),
             etld1_sym: 0,
             canonical: lists
@@ -227,59 +228,226 @@ impl UrlInfo {
             has_uid: url.query_param("uid").is_some(),
             brand: url.query_param("brand").map(str::to_string),
             sync_vals: Vec::new(),
-        };
-        let sync_values = url
-            .query_pairs()
-            .iter()
-            .filter(|(_, v)| is_potential_id(v))
-            .map(|(_, v)| v.clone())
-            .collect();
-        (info, sync_values)
+        }
     }
 }
 
-/// What one capture contributes that depends on the capture alone,
-/// computed on the worker pool before the sequential interning pass.
-struct CaptureScan {
-    /// The serialized request URL; moved into the URL table when the
-    /// text is new.
-    url_text: String,
-    /// §V-D1 tracking-pixel heuristic.
-    is_pixel: bool,
-    /// §V-D2 fingerprint-script heuristic.
-    is_fingerprint: bool,
-    /// Lean-parsed `Set-Cookie` rows as (owning domain, name, value),
-    /// the domain falling back to the request's eTLD+1.
-    cookies: Vec<(Etld1, String, String)>,
+/// A chunk-local interning table: distinct keys in first-occurrence
+/// order. Tables keyed by borrowed text look keys up in the chunk's
+/// captures, so only a new key is copied.
+struct LocalTable<K, V> {
+    ids: HashMap<K, u32>,
+    keys: Vec<V>,
+}
+
+impl<K: std::hash::Hash + Eq, V> LocalTable<K, V> {
+    fn new() -> Self {
+        LocalTable {
+            ids: HashMap::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// The local id of `key`, appending `own(&key)` when it is new.
+    fn intern(&mut self, key: K, own: impl FnOnce(&K) -> V) -> u32 {
+        let keys = &mut self.keys;
+        *self.ids.entry(key).or_insert_with_key(|k| {
+            keys.push(own(k));
+            keys.len() as u32 - 1
+        })
+    }
+}
+
+impl LocalTable<String, Etld1> {
+    /// Keyed by text, so a URL's eTLD+1 and one derived from a `Domain`
+    /// attribute meet in one table; only a new one is copied.
+    fn intern_domain(&mut self, d: &Etld1) -> u32 {
+        match self.ids.get(d.as_str()) {
+            Some(&id) => id,
+            None => self.intern(d.as_str().to_string(), |_| d.clone()),
+        }
+    }
+}
+
+/// One distinct URL of a chunk.
+struct ChunkUrl {
+    text: String,
+    /// Local eTLD+1 id.
+    etld1: u32,
+    /// Local ids of the potential-ID query values, in query order.
+    values: Vec<u32>,
+    /// Index in the chunk of the first capture carrying the URL.
+    first: usize,
+}
+
+/// What one capture contributes, over its chunk's local ids.
+struct ScanRow {
+    url: u32,
+    /// Graph label: the channel name's (`unknown` when unnamed) when
+    /// the capture has a channel, else the name's for a named
+    /// pixel/fingerprint capture (§VII-C), else `u32::MAX`.
+    label: u32,
+    /// `FLAG_PIXEL` / `FLAG_FINGERPRINT`.
+    flags: u8,
+    /// End of the capture's rows in [`ChunkScan::cookies`].
+    cookie_end: usize,
     /// The (technical, genre keyword) leak verdicts over URL and body;
     /// `None` for bodyless requests, whose verdicts are per URL.
     body_leak: Option<(bool, bool)>,
 }
 
-impl CaptureScan {
-    fn of(c: &CapturedExchange, needles: &LeakNeedles) -> Self {
-        let url = &c.request.url;
-        let url_text = url.to_text();
-        let cookies = c
-            .response
-            .headers
-            .iter()
-            .filter(|h| h.name.eq_ignore_ascii_case("Set-Cookie"))
-            .filter_map(|h| lean_set_cookie(&h.value))
-            .map(|(name, value, domain)| {
-                (domain.unwrap_or_else(|| url.etld1().clone()), name, value)
-            })
-            .collect();
-        let body = c.request.body.as_str();
-        let body_leak = (!body.is_empty()).then(|| needles.verdicts(&url_text, body));
-        CaptureScan {
-            is_pixel: is_tracking_pixel(c),
-            is_fingerprint: is_fingerprint_script(c),
-            url_text,
+/// One chunk of an epoch, scanned on a worker: the pure per-capture
+/// work (URL serialization, the pixel/fingerprint heuristics, the lean
+/// `Set-Cookie` parse, body leak verdicts) plus chunk-local interning.
+///
+/// Each local table receives its keys in the order a per-capture walk
+/// interns them into the global table: a URL's eTLD+1 and then its
+/// potential-ID values when the URL is first seen, the graph label,
+/// then per `Set-Cookie` row the domain, the `(domain, name)` key and a
+/// 10–25-byte value. A URL first seen in the chunk but known to the
+/// study adds an eTLD+1 and values that are interned already, so
+/// merging the chunks' tables in order assigns the per-capture walk's
+/// symbols.
+struct ChunkScan {
+    rows: Vec<ScanRow>,
+    /// `(key, domain)` per `Set-Cookie` row, in capture order.
+    cookies: Vec<(u32, u32)>,
+    urls: Vec<ChunkUrl>,
+    etld1s: Vec<Etld1>,
+    /// Raw channel names of the graph labels.
+    labels: Vec<String>,
+    /// `(domain, name)` cookie keys.
+    keys: Vec<(u32, String)>,
+    values: Vec<String>,
+    /// Distinct (cookie key, channel) pairs, for §V-D5.
+    key_channels: Vec<(u32, ChannelId)>,
+    /// Distinct (cookie domain, 10–25-byte value) pairs, for the
+    /// §V-C3 owner table.
+    domain_values: Vec<(u32, u32)>,
+}
+
+impl ChunkScan {
+    fn of(chunk: &[CapturedExchange], needles: &LeakNeedles) -> Self {
+        let mut urls: HashMap<String, u32> = HashMap::new();
+        let mut url_list: Vec<ChunkUrl> = Vec::new();
+        let mut etld1s: LocalTable<String, Etld1> = LocalTable::new();
+        // Explicit `Domain` hosts, so each is mapped to its eTLD+1 once.
+        let mut hosts: HashMap<&str, u32> = HashMap::new();
+        let mut labels: LocalTable<&str, String> = LocalTable::new();
+        let mut keys: LocalTable<(u32, &str), (u32, String)> = LocalTable::new();
+        let mut values: LocalTable<&str, String> = LocalTable::new();
+        let mut key_channels: HashSet<(u32, ChannelId)> = HashSet::new();
+        let mut domain_values: HashSet<(u32, u32)> = HashSet::new();
+        let mut rows = Vec::with_capacity(chunk.len());
+        let mut cookies = Vec::new();
+        let mut key_channel_list = Vec::new();
+        let mut domain_value_list = Vec::new();
+        let mut text = String::new();
+        for (i, c) in chunk.iter().enumerate() {
+            let url = &c.request.url;
+            text.clear();
+            url.write_into(&mut text);
+            let u = match urls.get(text.as_str()) {
+                Some(&u) => u,
+                None => {
+                    let u = url_list.len() as u32;
+                    let etld1 = etld1s.intern_domain(url.etld1());
+                    let vals = url
+                        .query_pairs()
+                        .iter()
+                        .filter(|(_, v)| is_potential_id(v))
+                        .map(|(_, v)| values.intern(v, |v| v.to_string()))
+                        .collect();
+                    urls.insert(text.clone(), u);
+                    url_list.push(ChunkUrl {
+                        text: text.clone(),
+                        etld1,
+                        values: vals,
+                        first: i,
+                    });
+                    u
+                }
+            };
+            let mut flags = 0u8;
+            if is_tracking_pixel(c) {
+                flags |= FLAG_PIXEL;
+            }
+            if is_fingerprint_script(c) {
+                flags |= FLAG_FINGERPRINT;
+            }
+            let name = c.channel_name.as_deref();
+            let label = match (c.channel, name) {
+                (Some(_), _) => Some(name.unwrap_or("unknown")),
+                (None, Some(name)) if flags != 0 => Some(name),
+                (None, _) => None,
+            }
+            .map_or(u32::MAX, |l| labels.intern(l, |l| l.to_string()));
+
+            let set_cookies = c
+                .response
+                .headers
+                .iter()
+                .filter(|h| h.name.eq_ignore_ascii_case("Set-Cookie"))
+                .filter_map(|h| lean_set_cookie(&h.value));
+            for (name, value, domain) in set_cookies {
+                let d = match domain {
+                    Some(host) => *hosts
+                        .entry(host)
+                        .or_insert_with(|| etld1s.intern_domain(&Etld1::from_host(host))),
+                    None => url_list[u as usize].etld1,
+                };
+                let k = keys.intern((d, name), |&(d, n)| (d, n.to_string()));
+                cookies.push((k, d));
+                if let Some(ch) = c.channel {
+                    if key_channels.insert((k, ch)) {
+                        key_channel_list.push((k, ch));
+                    }
+                }
+                if (10..=25).contains(&value.len()) {
+                    let v = values.intern(value, |v| v.to_string());
+                    if domain_values.insert((d, v)) {
+                        domain_value_list.push((d, v));
+                    }
+                }
+            }
+            let body = c.request.body.as_str();
+            rows.push(ScanRow {
+                url: u,
+                label,
+                flags,
+                cookie_end: cookies.len(),
+                body_leak: (!body.is_empty()).then(|| needles.verdicts(&text, body)),
+            });
+        }
+        ChunkScan {
+            rows,
             cookies,
-            body_leak,
+            urls: url_list,
+            etld1s: etld1s.keys,
+            labels: labels.keys,
+            keys: keys.keys,
+            values: values.keys,
+            key_channels: key_channel_list,
+            domain_values: domain_value_list,
         }
     }
+}
+
+/// A chunk's local→global symbol maps, by local id.
+struct ChunkSyms {
+    urls: Vec<u32>,
+    etld1s: Vec<u32>,
+    labels: Vec<u32>,
+    keys: Vec<u32>,
+}
+
+/// A URL new to the study, waiting for its probe.
+struct NewUrl {
+    /// Index in the epoch of the first capture carrying it.
+    cap: usize,
+    sym: u32,
+    etld1_sym: u32,
+    sync_vals: Vec<u32>,
 }
 
 /// One sealed epoch: its immutable columns (resident or spilled) plus
@@ -514,10 +682,10 @@ pub(crate) struct FrameBuilder {
     /// appended since the last report, not yet fed to `corpus`.
     new_docs: Vec<(u32, u32)>,
     /// Pixel/fingerprint exchanges as (instant, URL symbol) in capture
-    /// order, keyed by the channel name's label symbol, for the §VII-C
+    /// order, indexed by the channel name's label symbol, for the §VII-C
     /// window check. Observations are materialized only for the
     /// channels whose policy declares a window.
-    tracking_obs: HashMap<u32, Vec<(Timestamp, u32)>>,
+    tracking_obs: Vec<Vec<(Timestamp, u32)>>,
     /// The materialized observations of channels whose policy declares
     /// a window, caught up with `tracking_obs` on each report.
     window_obs: HashMap<u32, Vec<TrackingObservation>>,
@@ -542,6 +710,8 @@ pub(crate) struct FrameBuilder {
     /// Segment partials merged into the accumulators so far, rebuilds
     /// included.
     partials_folded: u64,
+    /// Chunk-local keys the merges looked up in the global tables.
+    merged_keys: u64,
     needles: LeakNeedles,
     // ---- segments and residency ----
     segments: Vec<Segment>,
@@ -559,6 +729,7 @@ pub(crate) struct FrameBuilder {
     delta_recomputes: u64,
     /// Counters already forwarded to telemetry.
     emitted_partials_folded: u64,
+    emitted_merged_keys: u64,
     emitted_spill_writes: u64,
     emitted_spill_loads: u64,
 }
@@ -593,7 +764,7 @@ impl FrameBuilder {
             cookie_rows: 0,
             corpus: PolicyCorpus::new(),
             new_docs: Vec::new(),
-            tracking_obs: HashMap::new(),
+            tracking_obs: Vec::new(),
             window_obs: HashMap::new(),
             runs: Vec::new(),
             cookie_all: SymCookiePartial::default(),
@@ -604,6 +775,7 @@ impl FrameBuilder {
             graph: Graph::new(),
             graph_measured: None,
             partials_folded: 0,
+            merged_keys: 0,
             needles: LeakNeedles::new(),
             segments: Vec::new(),
             segs_of_channel: HashMap::new(),
@@ -614,62 +786,64 @@ impl FrameBuilder {
             peak_resident_bytes: 0,
             delta_recomputes: 0,
             emitted_partials_folded: 0,
+            emitted_merged_keys: 0,
             emitted_spill_writes: 0,
             emitted_spill_loads: 0,
         }
     }
 
-    fn intern_etld1(&mut self, d: &Etld1) -> u32 {
-        if let Some(&s) = self.sym_of_etld1.get(d) {
+    fn intern_etld1(&mut self, d: Etld1) -> u32 {
+        if let Some(&s) = self.sym_of_etld1.get(&d) {
             return s;
         }
         let s = self.etld1s.len() as u32;
         self.etld1s.push(d.clone());
-        self.sym_of_etld1.insert(d.clone(), s);
+        self.sym_of_etld1.insert(d, s);
         s
     }
 
-    fn intern_value(&mut self, v: &str) -> u32 {
-        if let Some(&s) = self.sym_of_value.get(v) {
+    fn intern_value(&mut self, v: String) -> u32 {
+        if let Some(&s) = self.sym_of_value.get(&v) {
             return s;
         }
         let s = self.sync_values.len() as u32;
-        self.sync_values.push(v.to_string());
-        self.sym_of_value.insert(v.to_string(), s);
+        self.sync_values.push(v.clone());
+        self.sym_of_value.insert(v, s);
         s
     }
 
-    fn intern_glabel(&mut self, name: Option<&str>) -> u32 {
-        let name = name.unwrap_or("unknown");
-        if let Some(&s) = self.sym_of_glabel.get(name) {
+    fn intern_glabel(&mut self, name: String) -> u32 {
+        if let Some(&s) = self.sym_of_glabel.get(&name) {
             return s;
         }
         let s = self.glabels.len() as u32;
         self.glabels.push(format!("{CHANNEL_PREFIX}{name}"));
-        self.sym_of_glabel.insert(name.to_string(), s);
+        self.sym_of_glabel.insert(name, s);
         s
     }
 
-    fn intern_cookie_key(&mut self, key: &CookieKey) -> u32 {
-        if let Some(&s) = self.key_sym_of.get(key) {
+    fn intern_cookie_key(&mut self, key: CookieKey) -> u32 {
+        if let Some(&s) = self.key_sym_of.get(&key) {
             return s;
         }
         let s = self.cookie_keys.len() as u32;
-        if self.cookiepedia.classify(key) == Some(CookieCategory::Targeting) {
+        if self.cookiepedia.classify(&key) == Some(CookieCategory::Targeting) {
             self.targeting_syms.insert(s);
         }
         self.cookie_keys.push(key.clone());
-        self.key_sym_of.insert(key.clone(), s);
+        self.key_sym_of.insert(key, s);
         s
     }
 
-    /// Completes a new URL's probed info with its interned eTLD+1 and
-    /// potential-ID value symbols, in that order, and appends it to the
-    /// URL table.
-    fn push_url_info(&mut self, url: &Url, mut info: UrlInfo, values: &[String]) {
-        info.etld1_sym = self.intern_etld1(url.etld1());
-        info.sync_vals = values.iter().map(|v| self.intern_value(v)).collect();
-        self.url_info.push(info);
+    /// The URL symbol of `text`, and whether the text is new.
+    fn intern_url(&mut self, text: String) -> (u32, bool) {
+        if let Some(&u) = self.sym_of_url.get(&text) {
+            return (u, false);
+        }
+        let u = self.url_texts.len() as u32;
+        self.url_texts.push(text.clone());
+        self.sym_of_url.insert(text, u);
+        (u, true)
     }
 
     /// The one-shot front end: seals every run of a borrowed dataset as
@@ -701,6 +875,7 @@ impl FrameBuilder {
             tel.counter("frame.classify_calls").add(b.classify_calls);
             tel.counter("frame.unique_urls")
                 .add(b.url_texts.len() as u64);
+            tel.counter("frame.merged_keys").add(b.merged_keys);
         }
         b
     }
@@ -718,10 +893,13 @@ impl FrameBuilder {
     /// columns, updates cross-epoch state, invalidates any segments
     /// the new state dirties, and caches this segment's partials.
     ///
-    /// The per-capture scan, the probes of URLs first seen here, the
-    /// classification misses and the row-chunk partials fan out over
-    /// the worker pool; the interning pass walks the captures in order,
-    /// so every symbol is a pure function of capture order.
+    /// The chunk scans (with their chunk-local interning), the probes
+    /// of URLs new to the study, the classification misses and the
+    /// row-chunk partials fan out over the worker pool. The merge walks
+    /// the chunks in capture order and interns only each chunk's
+    /// distinct keys, so every symbol is a pure function of capture
+    /// order; the columns are then filled through the chunks'
+    /// local→global maps.
     fn append_epoch(
         &mut self,
         run_idx: usize,
@@ -733,46 +911,33 @@ impl FrameBuilder {
             return;
         }
         let needles = &self.needles;
-        let mut scans: Vec<CaptureScan> = par_chunks_auto(caps, |chunk| {
-            chunk
-                .iter()
-                .map(|c| CaptureScan::of(c, needles))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut scans: Vec<ChunkScan> =
+            par_chunks_auto(caps, |chunk| ChunkScan::of(chunk, needles));
 
-        // URL symbols: a new text takes the next symbol, so first
-        // occurrences arrive in symbol order below.
-        let mut url_syms: Vec<u32> = Vec::with_capacity(caps.len());
-        let mut new_urls: Vec<usize> = Vec::new();
-        for (j, scan) in scans.iter_mut().enumerate() {
-            let u = match self.sym_of_url.get(scan.url_text.as_str()) {
-                Some(&u) => u,
-                None => {
-                    let u = self.url_texts.len() as u32;
-                    let text = std::mem::take(&mut scan.url_text);
-                    self.sym_of_url.insert(text.clone(), u);
-                    self.url_texts.push(text);
-                    new_urls.push(j);
-                    u
-                }
-            };
-            url_syms.push(u);
+        let mut owner_dirty: BTreeSet<u32> = BTreeSet::new();
+        let mut new_urls: Vec<NewUrl> = Vec::new();
+        let mut maps: Vec<ChunkSyms> = Vec::with_capacity(scans.len());
+        let mut base = 0;
+        for scan in &mut scans {
+            maps.push(self.merge_chunk(scan, base, &mut new_urls, &mut owner_dirty));
+            base += scan.rows.len();
         }
         let (url_texts, needles) = (&self.url_texts, &self.needles);
-        let mut probes = par_chunks_auto(&new_urls, |chunk| {
+        let probes = par_chunks_auto(&new_urls, |chunk| {
             chunk
                 .iter()
-                .map(|&j| {
-                    let text = &url_texts[url_syms[j] as usize];
-                    UrlInfo::probe(&caps[j].request.url, text, needles)
+                .map(|n| {
+                    let text = &url_texts[n.sym as usize];
+                    UrlInfo::probe(&caps[n.cap].request.url, text, needles)
                 })
                 .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten();
+        });
+        for (mut info, n) in probes.into_iter().flatten().zip(new_urls) {
+            debug_assert_eq!(n.sym as usize, self.url_info.len());
+            info.etld1_sym = n.etld1_sym;
+            info.sync_vals = n.sync_vals;
+            self.url_info.push(info);
+        }
 
         let mut cols = SegmentCols {
             cookie_off: vec![0],
@@ -781,111 +946,75 @@ impl FrameBuilder {
         let mut body_leaks: Vec<Option<(bool, bool)>> = Vec::with_capacity(caps.len());
         let mut https = 0usize;
         let mut election_touched: BTreeSet<ChannelId> = BTreeSet::new();
-        let mut owner_dirty: BTreeSet<u32> = BTreeSet::new();
-
-        for (j, (c, scan)) in caps.iter().zip(scans).enumerate() {
-            let u = url_syms[j];
-            if u as usize == self.url_info.len() {
-                let (info, values) = probes.next().expect("one probe per new URL");
-                self.push_url_info(&c.request.url, info, &values);
-            }
-            let (etld1_sym, guarded) = {
-                let info = &self.url_info[u as usize];
-                (info.etld1_sym, info.guarded)
-            };
-            https += usize::from(c.is_https());
-            let ct = c.response.content_type as u8;
-            debug_assert_eq!(content_type_from_u8(ct), c.response.content_type);
-            let mut flags = 0u8;
-            if scan.is_pixel {
-                flags |= FLAG_PIXEL;
-            }
-            if scan.is_fingerprint {
-                flags |= FLAG_FINGERPRINT;
-            }
-            if self.url_info[u as usize].canonical {
-                flags |= FLAG_CANONICAL;
-            }
-            let chan_label = if c.channel.is_some() {
-                self.intern_glabel(c.channel_name.as_deref())
-            } else {
-                u32::MAX
-            };
-            let channel_col = c.channel.map(|ch| ch.0).unwrap_or(u32::MAX);
-
-            // Cookie rows: symbol interning and the §V-C3 pass-1 owner
-            // bookkeeping.
+        let mut caps_iter = caps.iter().enumerate();
+        for (scan, m) in scans.iter().zip(&maps) {
             self.cookie_rows += scan.cookies.len();
-            for (domain, name, value) in scan.cookies {
-                let d_sym = self.intern_etld1(&domain);
-                let key = CookieKey { domain, name };
-                let k_sym = self.intern_cookie_key(&key);
-                cols.cookie_key.push(k_sym);
-                cols.cookie_domain.push(d_sym);
-                if let Some(ch) = c.channel {
-                    self.cookie_channels.entry(k_sym).or_default().insert(ch);
+            let mut cookie_start = 0;
+            for (row, (j, c)) in scan.rows.iter().zip(&mut caps_iter) {
+                let u = m.urls[row.url as usize];
+                let info = &self.url_info[u as usize];
+                https += usize::from(c.is_https());
+                let ct = c.response.content_type as u8;
+                debug_assert_eq!(content_type_from_u8(ct), c.response.content_type);
+                let mut flags = row.flags;
+                if info.canonical {
+                    flags |= FLAG_CANONICAL;
                 }
-                if (10..=25).contains(&value.len()) {
-                    let v_sym = self.intern_value(&value);
-                    if self.seen_pairs.insert((d_sym, v_sym)) {
-                        if is_potential_id(&value) {
-                            self.potential_ids += 1;
-                            let owner = self.etld1s[d_sym as usize].clone();
-                            if self.owners.entry(v_sym).or_default().insert(owner) {
-                                owner_dirty.insert(v_sym);
-                            }
-                        } else {
-                            self.timestamp_exclusions += 1;
+                let label = match row.label {
+                    u32::MAX => u32::MAX,
+                    l => m.labels[l as usize],
+                };
+                for &(k, d) in &scan.cookies[cookie_start..row.cookie_end] {
+                    cols.cookie_key.push(m.keys[k as usize]);
+                    cols.cookie_domain.push(m.etld1s[d as usize]);
+                }
+                cookie_start = row.cookie_end;
+
+                if let Some(ch) = c.channel {
+                    // First-party election (§V-A): content-bearing,
+                    // unguarded responses compete on earliest
+                    // timestamp. Each epoch elects the candidates it
+                    // changed, so only those can flip.
+                    if matches!(
+                        c.response.content_type,
+                        ContentType::Html | ContentType::JavaScript | ContentType::Css
+                    ) && !info.guarded
+                    {
+                        let t = c.request.timestamp.as_unix();
+                        let better = match self.candidates.get(&ch) {
+                            Some(&(best_t, _)) => t < best_t,
+                            None => true,
+                        };
+                        if better {
+                            let domain = c.request.url.etld1().clone();
+                            self.candidates.insert(ch, (t, domain));
+                            election_touched.insert(ch);
                         }
                     }
                 }
-            }
-
-            if let Some(ch) = c.channel {
-                // First-party election (§V-A): content-bearing,
-                // unguarded responses compete on earliest timestamp.
-                if matches!(
-                    c.response.content_type,
-                    ContentType::Html | ContentType::JavaScript | ContentType::Css
-                ) && !guarded
-                {
-                    election_touched.insert(ch);
-                    let t = c.request.timestamp.as_unix();
-                    let domain = c.request.url.etld1().clone();
-                    self.candidates
-                        .entry(ch)
-                        .and_modify(|(best_t, best_d)| {
-                            if t < *best_t {
-                                *best_t = t;
-                                *best_d = domain.clone();
-                            }
-                        })
-                        .or_insert((t, domain));
+                if row.flags != 0 && c.channel_name.is_some() {
+                    let l = label as usize;
+                    if self.tracking_obs.len() <= l {
+                        self.tracking_obs.resize_with(l + 1, Vec::new);
+                    }
+                    self.tracking_obs[l].push((c.request.timestamp, u));
                 }
-            }
-
-            if scan.is_pixel || scan.is_fingerprint {
-                if let Some(name) = c.channel_name.as_deref() {
-                    let name_sym = match c.channel {
-                        Some(_) => chan_label,
-                        None => self.intern_glabel(Some(name)),
-                    };
-                    let obs = self.tracking_obs.entry(name_sym).or_default();
-                    obs.push((c.request.timestamp, u));
+                if c.response.content_type == ContentType::Html && c.response.body.len() > 300 {
+                    self.new_docs.push((run_idx as u32, (cap_base + j) as u32));
                 }
-            }
-            if c.response.content_type == ContentType::Html && c.response.body.len() > 300 {
-                self.new_docs.push((run_idx as u32, (cap_base + j) as u32));
-            }
 
-            cols.url_sym.push(u);
-            cols.etld1_sym.push(etld1_sym);
-            cols.channel.push(channel_col);
-            cols.chan_label.push(chan_label);
-            cols.content_type.push(ct);
-            cols.flags.push(flags);
-            cols.cookie_off.push(cols.cookie_key.len() as u32);
-            body_leaks.push(scan.body_leak);
+                cols.url_sym.push(u);
+                cols.etld1_sym.push(info.etld1_sym);
+                cols.channel.push(c.channel.map_or(u32::MAX, |ch| ch.0));
+                cols.chan_label.push(match c.channel {
+                    Some(_) => label,
+                    None => u32::MAX,
+                });
+                cols.content_type.push(ct);
+                cols.flags.push(flags);
+                cols.cookie_off.push(cols.cookie_key.len() as u32);
+                body_leaks.push(row.body_leak);
+            }
         }
 
         // Election flips: re-derive the winner of every touched
@@ -976,6 +1105,95 @@ impl FrameBuilder {
         self.resident_bytes += bytes;
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
         self.enforce_budget();
+    }
+
+    /// Interns one chunk's distinct keys into the global tables, each
+    /// table in local order, and applies its distinct cookie pairs: the
+    /// §V-D5 channel sets and the §V-C3 pass-1 owner bookkeeping. Only
+    /// values in the 10..=25 length band reach the counting branches,
+    /// so shorter/longer values are not recorded. Queues the URLs new
+    /// to the study, with the chunk starting at capture `base`, for
+    /// probing.
+    fn merge_chunk(
+        &mut self,
+        scan: &mut ChunkScan,
+        base: usize,
+        new_urls: &mut Vec<NewUrl>,
+        owner_dirty: &mut BTreeSet<u32>,
+    ) -> ChunkSyms {
+        self.merged_keys += (scan.urls.len()
+            + scan.etld1s.len()
+            + scan.labels.len()
+            + scan.keys.len()
+            + scan.values.len()
+            + scan.key_channels.len()
+            + scan.domain_values.len()) as u64;
+        let etld1s: Vec<u32> = scan
+            .etld1s
+            .drain(..)
+            .map(|d| self.intern_etld1(d))
+            .collect();
+        let values: Vec<u32> = scan
+            .values
+            .drain(..)
+            .map(|v| self.intern_value(v))
+            .collect();
+        let labels: Vec<u32> = scan
+            .labels
+            .drain(..)
+            .map(|l| self.intern_glabel(l))
+            .collect();
+        let keys: Vec<u32> = scan
+            .keys
+            .drain(..)
+            .map(|(d, name)| {
+                let domain = self.etld1s[etld1s[d as usize] as usize].clone();
+                self.intern_cookie_key(CookieKey { domain, name })
+            })
+            .collect();
+        let urls: Vec<u32> = scan
+            .urls
+            .drain(..)
+            .map(|url| {
+                let (u, new) = self.intern_url(url.text);
+                if new {
+                    new_urls.push(NewUrl {
+                        cap: base + url.first,
+                        sym: u,
+                        etld1_sym: etld1s[url.etld1 as usize],
+                        sync_vals: url.values.iter().map(|&v| values[v as usize]).collect(),
+                    });
+                }
+                u
+            })
+            .collect();
+        for &(k, ch) in &scan.key_channels {
+            self.cookie_channels
+                .entry(keys[k as usize])
+                .or_default()
+                .insert(ch);
+        }
+        for &(d, v) in &scan.domain_values {
+            let (d_sym, v_sym) = (etld1s[d as usize], values[v as usize]);
+            if !self.seen_pairs.insert((d_sym, v_sym)) {
+                continue;
+            }
+            if is_potential_id(&self.sync_values[v_sym as usize]) {
+                self.potential_ids += 1;
+                let owner = self.etld1s[d_sym as usize].clone();
+                if self.owners.entry(v_sym).or_default().insert(owner) {
+                    owner_dirty.insert(v_sym);
+                }
+            } else {
+                self.timestamp_exclusions += 1;
+            }
+        }
+        ChunkSyms {
+            urls,
+            etld1s,
+            labels,
+            keys,
+        }
     }
 
     /// Merges segment `s`'s fresh partials into the running
@@ -1551,7 +1769,10 @@ impl FrameBuilder {
             let observations: &[TrackingObservation] =
                 match self.sym_of_glabel.get(policy.channel.as_str()) {
                     Some(&sym) => {
-                        let rows = self.tracking_obs.get(&sym).map_or(&[][..], Vec::as_slice);
+                        let rows = self
+                            .tracking_obs
+                            .get(sym as usize)
+                            .map_or(&[][..], Vec::as_slice);
                         let done = self.window_obs.entry(sym).or_default();
                         let (url_info, etld1s) = (&self.url_info, &self.etld1s);
                         done.extend(rows[done.len()..].iter().map(|&(at, u)| {
@@ -1977,6 +2198,10 @@ impl IncrementalStudy {
                 .counter("frame.partials_folded")
                 .add(b.partials_folded - b.emitted_partials_folded);
             b.emitted_partials_folded = b.partials_folded;
+            self.tel
+                .counter("frame.merged_keys")
+                .add(b.merged_keys - b.emitted_merged_keys);
+            b.emitted_merged_keys = b.merged_keys;
             let w = self.builder.store.spill_writes - self.builder.emitted_spill_writes;
             if w > 0 {
                 self.tel.counter("frame.spill_writes").add(w);
@@ -2051,6 +2276,14 @@ impl IncrementalStudy {
     /// recompute adds none.
     pub fn partials_folded(&self) -> u64 {
         self.builder.partials_folded
+    }
+
+    /// Chunk-local keys (URLs, eTLD+1s, labels, cookie keys, values and
+    /// distinct cookie pairs) sealing looked up in the global tables so
+    /// far: the sequential share of sealing, a fraction of the captures
+    /// on repetitive traffic.
+    pub fn merged_keys(&self) -> u64 {
+        self.builder.merged_keys
     }
 }
 
@@ -2344,6 +2577,93 @@ mod tests {
             }
         }
         assert!(inc.segments() >= 50, "{} epochs", inc.segments());
+    }
+
+    /// Sealing interns chunk-local keys on the workers and merges them
+    /// chunk by chunk, so the symbol tables must not depend on how the
+    /// captures fall into chunks: they must equal the per-capture walk,
+    /// which one-capture epochs are by construction.
+    #[test]
+    fn interning_is_independent_of_chunking() {
+        use crate::analysis::Runtime;
+        let eco = Ecosystem::with_scale(11, 0.05);
+        let harness = StudyHarness::new(&eco);
+        let ds = StudyDataset {
+            runs: vec![harness.run(RunKind::General), harness.run(RunKind::Red)],
+        };
+        let prefix = StudyDataset {
+            runs: ds
+                .runs
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.captures.truncate(150);
+                    r
+                })
+                .collect(),
+        };
+        let tables = |b: &FrameBuilder| {
+            let infos: Vec<(u32, &[u32])> = b
+                .url_info
+                .iter()
+                .map(|i| (i.etld1_sym, i.sync_vals.as_slice()))
+                .collect();
+            format!(
+                "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{infos:?}",
+                b.url_texts, b.etld1s, b.cookie_keys, b.sync_values, b.glabels
+            )
+        };
+        let columns = |b: &FrameBuilder| {
+            let mut all = SegmentCols::default();
+            let mut rows = 0u32;
+            for seg in &b.segments {
+                let cols = seg.cols.as_ref().expect("no budget, so nothing spills");
+                all.url_sym.extend(&cols.url_sym);
+                all.etld1_sym.extend(&cols.etld1_sym);
+                all.channel.extend(&cols.channel);
+                all.chan_label.extend(&cols.chan_label);
+                all.content_type.extend(&cols.content_type);
+                all.flags.extend(&cols.flags);
+                all.cookie_key.extend(&cols.cookie_key);
+                all.cookie_domain.extend(&cols.cookie_domain);
+                let offs = &cols.cookie_off[usize::from(!all.cookie_off.is_empty())..];
+                all.cookie_off.extend(offs.iter().map(|o| o + rows));
+                rows += cols.cookie_key.len() as u32;
+            }
+            all
+        };
+
+        let mut walk = IncrementalStudy::with_budget(None);
+        for mut meta in prefix.runs.clone() {
+            let caps = std::mem::take(&mut meta.captures);
+            walk.push_run(meta);
+            for c in caps {
+                walk.extend_run(vec![c]);
+            }
+        }
+        let walked = &walk.builder;
+
+        let mut full = Vec::new();
+        for workers in [0, 2, 8] {
+            let rt = Runtime::with_workers(workers);
+            let (whole, part) = rt.install(|| {
+                let tel = Telemetry::disabled();
+                (
+                    FrameBuilder::seal_all(&ds, &tel),
+                    FrameBuilder::seal_all(&prefix, &tel),
+                )
+            });
+            assert_eq!(tables(&part), tables(walked), "prefix at {workers} workers");
+            assert!(
+                columns(&part) == columns(walked),
+                "prefix columns at {workers} workers"
+            );
+            full.push(tables(&whole));
+        }
+        assert!(
+            full.windows(2).all(|w| w[0] == w[1]),
+            "tables vary with workers"
+        );
     }
 
     /// `refresh` fans segment recomputes over the worker pool; with the

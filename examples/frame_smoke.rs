@@ -15,9 +15,13 @@
 //!    segment's partials into its running accumulators at most once
 //!    plus once per recompute (`partials_folded ≤ segments +
 //!    delta_recomputes`): a report that re-merged history fails here,
-//! 4. checks the segment budget actually engaged (segments spilled and
+//! 4. checks after every live report that sealing merged fewer
+//!    chunk-local keys into the global tables than it was streamed
+//!    exchanges (`merged_keys < exchanges`): a seal that interned per
+//!    capture fails here,
+//! 5. checks the segment budget actually engaged (segments spilled and
 //!    resident bytes stayed at or under the cap) when one is set,
-//! 5. diffs the final live render against the full in-process build.
+//! 6. diffs the final live render against the full in-process build.
 //!
 //! Exits nonzero (panics) on any failure, so it works as a CI gate.
 
@@ -101,13 +105,20 @@ fn main() {
             inc.segments(),
             inc.delta_recomputes()
         );
+        let streamed = prefix.total_requests() as u64;
+        assert!(
+            inc.merged_keys() < streamed,
+            "sealing merged {} keys for {streamed} streamed exchanges",
+            inc.merged_keys()
+        );
         println!(
-            "live report OK after {}/{} runs: {} segments, {} partials folded, {} resident bytes, \
-             delta {:?} vs full {:?}",
+            "live report OK after {}/{} runs: {} segments, {} partials folded, {} keys merged \
+             for {streamed} exchanges, {} resident bytes, delta {:?} vs full {:?}",
             done + 1,
             total_runs,
             inc.segments(),
             inc.partials_folded(),
+            inc.merged_keys(),
             inc.resident_bytes(),
             live_wall,
             full_wall,

@@ -10,8 +10,9 @@
 use hbbtv_broadcast::ChannelId;
 use hbbtv_ingest::fault::SplitMix64;
 use hbbtv_ingest::frame::{
-    capture_frame, parse_capture_batch, Ack, Bye, Command, ErrInfo, Frame, FrameError, Hello,
-    RunTrailer, SessionStat, StatsReport, StatsRequest, VisitBegin, VisitEnd, PROTO_VERSION,
+    capture_frame, parse_capture_batch, parse_stats_request, Ack, Bye, Command, ErrInfo, Frame,
+    FrameError, Hello, RunTrailer, SessionStat, StatsReport, StatsRequest, VisitBegin, VisitEnd,
+    PROTO_VERSION,
 };
 use hbbtv_ingest::FrameDecoder;
 use hbbtv_net::{Request, Response, Status, Timestamp};
@@ -323,22 +324,55 @@ fn capture_batch_decode_time_is_linear() {
     assert!(ratio < 3.0, "2x payload decodes {ratio:.2}x slower than 1x");
 }
 
-/// Deeply nested JSON fails with a typed error instead of overflowing
-/// the stack. The collector decodes on pool workers with 2 MiB stacks,
-/// so the payload is parsed on a thread of exactly that size: 100,000
-/// `[` bytes (well under `MAX_FRAME_LEN`) must come back as
-/// `BadPayload`, not abort the process.
-#[test]
-fn deeply_nested_capture_payload_is_a_typed_error() {
-    let payload = vec![b'['; 100_000];
-    let result = std::thread::Builder::new()
+/// Runs `decode` on a thread with the collector's 2 MiB worker stack,
+/// so a decoder that recursed per nesting level would abort the test
+/// process instead of returning.
+fn on_worker_stack<R: Send + 'static>(decode: impl FnOnce() -> R + Send + 'static) -> R {
+    std::thread::Builder::new()
         .stack_size(2 << 20)
-        .spawn(move || parse_capture_batch(&payload))
+        .spawn(decode)
         .expect("spawn a 2 MiB-stack decoder thread")
         .join()
-        .expect("the decoder thread must not panic");
-    match result {
+        .expect("the decoder thread must not panic")
+}
+
+/// Deeply nested JSON fails with a typed error instead of overflowing
+/// the stack, in every JSON payload decoder on the collector path. The
+/// collector decodes on pool workers with 2 MiB stacks, so each payload
+/// is parsed on a thread of exactly that size: 100,000 `[` bytes (well
+/// under `MAX_FRAME_LEN`) must come back as `BadPayload` for the
+/// frame's command (or, for `STATS`, a rejected request), not abort the
+/// process.
+#[test]
+fn deeply_nested_capture_payload_is_a_typed_error() {
+    let nested = vec![b'['; 100_000];
+    let payload = nested.clone();
+    match on_worker_stack(move || parse_capture_batch(&payload)) {
         Err(FrameError::BadPayload { command, .. }) => assert_eq!(command, Command::Capture),
         other => panic!("expected BadPayload, got {other:?}"),
     }
+
+    type Decode = fn(&Frame) -> Result<(), FrameError>;
+    let decoders: [(Command, Decode); 4] = [
+        (Command::Hello, |f| f.parse::<Hello>().map(drop)),
+        (Command::VisitBegin, |f| f.parse::<VisitBegin>().map(drop)),
+        (Command::VisitEnd, |f| f.parse::<VisitEnd>().map(drop)),
+        (Command::Bye, |f| f.parse::<Bye>().map(drop)),
+    ];
+    for (command, decode) in decoders {
+        let frame = Frame {
+            command,
+            seq: 0,
+            payload: nested.clone(),
+        };
+        match on_worker_stack(move || decode(&frame)) {
+            Err(FrameError::BadPayload { command: c, .. }) => assert_eq!(c, command),
+            other => panic!("{command:?}: expected BadPayload, got {other:?}"),
+        }
+    }
+
+    let mut stats = b"{\"a\":".to_vec();
+    stats.extend_from_slice(&nested);
+    let result = on_worker_stack(move || parse_stats_request(&stats).map(drop));
+    assert!(result.is_err(), "a nested STATS request must be rejected");
 }

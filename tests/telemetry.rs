@@ -101,6 +101,29 @@ fn classify_runs_at_most_once_per_exchange_per_study() {
     assert!(!report.first_parties.is_empty());
 }
 
+/// The sequential share of sealing stays small: the merge looks up
+/// each chunk's distinct keys in the global tables, not every
+/// capture's, and publishes the count as `frame.merged_keys`. Merging
+/// per capture would look up at least one key (the URL) per exchange.
+#[test]
+fn sealing_merges_distinct_keys_not_captures() {
+    let eco = Ecosystem::with_scale(42, SCALE);
+    let dataset = StudyHarness::new(&eco).run_all();
+    let tel = Telemetry::scope(
+        TelemetryMode::Metrics,
+        hbbtv_study::obs::SimClock::starting_at(hbbtv_study::obs::Timestamp::MEASUREMENT_START),
+        1 << 41,
+    );
+    StudyReport::compute_with_telemetry(&eco, &dataset, &tel);
+    let exchanges = tel.counter_value("frame.exchanges");
+    let merged = tel.counter_value("frame.merged_keys");
+    assert!(merged > 0, "sealing merged no key");
+    assert!(
+        merged < exchanges / 2,
+        "{merged} keys merged for {exchanges} exchanges"
+    );
+}
+
 /// Sim-time journals are a pure function of the world: the same study
 /// run in parallel and sequentially emits the same events in the same
 /// order with the same ids.
