@@ -1,18 +1,17 @@
-//! Benches of the parallel execution layer: the work-stealing study
-//! against its sequential reference, the channel-parallel single run
-//! against the in-order protocol, and the chunked analysis map with
-//! both fixed and adaptive chunk sizing.
+//! Benches of the parallel execution layer: the parallel study against
+//! its sequential reference, the channel-parallel single run against
+//! the in-order protocol, and the chunked analysis map against a plain
+//! fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hbbtv_study::analysis::{par_chunks, par_chunks_auto};
+use hbbtv_study::analysis::par_chunks;
 use hbbtv_study::{Ecosystem, RunKind, StudyHarness};
 use std::hint::black_box;
 
 fn bench_parallelism(c: &mut Criterion) {
-    // Whole-study wall clock: runs and visits as tasks on the shared
-    // work-stealing pool vs. one thread for everything. The speedup
-    // ceiling is min(channels, cores) — no longer just 5 — and idle
-    // workers steal tail visits across runs.
+    // Whole-study wall clock: every (run, visit) slot in one ordered
+    // parallel map vs. one thread for everything. The speedup ceiling
+    // is min(visits, cores).
     let eco = Ecosystem::with_scale(42, 0.05);
     c.bench_function("run_all_parallel_scale_0_05", |b| {
         b.iter(|| black_box(StudyHarness::new(&eco).run_all()))
@@ -21,8 +20,8 @@ fn bench_parallelism(c: &mut Criterion) {
         b.iter(|| black_box(StudyHarness::new(&eco).run_all_sequential()))
     });
 
-    // Per-channel fan-out inside a single run: hermetic visits over the
-    // par_map worker pool vs. the same visits in protocol order on one
+    // Per-channel fan-out inside a single run: hermetic visits over
+    // par_map vs. the same visits in protocol order on one
     // thread. Isolates the visit-level grain from the run-level one.
     c.bench_function("single_run_channel_parallel_scale_0_05", |b| {
         b.iter(|| black_box(StudyHarness::new(&eco).run_parallel(RunKind::Red)))
@@ -50,17 +49,6 @@ fn bench_parallelism(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 par_chunks(&items, 4096, work)
-                    .into_iter()
-                    .fold(0u64, u64::wrapping_add),
-            )
-        })
-    });
-    // Same workload with the runtime picking the chunk length from its
-    // adapted oversubscription factor — what the analysis call sites use.
-    c.bench_function("par_chunks_auto_200k_items", |b| {
-        b.iter(|| {
-            black_box(
-                par_chunks_auto(&items, work)
                     .into_iter()
                     .fold(0u64, u64::wrapping_add),
             )

@@ -15,13 +15,11 @@
 //! counters equal the dataset's captured exchanges — is asserted here
 //! on every run.
 //!
-//! The `scaling` block reruns study + analysis on private worker pools
-//! of 1, 2, 4, … workers (up to the machine's parallelism), asserting
-//! along the way that the rendered report is byte-identical at every
-//! worker count. `--render <path>` additionally writes the rendered
-//! report to `<path>`, which `scripts/check.sh --pool-smoke` diffs
-//! across `HBBTV_POOL_WORKERS` settings as the cross-process drift
-//! gate.
+//! The `scaling` block reruns study + analysis at 1, 2, 4, … executors
+//! (up to the machine's parallelism), asserting along the way that the
+//! rendered report is byte-identical at every executor count.
+//! `--render <path>` additionally writes the rendered report to
+//! `<path>`.
 
 use hbbtv_bench::cli::study_args_or_exit;
 use hbbtv_study::obs::{MemoryRecorder, SimClock, Telemetry, TelemetryMode};
@@ -154,10 +152,9 @@ fn main() {
     ));
 
     // The 1→N-core scaling sweep: the whole study plus the engine's
-    // analysis on private pools of doubling worker counts, each point
-    // gated on rendering the byte-identical report. Worker counts are
-    // pool threads; the submitting thread always helps, so a "1-worker"
-    // point has at most two executors.
+    // analysis at doubling executor counts (the calling thread
+    // included), each point gated on rendering the byte-identical
+    // report.
     let max_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut counts = vec![1usize, 2, 4];
     counts.push(max_workers);

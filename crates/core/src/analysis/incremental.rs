@@ -61,9 +61,8 @@ use crate::analysis::frame_store::{
     FrameStore, SegmentCols, FLAG_CANONICAL, FLAG_FINGERPRINT, FLAG_PIXEL,
 };
 use crate::analysis::leakage::{LeakageAnalysis, GENRE_KEYWORDS};
-use crate::analysis::parallel::{par_chunks_auto, par_map};
+use crate::analysis::parallel::{par_chunks_auto, par_map, CHUNK_LEN};
 use crate::analysis::policy_analysis::PolicyAnalysis;
-use crate::analysis::pool::adaptive_chunk_len;
 use crate::analysis::significance::SignificanceReport;
 use crate::analysis::syncing::{is_potential_id, SyncEvent, SyncingAnalysis};
 use crate::analysis::tracking::{
@@ -1065,8 +1064,10 @@ impl FrameBuilder {
         // folding row chunks on the worker pool.
         self.fill_class_memo(&[&cols]);
         let n = cols.len();
-        let step = adaptive_chunk_len(n);
-        let chunks: Vec<Range<usize>> = (0..n).step_by(step).map(|a| a..n.min(a + step)).collect();
+        let chunks: Vec<Range<usize>> = (0..n)
+            .step_by(CHUNK_LEN)
+            .map(|a| a..n.min(a + CHUNK_LEN))
+            .collect();
         let p = par_map(&chunks, |_, rows| {
             self.seal_partial(&cols, rows.clone(), &body_leaks[rows.clone()], run)
         })

@@ -17,7 +17,6 @@ pub mod incremental;
 pub mod leakage;
 pub mod parallel;
 pub mod policy_analysis;
-pub(crate) mod pool;
 pub mod rule_derivation;
 pub mod significance;
 pub mod syncing;
@@ -31,9 +30,7 @@ pub use ecosystem_graph::GraphAnalysis;
 pub use first_party::FirstPartyMap;
 pub use incremental::IncrementalStudy;
 pub use leakage::LeakageAnalysis;
-pub use parallel::{
-    par_chunks, par_chunks_auto, par_map, par_map_observed, PoolObserver, Runtime, WORKERS_ENV,
-};
+pub use parallel::{par_chunks, par_chunks_auto, par_map, Runtime, WORKERS_ENV};
 pub use policy_analysis::PolicyAnalysis;
 pub use rule_derivation::{DerivedList, DerivedRule, RuleEvidence};
 pub use significance::SignificanceReport;

@@ -1,52 +1,135 @@
-//! Deterministic parallel maps: the ordered API over the persistent
-//! work-stealing runtime in [`super::pool`].
+//! Deterministic parallel maps over `std::thread::scope`.
 //!
-//! [`par_map`] maps a function over a slice on the process-wide worker
-//! pool (per-worker deques, split-in-half stealing — see the [`pool`]
-//! module docs) and returns the results **in item order** — so any
-//! left-to-right merge over them produces exactly the sequential
-//! result, regardless of worker count or steal pattern. Two callers
-//! build on it:
+//! [`par_map`] maps a function over a slice and returns the results
+//! **in item order** — so any left-to-right merge over them produces
+//! exactly the sequential result, regardless of executor count or of
+//! which executor ran which item. Two callers build on it:
 //!
+//! * The study harness fans every `(run, visit)` slot of a study out in
+//!   one call (`StudyHarness::run_all`); each item is one hermetic
+//!   visit and the ordered results merge per run in canonical channel
+//!   order.
 //! * The heavy analysis loops are folds over independent captures:
 //!   the analysis engine's per-capture scan, URL probes, and row-chunk
 //!   partials when it seals an epoch, and the naive oracle's per-pass
 //!   scans. [`par_chunks`] splits a slice into fixed-length chunks and
 //!   `par_map`s the per-chunk partial statistics, and
-//!   [`par_chunks_auto`] picks the chunk length adaptively from the
-//!   pool's recent queue-depth telemetry.
-//! * The study harness fans the channel visits of one run out over the
-//!   pool (`StudyHarness::run_parallel`); each item is one hermetic
-//!   visit and the ordered results merge in canonical channel order.
-//!   Because every call shares one pool, a worker idling at the tail of
-//!   one run steals visits (and capture chunks) from the others.
+//!   [`par_chunks_auto`] uses the crate's fixed chunk length.
 //!
-//! Calls nest without spawning: a `par_chunks` issued from inside a
-//! pool worker queues its chunks on that worker's own deque and helps
-//! drain them, so nested fan-outs use the same fixed set of threads
-//! throughout.
-//!
-//! [`pool`]: super::pool
+//! Each call runs on the calling thread plus `executors − 1` threads
+//! spawned in one scope; every executor claims items one at a time from
+//! a shared counter, so a slow item never strands the rest of the batch
+//! behind it. A call made from inside an item runs inline on that
+//! item's thread: nesting never multiplies threads.
 
-use super::pool;
-pub use super::pool::{Runtime, WORKERS_ENV};
-use hbbtv_obs::{Counter, Gauge, Histogram};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// Maps `f` over `items` in `chunk_len`-sized chunks on the worker pool
-/// and returns the per-chunk results in chunk order.
+/// Environment variable fixing the global executor count (read once,
+/// at first use), the calling thread included: `HBBTV_POOL_WORKERS=1`
+/// runs every call inline on its caller.
+pub const WORKERS_ENV: &str = "HBBTV_POOL_WORKERS";
+
+/// The chunk length of [`par_chunks_auto`] and of the engine's
+/// row-chunk partials. A scoped helper thread costs about 30 µs to
+/// spawn and join on an idle 2-vCPU box, and milliseconds when the host
+/// holds back the other vCPU, so a batch goes parallel only once it
+/// spans more than one chunk of this many cheap items.
+pub(crate) const CHUNK_LEN: usize = 4096;
+
+thread_local! {
+    /// The executor count installed by [`Runtime::install`].
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set while this thread executes `par_map` items, so calls nested
+    /// inside an item run inline.
+    static IN_ITEM: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The executor count of parallel calls: a plain number, the calling
+/// thread included. [`Runtime::global`] is the process-wide default;
+/// [`Runtime::with_workers`] + [`Runtime::install`] override it for one
+/// closure (the scaling probe and the forced-count determinism tests).
+/// A runtime owns no threads: each call spawns its own in a scope.
+#[derive(Debug)]
+pub struct Runtime {
+    workers: usize,
+}
+
+impl Runtime {
+    /// A runtime of `workers` executors, the calling thread included
+    /// (clamped to at most 512). Zero and one both run every call
+    /// inline, strictly in item order.
+    pub fn with_workers(workers: usize) -> Runtime {
+        Runtime {
+            workers: workers.min(512),
+        }
+    }
+
+    /// The process-wide runtime: `HBBTV_POOL_WORKERS` executors when
+    /// set, else one per hardware thread.
+    pub fn global() -> &'static Runtime {
+        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
+        GLOBAL.get_or_init(|| Runtime::with_workers(configured_workers()))
+    }
+
+    /// Number of executors, the calling thread included.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Runs `f` with this runtime's executor count for every
+    /// `par_map`/`par_chunks` the calling thread issues inside it.
+    /// Installations nest; the previous count is restored on return or
+    /// unwind.
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.set(self.0);
+            }
+        }
+        let _restore = Restore(INSTALLED.replace(Some(self.workers)));
+        f()
+    }
+}
+
+/// The global executor count (see [`WORKERS_ENV`]).
+fn configured_workers() -> usize {
+    if let Ok(v) = std::env::var(WORKERS_ENV) {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.clamp(1, 512);
+        }
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// How many executors a call from this thread gets: one inside an
+/// item, else the installed or global count (at least one).
+fn executors() -> usize {
+    if IN_ITEM.get() {
+        return 1;
+    }
+    INSTALLED
+        .get()
+        .unwrap_or_else(|| Runtime::global().workers())
+        .max(1)
+}
+
+/// Maps `f` over `items` in `chunk_len`-sized chunks and returns the
+/// per-chunk results in chunk order.
 ///
-/// The final chunk may be shorter. With a single chunk, or with a
-/// single-worker pool, `f` runs on the calling thread — the result is
-/// identical either way, which is what makes the analyses over it
-/// deterministic. Callers that only need *some* deterministic
-/// chunking — every internal capture-scan does — should prefer
-/// [`par_chunks_auto`], which sizes chunks to the pool instead of
-/// hard-coding a length.
+/// The final chunk may be shorter. With a single chunk, or with one
+/// executor, `f` runs on the calling thread — the result is identical
+/// either way, which is what makes the analyses over it deterministic.
+/// Callers that only need *some* deterministic chunking — every
+/// internal capture-scan does — should prefer [`par_chunks_auto`].
 ///
 /// # Panics
 ///
 /// Panics if `chunk_len` is zero, or rethrows the original payload if
-/// `f` panics on a worker.
+/// `f` panics.
 ///
 /// # Examples
 ///
@@ -68,40 +151,39 @@ where
     par_map(&chunks, |_, chunk| f(chunk))
 }
 
-/// [`par_chunks`] with the chunk length chosen by the runtime:
-/// proportional to the item count over the executor count times an
-/// oversubscription factor the pool adapts from recent queue-depth
-/// high-water marks, clamped to `64..=4096` (the old fixed length).
+/// [`par_chunks`] with the crate's chunk length of 4,096 items, so an
+/// input of at most that many runs inline on the calling thread.
 ///
-/// Only the *number* of chunks varies with the adaptation — the fold
-/// result cannot, because every analysis built on chunk partials merges
-/// them associatively over ordered disjoint segments (enforced by the
-/// engine-parity suite and `matches_sequential_fold_for_many_chunk_sizes`).
+/// Chunk boundaries never change a fold's result, because every
+/// analysis built on chunk partials merges them associatively over
+/// ordered disjoint segments (enforced by the engine-parity suite and
+/// `matches_sequential_fold_for_many_chunk_sizes`).
 pub fn par_chunks_auto<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> R + Sync,
 {
-    par_chunks(items, pool::adaptive_chunk_len(items.len()), f)
+    par_chunks(items, CHUNK_LEN, f)
 }
 
-/// Maps `f` over `items` on the worker pool and returns the results
-/// **in item order**. `f` receives `(index, &item)` so callers can
-/// derive per-item state (seeds, clock offsets) from the canonical
-/// position rather than from scheduling order.
+/// Maps `f` over `items` and returns the results **in item order**.
+/// `f` receives `(index, &item)` so callers can derive per-item state
+/// (seeds, clock offsets) from the canonical position rather than from
+/// scheduling order.
 ///
-/// Work splits in half lazily as idle workers steal, so executors can
-/// finish in any order without perturbing the output. With one item,
-/// or with a single-worker pool, the call degenerates to an in-order
-/// loop — the result is identical either way, which is what makes
-/// everything built on top of it deterministic.
+/// The calling thread and `executors − 1` scoped threads claim items
+/// one at a time and write each result to its item's slot. With one
+/// item, one executor, or when called from inside another `par_map`
+/// item, the call is an in-order loop on the calling thread — the
+/// result is identical either way, which is what makes everything built
+/// on top of it deterministic.
 ///
 /// # Panics
 ///
-/// Rethrows the first worker panic with its **original payload** (via
-/// [`std::panic::resume_unwind`]) after the remaining workers have
-/// stopped claiming items.
+/// Rethrows the first panic with its **original payload** (via
+/// [`std::panic::resume_unwind`]) after the other executors have
+/// stopped claiming items and joined.
 ///
 /// # Examples
 ///
@@ -117,60 +199,68 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_observed(items, None, f)
-}
-
-/// Scheduling-dependent worker-pool instrumentation for
-/// [`par_map_observed`]. All four cells describe *how the pool ran*,
-/// not what it computed — by the dual-clock rule they are only wired up
-/// in profile mode, where byte-stability is already forfeit.
-#[derive(Debug, Clone, Default)]
-pub struct PoolObserver {
-    /// Executors that processed at least one item of the batch (1 when
-    /// the call collapses onto the calling thread).
-    pub workers: Counter,
-    /// Items each participating executor ended up processing.
-    pub items_per_worker: Histogram,
-    /// High-water mark of unclaimed items observed at claim time,
-    /// **for the most recent call** — reset at the start of every
-    /// observed call, so an observer shared across stages never reads a
-    /// previous stage's high-water mark.
-    pub queue_depth: Gauge,
-    /// Tasks of this observer's batches taken from another worker's
-    /// deque (0 when nothing needed rebalancing).
-    pub steals: Counter,
-}
-
-/// [`par_map`] with optional worker-pool instrumentation. The observer
-/// never influences scheduling or results — `par_map_observed(items,
-/// None, f)` *is* `par_map`.
-pub fn par_map_observed<T, R, F>(items: &[T], observer: Option<&PoolObserver>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    // Per-call scope: the gauge is a high-water mark *of one call*; an
-    // observer reused across calls must not carry the previous call's
-    // depth forward (it feeds the adaptive chunk sizing).
-    if let Some(obs) = observer {
-        obs.queue_depth.set(0);
+    let executors = executors().min(items.len());
+    if executors <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let (out, stats) = pool::run_map(items, &f);
-    if let Some(obs) = observer {
-        for &count in &stats.per_executor_items {
-            obs.workers.inc();
-            obs.items_per_worker.record(count);
+    // `next` and `poisoned` publish no data: results travel through the
+    // joined threads' return values and the payload through its mutex.
+    let next = AtomicUsize::new(0);
+    let poisoned = AtomicBool::new(false);
+    let payload = Mutex::new(None);
+    let claim = || {
+        let outer = IN_ITEM.replace(true);
+        let mut done = Vec::new();
+        while !poisoned.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => {
+                    poisoned.store(true, Ordering::Relaxed);
+                    payload
+                        .lock()
+                        .expect("nothing panics while holding the payload lock")
+                        .get_or_insert(p);
+                }
+            }
         }
-        obs.queue_depth.raise_to(stats.depth_high_water);
-        obs.steals.add(stats.steals);
+        IN_ITEM.set(outer);
+        done
+    };
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..executors).map(|_| s.spawn(claim)).collect();
+        let mut parts = vec![claim()];
+        parts.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        parts
+    });
+    if let Some(p) = payload
+        .into_inner()
+        .expect("nothing panics while holding the payload lock")
+    {
+        resume_unwind(p);
     }
-    out
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item produces a result"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The forced executor counts: 0 and 1 run inline, 2 is the
+    /// reference box, 8 oversubscribes it.
+    const FORCED: [usize; 4] = [0, 1, 2, 8];
 
     #[test]
     fn results_come_back_in_chunk_order() {
@@ -236,90 +326,82 @@ mod tests {
     }
 
     #[test]
-    fn observer_accounts_for_every_item_without_changing_results() {
-        let items: Vec<u64> = (0..300).collect();
-        let plain = par_map(&items, |i, &v| i as u64 + v);
-        let observer = PoolObserver::default();
-        let observed = par_map_observed(&items, Some(&observer), |i, &v| i as u64 + v);
-        assert_eq!(plain, observed);
-        assert!(observer.workers.get() >= 1);
-        assert_eq!(
-            observer.items_per_worker.summary().sum,
-            items.len() as u64,
-            "every item is claimed by exactly one worker"
-        );
-        assert!(observer.queue_depth.get() >= 0);
+    fn global_pool_has_pinned_worker_count() {
+        let rt = Runtime::global();
+        assert!(rt.workers() >= 1);
+        assert_eq!(rt.workers(), Runtime::global().workers());
     }
 
     #[test]
-    fn observer_on_the_single_item_fallback_counts_one_worker() {
-        let observer = PoolObserver::default();
-        let out = par_map_observed(&[5u8], Some(&observer), |_, &b| b * 2);
-        assert_eq!(out, vec![10]);
-        assert_eq!(observer.workers.get(), 1);
-        assert_eq!(observer.items_per_worker.summary().sum, 1);
+    fn install_nests_and_restores() {
+        let outer = Runtime::with_workers(1);
+        let inner = Runtime::with_workers(2);
+        outer.install(|| {
+            assert_eq!(executors(), 1);
+            inner.install(|| assert_eq!(executors(), 2));
+            assert_eq!(executors(), 1);
+        });
     }
 
-    /// The satellite-3 bug: a shared observer's queue-depth gauge is a
-    /// per-call scope, not a cross-call high-water mark. Before the
-    /// fix, the second (tiny) call read the first call's depth.
+    /// Every index is claimed and executed exactly once, whatever the
+    /// executor count.
     #[test]
-    fn queue_depth_resets_between_calls_sharing_an_observer() {
-        let observer = PoolObserver::default();
-        let big: Vec<u64> = (0..4000).collect();
-        par_map_observed(&big, Some(&observer), |_, &v| v);
-        let after_big = observer.queue_depth.get();
-        assert!(after_big >= 0);
-
-        par_map_observed(&[1u64, 2], Some(&observer), |_, &v| v);
-        let after_small = observer.queue_depth.get();
-        assert!(
-            after_small <= 2,
-            "second call must report its own depth (≤ 2 unclaimed), \
-             not the first call's high-water mark ({after_big}); got {after_small}"
-        );
+    fn splitting_covers_every_index_exactly_once() {
+        for workers in FORCED {
+            let hits: Vec<AtomicUsize> = (0..2048).map(|_| AtomicUsize::new(0)).collect();
+            let out = Runtime::with_workers(workers).install(|| {
+                par_map(&hits, |i, cell: &AtomicUsize| {
+                    cell.fetch_add(1, Ordering::Relaxed);
+                    i
+                })
+            });
+            assert_eq!(out, (0..2048).collect::<Vec<_>>(), "{workers} workers");
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}, {workers} workers");
+            }
+        }
     }
 
-    /// The satellite-2 bug: a worker panic must surface the *original*
-    /// payload on the submitting thread, not a generic
-    /// `expect("par_map worker panicked")`.
+    /// A panic must surface the *original* payload on the calling
+    /// thread, not a generic join error, at every executor count.
     #[test]
     fn worker_panic_rethrows_the_original_payload() {
         let items: Vec<u64> = (0..100).collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map(&items, |i, &v| {
-                if i == 37 {
-                    panic!("boom-42 at item {v}");
-                }
-                v
-            })
-        }))
-        .expect_err("the map must rethrow");
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("payload is the original panic message");
-        assert_eq!(msg, "boom-42 at item 37");
+        for workers in FORCED {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Runtime::with_workers(workers).install(|| {
+                    par_map(&items, |i, &v| {
+                        if i == 37 {
+                            panic!("boom-42 at item {v}");
+                        }
+                        v
+                    })
+                })
+            }))
+            .expect_err("the map must rethrow");
+            let msg = caught
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("payload is the original panic message");
+            assert_eq!(msg, "boom-42 at item 37", "{workers} workers");
+        }
     }
 
-    /// And its sibling half: once one item panics, the batch is
-    /// poisoned — remaining items stop being claimed instead of running
-    /// to completion behind a dead sibling. A zero-worker pool makes
-    /// the schedule deterministic (every task runs in order on the
-    /// submitting thread; leaf `0..1` executes first by the
-    /// keep-the-lower-half split rule), so after the poison *nothing*
-    /// may run. On a pool with workers the bound is inherently
-    /// scheduling-dependent — a preempted submitter can let one worker
-    /// drain the batch before the poisoning leaf runs — which is
-    /// exactly why this pins the degenerate point instead.
+    /// Once one item panics, the batch is poisoned — remaining items
+    /// stop being claimed instead of running to completion behind a
+    /// dead sibling. One executor makes the schedule deterministic
+    /// (items run in order on the calling thread), so after the panic
+    /// *nothing* may run. With more executors the bound is inherently
+    /// scheduling-dependent — a preempted caller can let another
+    /// executor drain the batch before the panicking item runs — which
+    /// is exactly why this pins the degenerate point instead.
     #[test]
     fn siblings_stop_claiming_after_a_panic() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let executed = AtomicUsize::new(0);
         let items: Vec<u64> = (0..10_000).collect();
         let rt = Runtime::with_workers(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             rt.install(|| {
                 par_map(&items, |i, &v| {
                     if i == 0 {

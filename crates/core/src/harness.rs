@@ -24,16 +24,13 @@
 //! the run's timeline, RNGs seeded from `(run seed, channel id)`, and a
 //! [`Proxy`] shard into which a single [`hbbtv_proxy::VisitHandle`]
 //! records. Because no state flows between visits,
-//! [`StudyHarness::run_parallel`] can fan the visits of one run out over
-//! the process-wide work-stealing pool ([`par_map`]) and merge the
-//! results in canonical channel order — byte-identical to the sequential
-//! [`StudyHarness::run`], which drives the very same per-visit function
-//! on the calling thread. [`StudyHarness::run_all`] stacks the two
-//! grains on that same pool: runs fan out as pool tasks, visits inside
-//! each run are exposed for stealing, so a worker that drains its run
-//! early steals tail visits from the slow ones.
+//! [`StudyHarness::run_all`] plans all five runs up front, fans every
+//! `(run, visit)` slot of the study out in one ordered [`par_map`], and
+//! merges each run's visits in canonical channel order — byte-identical
+//! to [`StudyHarness::run_all_sequential`], which drives the very same
+//! per-visit function on the calling thread, slot by slot.
 
-use crate::analysis::parallel::{par_map_observed, PoolObserver};
+use crate::analysis::par_map;
 use crate::dataset::{RunDataset, StudyDataset, VisitSummary};
 use crate::ecosystem::Ecosystem;
 use crate::run::RunKind;
@@ -41,7 +38,7 @@ use hbbtv_filterlists::{FilterList, RequestContext, ResourceKind};
 use hbbtv_net::{
     ContentType, CookieKey, Duration, Etld1, Request, Response, SimClock, Status, Timestamp,
 };
-use hbbtv_obs::{keys, RunTelemetry, StudyTelemetry, Telemetry, TelemetryConfig};
+use hbbtv_obs::{keys, RunTelemetry, Span, StudyTelemetry, Telemetry, TelemetryConfig};
 use hbbtv_proxy::{CapturedExchange, Proxy, ProxyMetrics, VisitHandle};
 use hbbtv_trackers::ResponderContext;
 use hbbtv_tv::{
@@ -52,7 +49,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The network backend for one simulated channel visit: answers from
 /// the tracker registry (plus the first parties' policy routes) and
@@ -135,15 +132,27 @@ struct RunArtifacts {
     events: Vec<hbbtv_obs::Event>,
 }
 
-/// Telemetry bookkeeping shared by the root harness and the per-run
-/// sub-harnesses [`StudyHarness::run_all`] spawns. Finished runs are
-/// keyed by their ordinal in [`RunKind::ALL`] (repeated runs of one
-/// kind append in call order), so summaries and the flushed journal
-/// come out in canonical order no matter which worker finished first.
-#[derive(Clone)]
+/// The harness's telemetry bookkeeping. Finished runs are keyed by
+/// their ordinal in [`RunKind::ALL`] (repeated runs of one kind append
+/// in call order), so summaries and the flushed journal come out in
+/// canonical order whatever order runs were performed in.
 struct TelemetryShared {
     config: TelemetryConfig,
-    finished: Arc<Mutex<BTreeMap<usize, Vec<RunArtifacts>>>>,
+    finished: Mutex<BTreeMap<usize, Vec<RunArtifacts>>>,
+}
+
+/// The run-level script state, fixed before any visit starts.
+struct RunPlan {
+    kind: RunKind,
+    seed: u64,
+    /// The shuffled channel order, off-air channels removed.
+    order: Vec<hbbtv_broadcast::ChannelId>,
+    /// The fixed 10-press interaction sequence shared by all visits
+    /// (§IV-C generates it once per run).
+    sequence: Vec<RcButton>,
+    /// The run's telemetry scope; visit scopes parent under `span`.
+    tel: Telemetry,
+    span: Span,
 }
 
 /// Drives the full study over a generated ecosystem.
@@ -174,18 +183,9 @@ impl<'a> StudyHarness<'a> {
     pub fn with_telemetry(eco: &'a Ecosystem, config: TelemetryConfig) -> Self {
         let tel = config.mode.metrics_on().then(|| TelemetryShared {
             config,
-            finished: Arc::new(Mutex::new(BTreeMap::new())),
+            finished: Mutex::new(BTreeMap::new()),
         });
         StudyHarness { eco, tel }
-    }
-
-    /// A harness sharing this one's world and telemetry bookkeeping,
-    /// for the per-run worker threads of [`StudyHarness::run_all`].
-    fn subharness(&self) -> StudyHarness<'a> {
-        StudyHarness {
-            eco: self.eco,
-            tel: self.tel.clone(),
-        }
     }
 
     /// The ordinal of `kind` in [`RunKind::ALL`] — the canonical sort
@@ -272,8 +272,8 @@ impl<'a> StudyHarness<'a> {
         shared.config.sink.flush();
     }
 
-    /// Performs all five measurement runs on the shared worker pool,
-    /// with channel-parallel visits inside each run.
+    /// Performs all five measurement runs, every `(run, visit)` slot of
+    /// the study fanned out in one [`par_map`].
     ///
     /// The physical study ran the five protocols on independent days
     /// against freshly wiped TV state; here each run owns an isolated
@@ -281,18 +281,12 @@ impl<'a> StudyHarness<'a> {
     /// and each visit inside a run is hermetic (see the module docs), so
     /// the parallel execution is byte-identical to
     /// [`StudyHarness::run_all_sequential`]. Results are assembled in
-    /// [`RunKind::ALL`] order regardless of which worker finishes first.
-    ///
-    /// Runs and visits share one work-stealing pool: the nested
-    /// `par_map` inside [`StudyHarness::run_parallel`] exposes each
-    /// run's visits for stealing, so a worker that finishes its run
-    /// early picks up the tail visits of a slow one instead of idling —
-    /// the long-tailed channels (`visit_wall_p99 ≫ p50`) no longer gate
-    /// the whole study.
+    /// [`RunKind::ALL`] order regardless of which executor finished
+    /// first. One flat batch lets an executor that drains one run's
+    /// visits move straight on to the next run's, so the long-tailed
+    /// channels (`visit_wall_p99 ≫ p50`) never gate a whole run.
     pub fn run_all(&self) -> StudyDataset {
-        let runs = crate::analysis::par_map(&RunKind::ALL, |_, &kind| {
-            self.subharness().run_parallel(kind)
-        });
+        let runs = self.perform(&RunKind::ALL, None, true);
         self.flush_journal();
         StudyDataset { runs }
     }
@@ -303,128 +297,117 @@ impl<'a> StudyHarness<'a> {
     ///
     /// [`run_all`]: StudyHarness::run_all
     pub fn run_all_sequential(&self) -> StudyDataset {
-        let dataset = StudyDataset {
-            runs: RunKind::ALL.iter().map(|&r| self.run(r)).collect(),
-        };
+        let runs = self.perform(&RunKind::ALL, None, false);
         self.flush_journal();
-        dataset
+        StudyDataset { runs }
     }
 
     /// Performs one measurement run, visits in protocol order on the
     /// calling thread.
     pub fn run(&self, kind: RunKind) -> RunDataset {
-        self.run_inner(kind, None, false)
+        self.perform(&[kind], None, false).remove(0)
     }
 
     /// Performs one measurement run with its channel visits fanned out
-    /// over a scoped-thread worker pool. Byte-identical to
-    /// [`StudyHarness::run`]: both drive the same hermetic per-visit
-    /// function, and [`par_map`] returns visit outcomes in canonical
-    /// channel order regardless of scheduling.
+    /// over [`par_map`]. Byte-identical to [`StudyHarness::run`]: both
+    /// drive the same hermetic per-visit function, and [`par_map`]
+    /// returns visit outcomes in canonical channel order regardless of
+    /// scheduling.
     pub fn run_parallel(&self, kind: RunKind) -> RunDataset {
-        self.run_inner(kind, None, true)
+        self.perform(&[kind], None, true).remove(0)
     }
 
     /// Performs one measurement run with an on-device block list active
     /// (the §VIII protection evaluation: blocked requests never leave
     /// the TV).
     pub fn run_with_blocklist(&self, kind: RunKind, blocklist: &FilterList) -> RunDataset {
-        self.run_inner(kind, Some(blocklist), false)
+        self.perform(&[kind], Some(blocklist), false).remove(0)
     }
 
-    /// [`StudyHarness::run_with_blocklist`] with channel-parallel
-    /// visits.
-    pub fn run_parallel_with_blocklist(&self, kind: RunKind, blocklist: &FilterList) -> RunDataset {
-        self.run_inner(kind, Some(blocklist), true)
-    }
-
-    fn run_inner(
+    /// Performs the runs `kinds` in order: plans every run, performs
+    /// every `(run, visit)` slot — in one [`par_map`] when `parallel`,
+    /// else in protocol order on the calling thread — then closes each
+    /// run over its visits.
+    fn perform(
         &self,
-        kind: RunKind,
+        kinds: &[RunKind],
         blocklist: Option<&FilterList>,
         parallel: bool,
-    ) -> RunDataset {
-        let run_seed = self.eco.seed() ^ (kind as u64).wrapping_mul(0x9E37_79B9);
-        let (order, sequence) = self.visit_plan(kind, run_seed);
-        let run_tel = self.run_scope(kind);
-        let mut run_span = run_tel.span("run");
-        run_span.add_field("run", kind.label());
-        run_span.add_field("channels", order.len());
+    ) -> Vec<RunDataset> {
+        let plans: Vec<RunPlan> = kinds.iter().map(|&kind| self.plan(kind)).collect();
+        let slots: Vec<(&RunPlan, usize)> = plans
+            .iter()
+            .flat_map(|plan| (0..plan.order.len()).map(move |seq| (plan, seq)))
+            .collect();
+        let visit = |&(plan, seq): &(&RunPlan, usize)| self.visit_channel(plan, seq, blocklist);
         let outcomes: Vec<VisitOutcome> = if parallel {
-            // Worker-pool stats are scheduling-dependent, so the
-            // observer exists only in profile mode (the dual-clock
-            // rule: journal-mode output is byte-stable).
-            let observer = run_tel.mode().profile_on().then(|| PoolObserver {
-                workers: run_tel.counter(keys::POOL_WORKERS),
-                items_per_worker: run_tel.histogram(keys::POOL_ITEMS_PER_WORKER),
-                queue_depth: run_tel.gauge(keys::POOL_QUEUE_DEPTH),
-                steals: run_tel.counter(keys::POOL_STEALS),
-            });
-            par_map_observed(&order, observer.as_ref(), |seq, &id| {
-                self.visit_channel(kind, run_seed, seq, id, &sequence, blocklist, &run_tel)
-            })
+            par_map(&slots, |_, slot| visit(slot))
         } else {
-            order
-                .iter()
-                .enumerate()
-                .map(|(seq, &id)| {
-                    self.visit_channel(kind, run_seed, seq, id, &sequence, blocklist, &run_tel)
-                })
-                .collect()
+            slots.iter().map(visit).collect()
         };
-        // Fold the per-visit scopes into the run scope in canonical
-        // channel order — merge order is fixed here, never by the
-        // worker pool, so metrics and journal are byte-stable.
-        if run_tel.is_enabled() {
-            let visits = run_tel.counter(keys::VISITS);
-            let visit_captures = run_tel.histogram(keys::VISIT_CAPTURES);
-            for outcome in &outcomes {
-                visits.inc();
-                visit_captures.record(outcome.captures.len() as u64);
-                run_tel.merge_child(&outcome.tel);
-            }
-        }
-        drop(run_span);
-        let dataset = merge_run(kind, outcomes);
-        self.finish_run(kind, run_tel);
-        dataset
+        let mut outcomes = outcomes.into_iter();
+        plans
+            .into_iter()
+            .map(|plan| {
+                let visits: Vec<VisitOutcome> = outcomes.by_ref().take(plan.order.len()).collect();
+                // Fold the per-visit scopes into the run scope in
+                // canonical channel order — merge order is fixed here,
+                // never by the executors, so metrics and journal are
+                // byte-stable.
+                if plan.tel.is_enabled() {
+                    let count = plan.tel.counter(keys::VISITS);
+                    let visit_captures = plan.tel.histogram(keys::VISIT_CAPTURES);
+                    for outcome in &visits {
+                        count.inc();
+                        visit_captures.record(outcome.captures.len() as u64);
+                        plan.tel.merge_child(&outcome.tel);
+                    }
+                }
+                drop(plan.span);
+                let dataset = merge_run(plan.kind, visits);
+                self.finish_run(plan.kind, plan.tel);
+                dataset
+            })
+            .collect()
     }
 
-    /// The run-level script state, fixed before any visit starts: the
-    /// shuffled channel order (off-air channels removed) and the fixed
-    /// 10-press interaction sequence shared by all visits (§IV-C
-    /// generates it once per run).
-    fn visit_plan(
-        &self,
-        kind: RunKind,
-        run_seed: u64,
-    ) -> (Vec<hbbtv_broadcast::ChannelId>, Vec<RcButton>) {
-        let mut script_rng = StdRng::seed_from_u64(run_seed ^ 0x5C21);
+    /// Draws a run's script state from its seed and opens its telemetry
+    /// scope and `run` span.
+    fn plan(&self, kind: RunKind) -> RunPlan {
+        let seed = self.eco.seed() ^ (kind as u64).wrapping_mul(0x9E37_79B9);
+        let mut script_rng = StdRng::seed_from_u64(seed ^ 0x5C21);
         let mut order: Vec<_> = self.eco.final_channels().to_vec();
         order.shuffle(&mut script_rng);
         let sequence = interaction_sequence(&mut script_rng);
         let off_air = self.eco.off_air(kind);
         order.retain(|id| !off_air.contains(id));
-        (order, sequence)
+        let tel = self.run_scope(kind);
+        let mut span = tel.span("run");
+        span.add_field("run", kind.label());
+        span.add_field("channels", order.len());
+        RunPlan {
+            kind,
+            seed,
+            order,
+            sequence,
+            tel,
+            span,
+        }
     }
 
-    /// One hermetic channel visit: a pure function of `(ecosystem, run
-    /// kind, visit position, channel id)`. Owns a fresh TV, a clock
-    /// offset to the visit's slot (`start_time + seq · watch_time`), a
-    /// proxy shard, and RNGs seeded from `(run_seed, channel_id)` — so
-    /// the same arguments produce the same outcome on any thread in any
-    /// order.
-    #[allow(clippy::too_many_arguments)]
+    /// One hermetic channel visit, the `seq`-th of `plan`: a pure
+    /// function of `(ecosystem, run kind, visit position, channel id)`.
+    /// Owns a fresh TV, a clock offset to the visit's slot
+    /// (`start_time + seq · watch_time`), a proxy shard, and RNGs seeded
+    /// from `(run seed, channel id)` — so the same arguments produce the
+    /// same outcome on any thread in any order.
     fn visit_channel(
         &self,
-        kind: RunKind,
-        run_seed: u64,
+        plan: &RunPlan,
         seq: usize,
-        id: hbbtv_broadcast::ChannelId,
-        sequence: &[RcButton],
         blocklist: Option<&FilterList>,
-        run_tel: &Telemetry,
     ) -> VisitOutcome {
+        let (kind, id) = (plan.kind, plan.order[seq]);
         let bp = self
             .eco
             .blueprint(id)
@@ -434,7 +417,7 @@ impl<'a> StudyHarness<'a> {
         let clock = SimClock::starting_at(opened);
         // The visit's telemetry scope: buffered events, span ids from
         // the visit's canonical block, time from the visit's own clock.
-        let tel = run_tel.child_scope(seq, clock.clone());
+        let tel = plan.tel.child_scope(seq, clock.clone());
         let mut visit_span = tel.span("visit");
         visit_span.add_field("seq", seq);
         visit_span.add_field("channel", id.0 as u64);
@@ -448,7 +431,7 @@ impl<'a> StudyHarness<'a> {
         }
         let visit = proxy.begin_visit(id, &bp.plan.name, clock.now());
 
-        let visit_seed = run_seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let visit_seed = plan.seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let backend = EcoBackend {
             eco: self.eco,
             visit,
@@ -511,7 +494,7 @@ impl<'a> StudyHarness<'a> {
             elapsed += 10;
             shoot(&mut tv, &mut script_rng, &mut screenshots);
             // Fixed interaction sequence, 5 s apart, screenshot each.
-            for &press in sequence {
+            for &press in &plan.sequence {
                 tv.press(press);
                 interactions += 1;
                 tv.advance(Duration::from_secs(5));

@@ -30,11 +30,9 @@
 //! assert!(!dataset.captures.is_empty());
 //! ```
 
-// `deny`, not `forbid`: the work-stealing pool's lifetime erasure
-// (`analysis::pool::erase`, the only `unsafe` in the workspace) carries
-// a scoped `#[allow]` with its soundness argument. Everything else
-// still refuses `unsafe` at compile time.
-#![deny(unsafe_code)]
+// Parallel calls borrow across threads through `std::thread::scope`,
+// so the crate needs no `unsafe` at all.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

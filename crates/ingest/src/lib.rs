@@ -26,8 +26,8 @@
 //!   [`Assembler`](session::Assembler) that reassembles shard results
 //!   into runs and studies.
 //! - [`server`]: the threaded collector — nonblocking acceptor, reader
-//!   threads, a dispatcher that JSON-decodes capture batches on the
-//!   work-stealing analysis pool, bounded per-session queues for
+//!   threads, a dispatcher that JSON-decodes capture batches with the
+//!   analysis crate's ordered parallel map, bounded per-session queues for
 //!   backpressure, heartbeat-timeout GC, and `hbbtv-obs` telemetry
 //!   (`ingest.sessions`, `ingest.frames`, `ingest.bytes`,
 //!   `ingest.backpressure_stalls`, …). The operations plane rides the

@@ -1,4 +1,4 @@
-//! The TCP ingest server: bounded reader threads, pool-fed decoding,
+//! The TCP ingest server: bounded reader threads, parallel decoding,
 //! backpressure, and heartbeat GC.
 //!
 //! ## Thread model
@@ -15,8 +15,8 @@
 //!   client, which is the whole backpressure story: a slow collector
 //!   never buffers unboundedly, it slows the TVs down.
 //! * **Dispatcher** — one thread draining pending queues in connection
-//!   order and fanning the JSON batch decodes over the PR-6
-//!   work-stealing pool (`hbbtv_study::analysis::par_map`). Results are
+//!   order and fanning the JSON batch decodes out with the ordered
+//!   scoped map `hbbtv_study::analysis::par_map`. Results are
 //!   applied back per session *in queue order*, so a session's capture
 //!   log grows exactly in streamed order regardless of worker count.
 //!   The dispatcher also finalizes drained `BYE` sessions (deferred ACK
@@ -67,8 +67,9 @@ pub struct IngestConfig {
     /// Telemetry mode for the server's `ingest.*` counters and
     /// histograms.
     pub telemetry: TelemetryMode,
-    /// Force the decode pool to a private runtime with this many
-    /// workers; `None` uses the process-wide pool. Tests sweep {1, 2, 8}
+    /// Decode with this many executors, the dispatcher thread included
+    /// (1 decodes inline on the dispatcher); `None` uses the
+    /// process-wide [`Runtime::global`] count. Tests sweep {1, 2, 8}
     /// through this knob.
     pub pool_workers: Option<usize>,
     /// Mount a Prometheus-style scrape endpoint on this address (port 0
@@ -815,8 +816,8 @@ fn dispatcher_loop(shared: &Shared) {
     }
 }
 
-/// One dispatcher round: drain pending batches, decode them on the
-/// pool, apply results in order, finalize drained BYEs, GC stalled
+/// One dispatcher round: drain pending batches, decode them in
+/// parallel, apply results in order, finalize drained BYEs, GC stalled
 /// sessions. Returns whether any work happened.
 fn dispatch_round(shared: &Shared) -> bool {
     let conns: Vec<ConnRef> = shared.conns.lock().clone();

@@ -75,8 +75,7 @@ pub struct HealthThresholds {
     /// Heartbeat-GC'd sessions per second (`ingest.sessions_gc` delta
     /// rate). TVs silently dying is the paper's overnight failure mode.
     pub gc_rate: (f64, f64),
-    /// Undecoded batches queued (max of `ingest.queue_depth` and
-    /// `pool.queue_depth`).
+    /// Undecoded batches queued (`ingest.queue_depth`).
     pub queue_depth: (i64, i64),
     /// Frame-store residency as a fraction of the configured budget
     /// (`frame.resident_bytes / frame.budget_bytes`; skipped when no
@@ -240,7 +239,7 @@ impl Watchdog {
 
         let gauges = tel.gauges_snapshot();
         let gauge = |name: &str| gauges.get(name).copied().unwrap_or(0);
-        let queue_depth = gauge(crate::keys::INGEST_QUEUE_DEPTH).max(gauge("pool.queue_depth"));
+        let queue_depth = gauge(crate::keys::INGEST_QUEUE_DEPTH);
         let budget = gauge(crate::keys::FRAME_BUDGET_BYTES);
         let residency = if budget > 0 {
             gauge(crate::keys::FRAME_RESIDENT_BYTES) as f64 / budget as f64

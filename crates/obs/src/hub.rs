@@ -16,9 +16,9 @@
 //! Every scope carries a [`SimClock`]. Span and event timestamps come
 //! from *sim time* only, so a journal produced in
 //! [`TelemetryMode::Journal`] is byte-stable across reruns, machines,
-//! and thread counts. Wall-clock timings (and scheduling-dependent
-//! worker-pool stats) exist only in [`TelemetryMode::Profile`], which
-//! deliberately gives up byte-stability in exchange for real timings.
+//! and thread counts. Wall-clock timings exist only in
+//! [`TelemetryMode::Profile`], which deliberately gives up
+//! byte-stability in exchange for real timings.
 
 use crate::journal::{Event, FieldValue, MemoryRecorder, Recorder};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
@@ -42,8 +42,7 @@ pub enum TelemetryMode {
     Metrics,
     /// Metrics plus the sim-time JSONL journal (byte-stable).
     Journal,
-    /// Everything, plus wall-clock span timings and
-    /// scheduling-dependent worker-pool stats. **Not** byte-stable.
+    /// Everything, plus wall-clock span timings. **Not** byte-stable.
     Profile,
 }
 

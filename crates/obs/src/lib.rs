@@ -59,15 +59,6 @@ pub mod keys {
     pub const PROXY_BYTES: &str = "proxy.bytes";
     /// Per-visit exchange counts (histogram).
     pub const VISIT_CAPTURES: &str = "visit.captures";
-    /// Pool executors that processed at least one item (counter,
-    /// Profile).
-    pub const POOL_WORKERS: &str = "pool.workers";
-    /// Items each pool worker processed (histogram, Profile).
-    pub const POOL_ITEMS_PER_WORKER: &str = "pool.items_per_worker";
-    /// High-water queue depth observed by the pool (gauge, Profile).
-    pub const POOL_QUEUE_DEPTH: &str = "pool.queue_depth";
-    /// Pool tasks taken from another worker's deque (counter, Profile).
-    pub const POOL_STEALS: &str = "pool.steals";
     /// Reader stalls on a full session queue (counter; watchdog rate
     /// input).
     pub const INGEST_BACKPRESSURE_STALLS: &str = "ingest.backpressure_stalls";

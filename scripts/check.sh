@@ -15,9 +15,6 @@
 #                                     # verify the journal + golden snapshot
 #     scripts/check.sh --analysis-smoke  # also run the engine-vs-naive
 #                                        # study bench and the parity suite
-#     scripts/check.sh --pool-smoke   # also run the scaling bench at 1 and
-#                                     # 2 pool workers and fail if the
-#                                     # rendered reports differ by a byte
 #     scripts/check.sh --ingest-smoke # also run the streaming collector
 #                                     # end to end: discovery, streamed-vs-
 #                                     # in-process report diff, fault sweep
@@ -39,7 +36,6 @@ bench_smoke=0
 matcher_smoke=0
 obs_smoke=0
 analysis_smoke=0
-pool_smoke=0
 ingest_smoke=0
 frame_smoke=0
 status_smoke=0
@@ -50,7 +46,6 @@ for arg in "$@"; do
         --matcher-smoke) matcher_smoke=1 ;;
         --obs-smoke) obs_smoke=1 ;;
         --analysis-smoke) analysis_smoke=1 ;;
-        --pool-smoke) pool_smoke=1 ;;
         --ingest-smoke) ingest_smoke=1 ;;
         --frame-smoke) frame_smoke=1 ;;
         --status-smoke) status_smoke=1 ;;
@@ -59,13 +54,12 @@ for arg in "$@"; do
             matcher_smoke=1
             obs_smoke=1
             analysis_smoke=1
-            pool_smoke=1
             ingest_smoke=1
             frame_smoke=1
             status_smoke=1
             ;;
         *)
-            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--matcher-smoke] [--obs-smoke] [--analysis-smoke] [--pool-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
+            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--matcher-smoke] [--obs-smoke] [--analysis-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
             exit 2
             ;;
     esac
@@ -201,30 +195,6 @@ if [ "$analysis_smoke" -eq 1 ]; then
     # Every analysis struct, engine vs naive, field by field.
     echo "==> engine parity suite"
     cargo test -q -p hbbtv-study --test engine_parity
-fi
-
-if [ "$pool_smoke" -eq 1 ]; then
-    # Cross-process pool-size drift gate: the same study rendered on a
-    # global pool of 1 worker and of 2 workers must be byte-identical.
-    # HBBTV_POOL_WORKERS sizes the global pool (read once at startup),
-    # so each point is its own process; the in-process sweep inside
-    # study_telemetry covers private pools up to the machine's cores.
-    bench="$(mktemp /tmp/pool_smoke_XXXXXX.json)"
-    r1="$(mktemp /tmp/pool_render1_XXXXXX.txt)"
-    r2="$(mktemp /tmp/pool_render2_XXXXXX.txt)"
-    echo "==> study_telemetry at HBBTV_POOL_WORKERS=1"
-    HBBTV_POOL_WORKERS=1 cargo run --release -p hbbtv-bench --bin study_telemetry -- \
-        "$bench" --scale 0.05 --render "$r1"
-    echo "==> study_telemetry at HBBTV_POOL_WORKERS=2"
-    HBBTV_POOL_WORKERS=2 cargo run --release -p hbbtv-bench --bin study_telemetry -- \
-        "$bench" --scale 0.05 --render "$r2"
-    echo "==> rendered reports identical across worker counts"
-    if ! cmp -s "$r1" "$r2"; then
-        echo "error: rendered report drifted between 1 and 2 pool workers" >&2
-        diff "$r1" "$r2" | head -20 >&2 || true
-        exit 1
-    fi
-    rm -f "$bench" "$r1" "$r2"
 fi
 
 if [ "$ingest_smoke" -eq 1 ]; then

@@ -106,8 +106,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The determinism guarantee holds across seeds, not just for one
-    /// hand-picked world: for any seed, the channel-parallel study —
-    /// five run workers, each fanning its visits over the pool — equals
+    /// hand-picked world: for any seed, the parallel study — every
+    /// `(run, visit)` slot fanned out in one ordered map — equals
     /// the fully sequential study down to the serialized JSON, the
     /// per-channel and per-visit capture counts, and the rendered
     /// Tables I–V.
@@ -218,7 +218,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// parallel == sequential tests above would drift together if a change
 /// to the visit path altered a byte. The serialized dataset and the
 /// rendered tables at (seed 42, scale 0.05) must keep the lengths and
-/// FNV-1a digests recorded here, at one and at two pool workers. A
+/// FNV-1a digests recorded here, at one and at two executors. A
 /// deliberate change to the simulated world (or, for `TABLES`, to the
 /// renderers) updates these constants in the same commit.
 #[test]

@@ -1,27 +1,44 @@
-//! Stress suite for the persistent work-stealing runtime: output
-//! determinism under forced worker counts, nested calls without
-//! thread-count blowup, the empty/single fast paths, and the
-//! items-per-worker reconciliation invariant under stealing.
+//! Stress suite for the scoped parallel map: output determinism under
+//! forced executor counts, nested calls that stay on their item's
+//! thread, the empty/single fast paths, and `install`'s restore on
+//! unwind.
 //!
-//! Worker counts are forced in-process via private pools
-//! ([`Runtime::with_workers`] + [`Runtime::install`]); the
-//! `HBBTV_POOL_WORKERS` env override sizes the *global* pool the same
-//! way and is exercised cross-process by `scripts/check.sh
-//! --pool-smoke` (1- vs 2-worker rendered-report diff), since the
-//! global pool reads the environment exactly once.
+//! Executor counts are forced in-process by installing a
+//! [`Runtime::with_workers`] runtime. The `HBBTV_POOL_WORKERS` env
+//! override sizes the *global* runtime, which reads the environment
+//! exactly once, so
+//! `global_runtime_renders_identically_at_env_worker_counts` re-runs
+//! this binary once per setting.
 
-use hbbtv_study::analysis::{par_chunks, par_chunks_auto, par_map, par_map_observed};
-use hbbtv_study::analysis::{PoolObserver, Runtime};
+use hbbtv_study::analysis::{par_chunks, par_chunks_auto, par_map, Runtime, WORKERS_ENV};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, StudyHarness};
 use std::collections::HashSet;
+use std::process::Command;
 use std::sync::Mutex;
 
-/// The forced worker counts of the issue's checklist: the degenerate
-/// submitter-only pool, one worker, two, and "many" (more workers than
-/// this machine has cores, so stealing and the sleep/wake protocol get
-/// exercised under oversubscription).
+/// The forced executor counts: 0 and 1 run inline on the caller, 2
+/// matches a 2-core box, and 8 oversubscribes it.
 const FORCED: [usize; 4] = [0, 1, 2, 8];
+
+/// Brackets the child's render in its stdout, which also carries the
+/// test harness's own lines.
+const RENDER_BEGIN: &str = "=== render begin ===\n";
+const RENDER_END: &str = "=== render end ===\n";
+
+/// The study every cross-worker render comparison uses.
+fn render_study() -> Ecosystem {
+    Ecosystem::with_scale(23, 0.03)
+}
+
+/// A spin that keeps an item busy for a few microseconds.
+fn spin(v: u64, rounds: u32) -> u64 {
+    let mut x = v;
+    for _ in 0..rounds {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+    }
+    x
+}
 
 #[test]
 fn par_map_is_deterministic_under_forced_worker_counts() {
@@ -51,7 +68,7 @@ fn chunk_partials_are_identical_across_worker_counts() {
 /// identically to the strictly sequential reference.
 #[test]
 fn study_report_renders_identically_at_every_worker_count() {
-    let eco = Ecosystem::with_scale(23, 0.03);
+    let eco = render_study();
     let reference = {
         let ds = StudyHarness::new(&eco).run_all_sequential();
         StudyReport::compute(&eco, &ds).render(&ds)
@@ -69,11 +86,10 @@ fn study_report_renders_identically_at_every_worker_count() {
     }
 }
 
-/// Nested `par_chunks` inside `par_map` returns ordered results, and
-/// the set of threads that executed *anything* stays within the pool's
-/// executor bound (workers + the submitting thread) — the nested call
-/// runs on the current worker and exposes chunks for stealing instead
-/// of spawning a second thread army.
+/// Nested `par_chunks` inside `par_map` returns ordered results, every
+/// inner chunk runs on its outer item's thread, and the set of threads
+/// that executed *anything* stays within the executor count — nesting
+/// never spawns a second set of threads.
 #[test]
 fn nested_par_chunks_inside_par_map_stays_on_the_pool() {
     let workers = 2;
@@ -83,12 +99,25 @@ fn nested_par_chunks_inside_par_map_stays_on_the_pool() {
     let seen = Mutex::new(HashSet::new());
     let out = rt.install(|| {
         par_map(&outer, |i, &base| {
-            seen.lock().unwrap().insert(std::thread::current().id());
+            let item_thread = std::thread::current().id();
+            seen.lock().unwrap().insert(item_thread);
             let partials = par_chunks(&inner, 128, |chunk| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-                chunk.iter().map(|v| v.wrapping_add(base)).sum::<u64>()
+                let chunk_thread = std::thread::current().id();
+                seen.lock().unwrap().insert(chunk_thread);
+                assert_eq!(
+                    chunk_thread, item_thread,
+                    "an inner chunk left its outer item's thread"
+                );
+                // Enough work per chunk that a spawned executor, had
+                // the nested call made one, would claim chunks too.
+                chunk
+                    .iter()
+                    .map(|&v| {
+                        std::hint::black_box(spin(v, 200));
+                        v.wrapping_add(base)
+                    })
+                    .sum::<u64>()
             });
-            // Partial order is the chunk order, regardless of stealing.
             assert_eq!(partials.len(), inner.len().div_ceil(128));
             (i, partials.iter().sum::<u64>())
         })
@@ -100,15 +129,14 @@ fn nested_par_chunks_inside_par_map_stays_on_the_pool() {
     }
     let threads = seen.lock().unwrap().len();
     assert!(
-        threads <= workers + 1,
-        "nested calls must reuse pool threads: saw {threads} distinct \
-         threads on a {workers}-worker pool"
+        threads <= workers.max(1),
+        "nested calls must not spawn threads: saw {threads} distinct \
+         threads at {workers} executors"
     );
 }
 
 /// Deep nesting (map → chunks → map) neither deadlocks nor perturbs
-/// results: each level helps drain its own sub-batch on the thread it
-/// runs on.
+/// results: every nested level runs inline on its item's thread.
 #[test]
 fn doubly_nested_calls_complete_with_correct_results() {
     let rt = Runtime::with_workers(2);
@@ -126,9 +154,8 @@ fn doubly_nested_calls_complete_with_correct_results() {
     assert_eq!(out, vec![expect(10), expect(20), expect(30)]);
 }
 
-/// Empty and single-item calls take the inline fast path on the
-/// persistent pool: correct results, observer reporting one executor,
-/// no queued work left behind.
+/// Empty and single-item calls take the inline fast path at every
+/// executor count.
 #[test]
 fn empty_and_single_item_fast_paths() {
     for workers in FORCED {
@@ -138,58 +165,35 @@ fn empty_and_single_item_fast_paths() {
             assert_eq!(par_map(&[7u8], |i, &b| (i, b)), vec![(0, 7)]);
             assert!(par_chunks(&[] as &[u8], 16, |c| c.len()).is_empty());
             assert!(par_chunks_auto(&[] as &[u8], |c| c.len()).is_empty());
-
-            let obs = PoolObserver::default();
-            let out = par_map_observed(&[3u8], Some(&obs), |_, &b| b * 3);
-            assert_eq!(out, vec![9]);
-            assert_eq!(obs.workers.get(), 1, "{workers} workers");
-            assert_eq!(obs.items_per_worker.summary().sum, 1);
-            assert_eq!(obs.steals.get(), 0, "nothing to steal inline");
         });
     }
 }
 
-/// The reconciliation invariant under stealing: however tasks migrate
-/// between deques, every item is executed exactly once, so the
-/// items-per-worker histogram sums to the item count and the executor
-/// count stays within the pool bound.
+/// `install` restores the outer executor count when its closure
+/// panics: a later `par_map` under a one-executor runtime still runs
+/// every item on the calling thread.
 #[test]
-fn items_per_worker_reconciles_under_stealing() {
-    for workers in [2usize, 8] {
-        let rt = Runtime::with_workers(workers);
-        let items: Vec<u64> = (0..20_000).collect();
-        let obs = PoolObserver::default();
-        let out = rt.install(|| {
-            par_map_observed(&items, Some(&obs), |i, &v| {
-                // Uneven per-item work so deques drain at different
-                // rates and stealing actually happens.
-                let spins = if i % 97 == 0 { 400 } else { 4 };
-                let mut x = v;
-                for _ in 0..spins {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                x
-            })
+fn install_restores_the_outer_count_when_its_closure_panics() {
+    Runtime::with_workers(1).install(|| {
+        let caught = std::panic::catch_unwind(|| {
+            Runtime::with_workers(8).install(|| panic!("inside install"))
         });
-        assert_eq!(out.len(), items.len());
-        let summary = obs.items_per_worker.summary();
-        assert_eq!(
-            summary.sum,
-            items.len() as u64,
-            "{workers} workers: every item claimed exactly once"
-        );
-        assert_eq!(summary.count, obs.workers.get());
+        assert!(caught.is_err());
+        let me = std::thread::current().id();
+        let items: Vec<u64> = (0..2_000).collect();
+        let threads = par_map(&items, |_, &v| {
+            std::hint::black_box(spin(v, 200));
+            std::thread::current().id()
+        });
         assert!(
-            obs.workers.get() <= workers as u64 + 1,
-            "{workers}-worker pool reported {} executors",
-            obs.workers.get()
+            threads.iter().all(|&t| t == me),
+            "the panicking install leaked its executor count"
         );
-        assert!(obs.queue_depth.get() >= 0);
-    }
+    });
 }
 
-/// The global pool exists, has a pinned size, and survives arbitrarily
-/// many calls (no per-call thread spawning to leak).
+/// The global runtime has a pinned size and survives many calls: every
+/// call joins the threads it spawned before it returns.
 #[test]
 fn global_pool_survives_many_small_calls() {
     let n = Runtime::global().workers();
@@ -200,4 +204,57 @@ fn global_pool_survives_many_small_calls() {
         assert_eq!(out[49], (49 + round) * 2);
     }
     assert_eq!(Runtime::global().workers(), n);
+}
+
+/// The child of `global_runtime_renders_identically_at_env_worker_counts`:
+/// prints the render of a study made on the global runtime, which its
+/// parent sizes through `HBBTV_POOL_WORKERS`.
+#[test]
+#[ignore = "run by global_runtime_renders_identically_at_env_worker_counts"]
+fn env_worker_count_render_child() {
+    let eco = render_study();
+    let ds = StudyHarness::new(&eco).run_all();
+    let rendered = StudyReport::compute(&eco, &ds).render(&ds);
+    print!("{RENDER_BEGIN}{rendered}{RENDER_END}");
+}
+
+/// `HBBTV_POOL_WORKERS` sizes the global runtime once per process, so
+/// each setting needs a process of its own: this test re-runs its own
+/// binary at 1 and at 2 executors and requires both renders to equal
+/// the sequential reference byte for byte.
+#[test]
+fn global_runtime_renders_identically_at_env_worker_counts() {
+    let eco = render_study();
+    let reference = {
+        let ds = StudyHarness::new(&eco).run_all_sequential();
+        StudyReport::compute(&eco, &ds).render(&ds)
+    };
+    let exe = std::env::current_exe().expect("the test binary's path");
+    for workers in ["1", "2"] {
+        let out = Command::new(&exe)
+            .args([
+                "--ignored",
+                "--exact",
+                "env_worker_count_render_child",
+                "--nocapture",
+            ])
+            .env(WORKERS_ENV, workers)
+            .output()
+            .expect("the child test starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "child at {WORKERS_ENV}={workers} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let rendered = stdout
+            .split_once(RENDER_BEGIN)
+            .and_then(|(_, rest)| rest.split_once(RENDER_END))
+            .map(|(render, _)| render)
+            .unwrap_or_else(|| panic!("no render in the child's output:\n{stdout}"));
+        assert!(
+            rendered == reference,
+            "rendered report drifted at {WORKERS_ENV}={workers}"
+        );
+    }
 }
