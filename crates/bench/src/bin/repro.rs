@@ -17,11 +17,7 @@ use hbbtv_bench::{full_report, run_study};
 use hbbtv_study::tables;
 
 fn main() {
-    let args = study_args_or_exit(
-        "repro [--scale <0..1>] [--seed <u64>] [section ...]",
-        1.0,
-        &[],
-    );
+    let args = study_args_or_exit("repro [--scale <0..1>] [--seed <u64>] [section ...]", 1.0);
     let (scale, seed) = (args.scale, args.seed);
     let mut sections = args.positional;
     if sections.is_empty() {

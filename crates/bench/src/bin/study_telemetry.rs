@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! study_telemetry [output.json] [--scale <0..1>] [--seed <u64>] [--render <path>]
+//! study_telemetry [output.json] [--scale <0..1>] [--seed <u64>]
 //! ```
 //!
 //! Runs all five measurement runs with a `Profile` scope (sim-time
@@ -18,8 +18,6 @@
 //! The `scaling` block reruns study + analysis at 1, 2, 4, … executors
 //! (up to the machine's parallelism), asserting along the way that the
 //! rendered report is byte-identical at every executor count.
-//! `--render <path>` additionally writes the rendered report to
-//! `<path>`.
 
 use hbbtv_bench::cli::study_args_or_exit;
 use hbbtv_study::obs::{MemoryRecorder, SimClock, Telemetry, TelemetryMode};
@@ -30,12 +28,10 @@ use std::time::Instant;
 
 fn main() {
     let args = study_args_or_exit(
-        "study_telemetry [output.json] [--scale <0..1>] [--seed <u64>] [--render <path>]",
+        "study_telemetry [output.json] [--scale <0..1>] [--seed <u64>]",
         0.1,
-        &["--render"],
     );
     let (scale, seed) = (args.scale, args.seed);
-    let render_out = args.values[0].clone();
     let out = args
         .positional
         .last()
@@ -95,10 +91,6 @@ fn main() {
         naive_report.render(&dataset),
         "engine report drifted from the naive reference"
     );
-    if let Some(path) = &render_out {
-        std::fs::write(path, &rendered).expect("writing the rendered report");
-        eprintln!("wrote rendered report to {path}");
-    }
 
     let visits = tel.total_visits();
     let mut sections = Vec::new();

@@ -47,9 +47,6 @@ pub mod cli {
         pub scale: f64,
         /// World seed.
         pub seed: u64,
-        /// Values of the binary's own `--flag <value>` options, in the
-        /// order the flags were declared (`None` = not given).
-        pub values: Vec<Option<String>>,
         /// Everything else, in order.
         pub positional: Vec<String>,
     }
@@ -81,16 +78,14 @@ pub mod cli {
     impl std::error::Error for ArgError {}
 
     /// Parses `args` (without the program name). `scale` is the default
-    /// scale; the seed defaults to [`crate::DEFAULT_SEED`]. `flags` are
-    /// the binary's own options that take one value.
-    pub fn parse_study_args<I>(args: I, scale: f64, flags: &[&str]) -> Result<StudyArgs, ArgError>
+    /// scale; the seed defaults to [`crate::DEFAULT_SEED`].
+    pub fn parse_study_args<I>(args: I, scale: f64) -> Result<StudyArgs, ArgError>
     where
         I: IntoIterator<Item = String>,
     {
         let mut parsed = StudyArgs {
             scale,
             seed: crate::DEFAULT_SEED,
-            values: vec![None; flags.len()],
             positional: Vec::new(),
         };
         let mut it = args.into_iter();
@@ -113,10 +108,7 @@ pub mod cli {
                     let v = value?;
                     parsed.seed = v.parse().map_err(|_| ArgError::BadSeed(v))?;
                 }
-                _ => match flags.iter().position(|f| *f == arg) {
-                    Some(i) => parsed.values[i] = Some(value?),
-                    None => return Err(ArgError::UnknownFlag(arg)),
-                },
+                _ => return Err(ArgError::UnknownFlag(arg)),
             }
         }
         Ok(parsed)
@@ -124,8 +116,8 @@ pub mod cli {
 
     /// [`parse_study_args`] over the process arguments. On bad input it
     /// prints `usage` and the reason to stderr and exits with status 2.
-    pub fn study_args_or_exit(usage: &str, scale: f64, flags: &[&str]) -> StudyArgs {
-        parse_study_args(std::env::args().skip(1), scale, flags).unwrap_or_else(|e| {
+    pub fn study_args_or_exit(usage: &str, scale: f64) -> StudyArgs {
+        parse_study_args(std::env::args().skip(1), scale).unwrap_or_else(|e| {
             eprintln!("usage: {usage}");
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -279,21 +271,17 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> Result<cli::StudyArgs, cli::ArgError> {
-        cli::parse_study_args(args.iter().map(|a| a.to_string()), 1.0, &["--render"])
+        cli::parse_study_args(args.iter().map(|a| a.to_string()), 1.0)
     }
 
     #[test]
     fn study_args_parse_flags_values_and_positionals() {
-        let a = parse(&[
-            "out.json", "--scale", "0.25", "--seed", "7", "--render", "r.txt",
-        ])
-        .expect("valid command line");
+        let a = parse(&["out.json", "--scale", "0.25", "--seed", "7"]).expect("valid command line");
         assert_eq!(a.scale, 0.25);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.values, vec![Some("r.txt".to_string())]);
         assert_eq!(a.positional, vec!["out.json".to_string()]);
         let d = parse(&[]).expect("empty command line");
-        assert_eq!((d.scale, d.seed, d.values), (1.0, DEFAULT_SEED, vec![None]));
+        assert_eq!((d.scale, d.seed), (1.0, DEFAULT_SEED));
     }
 
     #[test]
@@ -307,7 +295,6 @@ mod tests {
             (&["--scale"][..], MissingValue("--scale".into())),
             (&["--seed", "-1"][..], BadSeed("-1".into())),
             (&["--seed"][..], MissingValue("--seed".into())),
-            (&["--render"][..], MissingValue("--render".into())),
             (&["--bogus", "1"][..], UnknownFlag("--bogus".into())),
         ] {
             assert_eq!(parse(args), Err(want), "{args:?}");

@@ -229,7 +229,12 @@ where
         done
     };
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..executors).map(|_| s.spawn(claim)).collect();
+        // A helper the OS refuses (EAGAIN under a thread limit) is
+        // skipped: the caller's own claim loop takes whatever the
+        // helpers leave, so fewer executors change no result.
+        let spawned: Vec<_> = (1..executors)
+            .filter_map(|_| spawn_helper(s, claim))
+            .collect();
         let mut parts = vec![claim()];
         parts.extend(
             spawned
@@ -254,9 +259,28 @@ where
         .collect()
 }
 
+/// Starts one helper executor in scope `s`, or `None` if the OS cannot
+/// create the thread.
+fn spawn_helper<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> Option<std::thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if tests::REFUSE_SPAWNS.get() {
+        return None;
+    }
+    std::thread::Builder::new().spawn_scoped(s, f).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Makes [`spawn_helper`] fail on this thread, as it does when
+        /// the OS refuses a thread.
+        pub(super) static REFUSE_SPAWNS: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// The forced executor counts: 0 and 1 run inline, 2 is the
     /// reference box, 8 oversubscribes it.
@@ -359,6 +383,29 @@ mod tests {
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}, {workers} workers");
             }
+        }
+    }
+
+    /// When the OS refuses every helper thread, the caller claims the
+    /// whole batch itself: results stay complete and in order, each
+    /// item runs once, and all of it on the calling thread.
+    #[test]
+    fn refused_helper_threads_leave_the_batch_to_the_caller() {
+        let caller = std::thread::current().id();
+        let hits: Vec<AtomicUsize> = (0..512).map(|_| AtomicUsize::new(0)).collect();
+        REFUSE_SPAWNS.set(true);
+        let out = Runtime::with_workers(8).install(|| {
+            par_map(&hits, |i, cell: &AtomicUsize| {
+                cell.fetch_add(1, Ordering::Relaxed);
+                (i, std::thread::current().id())
+            })
+        });
+        REFUSE_SPAWNS.set(false);
+        assert_eq!(out.len(), hits.len());
+        for (i, (idx, thread)) in out.into_iter().enumerate() {
+            assert_eq!(idx, i);
+            assert_eq!(thread, caller, "item {i} left the calling thread");
+            assert_eq!(hits[i].load(Ordering::Relaxed), 1, "item {i}");
         }
     }
 

@@ -363,6 +363,8 @@ impl<'a> StudyHarness<'a> {
                         plan.tel.merge_child(&outcome.tel);
                     }
                 }
+                // The span opened at planning time, so in `Profile`
+                // mode its wall time covers the whole shared batch.
                 drop(plan.span);
                 let dataset = merge_run(plan.kind, visits);
                 self.finish_run(plan.kind, plan.tel);
