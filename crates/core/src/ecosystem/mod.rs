@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One fully generated channel.
 #[derive(Debug, Clone)]
@@ -43,8 +44,8 @@ pub struct ChannelBlueprint {
     /// Application signalling.
     pub ait: Ait,
     /// The application model (channels in the final set always have
-    /// one).
-    pub app: Option<HbbtvApp>,
+    /// one), shared with the TV of every visit.
+    pub app: Option<Arc<HbbtvApp>>,
     /// What the channel airs.
     pub program: ProgramInfo,
     /// The application host (its eTLD+1 is the ground-truth first
@@ -294,7 +295,7 @@ impl Ecosystem {
                 ChannelBlueprint {
                     program: program_for(&plan),
                     first_party_host: hosts.hub.clone(),
-                    app: Some(app),
+                    app: Some(Arc::new(app)),
                     descriptor,
                     ait,
                     policy_profile,

@@ -70,7 +70,9 @@ struct EcoBackend<'a> {
 }
 
 impl NetworkBackend for EcoBackend<'_> {
-    fn fetch(&mut self, request: Request) -> Response {
+    /// Answers from the registry, shows the exchange to the TV, then
+    /// moves it into the visit's capture log.
+    fn fetch(&mut self, request: Request, on_response: impl FnOnce(&Request, &Response)) {
         if let Some(list) = self.blocklist {
             let third_party = request.url.etld1() != &self.first_party;
             let blocked = list.matches(
@@ -83,9 +85,11 @@ impl NetworkBackend for EcoBackend<'_> {
             if blocked {
                 // NXDOMAIN-style blackhole: nothing reaches the network,
                 // nothing is captured, no cookies come back.
-                return Response::builder(Status::NOT_FOUND)
+                let blackhole = Response::builder(Status::NOT_FOUND)
                     .content_type(ContentType::Other)
                     .build();
+                on_response(&request, &blackhole);
+                return;
             }
         }
         let response = match self.eco.policy_text(request.url.host(), request.url.path()) {
@@ -101,8 +105,8 @@ impl NetworkBackend for EcoBackend<'_> {
                 self.eco.registry().respond(&request, &mut ctx)
             }
         };
-        self.visit.record(request, response.clone());
-        response
+        on_response(&request, &response);
+        self.visit.record(request, response);
     }
 }
 

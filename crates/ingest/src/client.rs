@@ -308,16 +308,21 @@ impl SimTvClient {
             )));
         }
 
-        // Stream the rest; VISIT_END acks arrive asynchronously and are
-        // drained (and counted) opportunistically to keep the pipe full.
-        for frame in &frames[1..] {
+        // Stream the data frames; VISIT_END acks arrive asynchronously
+        // and are drained (and counted) opportunistically to keep the
+        // pipe full. No drain follows BYE: a collector that has already
+        // sealed the shard answers BYE and closes, and a drain would
+        // swallow that ACK and then read the close as an error.
+        let (bye, data) = frames.split_last().expect("frames nonempty");
+        for frame in &data[1..] {
             conn.write_frame(frame)?;
             conn.drain_acks()?;
         }
+        conn.write_frame(bye)?;
 
         // The BYE ack is authoritative: the server has decoded
         // everything and sealed the shard.
-        let bye_seq = frames.last().expect("frames nonempty").seq;
+        let bye_seq = bye.seq;
         let deadline = Instant::now() + self.opts.read_timeout;
         let final_ack = loop {
             if let Some(ack) = conn.read_ack_blocking(deadline)? {
@@ -647,5 +652,62 @@ mod tests {
             .sum();
         assert_eq!(captured, 15);
         assert!(frames.iter().any(|f| f.command == Command::Heartbeat));
+    }
+
+    /// A collector that answers BYE and closes before the client looks
+    /// again: the BYE ACK and the FIN are already buffered on the
+    /// client's socket when it sends BYE. The session completed, so the
+    /// client must report it, not "server closed the connection".
+    #[test]
+    fn bye_ack_buffered_with_the_close_completes_the_session() {
+        use std::net::TcpListener;
+        let spec = SessionSpec {
+            study: "s".into(),
+            run: "General".into(),
+            shard: 0,
+            shards: 1,
+            visits: vec![],
+            captures: vec![],
+            trailer: None,
+        };
+        let client = SimTvClient::new();
+        let frames = client.frames(&spec).unwrap();
+        let commands: Vec<Command> = frames.iter().map(|f| f.command).collect();
+        assert_eq!(commands, [Command::Hello, Command::Bye]);
+        let bye_seq = frames[1].seq;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            let hello = loop {
+                if let Some(frame) = decoder.next_frame().unwrap() {
+                    break frame;
+                }
+                let n = sock.read(&mut buf).unwrap();
+                assert!(n > 0, "client hung up before HELLO");
+                decoder.push_bytes(&buf[..n]);
+            };
+            assert_eq!(hello.command, Command::Hello);
+            // Both ACKs in one write, then the FIN: by the time the
+            // client has read the HELLO ACK, the BYE ACK is in its
+            // buffer and the close is right behind it.
+            let mut out = Vec::new();
+            let ack = |of, exchanges| Frame::json(Command::Ack, of, &Ack { of, exchanges });
+            ack(hello.seq, 0).encode_into(&mut out);
+            ack(bye_seq, 0).encode_into(&mut out);
+            sock.write_all(&out).unwrap();
+            sock.shutdown(std::net::Shutdown::Write).unwrap();
+            // Keep reading until the client is done, so its BYE write
+            // lands on an open socket.
+            while matches!(sock.read(&mut buf), Ok(n) if n > 0) {}
+        });
+        let report = client.stream(addr, &spec);
+        server.join().unwrap();
+        let report = report.expect("a session the collector completed is reported complete");
+        assert_eq!(report.frames_sent, 2);
+        assert_eq!(report.acked_exchanges, 0);
     }
 }

@@ -203,6 +203,31 @@ impl SetCookie {
     pub fn is_persistent(&self) -> bool {
         self.expires.is_some()
     }
+
+    /// The `Set-Cookie` header value (the [`fmt::Display`] text), written
+    /// into a string of exactly its length: a captured response keeps
+    /// the header for the whole study.
+    pub(crate) fn header_value(&self) -> String {
+        use fmt::Write;
+        let mut len = self.cookie.name.len() + 1 + self.cookie.value.len();
+        if self.explicit_domain {
+            len += "; Domain=".len() + self.cookie.domain.as_str().len();
+        }
+        if let Some(e) = self.expires {
+            len += "; Expires=".len() + e.as_unix().checked_ilog10().map_or(1, |d| d as usize + 1);
+        }
+        len += usize::from(self.secure) * "; Secure".len()
+            + usize::from(self.http_only) * "; HttpOnly".len()
+            + match self.same_site {
+                SameSite::None => 0,
+                SameSite::Lax => "; SameSite=Lax".len(),
+                SameSite::Strict => "; SameSite=Strict".len(),
+            };
+        let mut text = String::with_capacity(len);
+        write!(text, "{self}").expect("writing to a String cannot fail");
+        debug_assert_eq!(text.len(), len, "header length for {text}");
+        text
+    }
 }
 
 impl fmt::Display for SetCookie {
@@ -295,6 +320,29 @@ mod tests {
         assert_eq!(sc.expires, Some(Timestamp::from_unix(1234)));
         let sc = SetCookie::parse("a=1; Max-Age=4321").unwrap();
         assert_eq!(sc.expires, Some(Timestamp::from_unix(4321)));
+    }
+
+    #[test]
+    fn header_value_is_the_display_text_without_slack() {
+        let mut sc = SetCookie::persistent(
+            "uid",
+            "a1b2c3d4e5",
+            Etld1::new("tvping.com"),
+            Timestamp::from_unix(1_700_000_000),
+        );
+        let mut variants = vec![SetCookie::session("s", ""), sc.clone()];
+        sc.expires = Some(Timestamp::from_unix(0));
+        sc.secure = true;
+        sc.http_only = true;
+        for same_site in [SameSite::None, SameSite::Lax, SameSite::Strict] {
+            sc.same_site = same_site;
+            variants.push(sc.clone());
+        }
+        for sc in variants {
+            let text = sc.header_value();
+            assert_eq!(text, sc.to_string());
+            assert_eq!(text.capacity(), text.len(), "{text}");
+        }
     }
 
     #[test]

@@ -3,28 +3,23 @@
 //! The paper classifies communication endpoints by their eTLD+1 ("effective
 //! top-level domain plus one label"), e.g. both `hbbtv.ard.de` and
 //! `www.ard.de` map to `ard.de`. We embed the slice of the public-suffix
-//! list that the European HbbTV ecosystem actually exercises (country-code
-//! TLDs of the broadcast region plus the usual generic TLDs and the
-//! two-level suffixes like `co.uk`).
+//! list that the European HbbTV ecosystem actually exercises: the
+//! two-level suffixes like `co.uk`. Every other TLD — generic, a
+//! country code of the broadcast region, or unknown — is a single-label
+//! suffix.
 
 use crate::error::ParseUrlError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Public suffixes with two labels (checked before single-label suffixes).
+/// Public suffixes with two labels; every other host registers its
+/// last two labels (see [`registrable_domain`]).
 ///
 /// A host `a.b.sfx1.sfx2` with `sfx1.sfx2` in this table has the
 /// registrable domain `b.sfx1.sfx2`.
 const TWO_LABEL_SUFFIXES: &[&str] = &[
     "co.uk", "org.uk", "gov.uk", "ac.uk", "com.au", "net.au", "org.au", "co.at", "or.at", "ac.at",
     "gv.at", "co.nz", "com.tr", "com.br", "co.jp",
-];
-
-/// Single-label public suffixes (generic and European ccTLDs).
-const ONE_LABEL_SUFFIXES: &[&str] = &[
-    "com", "net", "org", "info", "biz", "tv", "io", "de", "at", "ch", "fr", "it", "nl", "be", "lu",
-    "pl", "cz", "sk", "hu", "es", "pt", "dk", "se", "no", "fi", "gr", "ro", "bg", "hr", "si", "rs",
-    "ba", "mk", "al", "tr", "ru", "ua", "uk", "eu", "me", "li",
 ];
 
 /// A syntactically valid DNS host name (lower-cased).
@@ -129,9 +124,14 @@ impl Etld1 {
         Etld1(domain.into().to_ascii_lowercase())
     }
 
-    /// Derives the registrable domain of an arbitrary host string.
+    /// Derives the registrable domain of an arbitrary host string. A
+    /// host that is already lower case is not copied first.
     pub fn from_host(host: &str) -> Self {
-        Etld1(registrable_domain(&host.to_ascii_lowercase()))
+        if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            Etld1(registrable_domain(&host.to_ascii_lowercase()))
+        } else {
+            Etld1(registrable_domain(host))
+        }
     }
 
     /// The domain as a string slice.
@@ -160,33 +160,28 @@ impl From<&Host> for Etld1 {
 
 /// Computes the registrable domain (eTLD+1) of a lower-cased host string.
 ///
-/// Resolution order follows the public-suffix algorithm restricted to the
-/// embedded suffix tables: the longest matching suffix wins, and the
-/// registrable domain is that suffix plus one more label. Hosts equal to a
-/// suffix, or with no dot at all, are returned unchanged.
+/// A host whose last two labels are in the two-label suffix table
+/// registers one more label (`x.bbc.co.uk` → `bbc.co.uk`); a host that
+/// *is* such a suffix maps to itself. Every other host registers its
+/// last two labels: the public-suffix answer under the generic and
+/// European ccTLDs, and what common measurement tooling (e.g. the
+/// tldextract fallback) does under an unknown TLD. A host with no dot
+/// is returned unchanged.
 pub fn registrable_domain(host: &str) -> String {
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.len() >= 3 {
-        let two = format!("{}.{}", labels[labels.len() - 2], labels[labels.len() - 1]);
-        if TWO_LABEL_SUFFIXES.contains(&two.as_str()) {
-            return format!("{}.{two}", labels[labels.len() - 3]);
-        }
-    }
-    if labels.len() >= 2 {
-        let two = format!("{}.{}", labels[labels.len() - 2], labels[labels.len() - 1]);
-        if labels.len() >= 2 && TWO_LABEL_SUFFIXES.contains(&two.as_str()) {
-            // Host *is* a two-label public suffix.
-            return host.to_string();
-        }
-        let last = labels[labels.len() - 1];
-        if ONE_LABEL_SUFFIXES.contains(&last) {
-            return two;
-        }
-        // Unknown TLD: treat the final two labels as registrable, which is
-        // what common measurement tooling (e.g. tldextract fallback) does.
-        return two;
-    }
-    host.to_string()
+    let Some(last_dot) = host.rfind('.') else {
+        return host.to_string();
+    };
+    let two = label_start(host, last_dot);
+    let start = match two.checked_sub(1) {
+        Some(dot) if TWO_LABEL_SUFFIXES.contains(&&host[two..]) => label_start(host, dot),
+        _ => two,
+    };
+    host[start..].to_string()
+}
+
+/// Where the label that ends at the dot at byte `dot` starts.
+fn label_start(host: &str, dot: usize) -> usize {
+    host[..dot].rfind('.').map_or(0, |prev| prev + 1)
 }
 
 #[cfg(test)]

@@ -145,8 +145,16 @@ impl Headers {
         Headers(Vec::new())
     }
 
-    /// Appends a header.
+    /// Creates an empty collection with room for `n` headers.
+    pub fn with_capacity(n: usize) -> Self {
+        Headers(Vec::with_capacity(n))
+    }
+
+    /// Appends a header. The list grows one slot at a time: header lists
+    /// are short, and a captured message keeps its list for the whole
+    /// study, so it should carry no spare slots.
     pub fn push(&mut self, name: impl Into<String>, value: impl Into<String>) {
+        self.0.reserve_exact(1);
         self.0.push(Header {
             name: name.into(),
             value: value.into(),
@@ -268,8 +276,8 @@ impl RequestBuilder {
         }
     }
 
-    /// Adds a header.
-    pub fn header(mut self, name: &str, value: &str) -> Self {
+    /// Adds a header; an owned `value` moves in without a copy.
+    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
         self.headers.push(name, value);
         self
     }
@@ -371,7 +379,7 @@ impl ResponseBuilder {
 
     /// Adds a `Set-Cookie` header.
     pub fn set_cookie(mut self, sc: &SetCookie) -> Self {
-        self.headers.push("Set-Cookie", sc.to_string());
+        self.headers.push("Set-Cookie", sc.header_value());
         self
     }
 

@@ -172,9 +172,10 @@ impl Url {
     }
 
     /// Appends one query parameter in place; the owned form of
-    /// [`Url::with_param`] for callers that build up a URL they own.
-    pub fn push_param(&mut self, name: &str, value: &str) {
-        self.query.push((name.to_string(), value.to_string()));
+    /// [`Url::with_param`] for callers that build up a URL they own. An
+    /// owned `value` moves into the query without a copy.
+    pub fn push_param(&mut self, name: &str, value: impl Into<String>) {
+        self.query.push((name.to_string(), value.into()));
     }
 
     /// Releases the query list's spare capacity (see

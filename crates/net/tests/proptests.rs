@@ -23,7 +23,95 @@ fn host() -> impl Strategy<Value = String> {
         .prop_map(|(labels, tld)| format!("{}.{}", labels.join("."), tld))
 }
 
+/// The two-label public suffixes `registrable_domain` knows.
+const TWO_LABEL_SUFFIXES: &[&str] = &[
+    "co.uk", "org.uk", "gov.uk", "ac.uk", "com.au", "net.au", "org.au", "co.at", "or.at", "ac.at",
+    "gv.at", "co.nz", "com.tr", "com.br", "co.jp",
+];
+
+/// The label-splitting `registrable_domain`, kept as an oracle for the
+/// slicing one.
+fn registrable_domain_oracle(host: &str) -> String {
+    let labels: Vec<&str> = host.split('.').collect();
+    if labels.len() >= 3 {
+        let two = format!("{}.{}", labels[labels.len() - 2], labels[labels.len() - 1]);
+        if TWO_LABEL_SUFFIXES.contains(&two.as_str()) {
+            return format!("{}.{two}", labels[labels.len() - 3]);
+        }
+    }
+    if labels.len() >= 2 {
+        let two = format!("{}.{}", labels[labels.len() - 2], labels[labels.len() - 1]);
+        if TWO_LABEL_SUFFIXES.contains(&two.as_str()) {
+            return host.to_string();
+        }
+        return two;
+    }
+    host.to_string()
+}
+
+/// Hosts of 1–5 labels: every 1–3 label host over an alphabet that
+/// covers the parts of each two-label suffix, generic and unknown TLDs,
+/// upper case and the empty label, under zero to two more labels from a
+/// short list; each host also with a trailing dot.
+fn oracle_hosts() -> Vec<String> {
+    let mut alphabet: Vec<&str> = vec!["", "a", "bbc", "de", "com", "zz", "CO", "Uk"];
+    for suffix in TWO_LABEL_SUFFIXES {
+        for part in suffix.split('.') {
+            if !alphabet.contains(&part) {
+                alphabet.push(part);
+            }
+        }
+    }
+    let extend = |hosts: &[String], labels: &[&str]| -> Vec<String> {
+        hosts
+            .iter()
+            .flat_map(|h| labels.iter().map(move |l| format!("{l}.{h}")))
+            .collect()
+    };
+    let one: Vec<String> = alphabet.iter().map(|l| l.to_string()).collect();
+    let two = extend(&one, &alphabet);
+    let three = extend(&two, &alphabet);
+    let four = extend(&three, &["", "x", "Www"]);
+    let five = extend(&four, &["", "x", "Www"]);
+    let mut hosts: Vec<String> = [one, two, three, four, five].concat();
+    let dotted: Vec<String> = hosts.iter().map(|h| format!("{h}.")).collect();
+    hosts.extend(dotted);
+    hosts
+}
+
+#[test]
+fn registrable_domain_agrees_with_the_label_splitting_oracle() {
+    let hosts = oracle_hosts();
+    assert!(hosts.len() > 10_000, "{} hosts", hosts.len());
+    for suffix in TWO_LABEL_SUFFIXES {
+        for host in [
+            suffix.to_string(),
+            format!("bbc.{suffix}"),
+            format!("x.bbc.{suffix}."),
+            format!("Www.x.bbc.{suffix}"),
+        ] {
+            assert!(hosts.contains(&host), "{host} is covered");
+        }
+    }
+    for host in &hosts {
+        assert_eq!(
+            registrable_domain(host),
+            registrable_domain_oracle(host),
+            "host {host:?}"
+        );
+    }
+}
+
 proptest! {
+    /// The slicing eTLD+1 matches the label-splitting oracle.
+    #[test]
+    fn etld1_matches_the_oracle(h in host()) {
+        prop_assert_eq!(registrable_domain(&h), registrable_domain_oracle(&h));
+        let upper = h.to_ascii_uppercase();
+        prop_assert_eq!(registrable_domain(&upper), registrable_domain_oracle(&upper));
+        prop_assert_eq!(Etld1::from_host(&upper).as_str(), registrable_domain_oracle(&h));
+    }
+
     /// eTLD+1 is idempotent: applying it twice gives the same result.
     #[test]
     fn etld1_is_idempotent(h in host()) {

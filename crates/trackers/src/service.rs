@@ -158,12 +158,7 @@ impl TrackerService {
     /// The user ID the requesting TV presents for this service, parsed
     /// from the `Cookie` header.
     pub fn presented_id(&self, req: &Request) -> Option<String> {
-        let name = self.effective_cookie_name(req)?;
-        let header = req.cookie_header()?;
-        header.split(';').find_map(|kv| {
-            let (k, v) = kv.trim().split_once('=')?;
-            (k == name).then(|| v.to_string())
-        })
+        presented_value(req, &self.effective_cookie_name(req)?)
     }
 
     /// Answers a request according to the service's behavior.
@@ -193,10 +188,10 @@ impl TrackerService {
     ) -> Option<SetCookie> {
         let name = self.effective_cookie_name(req)?;
         let value = forced_value
-            .or_else(|| self.presented_id(req))
+            .or_else(|| presented_value(req, &name))
             .unwrap_or_else(|| self.minter.mint(ctx.rng));
         Some(SetCookie::persistent(
-            &name,
+            name,
             value,
             self.domain.clone(),
             ctx.now + self.cookie_ttl,
@@ -330,6 +325,14 @@ impl TrackerService {
         }
         b.build()
     }
+}
+
+/// The value of the cookie `name` in the request's `Cookie` header.
+fn presented_value(req: &Request, name: &str) -> Option<String> {
+    req.cookie_header()?.split(';').find_map(|kv| {
+        let (k, v) = kv.trim().split_once('=')?;
+        (k == name).then(|| v.to_string())
+    })
 }
 
 #[cfg(test)]

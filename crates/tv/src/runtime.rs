@@ -9,9 +9,10 @@ use hbbtv_apps::{
 };
 use hbbtv_broadcast::{Ait, ChannelDescriptor};
 use hbbtv_consent::{ButtonAction, ConsentNotice, ScreenContent};
-use hbbtv_net::{Method, Request, Response, SimClock, Timestamp, Url};
+use hbbtv_net::{Headers, Method, Request, SetCookie, SimClock, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Maximum redirect-chain depth the browser follows (cookie syncing uses
 /// a single hop; the cap guards against loops).
@@ -72,7 +73,8 @@ pub struct ChannelContext {
     /// Channel metadata from the broadcast signal.
     pub descriptor: ChannelDescriptor,
     /// The signalled application model, if the channel carries HbbTV.
-    pub app: Option<HbbtvApp>,
+    /// Shared: every visit of the channel tunes to the same model.
+    pub app: Option<Arc<HbbtvApp>>,
     /// What the channel is airing.
     pub program: ProgramInfo,
     /// Whether a picture is transmitted (false → "No Signal"
@@ -127,6 +129,9 @@ pub struct Tv<B> {
     link_cursor: usize,
     beacons: Vec<BeaconState>,
     session_id: String,
+    /// The `Referer` every app request carries: the tuned app's entry
+    /// URL, serialized once per tune.
+    app_referer: Option<String>,
     tech_message_until: Option<Timestamp>,
     signal_ok_override: Option<bool>,
 }
@@ -152,6 +157,7 @@ impl<B: NetworkBackend> Tv<B> {
             link_cursor: 0,
             beacons: Vec::new(),
             session_id: String::new(),
+            app_referer: None,
             tech_message_until: None,
             signal_ok_override: None,
         }
@@ -223,6 +229,7 @@ impl<B: NetworkBackend> Tv<B> {
     /// activity. Cookies and local storage survive power-off.
     pub fn power_off(&mut self) {
         self.ctx = None;
+        self.app_referer = None;
         self.reset_app_state();
     }
 
@@ -251,6 +258,7 @@ impl<B: NetworkBackend> Tv<B> {
     pub fn tune(&mut self, ctx: ChannelContext, ait: &Ait) {
         self.reset_app_state();
         self.session_id = mint(&mut self.rng, 12);
+        self.app_referer = ctx.app.as_ref().map(|a| a.entry_url().to_text());
         self.ctx = Some(ctx);
         if !self.connected {
             return;
@@ -369,20 +377,16 @@ impl<B: NetworkBackend> Tv<B> {
     }
 
     fn fire_post_consent(&mut self) {
+        let Some(app) = self.app() else { return };
         let mut pages: Vec<PageId> = [self.autostart_page, self.current_page]
             .into_iter()
             .flatten()
             .collect();
         pages.dedup();
-        let mut loads: Vec<ResourceLoad> = Vec::new();
-        for id in pages {
-            if let Some(page) = self.page_ref(id) {
-                loads.extend(page.post_consent_resources.iter().cloned());
+        for page in pages.into_iter().filter_map(|id| app.page(id)) {
+            for load in &page.post_consent_resources {
+                self.fire_load(load);
             }
-        }
-        let referer = self.app_referer();
-        for load in loads {
-            self.fire_load(&load, referer.as_deref());
         }
     }
 
@@ -405,9 +409,8 @@ impl<B: NetworkBackend> Tv<B> {
                 let b = &self.beacons[idx];
                 (b.load.repeat_every.expect("beacons repeat"), b.load.burst)
             };
-            let referer = self.app_referer();
             for _ in 0..burst {
-                let req = self.build_request(&self.beacons[idx].load, referer.as_deref());
+                let req = self.build_request(&self.beacons[idx].load, self.app_referer.as_deref());
                 self.deliver(req, 0);
             }
             self.beacons[idx].next_due = due + interval;
@@ -484,17 +487,10 @@ impl<B: NetworkBackend> Tv<B> {
 
     // ----- internals -------------------------------------------------
 
-    fn app_entry_url(&self) -> Option<&Url> {
-        self.ctx
-            .as_ref()
-            .and_then(|c| c.app.as_ref())
-            .map(|a| a.entry_url())
-    }
-
-    /// The `Referer` every app request carries: the serialized entry
-    /// URL, written once per batch of loads rather than once per load.
-    fn app_referer(&self) -> Option<String> {
-        self.app_entry_url().map(Url::to_text)
+    /// The tuned application model, shared, so its pages can be read
+    /// while the runtime fires their loads.
+    fn app(&self) -> Option<Arc<HbbtvApp>> {
+        self.ctx.as_ref().and_then(|c| c.app.clone())
     }
 
     fn page_ref(&self, id: PageId) -> Option<&AppPage> {
@@ -513,9 +509,8 @@ impl<B: NetworkBackend> Tv<B> {
     }
 
     fn open_page_inner(&mut self, id: PageId, replace_app: bool) {
-        let Some(page) = self.page_ref(id).cloned() else {
-            return;
-        };
+        let Some(app) = self.app() else { return };
+        let Some(page) = app.page(id) else { return };
         // Opening a page via a color button replaces the running
         // application content; the previous page's beacons stop (this is
         // why the Blue run — which swaps the start bar for a privacy
@@ -527,68 +522,67 @@ impl<B: NetworkBackend> Tv<B> {
         self.current_page = Some(id);
         self.link_cursor = 0;
         self.tech_message_until = None;
-        let referer = self.app_referer();
 
         // Storage writes happen as the page's script runs.
-        if let Some(first_party) = self.app_entry_url().map(|u| u.etld1().clone()) {
-            let now = self.clock.now();
-            for w in &page.storage_writes {
-                let value = match w.kind {
-                    StorageValueKind::Identifier(len) => mint(&mut self.rng, len),
-                    StorageValueKind::UnixTimestamp => now.as_unix().to_string(),
-                    StorageValueKind::ConsentState => "pending".to_string(),
-                };
-                self.storage.set(&first_party, &w.key, &value);
-            }
+        let first_party = app.entry_url().etld1();
+        let now = self.clock.now();
+        for w in &page.storage_writes {
+            let value = match w.kind {
+                StorageValueKind::Identifier(len) => mint(&mut self.rng, len),
+                StorageValueKind::UnixTimestamp => now.as_unix().to_string(),
+                StorageValueKind::ConsentState => "pending".to_string(),
+            };
+            self.storage.set(first_party, &w.key, &value);
         }
 
         // One-shot resources fire now; beacons are scheduled.
-        for load in page.resources.clone() {
-            match load.repeat_every {
-                None => self.fire_load(&load, referer.as_deref()),
-                Some(interval) => {
-                    self.fire_load(&load, referer.as_deref());
-                    self.beacons.push(BeaconState {
-                        next_due: self.clock.now() + interval,
-                        load,
-                    });
-                }
+        for load in &page.resources {
+            self.fire_load(load);
+            if let Some(interval) = load.repeat_every {
+                self.beacons.push(BeaconState {
+                    next_due: self.clock.now() + interval,
+                    load: load.clone(),
+                });
             }
         }
 
         // Consent-gated loads fire immediately if consent was already
         // granted earlier on this channel.
         if self.consent_granted {
-            for load in page.post_consent_resources.clone() {
-                self.fire_load(&load, referer.as_deref());
+            for load in &page.post_consent_resources {
+                self.fire_load(load);
             }
         }
 
         // The notice opens with its first layer and default focus.
         let suppress = self.ctx.as_ref().map(|c| c.suppress_notice) == Some(true);
         if !self.consent_granted {
-            if let Some(notice) = page.notice.clone() {
+            if let Some(notice) = &page.notice {
                 // Frequency capping only affects non-modal banners; a
                 // modal notice gates the app and always appears.
                 if suppress && !notice.modal {
                     return;
                 }
-                let focus = notice.first_layer().default_focus;
                 self.notice = Some(NoticeState {
-                    notice,
+                    focus: notice.first_layer().default_focus,
+                    notice: notice.clone(),
                     layer: 0,
-                    focus,
                     shown_at: self.clock.now(),
                 });
             }
         }
     }
 
-    fn fire_load(&mut self, load: &ResourceLoad, referer: Option<&str>) {
-        let req = self.build_request(load, referer);
+    /// Fires one load of the tuned app, with the app's `Referer`.
+    fn fire_load(&mut self, load: &ResourceLoad) {
+        let req = self.build_request(load, self.app_referer.as_deref());
         self.deliver(req, 0);
     }
 
+    /// The request a load issues now: the load's URL with its leaked
+    /// items appended (the query of a GET, else the body), and the
+    /// runtime's headers. Leak values and the `Cookie` header move into
+    /// the request, and its header list and body carry no spare room.
     fn build_request(&self, load: &ResourceLoad, referer: Option<&str>) -> Request {
         let now = self.clock.now();
         let no_program = ProgramInfo::default();
@@ -597,69 +591,90 @@ impl<B: NetworkBackend> Tv<B> {
             None => ("", &no_program),
         };
         let mut url = load.url.clone();
-        let mut body_pairs: Vec<(String, String)> = Vec::new();
+        let mut body = String::new();
         for &item in load.leaks.items() {
             let value = match item {
                 LeakItem::UserId => Some(
                     self.jar
                         .any_value_for(url.etld1(), now)
-                        .unwrap_or_else(|| self.session_id.clone()),
+                        .unwrap_or(&self.session_id)
+                        .to_string(),
                 ),
                 LeakItem::SessionId => Some(self.session_id.clone()),
                 other => self.device.leak_value(other, program, channel_name, now),
             };
-            if let Some(v) = value {
-                match load.method {
-                    Method::Get => url.push_param(item.param_name(), &v),
-                    _ => body_pairs.push((item.param_name().to_string(), v)),
+            let Some(value) = value else { continue };
+            if load.method == Method::Get {
+                url.push_param(item.param_name(), value);
+            } else {
+                if !body.is_empty() {
+                    body.push('&');
                 }
+                body.push_str(item.param_name());
+                body.push('=');
+                body.push_str(&value);
             }
         }
+        body.shrink_to_fit();
         let cookie = self.jar.header_for(url.etld1(), now);
-        let mut builder = match load.method {
-            Method::Post => Request::post(url),
-            _ => Request::get(url),
-        };
-        builder = builder.at(now).header("User-Agent", &self.device.os);
+        let mut headers = Headers::with_capacity(
+            1 + usize::from(self.dnt)
+                + usize::from(referer.is_some())
+                + usize::from(cookie.is_some()),
+        );
+        headers.push("User-Agent", self.device.os.as_str());
         if self.dnt {
-            builder = builder.header("DNT", "1");
+            headers.push("DNT", "1");
         }
         if let Some(r) = referer {
-            builder = builder.header("Referer", r);
+            headers.push("Referer", r);
         }
         if let Some(cookie) = cookie {
-            builder = builder.header("Cookie", &cookie);
+            headers.push("Cookie", cookie);
         }
-        if !body_pairs.is_empty() {
-            let body: Vec<String> = body_pairs
-                .into_iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            builder = builder.body(body.join("&"));
+        Request {
+            method: match load.method {
+                Method::Post => Method::Post,
+                _ => Method::Get,
+            },
+            url,
+            headers,
+            body,
+            timestamp: now,
         }
-        builder.build()
     }
 
-    fn deliver(&mut self, req: Request, depth: usize) -> Response {
-        let req_url = req.url.clone();
-        let resp = self.backend.fetch(req);
+    /// Sends a request, stores the cookies its response sets under the
+    /// request's eTLD+1, and follows a redirect with the request's URL
+    /// as the follow-up's `Referer`.
+    fn deliver(&mut self, req: Request, depth: usize) {
         let now = self.clock.now();
-        for sc in resp.set_cookies() {
-            self.jar.apply(&sc, req_url.etld1(), now);
-        }
-        if depth < MAX_REDIRECTS && resp.status.is_redirect() {
-            if let Some(location) = resp.location() {
-                let mut builder = Request::get(location.clone())
-                    .at(now)
-                    .header("User-Agent", &self.device.os)
-                    .header("Referer", &req_url.to_text());
-                if let Some(cookie) = self.jar.header_for(location.etld1(), now) {
-                    builder = builder.header("Cookie", &cookie);
+        let jar = &mut self.jar;
+        let mut redirect = None;
+        self.backend.fetch(req, |req, resp| {
+            for header in resp.headers.get_all("Set-Cookie") {
+                if let Ok(sc) = SetCookie::parse(header) {
+                    jar.apply(sc, req.url.etld1(), now);
                 }
-                self.deliver(builder.build(), depth + 1);
             }
+            if depth < MAX_REDIRECTS && resp.status.is_redirect() {
+                redirect = resp
+                    .location()
+                    .map(|location| (location, req.url.to_text()));
+            }
+        });
+        let Some((location, referer)) = redirect else {
+            return;
+        };
+        let cookie = self.jar.header_for(location.etld1(), now);
+        let mut builder = Request::get(location)
+            .at(now)
+            .header("User-Agent", self.device.os.as_str())
+            .header("Referer", referer);
+        if let Some(cookie) = cookie {
+            builder = builder.header("Cookie", cookie);
         }
-        resp
+        self.deliver(builder.build(), depth + 1);
     }
 }
 
@@ -684,7 +699,7 @@ mod tests {
     use hbbtv_apps::{AppBuilder, LeakSpec, ResourceKind};
     use hbbtv_broadcast::{AppControlCode, Satellite};
     use hbbtv_consent::{branding_catalog, NoticeBranding, OverlayKind};
-    use hbbtv_net::{ContentType, Duration, SetCookie, Status};
+    use hbbtv_net::{ContentType, Duration, Response, Status, Url};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -696,15 +711,15 @@ mod tests {
     }
 
     impl NetworkBackend for LogBackend {
-        fn fetch(&mut self, request: Request) -> Response {
-            self.log.borrow_mut().push(request.clone());
+        fn fetch(&mut self, request: Request, on_response: impl FnOnce(&Request, &Response)) {
             let mut b = Response::builder(Status::OK).content_type(ContentType::Html);
             if let Some(host) = &self.set_cookie_on {
                 if request.url.host() == host {
                     b = b.set_cookie(&SetCookie::session("uid", "cookieval1234567"));
                 }
             }
-            b.build()
+            on_response(&request, &b.build());
+            self.log.borrow_mut().push(request);
         }
     }
 
@@ -721,7 +736,7 @@ mod tests {
     fn ctx_with_app(app: HbbtvApp) -> ChannelContext {
         ChannelContext {
             descriptor: ChannelDescriptor::tv(1, "RTL", Satellite::Astra19E),
-            app: Some(app),
+            app: Some(Arc::new(app)),
             program: ProgramInfo::new("GZSZ", "General"),
             signal_ok: true,
             tech_message: false,
@@ -993,17 +1008,19 @@ mod tests {
             log: Rc<RefCell<Vec<Request>>>,
         }
         impl NetworkBackend for SyncBackend {
-            fn fetch(&mut self, request: Request) -> Response {
-                self.log.borrow_mut().push(request.clone());
-                if request.url.host() == "adsync-a.com" {
-                    Response::builder(Status::FOUND)
+            fn fetch(&mut self, request: Request, on_response: impl FnOnce(&Request, &Response)) {
+                let response = match request.url.host() {
+                    "adsync-a.com" => Response::builder(Status::FOUND)
                         .header("Location", "http://adsync-b.com/sync?uid=abcdef1234567890")
-                        .build()
-                } else {
-                    Response::builder(Status::OK)
+                        .set_cookie(&SetCookie::session("src_uid", "a1"))
+                        .build(),
+                    "adsync-b.com" => Response::builder(Status::OK)
                         .set_cookie(&SetCookie::session("partner_uid", "abcdef1234567890"))
-                        .build()
-                }
+                        .build(),
+                    _ => Response::builder(Status::OK).build(),
+                };
+                on_response(&request, &response);
+                self.log.borrow_mut().push(request);
             }
         }
         let backend = SyncBackend::default();
@@ -1011,9 +1028,13 @@ mod tests {
         let app = AppBuilder::new(url("http://hbbtv.rtl.de/start"))
             .page(PageKind::AutostartBar, |p| {
                 p.resource(ResourceLoad::get(
-                    url("http://adsync-a.com/pix"),
+                    url("http://adsync-a.com/pix?c=rtl"),
                     ResourceKind::Image,
                 ));
+                p.resource(
+                    ResourceLoad::get(url("http://adsync-a.com/pix"), ResourceKind::Image)
+                        .repeating(Duration::from_secs(60)),
+                );
             })
             .autostart(0)
             .build();
@@ -1027,6 +1048,46 @@ mod tests {
             .cookie_jar()
             .all()
             .any(|c| c.cookie.domain.as_str() == "adsync-b.com"));
+
+        // Every follow-up names the redirecting URL as its `Referer` and
+        // carries the cookies the jar held for the partner when it left:
+        // none on the first sync, the partner's own cookie afterwards.
+        tv.advance(Duration::from_secs(60));
+        let log = log.borrow();
+        let follow_ups: Vec<(usize, &Request)> = log
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.url.host() == "adsync-b.com")
+            .collect();
+        assert_eq!(follow_ups.len(), 3, "{urls:?}");
+        let cookies: Vec<Option<&str>> =
+            follow_ups.iter().map(|(_, r)| r.cookie_header()).collect();
+        assert_eq!(
+            cookies,
+            [
+                None,
+                Some("partner_uid=abcdef1234567890"),
+                Some("partner_uid=abcdef1234567890")
+            ]
+        );
+        for (i, follow_up) in follow_ups {
+            let redirecting = &log[i - 1];
+            assert_eq!(redirecting.url.host(), "adsync-a.com");
+            assert_eq!(
+                follow_up.headers.get("Referer"),
+                Some(redirecting.url.to_text().as_str())
+            );
+            assert_eq!(
+                follow_up.headers.get("User-Agent"),
+                Some(tv.device.os.as_str())
+            );
+            assert_eq!(follow_up.timestamp, redirecting.timestamp);
+        }
+        assert_eq!(log[1].url.to_text(), "http://adsync-a.com/pix?c=rtl");
+        assert_eq!(log[1].cookie_header(), None);
+        // The source's cookie went back to the source on its next hit.
+        assert_eq!(log[3].url.to_text(), "http://adsync-a.com/pix");
+        assert_eq!(log[3].cookie_header(), Some("src_uid=a1"));
     }
 
     #[test]

@@ -38,54 +38,71 @@ impl CookieJar {
     }
 
     /// Applies a `Set-Cookie`, scoping host-only cookies to
-    /// `default_domain` (the responding host's eTLD+1). Returns the key
-    /// under which the cookie is stored.
-    pub fn apply(&mut self, sc: &SetCookie, default_domain: &Etld1, now: Timestamp) -> CookieKey {
+    /// `default_domain` (the responding host's eTLD+1). An existing
+    /// entry is updated in place: its value, expiry and `updated` change,
+    /// `created` stays. Returns the key under which the cookie is stored.
+    pub fn apply(&mut self, sc: SetCookie, default_domain: &Etld1, now: Timestamp) -> CookieKey {
+        let Cookie {
+            name,
+            value,
+            domain,
+        } = sc.cookie;
         let domain = if sc.explicit_domain {
-            sc.cookie.domain.clone()
+            domain
         } else {
             default_domain.clone()
         };
-        let cookie = Cookie::new(sc.cookie.name.clone(), sc.cookie.value.clone(), domain);
-        let key = cookie.key();
-        let entry = self
-            .cookies
-            .entry(key.clone())
-            .or_insert_with(|| StoredCookie {
-                cookie: cookie.clone(),
+        let key = CookieKey { domain, name };
+        if let Some(entry) = self.cookies.get_mut(&key) {
+            entry.cookie.value = value;
+            entry.expires = sc.expires;
+            entry.updated = now;
+            return key;
+        }
+        let cookie = Cookie::new(key.name.clone(), value, key.domain.clone());
+        self.cookies.insert(
+            key.clone(),
+            StoredCookie {
+                cookie,
                 expires: sc.expires,
                 created: now,
                 updated: now,
-            });
-        entry.cookie = cookie;
-        entry.expires = sc.expires;
-        entry.updated = now;
+            },
+        );
         key
     }
 
-    /// The `Cookie:` header value for a request to `domain`, or `None`
-    /// if the TV holds no live cookies for it.
+    /// The `Cookie:` header value for a request to `domain` — its live
+    /// cookies as `name=value` pairs in name order, joined by `"; "` — or
+    /// `None` if the TV holds no live cookies for it.
     pub fn header_for(&self, domain: &Etld1, now: Timestamp) -> Option<String> {
-        let parts: Vec<String> = self
-            .cookies
-            .values()
-            .filter(|sc| &sc.cookie.domain == domain && !is_expired(sc, now))
-            .map(|sc| format!("{}={}", sc.cookie.name, sc.cookie.value))
-            .collect();
-        if parts.is_empty() {
-            None
-        } else {
-            Some(parts.join("; "))
+        let live = || {
+            self.cookies
+                .values()
+                .filter(move |sc| &sc.cookie.domain == domain && !is_expired(sc, now))
+        };
+        let len = live()
+            .map(|sc| sc.cookie.name.len() + 1 + sc.cookie.value.len())
+            .reduce(|len, pair| len + 2 + pair)?;
+        let mut header = String::with_capacity(len);
+        for sc in live() {
+            if !header.is_empty() {
+                header.push_str("; ");
+            }
+            header.push_str(&sc.cookie.name);
+            header.push('=');
+            header.push_str(&sc.cookie.value);
         }
+        Some(header)
     }
 
     /// The first live cookie value for `domain` (used to fill `uid=`
     /// leak parameters the way real apps echo their tracker's cookie).
-    pub fn any_value_for(&self, domain: &Etld1, now: Timestamp) -> Option<String> {
+    pub fn any_value_for(&self, domain: &Etld1, now: Timestamp) -> Option<&str> {
         self.cookies
             .values()
             .find(|sc| &sc.cookie.domain == domain && !is_expired(sc, now))
-            .map(|sc| sc.cookie.value.clone())
+            .map(|sc| sc.cookie.value.as_str())
     }
 
     /// All stored cookies (the post-run SSH extraction).
@@ -175,8 +192,12 @@ mod tests {
     #[test]
     fn host_only_cookies_get_default_domain() {
         let mut jar = CookieJar::new();
-        let key = jar.apply(&SetCookie::session("sid", "x1"), &d("zdf.de"), T0);
+        let key = jar.apply(SetCookie::session("sid", "x1"), &d("zdf.de"), T0);
         assert_eq!(key.domain.as_str(), "zdf.de");
+        assert_eq!(key.name, "sid");
+        let stored = jar.all().next().unwrap();
+        assert_eq!(stored.cookie.domain.as_str(), "zdf.de");
+        assert_eq!(stored.cookie.key(), key);
         assert_eq!(jar.header_for(&d("zdf.de"), T0).unwrap(), "sid=x1");
         assert_eq!(jar.header_for(&d("ard.de"), T0), None);
     }
@@ -185,28 +206,51 @@ mod tests {
     fn explicit_domain_wins() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("uid", "abc", d("xiti.com"), T1);
-        jar.apply(&sc, &d("zdf.de"), T0);
+        jar.apply(sc, &d("zdf.de"), T0);
         assert!(jar.header_for(&d("xiti.com"), T0).is_some());
         assert!(jar.header_for(&d("zdf.de"), T0).is_none());
     }
 
     #[test]
     fn update_keeps_created_bumps_updated() {
+        const T2: Timestamp = Timestamp::from_unix(1_700_000_200);
         let mut jar = CookieJar::new();
-        jar.apply(&SetCookie::session("a", "1"), &d("x.de"), T0);
-        jar.apply(&SetCookie::session("a", "2"), &d("x.de"), T1);
+        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
+        let key = jar.apply(SetCookie::session("a", "2"), &d("x.de"), T1);
         let stored = jar.all().next().unwrap();
         assert_eq!(stored.cookie.value, "2");
+        assert_eq!(stored.expires, None);
         assert_eq!(stored.created, T0);
         assert_eq!(stored.updated, T1);
+        assert_eq!(stored.cookie.key(), key);
         assert_eq!(jar.len(), 1, "same key overwrites");
+
+        // A persistent update of the same cookie overwrites the expiry
+        // too, and a later one replaces it again.
+        let again = jar.apply(
+            SetCookie::persistent("a", "3", d("x.de"), T2),
+            &d("y.de"),
+            T1,
+        );
+        assert_eq!(again, key);
+        jar.apply(
+            SetCookie::persistent("a", "4", d("x.de"), T2 + hbbtv_net::Duration::from_secs(9)),
+            &d("y.de"),
+            T2,
+        );
+        let stored = jar.all().next().unwrap();
+        assert_eq!(jar.len(), 1);
+        assert_eq!(stored.cookie, Cookie::new("a", "4", d("x.de")));
+        assert_eq!(stored.expires, Some(T2 + hbbtv_net::Duration::from_secs(9)));
+        assert_eq!(stored.created, T0);
+        assert_eq!(stored.updated, T2);
     }
 
     #[test]
     fn expired_cookies_are_not_sent() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("u", "v", d("t.de"), T1);
-        jar.apply(&sc, &d("t.de"), T0);
+        jar.apply(sc, &d("t.de"), T0);
         assert!(jar.header_for(&d("t.de"), T0).is_some());
         assert!(
             jar.header_for(&d("t.de"), T1).is_none(),
@@ -217,24 +261,49 @@ mod tests {
     #[test]
     fn multiple_cookies_join_with_semicolons() {
         let mut jar = CookieJar::new();
-        jar.apply(&SetCookie::session("a", "1"), &d("x.de"), T0);
-        jar.apply(&SetCookie::session("b", "2"), &d("x.de"), T0);
-        let h = jar.header_for(&d("x.de"), T0).unwrap();
-        assert!(h == "a=1; b=2" || h == "b=2; a=1");
+        jar.apply(SetCookie::session("b", "2"), &d("x.de"), T0);
+        jar.apply(
+            SetCookie::persistent("c", "3", d("x.de"), T1),
+            &d("x.de"),
+            T0,
+        );
+        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
+        jar.apply(SetCookie::session("z", "9"), &d("other.de"), T0);
+        assert_eq!(jar.header_for(&d("x.de"), T0).unwrap(), "a=1; b=2; c=3");
+        // At T1 the persistent `c` has expired and is skipped.
+        let header = jar.header_for(&d("x.de"), T1).unwrap();
+        assert_eq!(header, "a=1; b=2");
+        assert_eq!(header.capacity(), header.len());
+        assert_eq!(jar.header_for(&d("other.de"), T1).unwrap(), "z=9");
     }
 
     #[test]
     fn any_value_for_returns_live_value() {
         let mut jar = CookieJar::new();
-        jar.apply(&SetCookie::session("uid", "zzz9"), &d("tvping.com"), T0);
-        assert_eq!(jar.any_value_for(&d("tvping.com"), T0).unwrap(), "zzz9");
+        jar.apply(SetCookie::session("uid", "zzz9"), &d("tvping.com"), T0);
+        assert_eq!(jar.any_value_for(&d("tvping.com"), T0), Some("zzz9"));
         assert_eq!(jar.any_value_for(&d("other.de"), T0), None);
+        // An expired cookie is skipped in favour of a live one.
+        jar.apply(
+            SetCookie::persistent("a_old", "gone", d("t.de"), T1),
+            &d("t.de"),
+            T0,
+        );
+        jar.apply(SetCookie::session("b_new", "live"), &d("t.de"), T0);
+        assert_eq!(jar.any_value_for(&d("t.de"), T0), Some("gone"));
+        assert_eq!(jar.any_value_for(&d("t.de"), T1), Some("live"));
+        jar.apply(
+            SetCookie::persistent("b_new", "x", d("t.de"), T1),
+            &d("t.de"),
+            T0,
+        );
+        assert_eq!(jar.any_value_for(&d("t.de"), T1), None);
     }
 
     #[test]
     fn wipe_clears_everything() {
         let mut jar = CookieJar::new();
-        jar.apply(&SetCookie::session("a", "1"), &d("x.de"), T0);
+        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
         jar.wipe();
         assert!(jar.is_empty());
 

@@ -14,15 +14,16 @@ use hbbtv_study::ecosystem::channels::{slugify, ButtonContent, ChannelKnobs, Cha
 use hbbtv_tv::{ChannelContext, DeviceProfile, NetworkBackend, ProgramInfo, RcButton, Tv};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A backend that just logs requested hosts.
 #[derive(Clone, Default)]
 struct LogBackend(Rc<RefCell<Vec<String>>>);
 
 impl NetworkBackend for LogBackend {
-    fn fetch(&mut self, request: Request) -> Response {
+    fn fetch(&mut self, request: Request, on_response: impl FnOnce(&Request, &Response)) {
+        on_response(&request, &Response::builder(Status::OK).build());
         self.0.borrow_mut().push(request.url.host().to_string());
-        Response::builder(Status::OK).build()
     }
 }
 
@@ -71,7 +72,7 @@ fn main() {
     ait.push(1, AppControlCode::Autostart, app.entry_url().clone());
     let ctx = ChannelContext {
         descriptor: ChannelDescriptor::tv(1, "Demo TV", Satellite::Astra19E),
-        app: Some(app),
+        app: Some(Arc::new(app)),
         program: ProgramInfo::new("Abendshow", "Entertainment"),
         signal_ok: true,
         tech_message: false,
