@@ -37,16 +37,15 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(hits)
         })
     });
-    // Same workload through the zero-alloc view path (one serialization
+    // Same workload through the zero-alloc view path (one borrowed view
     // per URL instead of one per list probe), and through the retained
     // naive linear scan — the before/after pair for the indexed engine.
     let list_refs = bundled::all_refs();
     c.bench_function("filterlist_matching_200_urls_view", |b| {
         b.iter(|| {
             let mut hits = 0usize;
-            let mut buf = String::new();
             for u in &urls {
-                let view = UrlView::of_url(u, &mut buf);
+                let view = UrlView::of_url(u);
                 for l in &list_refs {
                     if l.matches_view(&view, RequestContext::third_party_image()) {
                         hits += 1;
@@ -79,9 +78,8 @@ fn bench_kernels(c: &mut Criterion) {
         c.bench_function(&format!("matcher_indexed_{n}_rules_64_urls"), |b| {
             b.iter(|| {
                 let mut hits = 0usize;
-                let mut buf = String::new();
                 for u in &work {
-                    let view = UrlView::of_url(u, &mut buf);
+                    let view = UrlView::of_url(u);
                     if list.matches_view(&view, RequestContext::third_party_image()) {
                         hits += 1;
                     }

@@ -99,9 +99,8 @@ fn load_json(s: &stats::MatcherStats) -> String {
 
 fn indexed_pass(lists: &[&FilterList], urls: &[Url], ctx: RequestContext) -> usize {
     let mut hits = 0;
-    let mut buf = String::new();
     for u in urls {
-        let view = UrlView::of_url(u, &mut buf);
+        let view = UrlView::of_url(u);
         for l in lists {
             if l.matches_view(&view, ctx) {
                 hits += 1;
@@ -116,9 +115,8 @@ fn indexed_pass(lists: &[&FilterList], urls: &[Url], ctx: RequestContext) -> usi
 /// records a real first-match distance when counting is on).
 fn rule_pass(lists: &[&FilterList], urls: &[Url], ctx: RequestContext) -> usize {
     let mut hits = 0;
-    let mut buf = String::new();
     for u in urls {
-        let view = UrlView::of_url(u, &mut buf);
+        let view = UrlView::of_url(u);
         for l in lists {
             match l.matching_rule_view(&view, ctx) {
                 MatchOutcome::Blocked(_) | MatchOutcome::HostBlocked => hits += 1,

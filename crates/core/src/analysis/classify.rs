@@ -48,18 +48,17 @@ pub fn resource_kind_of_content(content_type: ContentType) -> ResourceKind {
 
 impl ExchangeClass {
     /// Classifies one exchange: eTLD+1, party relationship, resource
-    /// kind, and all five bundled-list verdicts, with a single URL
-    /// serialization.
+    /// kind, and all five bundled-list verdicts through one view of the
+    /// URL's text.
     pub fn classify(c: &CapturedExchange, fp_map: &FirstPartyMap) -> Self {
-        let etld1 = c.request.url.etld1().clone();
+        let etld1 = c.request.url.etld1().to_owned();
         let third_party = c
             .channel
             .map(|ch| fp_map.is_third_party(ch, &etld1))
             .unwrap_or(true);
         let kind = resource_kind_of_content(c.response.content_type);
         let ctx = RequestContext { third_party, kind };
-        let text = c.request.url.to_text();
-        let view = UrlView::new(&text, c.request.url.host(), etld1.as_str());
+        let view = UrlView::of_url(&c.request.url);
         ExchangeClass {
             on_pihole: bundled::pihole_ref().matches_view(&view, ctx),
             on_easylist: bundled::easylist_ref().matches_view(&view, ctx),

@@ -250,13 +250,8 @@ impl CookieAnalysis {
                 // known (filter-list-flagged) tracker.
                 // §V-D probes every list with the canonical
                 // third-party-image context here (not the exchange's
-                // real context); serialize the URL once for all five.
-                let text = c.request.url.to_text();
-                let view = hbbtv_filterlists::UrlView::new(
-                    &text,
-                    c.request.url.host(),
-                    c.request.url.etld1().as_str(),
-                );
+                // real context), through one view for all five.
+                let view = hbbtv_filterlists::UrlView::of_url(&c.request.url);
                 let tracking = is_tracking_pixel(c)
                     || is_fingerprint_script(c)
                     || lists.iter().any(|l| {
@@ -269,7 +264,7 @@ impl CookieAnalysis {
                     let domain = if sc.explicit_domain {
                         sc.cookie.domain.clone()
                     } else {
-                        c.request.url.etld1().clone()
+                        c.request.url.etld1().to_owned()
                     };
                     let key = CookieKey {
                         domain: domain.clone(),

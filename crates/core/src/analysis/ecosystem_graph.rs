@@ -51,7 +51,7 @@ impl GraphAnalysis {
             );
             graph.add_edge(&channel_label, fp.as_str());
             let domain = c.request.url.etld1();
-            if domain != fp {
+            if domain != *fp {
                 graph.add_edge(fp.as_str(), domain.as_str());
             }
         }

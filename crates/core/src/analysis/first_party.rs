@@ -51,13 +51,12 @@ impl FirstPartyMap {
                 kind: ResourceKind::Document,
             };
             let url = &capture.request.url;
-            let text = url.to_text();
-            let view = UrlView::new(&text, url.host(), url.etld1().as_str());
+            let view = UrlView::of_url(url);
             if guards.iter().any(|g| g.matches_view(&view, ctx)) {
                 continue;
             }
             let t = capture.request.timestamp.as_unix();
-            let domain = url.etld1().clone();
+            let domain = url.etld1().to_owned();
             candidates
                 .entry(channel)
                 .and_modify(|(best_t, best_d)| {

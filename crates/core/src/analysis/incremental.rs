@@ -76,7 +76,7 @@ use hbbtv_broadcast::ChannelId;
 use hbbtv_consent::{analyze_nudging, annotate, branding_catalog, NoticeBranding, PrivacyInfoKind};
 use hbbtv_filterlists::{bundled, RequestContext, ResourceKind, UrlView};
 use hbbtv_graph::Graph;
-use hbbtv_net::{ContentType, CookieKey, Etld1, Timestamp, Url};
+use hbbtv_net::{ContentType, CookieKey, Etld1, Etld1Ref, Timestamp, Url};
 use hbbtv_obs::Telemetry;
 use hbbtv_policies::compliance::{check_profiling_window, TrackingObservation};
 use hbbtv_policies::{DocRef, PolicyCorpus};
@@ -200,19 +200,19 @@ struct UrlInfo {
 }
 
 impl UrlInfo {
-    /// Every fact about `url` (serialized as `text`) that needs no
-    /// interning table: the list probes, the bodyless leak verdicts,
-    /// and the query extractions. `etld1_sym` and `sync_vals` are left
-    /// for the merge, which has them from the chunk scan.
-    fn probe(url: &Url, text: &str, needles: &LeakNeedles) -> UrlInfo {
+    /// Every fact about `url` that needs no interning table: the list
+    /// probes, the bodyless leak verdicts, and the query extractions.
+    /// `etld1_sym` and `sync_vals` are left for the merge, which has
+    /// them from the chunk scan.
+    fn probe(url: &Url, needles: &LeakNeedles) -> UrlInfo {
         let lists = bundled::all_refs();
         let guards = [bundled::easylist_ref(), bundled::easyprivacy_ref()];
         let guard_ctx = RequestContext {
             third_party: true,
             kind: ResourceKind::Document,
         };
-        let view = UrlView::new(text, url.host(), url.etld1().as_str());
-        let (tech_bodyless, genre_keyword_bodyless) = needles.verdicts(text, "");
+        let view = UrlView::of_url(url);
+        let (tech_bodyless, genre_keyword_bodyless) = needles.verdicts(url.as_str(), "");
         UrlInfo {
             host: url.host().to_string(),
             etld1_sym: 0,
@@ -260,10 +260,10 @@ impl<K: std::hash::Hash + Eq, V> LocalTable<K, V> {
 impl LocalTable<String, Etld1> {
     /// Keyed by text, so a URL's eTLD+1 and one derived from a `Domain`
     /// attribute meet in one table; only a new one is copied.
-    fn intern_domain(&mut self, d: &Etld1) -> u32 {
+    fn intern_domain(&mut self, d: Etld1Ref<'_>) -> u32 {
         match self.ids.get(d.as_str()) {
             Some(&id) => id,
-            None => self.intern(d.as_str().to_string(), |_| d.clone()),
+            None => self.intern(d.as_str().to_string(), |_| d.to_owned()),
         }
     }
 }
@@ -327,7 +327,7 @@ struct ChunkScan {
 
 impl ChunkScan {
     fn of(chunk: &[CapturedExchange], needles: &LeakNeedles) -> Self {
-        let mut urls: HashMap<String, u32> = HashMap::new();
+        let mut urls: HashMap<&str, u32> = HashMap::new();
         let mut url_list: Vec<ChunkUrl> = Vec::new();
         let mut etld1s: LocalTable<String, Etld1> = LocalTable::new();
         // Explicit `Domain` hosts, so each is mapped to its eTLD+1 once.
@@ -341,25 +341,22 @@ impl ChunkScan {
         let mut cookies = Vec::new();
         let mut key_channel_list = Vec::new();
         let mut domain_value_list = Vec::new();
-        let mut text = String::new();
         for (i, c) in chunk.iter().enumerate() {
             let url = &c.request.url;
-            text.clear();
-            url.write_into(&mut text);
-            let u = match urls.get(text.as_str()) {
+            let text = url.as_str();
+            let u = match urls.get(text) {
                 Some(&u) => u,
                 None => {
                     let u = url_list.len() as u32;
                     let etld1 = etld1s.intern_domain(url.etld1());
                     let vals = url
                         .query_pairs()
-                        .iter()
                         .filter(|(_, v)| is_potential_id(v))
                         .map(|(_, v)| values.intern(v, |v| v.to_string()))
                         .collect();
-                    urls.insert(text.clone(), u);
+                    urls.insert(text, u);
                     url_list.push(ChunkUrl {
-                        text: text.clone(),
+                        text: text.to_string(),
                         etld1,
                         values: vals,
                         first: i,
@@ -385,14 +382,13 @@ impl ChunkScan {
             let set_cookies = c
                 .response
                 .headers
-                .iter()
-                .filter(|h| h.name.eq_ignore_ascii_case("Set-Cookie"))
-                .filter_map(|h| lean_set_cookie(&h.value));
+                .get_all("Set-Cookie")
+                .filter_map(lean_set_cookie);
             for (name, value, domain) in set_cookies {
                 let d = match domain {
                     Some(host) => *hosts
                         .entry(host)
-                        .or_insert_with(|| etld1s.intern_domain(&Etld1::from_host(host))),
+                        .or_insert_with(|| etld1s.intern_domain(Etld1::from_host(host).view())),
                     None => url_list[u as usize].etld1,
                 };
                 let k = keys.intern((d, name), |&(d, n)| (d, n.to_string()));
@@ -415,7 +411,7 @@ impl ChunkScan {
                 label,
                 flags,
                 cookie_end: cookies.len(),
-                body_leak: (!body.is_empty()).then(|| needles.verdicts(&text, body)),
+                body_leak: (!body.is_empty()).then(|| needles.verdicts(text, body)),
             });
         }
         ChunkScan {
@@ -921,14 +917,11 @@ impl FrameBuilder {
             maps.push(self.merge_chunk(scan, base, &mut new_urls, &mut owner_dirty));
             base += scan.rows.len();
         }
-        let (url_texts, needles) = (&self.url_texts, &self.needles);
+        let needles = &self.needles;
         let probes = par_chunks_auto(&new_urls, |chunk| {
             chunk
                 .iter()
-                .map(|n| {
-                    let text = &url_texts[n.sym as usize];
-                    UrlInfo::probe(&caps[n.cap].request.url, text, needles)
-                })
+                .map(|n| UrlInfo::probe(&caps[n.cap].request.url, needles))
                 .collect::<Vec<_>>()
         });
         for (mut info, n) in probes.into_iter().flatten().zip(new_urls) {
@@ -985,7 +978,7 @@ impl FrameBuilder {
                             None => true,
                         };
                         if better {
-                            let domain = c.request.url.etld1().clone();
+                            let domain = c.request.url.etld1().to_owned();
                             self.candidates.insert(ch, (t, domain));
                             election_touched.insert(ch);
                         }

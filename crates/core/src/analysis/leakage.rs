@@ -71,7 +71,7 @@ impl LeakageAnalysis {
                 .filter(|t| !t.is_empty())
                 .any(|t| text.contains(t.as_str()));
             if has_technical {
-                technical_receivers.insert(c.request.url.etld1().clone());
+                technical_receivers.insert(c.request.url.etld1().to_owned());
                 if let Some(ch) = c.channel {
                     channels_with_technical.insert(ch);
                 }

@@ -79,7 +79,7 @@ impl DerivedList {
         let (mut baseline_hits, mut tracking_total) = (0usize, 0usize);
 
         for c in dataset.all_captures() {
-            let domain = c.request.url.etld1().clone();
+            let domain = c.request.url.etld1().to_owned();
             let third = c
                 .channel
                 .map(|ch| fp_map.is_third_party(ch, &domain))
@@ -149,7 +149,7 @@ impl DerivedList {
         let derived_domains: BTreeSet<&Etld1> = rules.iter().map(|r| &r.domain).collect();
         let mut extended_hits = baseline_hits;
         for c in dataset.all_captures() {
-            let domain = c.request.url.etld1().clone();
+            let domain = c.request.url.etld1().to_owned();
             let third = c
                 .channel
                 .map(|ch| fp_map.is_third_party(ch, &domain))

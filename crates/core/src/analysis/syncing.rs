@@ -77,7 +77,7 @@ impl SyncingAnalysis {
                 let domain = if sc.explicit_domain {
                     sc.cookie.domain.clone()
                 } else {
-                    c.request.url.etld1().clone()
+                    c.request.url.etld1().to_owned()
                 };
                 let value = sc.cookie.value.clone();
                 if !seen_values.insert((domain.clone(), value.clone())) {
@@ -100,27 +100,27 @@ impl SyncingAnalysis {
         let mut runs = BTreeSet::new();
         for run_ds in &dataset.runs {
             for c in &run_ds.captures {
-                let receiver = c.request.url.etld1().clone();
+                let receiver = c.request.url.etld1();
                 // Check URL query parameters for owned ID values.
                 for (_, value) in c.request.url.query_pairs() {
-                    let Some(owner_set) = owners.get(value.as_str()) else {
+                    let Some(owner_set) = owners.get(value) else {
                         continue;
                     };
                     for owner in owner_set {
-                        if owner == &receiver {
+                        if *owner == receiver {
                             continue;
                         }
-                        synced_values.insert(value.clone());
+                        synced_values.insert(value.to_string());
                         syncing_domains.insert(owner.clone());
-                        syncing_domains.insert(receiver.clone());
+                        syncing_domains.insert(receiver.to_owned());
                         if let Some(ch) = c.channel {
                             channels.insert(ch);
                         }
                         runs.insert(run_ds.run);
                         events.push(SyncEvent {
                             owner: owner.clone(),
-                            receiver: receiver.clone(),
-                            value: value.clone(),
+                            receiver: receiver.to_owned(),
+                            value: value.to_string(),
                             channel: c.channel,
                             run: run_ds.run,
                         });

@@ -157,10 +157,10 @@ mod tests {
             "http://x.de/a"
         };
         CapturedExchange {
-            session: "General".to_string(),
+            session: "General".into(),
             visit: Some(VisitId(0)),
             channel: Some(ChannelId(1)),
-            channel_name: Some("X".to_string()),
+            channel_name: Some("X".into()),
             request: Request::get(url.parse().unwrap())
                 .at(Timestamp::from_unix(1))
                 .build(),

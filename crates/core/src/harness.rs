@@ -74,7 +74,7 @@ impl NetworkBackend for EcoBackend<'_> {
     /// moves it into the visit's capture log.
     fn fetch(&mut self, request: Request, on_response: impl FnOnce(&Request, &Response)) {
         if let Some(list) = self.blocklist {
-            let third_party = request.url.etld1() != &self.first_party;
+            let third_party = request.url.etld1() != self.first_party;
             let blocked = list.matches(
                 &request.url,
                 RequestContext {
@@ -686,7 +686,7 @@ mod tests {
             "16 screenshots per channel in General"
         );
         // All captures carry the session label.
-        assert!(ds.captures.iter().all(|c| c.session == "General"));
+        assert!(ds.captures.iter().all(|c| &*c.session == "General"));
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl StudyReport {
                         let domain = if sc.explicit_domain {
                             sc.cookie.domain.clone()
                         } else {
-                            c.request.url.etld1().clone()
+                            c.request.url.etld1().to_owned()
                         };
                         let key = CookieKey {
                             domain,

@@ -68,12 +68,9 @@ impl<'a> UrlView<'a> {
         }
     }
 
-    /// Serializes `url` into `buf` and views it. The buffer is cleared
-    /// first, so scan loops can reuse one allocation across exchanges.
-    pub fn of_url(url: &'a Url, buf: &'a mut String) -> Self {
-        buf.clear();
-        url.write_into(buf);
-        UrlView::new(buf, url.host(), url.etld1().as_str())
+    /// Views `url` through its own text; nothing is copied.
+    pub fn of_url(url: &'a Url) -> Self {
+        UrlView::new(url.as_str(), url.host(), url.etld1().as_str())
     }
 
     pub(crate) fn after_host(&self) -> &'a str {
@@ -184,20 +181,13 @@ impl FilterList {
     /// Whether the list flags this request.
     ///
     /// Exception (`@@`) rules override block rules, as in Adblock Plus.
-    /// Serializes the URL once; callers probing several lists per
-    /// exchange should build a [`UrlView`] themselves and use
-    /// [`FilterList::matches_view`].
     pub fn matches(&self, url: &Url, ctx: RequestContext) -> bool {
-        let text = url.to_text();
-        let view = UrlView::new(&text, url.host(), url.etld1().as_str());
-        self.matches_view(&view, ctx)
+        self.matches_view(&UrlView::of_url(url), ctx)
     }
 
     /// Detailed match outcome, exposing which rule fired.
     pub fn matching_rule(&self, url: &Url, ctx: RequestContext) -> MatchOutcome<'_> {
-        let text = url.to_text();
-        let view = UrlView::new(&text, url.host(), url.etld1().as_str());
-        self.matching_rule_view(&view, ctx)
+        self.matching_rule_view(&UrlView::of_url(url), ctx)
     }
 
     /// [`FilterList::matches`] over a caller-built view — the zero-alloc
@@ -245,19 +235,16 @@ impl FilterList {
         if self.hosts.blocks_host(url.host()) {
             return MatchOutcome::HostBlocked;
         }
-        let text = url.to_string();
+        let text = url.as_str();
         let host = url.host();
-        let hit = self
-            .rules
-            .iter()
-            .find(|r| rule_applies(r, &text, host, ctx));
+        let hit = self.rules.iter().find(|r| rule_applies(r, text, host, ctx));
         match hit {
             None => MatchOutcome::NoMatch,
             Some(rule) => {
                 let excepted = self
                     .exceptions
                     .iter()
-                    .any(|e| rule_applies(e, &text, host, ctx));
+                    .any(|e| rule_applies(e, text, host, ctx));
                 if excepted {
                     MatchOutcome::Allowed
                 } else {

@@ -574,7 +574,7 @@ mod tests {
                     session: "General".into(),
                     visit: Some(VisitId(v as u32)),
                     channel: Some(ChannelId(v as u32 + 1)),
-                    channel_name: Some(format!("ch{v}")),
+                    channel_name: Some(format!("ch{v}").into()),
                     request: Request::get(
                         format!("http://app-{v}.example.de/r{c}").parse().unwrap(),
                     )

@@ -45,20 +45,8 @@ impl Host {
     /// [`ParseUrlError::InvalidHost`] for hosts with empty labels or
     /// characters outside `[a-z0-9.-]`.
     pub fn parse(s: &str) -> Result<Self, ParseUrlError> {
-        if s.is_empty() {
-            return Err(ParseUrlError::EmptyHost);
-        }
-        let lower = s.to_ascii_lowercase();
-        let valid = lower.split('.').all(|label| {
-            !label.is_empty()
-                && label
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'-')
-        });
-        if !valid {
-            return Err(ParseUrlError::InvalidHost(s.to_string()));
-        }
-        Ok(Host(lower))
+        check_host(s)?;
+        Ok(Host(s.to_ascii_lowercase()))
     }
 
     /// The host as a string slice.
@@ -79,6 +67,24 @@ impl Host {
     pub fn etld1(&self) -> Etld1 {
         Etld1(registrable_domain(&self.0))
     }
+}
+
+/// Checks that `s` is a host [`Host::parse`] accepts, without copying
+/// it: non-empty, with non-empty labels of `[a-zA-Z0-9-]`.
+pub(crate) fn check_host(s: &str) -> Result<(), ParseUrlError> {
+    if s.is_empty() {
+        return Err(ParseUrlError::EmptyHost);
+    }
+    let valid = s.split('.').all(|label| {
+        !label.is_empty()
+            && label
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-')
+    });
+    if !valid {
+        return Err(ParseUrlError::InvalidHost(s.to_string()));
+    }
+    Ok(())
 }
 
 impl fmt::Display for Host {
@@ -138,6 +144,11 @@ impl Etld1 {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The domain as a borrowed [`Etld1Ref`].
+    pub fn view(&self) -> Etld1Ref<'_> {
+        Etld1Ref(&self.0)
+    }
 }
 
 impl fmt::Display for Etld1 {
@@ -158,6 +169,58 @@ impl From<&Host> for Etld1 {
     }
 }
 
+impl PartialEq<Etld1Ref<'_>> for Etld1 {
+    fn eq(&self, other: &Etld1Ref<'_>) -> bool {
+        self.0 == other.0
+    }
+}
+
+/// A borrowed registrable domain, such as the eTLD+1 slice of a
+/// [`Url`](crate::Url)'s text. Comparing it with an [`Etld1`] or reading
+/// it costs nothing; [`Etld1Ref::to_owned`] copies it out.
+///
+/// # Examples
+///
+/// ```
+/// use hbbtv_net::{Etld1, Url};
+/// let url: Url = "http://cdn.tracker.co.uk/p.gif".parse()?;
+/// assert_eq!(url.etld1().as_str(), "tracker.co.uk");
+/// assert_eq!(url.etld1(), Etld1::new("tracker.co.uk"));
+/// assert_eq!(url.etld1().to_owned(), Etld1::new("tracker.co.uk"));
+/// # Ok::<(), hbbtv_net::ParseUrlError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Etld1Ref<'a>(&'a str);
+
+impl<'a> Etld1Ref<'a> {
+    /// Wraps a slice already known to be a registrable domain.
+    pub(crate) fn new(domain: &'a str) -> Self {
+        Etld1Ref(domain)
+    }
+
+    /// The domain as a string slice.
+    pub fn as_str(self) -> &'a str {
+        self.0
+    }
+
+    /// Copies the domain into an owned [`Etld1`].
+    pub fn to_owned(self) -> Etld1 {
+        Etld1(self.0.to_string())
+    }
+}
+
+impl PartialEq<Etld1> for Etld1Ref<'_> {
+    fn eq(&self, other: &Etld1) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl fmt::Display for Etld1Ref<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
 /// Computes the registrable domain (eTLD+1) of a lower-cased host string.
 ///
 /// A host whose last two labels are in the two-label suffix table
@@ -168,15 +231,20 @@ impl From<&Host> for Etld1 {
 /// tldextract fallback) does under an unknown TLD. A host with no dot
 /// is returned unchanged.
 pub fn registrable_domain(host: &str) -> String {
+    host[registrable_start(host)..].to_string()
+}
+
+/// Where the registrable domain of a lower-cased host starts: the
+/// slicing core of [`registrable_domain`].
+pub(crate) fn registrable_start(host: &str) -> usize {
     let Some(last_dot) = host.rfind('.') else {
-        return host.to_string();
+        return 0;
     };
     let two = label_start(host, last_dot);
-    let start = match two.checked_sub(1) {
+    match two.checked_sub(1) {
         Some(dot) if TWO_LABEL_SUFFIXES.contains(&&host[two..]) => label_start(host, dot),
         _ => two,
-    };
-    host[start..].to_string()
+    }
 }
 
 /// Where the label that ends at the dot at byte `dot` starts.

@@ -18,6 +18,11 @@ pub enum ParseUrlError {
     InvalidHost(String),
     /// The port is not a valid `u16`.
     InvalidPort(String),
+    /// The URL up to its query is this many bytes, more than a [`Url`]'s
+    /// `u16` offsets address.
+    ///
+    /// [`Url`]: crate::Url
+    TooLong(usize),
 }
 
 impl fmt::Display for ParseUrlError {
@@ -28,6 +33,7 @@ impl fmt::Display for ParseUrlError {
             ParseUrlError::EmptyHost => write!(f, "empty host"),
             ParseUrlError::InvalidHost(h) => write!(f, "invalid host `{h}`"),
             ParseUrlError::InvalidPort(p) => write!(f, "invalid port `{p}`"),
+            ParseUrlError::TooLong(n) => write!(f, "{n} bytes before the query is too long"),
         }
     }
 }

@@ -7,7 +7,7 @@
 use crate::cookie::SetCookie;
 use crate::time::Timestamp;
 use crate::url::Url;
-use serde::{Deserialize, Serialize};
+use serde::{value, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// An HTTP request method. HbbTV traffic is GET-dominated with POST
@@ -126,81 +126,138 @@ impl fmt::Display for ContentType {
     }
 }
 
-/// A single HTTP header (name, value).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Header {
-    /// Header name (case preserved as given; lookups are case-insensitive).
-    pub name: String,
-    /// Header value.
-    pub value: String,
-}
-
 /// An ordered header collection with case-insensitive lookup.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Headers(Vec<Header>);
+///
+/// The names and values sit back to back in one text buffer; `ends`
+/// holds where each name and each value ends, two entries per header.
+/// Both grow to their exact length on every push, so a captured message
+/// carries no spare capacity: header lists are short, and a capture log
+/// keeps each one for the whole study.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Headers {
+    text: String,
+    ends: Vec<u32>,
+}
 
 impl Headers {
     /// Creates an empty header collection.
     pub fn new() -> Self {
-        Headers(Vec::new())
+        Headers::default()
     }
 
-    /// Creates an empty collection with room for `n` headers.
-    pub fn with_capacity(n: usize) -> Self {
-        Headers(Vec::with_capacity(n))
+    /// Collects `(name, value)` pairs, allocating the text and the
+    /// offsets once each at their final length.
+    ///
+    /// # Panics
+    ///
+    /// If the names and values exceed `u32::MAX` bytes in all.
+    pub fn from_pairs<'a>(
+        pairs: impl IntoIterator<Item = (&'a str, &'a str), IntoIter: Clone>,
+    ) -> Self {
+        let pairs = pairs.into_iter();
+        let mut h = Headers {
+            text: String::with_capacity(pairs.clone().map(|(n, v)| n.len() + v.len()).sum()),
+            ends: Vec::with_capacity(2 * pairs.clone().count()),
+        };
+        for (n, v) in pairs {
+            h.push(n, v);
+        }
+        h
     }
 
-    /// Appends a header. The list grows one slot at a time: header lists
-    /// are short, and a captured message keeps its list for the whole
-    /// study, so it should carry no spare slots.
-    pub fn push(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.0.reserve_exact(1);
-        self.0.push(Header {
-            name: name.into(),
-            value: value.into(),
-        });
+    /// Appends a header.
+    ///
+    /// # Panics
+    ///
+    /// If the collection's text would exceed `u32::MAX` bytes.
+    pub fn push(&mut self, name: &str, value: &str) {
+        self.text.reserve_exact(name.len() + value.len());
+        self.ends.reserve_exact(2);
+        for part in [name, value] {
+            self.text.push_str(part);
+            let end = u32::try_from(self.text.len()).expect("header text fits u32 offsets");
+            self.ends.push(end);
+        }
     }
 
     /// First value of a header, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|h| h.name.eq_ignore_ascii_case(name))
-            .map(|h| h.value.as_str())
+        self.iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     /// All values of a header, case-insensitively (e.g. repeated
     /// `Set-Cookie`).
     pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.0
-            .iter()
-            .filter(move |h| h.name.eq_ignore_ascii_case(name))
-            .map(|h| h.value.as_str())
+        self.iter()
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
     /// Number of headers.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.ends.len() / 2
     }
 
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Iterates over all headers in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Header> {
-        self.0.iter()
+    /// Iterates over all `(name, value)` pairs in insertion order; names
+    /// keep the case they were pushed with.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+        let mut start = 0;
+        self.ends.chunks_exact(2).map(move |ends| {
+            let (name_end, value_end) = (ends[0] as usize, ends[1] as usize);
+            let header = (&self.text[start..name_end], &self.text[name_end..value_end]);
+            start = value_end;
+            header
+        })
     }
 }
 
-impl FromIterator<(String, String)> for Headers {
-    fn from_iter<T: IntoIterator<Item = (String, String)>>(iter: T) -> Self {
-        let mut h = Headers::new();
-        for (n, v) in iter {
-            h.push(n, v);
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The wire form is a list of `{"name","value"}` objects.
+impl Serialize for Headers {
+    fn to_value(&self) -> Value {
+        let str_value = |s: &str| Value::Str(s.to_string());
+        Value::Array(
+            self.iter()
+                .map(|(n, v)| {
+                    Value::Object(vec![
+                        ("name".to_string(), str_value(n)),
+                        ("value".to_string(), str_value(v)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Headers {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let list = v.as_array().ok_or("Headers: expected an array")?;
+        let mut parts = Vec::with_capacity(list.len());
+        for header in list {
+            let part = |name| {
+                value::get_field(header, name, "Header")?
+                    .as_str()
+                    .ok_or_else(|| format!("Header.{name}: expected a string"))
+            };
+            parts.push((part("name")?, part("value")?));
         }
-        h
+        let bytes: usize = parts.iter().map(|(n, v)| n.len() + v.len()).sum();
+        if u32::try_from(bytes).is_err() {
+            return Err(format!("Headers: {bytes} bytes exceed the u32 offsets"));
+        }
+        Ok(Headers::from_pairs(parts))
     }
 }
 
@@ -244,15 +301,6 @@ impl Request {
     pub fn searchable_text(&self) -> String {
         format!("{} {}", self.url, self.body)
     }
-
-    /// Releases the spare capacity that building the request left in
-    /// its header list and its URL's query list. A capture log keeps
-    /// every request it records, so it calls this rather than paying
-    /// for the builders' growth slack on each of them.
-    pub fn shrink_to_fit(&mut self) {
-        self.headers.0.shrink_to_fit();
-        self.url.shrink_to_fit();
-    }
 }
 
 /// Builder for [`Request`].
@@ -276,8 +324,8 @@ impl RequestBuilder {
         }
     }
 
-    /// Adds a header; an owned `value` moves in without a copy.
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+    /// Adds a header.
+    pub fn header(mut self, name: &str, value: &str) -> Self {
         self.headers.push(name, value);
         self
     }
@@ -379,7 +427,7 @@ impl ResponseBuilder {
 
     /// Adds a `Set-Cookie` header.
     pub fn set_cookie(mut self, sc: &SetCookie) -> Self {
-        self.headers.push("Set-Cookie", sc.header_value());
+        self.headers.push("Set-Cookie", &sc.header_value());
         self
     }
 
@@ -419,17 +467,18 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_fit_keeps_the_request_and_drops_spare_capacity() {
-        let mut u = url("http://tvping.com/p?c=rtl");
-        u.push_param("s", "1");
-        let mut req = Request::get(u)
+    fn headers_are_built_at_their_exact_length() {
+        let req = Request::get(url("http://tvping.com/p?c=rtl"))
             .header("User-Agent", "tv")
             .header("Referer", "http://hbbtv.rtl.de/app")
             .build();
-        let before = req.clone();
-        req.shrink_to_fit();
-        assert_eq!(req, before);
-        assert_eq!(req.headers.0.capacity(), req.headers.0.len());
+        assert_eq!(req.headers.text.capacity(), req.headers.text.len());
+        assert_eq!(req.headers.ends.capacity(), req.headers.ends.len());
+        let pairs: Vec<_> = req.headers.iter().collect();
+        assert_eq!(
+            pairs,
+            [("User-Agent", "tv"), ("Referer", "http://hbbtv.rtl.de/app")]
+        );
     }
 
     #[test]

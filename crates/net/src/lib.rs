@@ -19,7 +19,7 @@
 //! # fn main() -> Result<(), hbbtv_net::ParseUrlError> {
 //! let url: Url = "https://hbbtv.ard.de/app/index.html?ch=daserste".parse()?;
 //! assert_eq!(url.host(), "hbbtv.ard.de");
-//! assert_eq!(url.etld1(), &Etld1::new("ard.de"));
+//! assert_eq!(url.etld1(), Etld1::new("ard.de"));
 //! assert!(url.is_https());
 //! # Ok(())
 //! # }
@@ -36,11 +36,10 @@ mod time;
 mod url;
 
 pub use cookie::{Cookie, CookieKey, SameSite, SetCookie};
-pub use domain::{registrable_domain, Etld1, Host};
+pub use domain::{registrable_domain, Etld1, Etld1Ref, Host};
 pub use error::{ParseCookieError, ParseUrlError};
 pub use http::{
-    ContentType, Header, Headers, Method, Request, RequestBuilder, Response, ResponseBuilder,
-    Status,
+    ContentType, Headers, Method, Request, RequestBuilder, Response, ResponseBuilder, Status,
 };
 pub use time::{Duration, SimClock, Timestamp};
 pub use url::{Scheme, Url};

@@ -4,9 +4,9 @@
 //! analysis needs: scheme, host, optional port, path, and query parameters.
 //! Fragments are accepted and discarded (they never reach the network).
 
-use crate::domain::{Etld1, Host};
+use crate::domain::{check_host, registrable_start, Etld1Ref};
 use crate::error::ParseUrlError;
-use serde::{Deserialize, Serialize};
+use serde::{value, Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -44,7 +44,15 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// A parsed absolute URL.
+/// A parsed absolute URL, kept as its canonical text plus the offsets
+/// of its parts.
+///
+/// The text is `scheme://host[:port]path[?query]`: the host is lower
+/// case, the path is never empty, the fragment is dropped, and the query
+/// has no empty pairs and writes a pair with an empty value as its bare
+/// name. Every accessor slices that one string, so a URL costs one heap
+/// block however many query parameters it carries, and borrowing its
+/// text ([`Url::as_str`]) costs nothing.
 ///
 /// # Examples
 ///
@@ -56,16 +64,21 @@ impl fmt::Display for Scheme {
 /// assert_eq!(url.path(), "/start");
 /// assert_eq!(url.query_param("uid"), Some("abc123"));
 /// assert_eq!(url.etld1().as_str(), "rtl.de");
+/// assert_eq!(url.as_str(), "http://hbbtv.rtl.de/start?cid=rtl&uid=abc123");
 /// # Ok::<(), hbbtv_net::ParseUrlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Url {
+    text: String,
     scheme: Scheme,
-    host: Host,
-    etld1: Etld1,
+    /// The port as written; `None` means the scheme default.
     port: Option<u16>,
-    path: String,
-    query: Vec<(String, String)>,
+    /// Where the eTLD+1 starts; it ends where the host does.
+    etld1_start: u16,
+    host_end: u16,
+    path_start: u16,
+    /// The query's `?`, or the end of the text while the query is empty.
+    path_end: u16,
 }
 
 impl Url {
@@ -74,7 +87,8 @@ impl Url {
     /// # Errors
     ///
     /// Returns a [`ParseUrlError`] when the scheme is missing or
-    /// unsupported, or the host/port are malformed.
+    /// unsupported, the host/port are malformed, or the URL up to its
+    /// query is longer than [`u16::MAX`] bytes.
     pub fn parse(s: &str) -> Result<Self, ParseUrlError> {
         let (scheme, rest) = match s.split_once("://") {
             Some(("http", rest)) => (Scheme::Http, rest),
@@ -91,7 +105,7 @@ impl Url {
                 None => (rest, ""),
             },
         };
-        let (host_str, port) = match authority.rsplit_once(':') {
+        let (host, port) = match authority.rsplit_once(':') {
             Some((h, p)) if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) => {
                 let port: u16 = p
                     .parse()
@@ -103,22 +117,55 @@ impl Url {
             }
             _ => (authority, None),
         };
-        let host = Host::parse(host_str)?;
-        let etld1 = host.etld1();
-        let (path, query_str) = match path_query.split_once('?') {
+        check_host(host)?;
+        let (path, query) = match path_query.split_once('?') {
             Some((p, q)) => (p, q),
             None => (path_query, ""),
         };
-        let path = if path.is_empty() { "/" } else { path }.to_string();
-        let query = parse_query(query_str);
-        Ok(Url {
+        let path = if path.is_empty() { "/" } else { path };
+        Url::build(scheme, host, port, path, split_query(query))
+    }
+
+    /// Writes the canonical text of the given parts at its exact length.
+    /// `host` must pass [`check_host`].
+    fn build<'a>(
+        scheme: Scheme,
+        host: &str,
+        port: Option<u16>,
+        path: &str,
+        pairs: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+    ) -> Result<Self, ParseUrlError> {
+        let host_start = scheme.as_str().len() + 3;
+        let host_end = host_start + host.len();
+        let path_start = host_end + port.map_or(0, |p| 1 + decimal_len(p));
+        let path_end = path_start + path.len();
+        let offset = |n: usize| u16::try_from(n).map_err(|_| ParseUrlError::TooLong(path_end));
+        let (host_end16, path_start16, path_end16) =
+            (offset(host_end)?, offset(path_start)?, offset(path_end)?);
+        let mut text = String::with_capacity(path_end + query_len(pairs.clone()));
+        text.push_str(scheme.as_str());
+        text.push_str("://");
+        text.push_str(host);
+        text[host_start..].make_ascii_lowercase();
+        if let Some(p) = port {
+            text.push(':');
+            push_u16(&mut text, p);
+        }
+        text.push_str(path);
+        let etld1_start = host_start + registrable_start(&text[host_start..host_end]);
+        let mut url = Url {
+            text,
             scheme,
-            host,
-            etld1,
             port,
-            path,
-            query,
-        })
+            etld1_start: offset(etld1_start)?,
+            host_end: host_end16,
+            path_start: path_start16,
+            path_end: path_end16,
+        };
+        for (k, v) in pairs {
+            url.append_pair(k, v);
+        }
+        Ok(url)
     }
 
     /// The transport scheme.
@@ -133,12 +180,12 @@ impl Url {
 
     /// The host name.
     pub fn host(&self) -> &str {
-        self.host.as_str()
+        &self.text[self.scheme.as_str().len() + 3..usize::from(self.host_end)]
     }
 
-    /// The registrable domain of the host.
-    pub fn etld1(&self) -> &Etld1 {
-        &self.etld1
+    /// The registrable domain of the host, borrowed from the URL text.
+    pub fn etld1(&self) -> Etld1Ref<'_> {
+        Etld1Ref::new(&self.text[usize::from(self.etld1_start)..usize::from(self.host_end)])
     }
 
     /// The effective port (explicit, or the scheme default).
@@ -148,83 +195,131 @@ impl Url {
 
     /// The path component, always starting with `/`.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.text[usize::from(self.path_start)..usize::from(self.path_end)]
     }
 
-    /// Query parameters, in order of appearance.
-    pub fn query_pairs(&self) -> &[(String, String)] {
-        &self.query
+    /// Query parameters, in order of appearance, split out of the text.
+    pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+        split_query(
+            self.text
+                .get(usize::from(self.path_end) + 1..)
+                .unwrap_or(""),
+        )
     }
 
     /// The first value of a named query parameter, if present.
     pub fn query_param(&self, name: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        self.query_pairs().find(|&(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// Returns a copy of this URL with one query parameter appended.
+    /// Panics like [`Url::push_param`].
     pub fn with_param(&self, name: &str, value: &str) -> Url {
-        let mut u = self.clone();
-        u.push_param(name, value);
-        u
+        self.with_params([(name, value)])
     }
 
-    /// Appends one query parameter in place; the owned form of
-    /// [`Url::with_param`] for callers that build up a URL they own. An
-    /// owned `value` moves into the query without a copy.
-    pub fn push_param(&mut self, name: &str, value: impl Into<String>) {
-        self.query.push((name.to_string(), value.into()));
+    /// Returns a copy of this URL with `pairs` appended to its query,
+    /// allocated once at its final length. Panics like
+    /// [`Url::push_param`].
+    pub fn with_params<'a>(
+        &self,
+        pairs: impl IntoIterator<Item = (&'a str, &'a str), IntoIter: Clone>,
+    ) -> Url {
+        let pairs = pairs.into_iter();
+        let mut text = String::with_capacity(self.text.len() + query_len(pairs.clone()));
+        text.push_str(&self.text);
+        let mut url = Url { text, ..*self };
+        for (k, v) in pairs {
+            url.push_param(k, v);
+        }
+        url
     }
 
-    /// Releases the query list's spare capacity (see
-    /// [`crate::Request::shrink_to_fit`]).
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.query.shrink_to_fit();
+    /// Appends one query parameter in place. The text grows to its exact
+    /// new length unless room was made for it before, so a URL kept in a
+    /// capture log carries no spare capacity.
+    ///
+    /// # Panics
+    ///
+    /// If the pair would not read back from the text as written: it must
+    /// be non-empty, with a name without `&`, `=` or `#` and a value
+    /// without `&` or `#`. Every URL the simulation builds satisfies this.
+    pub fn push_param(&mut self, name: &str, value: &str) {
+        assert!(
+            representable_pair(name, value),
+            "query pair {name:?}={value:?} does not survive its text"
+        );
+        self.text
+            .reserve_exact(query_len([(name, value)].into_iter()));
+        self.append_pair(name, value);
+    }
+
+    fn append_pair(&mut self, name: &str, value: &str) {
+        let sep = if self.text.len() == usize::from(self.path_end) {
+            '?'
+        } else {
+            '&'
+        };
+        self.text.push(sep);
+        self.text.push_str(name);
+        if !value.is_empty() {
+            self.text.push('=');
+            self.text.push_str(value);
+        }
     }
 
     /// The path plus serialized query string (`/p?a=b`). Useful for
     /// filter-list matching, which operates on the full URL text.
-    pub fn path_and_query(&self) -> String {
-        if self.query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, serialize_query(&self.query))
-        }
+    pub fn path_and_query(&self) -> &str {
+        &self.text[usize::from(self.path_start)..]
     }
 
-    /// Appends the serialized URL to `buf` by direct string pushes,
-    /// bypassing the `fmt` machinery. This is the hot path for
-    /// filter-list matching, where a URL is serialized once per
-    /// exchange; output is identical to [`fmt::Display`].
+    /// The serialized URL, borrowed; identical to [`fmt::Display`].
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Appends the serialized URL to `buf`.
     pub fn write_into(&self, buf: &mut String) {
-        buf.push_str(self.scheme.as_str());
-        buf.push_str("://");
-        buf.push_str(self.host.as_str());
-        if let Some(p) = self.port {
-            buf.push(':');
-            push_u16(buf, p);
-        }
-        buf.push_str(&self.path);
-        let mut sep = '?';
-        for (k, v) in &self.query {
-            buf.push(sep);
-            sep = '&';
-            buf.push_str(k);
-            if !v.is_empty() {
-                buf.push('=');
-                buf.push_str(v);
-            }
-        }
+        buf.push_str(&self.text);
     }
 
-    /// The serialized URL as a fresh string; equivalent to
-    /// `to_string()` but without per-pair allocations.
+    /// The serialized URL as a fresh string.
     pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(self.path.len() + self.host.as_str().len() + 24);
-        self.write_into(&mut s);
-        s
+        self.text.clone()
+    }
+}
+
+/// The non-empty `&`-separated pairs of a query string, each split at
+/// its first `=`.
+fn split_query(query: &str) -> impl Iterator<Item = (&str, &str)> + Clone {
+    query
+        .split('&')
+        .filter(|kv| !kv.is_empty())
+        .map(|kv| kv.split_once('=').unwrap_or((kv, "")))
+}
+
+/// Bytes that appending `pairs` adds to a URL's text.
+fn query_len<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> usize {
+    pairs
+        .map(|(k, v)| 1 + k.len() + if v.is_empty() { 0 } else { 1 + v.len() })
+        .sum()
+}
+
+/// Whether appending `name`/`value` to a query reads back as exactly
+/// that pair (see [`split_query`]).
+fn representable_pair(name: &str, value: &str) -> bool {
+    let empty = name.is_empty() && value.is_empty();
+    !empty && !name.contains(['&', '=', '#']) && !value.contains(['&', '#'])
+}
+
+fn decimal_len(n: u16) -> usize {
+    match n {
+        0..=9 => 1,
+        10..=99 => 2,
+        100..=999 => 3,
+        1000..=9999 => 4,
+        _ => 5,
     }
 }
 
@@ -243,44 +338,15 @@ fn push_u16(buf: &mut String, n: u16) {
     buf.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
-fn parse_query(q: &str) -> Vec<(String, String)> {
-    if q.is_empty() {
-        return Vec::new();
-    }
-    q.split('&')
-        .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (k.to_string(), v.to_string()),
-            None => (kv.to_string(), String::new()),
-        })
-        .collect()
-}
-
-fn serialize_query(pairs: &[(String, String)]) -> String {
-    pairs
-        .iter()
-        .map(|(k, v)| {
-            if v.is_empty() {
-                k.clone()
-            } else {
-                format!("{k}={v}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("&")
-}
-
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}", self.scheme, self.host)?;
-        if let Some(p) = self.port {
-            write!(f, ":{p}")?;
-        }
-        f.write_str(&self.path)?;
-        if !self.query.is_empty() {
-            write!(f, "?{}", serialize_query(&self.query))?;
-        }
-        Ok(())
+        f.write_str(&self.text)
+    }
+}
+
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Url").field(&self.text).finish()
     }
 }
 
@@ -288,6 +354,92 @@ impl FromStr for Url {
     type Err = ParseUrlError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Url::parse(s)
+    }
+}
+
+/// The wire form is the parts object
+/// `{"scheme","host","etld1","port","path","query":[[k,v]…]}`.
+impl Serialize for Url {
+    fn to_value(&self) -> Value {
+        let str_value = |s: &str| Value::Str(s.to_string());
+        let query = self
+            .query_pairs()
+            .map(|(k, v)| Value::Array(vec![str_value(k), str_value(v)]))
+            .collect();
+        Value::Object(vec![
+            ("scheme".to_string(), self.scheme.to_value()),
+            ("host".to_string(), str_value(self.host())),
+            ("etld1".to_string(), str_value(self.etld1().as_str())),
+            ("port".to_string(), self.port.to_value()),
+            ("path".to_string(), str_value(self.path())),
+            ("query".to_string(), Value::Array(query)),
+        ])
+    }
+}
+
+/// Reads the parts object back, rejecting parts the text cannot carry:
+/// a host [`Host::parse`](crate::Host::parse) would reject or change, an `etld1` that is not
+/// the host's registrable domain, a port outside `u16`, a path that does
+/// not start with `/` or holds `?` or `#`, a query pair that would not
+/// split back out of the text, or a URL longer than its offsets address.
+/// Every check is one pass over its part.
+impl Deserialize for Url {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let field = |name| value::get_field(v, name, "Url");
+        let text = |name| {
+            field(name)?
+                .as_str()
+                .ok_or_else(|| format!("Url.{name}: expected a string"))
+        };
+        let scheme = Scheme::from_value(field("scheme")?)?;
+        let host = text("host")?;
+        let etld1 = text("etld1")?;
+        let path = text("path")?;
+        let port = match field("port")? {
+            Value::Null => None,
+            Value::U64(p) => {
+                Some(u16::try_from(*p).map_err(|_| format!("Url.port {p} is out of range"))?)
+            }
+            other => return Err(format!("Url.port: expected a port number, got {other:?}")),
+        };
+        let query = field("query")?
+            .as_array()
+            .ok_or("Url.query: expected an array of pairs")?;
+
+        check_host(host).map_err(|e| format!("Url.host: {e}"))?;
+        if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Err(format!("Url.host `{host}` is not lower case"));
+        }
+        if etld1 != &host[registrable_start(host)..] {
+            return Err(format!(
+                "Url.etld1 `{etld1}` is not the registrable domain of `{host}`"
+            ));
+        }
+        if !path.starts_with('/') || path.contains(['?', '#']) {
+            return Err(format!("Url.path `{path}` is not a URL path"));
+        }
+        for pair in query {
+            match pair.as_array().map(Vec::as_slice) {
+                Some([Value::Str(k), Value::Str(v)]) if representable_pair(k, v) => {}
+                Some([Value::Str(k), Value::Str(v)]) => {
+                    return Err(format!(
+                        "Url.query pair {k:?}={v:?} does not survive its text"
+                    ))
+                }
+                _ => {
+                    return Err(format!(
+                        "Url.query: expected a [name, value] pair, got {pair:?}"
+                    ))
+                }
+            }
+        }
+        let pairs = query.iter().map(|pair| {
+            (
+                pair[0].as_str().unwrap_or(""),
+                pair[1].as_str().unwrap_or(""),
+            )
+        });
+        Url::build(scheme, host, port, path, pairs).map_err(|e| format!("Url: {e}"))
     }
 }
 
@@ -381,6 +533,12 @@ mod tests {
             let u = Url::parse(s).unwrap();
             assert_eq!(Url::parse(&u.to_string()).unwrap(), u);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not survive its text")]
+    fn push_param_rejects_a_pair_its_text_cannot_carry() {
+        Url::parse("http://x.de/p").unwrap().push_param("a&b", "1");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use hbbtv_broadcast::ChannelId;
 use hbbtv_net::{Duration, Request, Response, Timestamp, Url};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{value, Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -60,10 +60,14 @@ const ATTRIBUTION_WINDOW: Duration = Duration::from_secs(17 * 60);
 pub struct VisitId(pub u32);
 
 /// One recorded request/response pair with its attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The session label and channel name are shared with every other
+/// exchange of the same visit; the wire form still carries them as
+/// plain `"session"` and `"channel_name"` strings.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapturedExchange {
     /// Label of the measurement session (e.g. `"Red"`).
-    pub session: String,
+    pub session: Arc<str>,
     /// The visit this exchange is attributed to, if any. Set exactly
     /// when `channel` is set; the grace rule can move an exchange to the
     /// preceding visit, never anywhere else.
@@ -71,7 +75,7 @@ pub struct CapturedExchange {
     /// The channel this exchange is attributed to, if any.
     pub channel: Option<ChannelId>,
     /// Name of the attributed channel (for reports).
-    pub channel_name: Option<String>,
+    pub channel_name: Option<Arc<str>>,
     /// The request as sent by the TV.
     pub request: Request,
     /// The response as delivered to the TV.
@@ -85,19 +89,50 @@ impl CapturedExchange {
     }
 }
 
+impl Serialize for CapturedExchange {
+    fn to_value(&self) -> Value {
+        let label = |s: &str| Value::Str(s.to_string());
+        Value::Object(vec![
+            ("session".to_string(), label(&self.session)),
+            ("visit".to_string(), self.visit.to_value()),
+            ("channel".to_string(), self.channel.to_value()),
+            (
+                "channel_name".to_string(),
+                self.channel_name.as_deref().map_or(Value::Null, label),
+            ),
+            ("request".to_string(), self.request.to_value()),
+            ("response".to_string(), self.response.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for CapturedExchange {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let field = |name| value::get_field(v, name, "CapturedExchange");
+        Ok(CapturedExchange {
+            session: String::from_value(field("session")?)?.into(),
+            visit: Deserialize::from_value(field("visit")?)?,
+            channel: Deserialize::from_value(field("channel")?)?,
+            channel_name: Option::<String>::from_value(field("channel_name")?)?.map(Arc::from),
+            request: Deserialize::from_value(field("request")?)?,
+            response: Deserialize::from_value(field("response")?)?,
+        })
+    }
+}
+
 #[derive(Debug)]
 struct VisitState {
     id: VisitId,
     channel: ChannelId,
-    name: String,
-    session: String,
+    name: Arc<str>,
+    session: Arc<str>,
     opened: Timestamp,
     hosts: HashSet<String>,
 }
 
 #[derive(Debug, Default)]
 struct ProxyState {
-    session: String,
+    session: Arc<str>,
     /// Index into `visits` where the current session began; plain
     /// `record` calls and the grace rule never look behind it.
     session_start: usize,
@@ -203,7 +238,7 @@ impl Proxy {
     /// back across a session boundary.
     pub fn start_session(&self, label: &str) {
         let mut s = self.state.lock();
-        s.session = label.to_string();
+        s.session = label.into();
         s.session_start = s.visits.len();
     }
 
@@ -213,7 +248,7 @@ impl Proxy {
     /// to a single sequential proxy's.
     pub fn start_session_at(&self, label: &str, first_visit: u32) {
         let mut s = self.state.lock();
-        s.session = label.to_string();
+        s.session = label.into();
         s.session_start = s.visits.len();
         s.next_visit = first_visit;
     }
@@ -235,7 +270,7 @@ impl Proxy {
         s.visits.push(VisitState {
             id,
             channel,
-            name: name.to_string(),
+            name: name.into(),
             session,
             opened: at,
             hosts: HashSet::new(),
@@ -303,8 +338,7 @@ impl Proxy {
 /// Attributes and logs one exchange. `target` is the index of the visit
 /// the exchange was recorded through, or `None` for traffic outside any
 /// visit (boot traffic, sealed sessions).
-fn record_at(s: &mut ProxyState, target: Option<usize>, mut request: Request, response: Response) {
-    request.shrink_to_fit();
+fn record_at(s: &mut ProxyState, target: Option<usize>, request: Request, response: Response) {
     let t = request.timestamp;
     let referer_host = match request.headers.get("Referer") {
         None => None,
@@ -425,7 +459,7 @@ mod tests {
         let log = p.captures();
         assert_eq!(log[0].channel, Some(ChannelId(1)));
         assert_eq!(log[0].channel_name.as_deref(), Some("ZDF"));
-        assert_eq!(log[0].session, "General");
+        assert_eq!(&*log[0].session, "General");
         assert_eq!(log[0].visit, Some(VisitId(0)));
     }
 
@@ -583,7 +617,7 @@ mod tests {
         // back to the General session's last visit.
         p.record(req("http://lge.com/firmware", T0 + 10), ok());
         assert_eq!(p.captures()[1].channel, None);
-        assert_eq!(p.captures()[1].session, "Red");
+        assert_eq!(&*p.captures()[1].session, "Red");
 
         // A first Red visit with a referer pointing at a host seen only
         // in the General session: the grace rule must not reach across.
@@ -594,7 +628,7 @@ mod tests {
         );
         let cap = &p.captures()[2];
         assert_eq!(cap.channel, Some(ChannelId(2)), "stays with the Red visit");
-        assert_eq!(cap.session, "Red");
+        assert_eq!(&*cap.session, "Red");
     }
 
     /// A handle outlives session changes: exchanges recorded through it
@@ -607,7 +641,7 @@ mod tests {
         p.start_session("Red");
         v.record(req("http://hbbtv.zdf.de/late", T0 + 5), ok());
         let cap = &p.captures()[0];
-        assert_eq!(cap.session, "General");
+        assert_eq!(&*cap.session, "General");
         assert_eq!(cap.visit, Some(VisitId(0)));
     }
 

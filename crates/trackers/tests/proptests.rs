@@ -35,7 +35,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ctx = ResponderContext { now: Timestamp::MEASUREMENT_START, rng: &mut rng };
         let req = Request::get("http://an.xiti.com/hit".parse().unwrap())
-            .header("Cookie", format!("atuserid={value}"))
+            .header("Cookie", &format!("atuserid={value}"))
             .build();
         let resp = svc.respond(&req, &mut ctx);
         let set = resp.set_cookies();
@@ -67,7 +67,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ctx = ResponderContext { now: Timestamp::MEASUREMENT_START, rng: &mut rng };
         let req = Request::get("http://adsync-a.com/pix".parse().unwrap())
-            .header("Cookie", format!("sync_uid={value}"))
+            .header("Cookie", &format!("sync_uid={value}"))
             .build();
         let resp = svc.respond(&req, &mut ctx);
         let loc = resp.location().unwrap();

@@ -3,6 +3,7 @@
 use hbbtv_apps::LeakItem;
 use hbbtv_net::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Static device attributes an application can exfiltrate (§V-B's
 /// "technical data").
@@ -67,29 +68,30 @@ impl ProgramInfo {
 
 impl DeviceProfile {
     /// Resolves the concrete value an application would send for a leak
-    /// item. Identifier items (`UserId`, `SessionId`) are resolved by the
+    /// item, borrowed where the profile or program already holds it.
+    /// Identifier items (`UserId`, `SessionId`) are resolved by the
     /// runtime from its cookie state, not here.
-    pub fn leak_value(
-        &self,
+    pub fn leak_value<'a>(
+        &'a self,
         item: LeakItem,
-        program: &ProgramInfo,
-        channel_name: &str,
+        program: &'a ProgramInfo,
+        channel_name: &'a str,
         now: Timestamp,
-    ) -> Option<String> {
-        Some(match item {
-            LeakItem::Manufacturer => self.manufacturer.clone(),
-            LeakItem::Model => self.model.clone(),
-            LeakItem::OperatingSystem => self.os.clone(),
-            LeakItem::Language => self.language.clone(),
-            LeakItem::LocalTime => now.as_unix().to_string(),
-            LeakItem::IpAddress => self.ip.clone(),
-            LeakItem::MacAddress => self.mac.clone(),
-            LeakItem::Genre => program.genre.clone(),
-            LeakItem::ShowTitle => program.show_title.clone(),
-            LeakItem::ChannelName => channel_name.to_string(),
-            LeakItem::Brand => program.brand.clone()?,
+    ) -> Option<Cow<'a, str>> {
+        Some(Cow::Borrowed(match item {
+            LeakItem::Manufacturer => &self.manufacturer,
+            LeakItem::Model => &self.model,
+            LeakItem::OperatingSystem => &self.os,
+            LeakItem::Language => &self.language,
+            LeakItem::LocalTime => return Some(Cow::Owned(now.as_unix().to_string())),
+            LeakItem::IpAddress => &self.ip,
+            LeakItem::MacAddress => &self.mac,
+            LeakItem::Genre => &program.genre,
+            LeakItem::ShowTitle => &program.show_title,
+            LeakItem::ChannelName => channel_name,
+            LeakItem::Brand => program.brand.as_deref()?,
             LeakItem::UserId | LeakItem::SessionId => return None,
-        })
+        }))
     }
 }
 

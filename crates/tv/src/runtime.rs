@@ -12,6 +12,7 @@ use hbbtv_consent::{ButtonAction, ConsentNotice, ScreenContent};
 use hbbtv_net::{Headers, Method, Request, SetCookie, SimClock, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Maximum redirect-chain depth the browser follows (cookie syncing uses
@@ -581,8 +582,8 @@ impl<B: NetworkBackend> Tv<B> {
 
     /// The request a load issues now: the load's URL with its leaked
     /// items appended (the query of a GET, else the body), and the
-    /// runtime's headers. Leak values and the `Cookie` header move into
-    /// the request, and its header list and body carry no spare room.
+    /// runtime's headers. The URL, body and header list are each
+    /// allocated once at their final length.
     fn build_request(&self, load: &ResourceLoad, referer: Option<&str>) -> Request {
         let now = self.clock.now();
         let no_program = ProgramInfo::default();
@@ -590,48 +591,50 @@ impl<B: NetworkBackend> Tv<B> {
             Some(c) => (c.descriptor.name.as_str(), &c.program),
             None => ("", &no_program),
         };
-        let mut url = load.url.clone();
-        let mut body = String::new();
-        for &item in load.leaks.items() {
-            let value = match item {
-                LeakItem::UserId => Some(
-                    self.jar
-                        .any_value_for(url.etld1(), now)
-                        .unwrap_or(&self.session_id)
-                        .to_string(),
-                ),
-                LeakItem::SessionId => Some(self.session_id.clone()),
-                other => self.device.leak_value(other, program, channel_name, now),
-            };
-            let Some(value) = value else { continue };
-            if load.method == Method::Get {
-                url.push_param(item.param_name(), value);
-            } else {
+        let leaks: Vec<(&str, Cow<'_, str>)> = load
+            .leaks
+            .items()
+            .iter()
+            .filter_map(|&item| {
+                let value = match item {
+                    LeakItem::UserId => Some(Cow::Borrowed(
+                        self.jar
+                            .any_value_for(load.url.etld1(), now)
+                            .unwrap_or(&self.session_id),
+                    )),
+                    LeakItem::SessionId => Some(Cow::Borrowed(self.session_id.as_str())),
+                    other => self.device.leak_value(other, program, channel_name, now),
+                };
+                value.map(|v| (item.param_name(), v))
+            })
+            .collect();
+        let pairs = leaks.iter().map(|(k, v)| (*k, v.as_ref()));
+        let (url, body) = if load.method == Method::Get {
+            (load.url.with_params(pairs), String::new())
+        } else {
+            let len = pairs.clone().map(|(k, v)| k.len() + v.len() + 2).sum();
+            let mut body = String::with_capacity(usize::saturating_sub(len, 1));
+            for (k, v) in pairs {
                 if !body.is_empty() {
                     body.push('&');
                 }
-                body.push_str(item.param_name());
+                body.push_str(k);
                 body.push('=');
-                body.push_str(&value);
+                body.push_str(v);
             }
-        }
-        body.shrink_to_fit();
+            (load.url.clone(), body)
+        };
         let cookie = self.jar.header_for(url.etld1(), now);
-        let mut headers = Headers::with_capacity(
-            1 + usize::from(self.dnt)
-                + usize::from(referer.is_some())
-                + usize::from(cookie.is_some()),
+        let headers = Headers::from_pairs(
+            [
+                Some(("User-Agent", self.device.os.as_str())),
+                self.dnt.then_some(("DNT", "1")),
+                referer.map(|r| ("Referer", r)),
+                cookie.as_deref().map(|c| ("Cookie", c)),
+            ]
+            .into_iter()
+            .flatten(),
         );
-        headers.push("User-Agent", self.device.os.as_str());
-        if self.dnt {
-            headers.push("DNT", "1");
-        }
-        if let Some(r) = referer {
-            headers.push("Referer", r);
-        }
-        if let Some(cookie) = cookie {
-            headers.push("Cookie", cookie);
-        }
         Request {
             method: match load.method {
                 Method::Post => Method::Post,
@@ -667,14 +670,23 @@ impl<B: NetworkBackend> Tv<B> {
             return;
         };
         let cookie = self.jar.header_for(location.etld1(), now);
-        let mut builder = Request::get(location)
-            .at(now)
-            .header("User-Agent", self.device.os.as_str())
-            .header("Referer", referer);
-        if let Some(cookie) = cookie {
-            builder = builder.header("Cookie", cookie);
-        }
-        self.deliver(builder.build(), depth + 1);
+        let headers = Headers::from_pairs(
+            [
+                Some(("User-Agent", self.device.os.as_str())),
+                Some(("Referer", referer.as_str())),
+                cookie.as_deref().map(|c| ("Cookie", c)),
+            ]
+            .into_iter()
+            .flatten(),
+        );
+        let follow_up = Request {
+            method: Method::Get,
+            url: location,
+            headers,
+            body: String::new(),
+            timestamp: now,
+        };
+        self.deliver(follow_up, depth + 1);
     }
 }
 
@@ -1075,7 +1087,7 @@ mod tests {
             assert_eq!(redirecting.url.host(), "adsync-a.com");
             assert_eq!(
                 follow_up.headers.get("Referer"),
-                Some(redirecting.url.to_text().as_str())
+                Some(redirecting.url.as_str())
             );
             assert_eq!(
                 follow_up.headers.get("User-Agent"),

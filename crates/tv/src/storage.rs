@@ -7,7 +7,7 @@
 //! cookies across channels — the basis of the cross-channel-tracking
 //! analysis (§V-C2).
 
-use hbbtv_net::{Cookie, CookieKey, Etld1, SetCookie, Timestamp};
+use hbbtv_net::{Cookie, CookieKey, Etld1, Etld1Ref, SetCookie, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -41,7 +41,12 @@ impl CookieJar {
     /// `default_domain` (the responding host's eTLD+1). An existing
     /// entry is updated in place: its value, expiry and `updated` change,
     /// `created` stays. Returns the key under which the cookie is stored.
-    pub fn apply(&mut self, sc: SetCookie, default_domain: &Etld1, now: Timestamp) -> CookieKey {
+    pub fn apply(
+        &mut self,
+        sc: SetCookie,
+        default_domain: Etld1Ref<'_>,
+        now: Timestamp,
+    ) -> CookieKey {
         let Cookie {
             name,
             value,
@@ -50,7 +55,7 @@ impl CookieJar {
         let domain = if sc.explicit_domain {
             domain
         } else {
-            default_domain.clone()
+            default_domain.to_owned()
         };
         let key = CookieKey { domain, name };
         if let Some(entry) = self.cookies.get_mut(&key) {
@@ -75,11 +80,11 @@ impl CookieJar {
     /// The `Cookie:` header value for a request to `domain` — its live
     /// cookies as `name=value` pairs in name order, joined by `"; "` — or
     /// `None` if the TV holds no live cookies for it.
-    pub fn header_for(&self, domain: &Etld1, now: Timestamp) -> Option<String> {
+    pub fn header_for(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<String> {
         let live = || {
             self.cookies
                 .values()
-                .filter(move |sc| &sc.cookie.domain == domain && !is_expired(sc, now))
+                .filter(move |sc| sc.cookie.domain == domain && !is_expired(sc, now))
         };
         let len = live()
             .map(|sc| sc.cookie.name.len() + 1 + sc.cookie.value.len())
@@ -98,10 +103,10 @@ impl CookieJar {
 
     /// The first live cookie value for `domain` (used to fill `uid=`
     /// leak parameters the way real apps echo their tracker's cookie).
-    pub fn any_value_for(&self, domain: &Etld1, now: Timestamp) -> Option<&str> {
+    pub fn any_value_for(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<&str> {
         self.cookies
             .values()
-            .find(|sc| &sc.cookie.domain == domain && !is_expired(sc, now))
+            .find(|sc| sc.cookie.domain == domain && !is_expired(sc, now))
             .map(|sc| sc.cookie.value.as_str())
     }
 
@@ -143,9 +148,9 @@ impl LocalStorage {
     }
 
     /// Sets `key` to `value` for `origin`.
-    pub fn set(&mut self, origin: &Etld1, key: &str, value: &str) {
+    pub fn set(&mut self, origin: Etld1Ref<'_>, key: &str, value: &str) {
         self.entries
-            .insert((origin.clone(), key.to_string()), value.to_string());
+            .insert((origin.to_owned(), key.to_string()), value.to_string());
     }
 
     /// Reads a value.
@@ -192,31 +197,31 @@ mod tests {
     #[test]
     fn host_only_cookies_get_default_domain() {
         let mut jar = CookieJar::new();
-        let key = jar.apply(SetCookie::session("sid", "x1"), &d("zdf.de"), T0);
+        let key = jar.apply(SetCookie::session("sid", "x1"), d("zdf.de").view(), T0);
         assert_eq!(key.domain.as_str(), "zdf.de");
         assert_eq!(key.name, "sid");
         let stored = jar.all().next().unwrap();
         assert_eq!(stored.cookie.domain.as_str(), "zdf.de");
         assert_eq!(stored.cookie.key(), key);
-        assert_eq!(jar.header_for(&d("zdf.de"), T0).unwrap(), "sid=x1");
-        assert_eq!(jar.header_for(&d("ard.de"), T0), None);
+        assert_eq!(jar.header_for(d("zdf.de").view(), T0).unwrap(), "sid=x1");
+        assert_eq!(jar.header_for(d("ard.de").view(), T0), None);
     }
 
     #[test]
     fn explicit_domain_wins() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("uid", "abc", d("xiti.com"), T1);
-        jar.apply(sc, &d("zdf.de"), T0);
-        assert!(jar.header_for(&d("xiti.com"), T0).is_some());
-        assert!(jar.header_for(&d("zdf.de"), T0).is_none());
+        jar.apply(sc, d("zdf.de").view(), T0);
+        assert!(jar.header_for(d("xiti.com").view(), T0).is_some());
+        assert!(jar.header_for(d("zdf.de").view(), T0).is_none());
     }
 
     #[test]
     fn update_keeps_created_bumps_updated() {
         const T2: Timestamp = Timestamp::from_unix(1_700_000_200);
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
-        let key = jar.apply(SetCookie::session("a", "2"), &d("x.de"), T1);
+        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
+        let key = jar.apply(SetCookie::session("a", "2"), d("x.de").view(), T1);
         let stored = jar.all().next().unwrap();
         assert_eq!(stored.cookie.value, "2");
         assert_eq!(stored.expires, None);
@@ -229,13 +234,13 @@ mod tests {
         // too, and a later one replaces it again.
         let again = jar.apply(
             SetCookie::persistent("a", "3", d("x.de"), T2),
-            &d("y.de"),
+            d("y.de").view(),
             T1,
         );
         assert_eq!(again, key);
         jar.apply(
             SetCookie::persistent("a", "4", d("x.de"), T2 + hbbtv_net::Duration::from_secs(9)),
-            &d("y.de"),
+            d("y.de").view(),
             T2,
         );
         let stored = jar.all().next().unwrap();
@@ -250,10 +255,10 @@ mod tests {
     fn expired_cookies_are_not_sent() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("u", "v", d("t.de"), T1);
-        jar.apply(sc, &d("t.de"), T0);
-        assert!(jar.header_for(&d("t.de"), T0).is_some());
+        jar.apply(sc, d("t.de").view(), T0);
+        assert!(jar.header_for(d("t.de").view(), T0).is_some());
         assert!(
-            jar.header_for(&d("t.de"), T1).is_none(),
+            jar.header_for(d("t.de").view(), T1).is_none(),
             "expiry is inclusive"
         );
     }
@@ -261,54 +266,61 @@ mod tests {
     #[test]
     fn multiple_cookies_join_with_semicolons() {
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("b", "2"), &d("x.de"), T0);
+        jar.apply(SetCookie::session("b", "2"), d("x.de").view(), T0);
         jar.apply(
             SetCookie::persistent("c", "3", d("x.de"), T1),
-            &d("x.de"),
+            d("x.de").view(),
             T0,
         );
-        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
-        jar.apply(SetCookie::session("z", "9"), &d("other.de"), T0);
-        assert_eq!(jar.header_for(&d("x.de"), T0).unwrap(), "a=1; b=2; c=3");
+        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
+        jar.apply(SetCookie::session("z", "9"), d("other.de").view(), T0);
+        assert_eq!(
+            jar.header_for(d("x.de").view(), T0).unwrap(),
+            "a=1; b=2; c=3"
+        );
         // At T1 the persistent `c` has expired and is skipped.
-        let header = jar.header_for(&d("x.de"), T1).unwrap();
+        let header = jar.header_for(d("x.de").view(), T1).unwrap();
         assert_eq!(header, "a=1; b=2");
         assert_eq!(header.capacity(), header.len());
-        assert_eq!(jar.header_for(&d("other.de"), T1).unwrap(), "z=9");
+        assert_eq!(jar.header_for(d("other.de").view(), T1).unwrap(), "z=9");
     }
 
     #[test]
     fn any_value_for_returns_live_value() {
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("uid", "zzz9"), &d("tvping.com"), T0);
-        assert_eq!(jar.any_value_for(&d("tvping.com"), T0), Some("zzz9"));
-        assert_eq!(jar.any_value_for(&d("other.de"), T0), None);
+        jar.apply(
+            SetCookie::session("uid", "zzz9"),
+            d("tvping.com").view(),
+            T0,
+        );
+        assert_eq!(jar.any_value_for(d("tvping.com").view(), T0), Some("zzz9"));
+        assert_eq!(jar.any_value_for(d("other.de").view(), T0), None);
         // An expired cookie is skipped in favour of a live one.
         jar.apply(
             SetCookie::persistent("a_old", "gone", d("t.de"), T1),
-            &d("t.de"),
+            d("t.de").view(),
             T0,
         );
-        jar.apply(SetCookie::session("b_new", "live"), &d("t.de"), T0);
-        assert_eq!(jar.any_value_for(&d("t.de"), T0), Some("gone"));
-        assert_eq!(jar.any_value_for(&d("t.de"), T1), Some("live"));
+        jar.apply(SetCookie::session("b_new", "live"), d("t.de").view(), T0);
+        assert_eq!(jar.any_value_for(d("t.de").view(), T0), Some("gone"));
+        assert_eq!(jar.any_value_for(d("t.de").view(), T1), Some("live"));
         jar.apply(
             SetCookie::persistent("b_new", "x", d("t.de"), T1),
-            &d("t.de"),
+            d("t.de").view(),
             T0,
         );
-        assert_eq!(jar.any_value_for(&d("t.de"), T1), None);
+        assert_eq!(jar.any_value_for(d("t.de").view(), T1), None);
     }
 
     #[test]
     fn wipe_clears_everything() {
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("a", "1"), &d("x.de"), T0);
+        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
         jar.wipe();
         assert!(jar.is_empty());
 
         let mut ls = LocalStorage::new();
-        ls.set(&d("x.de"), "k", "v");
+        ls.set(d("x.de").view(), "k", "v");
         assert_eq!(ls.get(&d("x.de"), "k"), Some("v"));
         assert_eq!(ls.len(), 1);
         ls.wipe();
@@ -319,8 +331,8 @@ mod tests {
     #[test]
     fn local_storage_iterates_entries() {
         let mut ls = LocalStorage::new();
-        ls.set(&d("a.de"), "k1", "v1");
-        ls.set(&d("b.de"), "k2", "v2");
+        ls.set(d("a.de").view(), "k1", "v1");
+        ls.set(d("b.de").view(), "k2", "v2");
         let entries: Vec<_> = ls.all().collect();
         assert_eq!(entries.len(), 2);
     }

@@ -15,6 +15,9 @@
 #                                     # verify the journal + golden snapshot
 #     scripts/check.sh --analysis-smoke  # also run the engine-vs-naive
 #                                        # study bench and the parity suite
+#     scripts/check.sh --digest-smoke # also pin the scale-1.0 datasets of
+#                                     # seeds 42 and 7 to their recorded
+#                                     # JSON lengths and digests
 #     scripts/check.sh --ingest-smoke # also run the streaming collector
 #                                     # end to end: discovery, streamed-vs-
 #                                     # in-process report diff, fault sweep
@@ -36,6 +39,7 @@ bench_smoke=0
 matcher_smoke=0
 obs_smoke=0
 analysis_smoke=0
+digest_smoke=0
 ingest_smoke=0
 frame_smoke=0
 status_smoke=0
@@ -46,6 +50,7 @@ for arg in "$@"; do
         --matcher-smoke) matcher_smoke=1 ;;
         --obs-smoke) obs_smoke=1 ;;
         --analysis-smoke) analysis_smoke=1 ;;
+        --digest-smoke) digest_smoke=1 ;;
         --ingest-smoke) ingest_smoke=1 ;;
         --frame-smoke) frame_smoke=1 ;;
         --status-smoke) status_smoke=1 ;;
@@ -54,12 +59,13 @@ for arg in "$@"; do
             matcher_smoke=1
             obs_smoke=1
             analysis_smoke=1
+            digest_smoke=1
             ingest_smoke=1
             frame_smoke=1
             status_smoke=1
             ;;
         *)
-            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--matcher-smoke] [--obs-smoke] [--analysis-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
+            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--matcher-smoke] [--obs-smoke] [--analysis-smoke] [--digest-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
             exit 2
             ;;
     esac
@@ -195,6 +201,15 @@ if [ "$analysis_smoke" -eq 1 ]; then
     # Every analysis struct, engine vs naive, field by field.
     echo "==> engine parity suite"
     cargo test -q -p hbbtv-study --test engine_parity
+fi
+
+if [ "$digest_smoke" -eq 1 ]; then
+    # The reference workloads' datasets, byte for byte: the serialized
+    # scale-1.0 study of seeds 42 and 7 keeps its pinned length and
+    # FNV-1a digest (ignored in the debug suite; release mode here).
+    echo "==> scale-1.0 dataset digests (seeds 42 and 7)"
+    cargo test --release --test determinism -- --ignored --exact \
+        scale_one_dataset_digests_are_pinned
 fi
 
 if [ "$ingest_smoke" -eq 1 ]; then

@@ -60,7 +60,7 @@ fn arbitrary_frame(rng: &mut SplitMix64, seq: u32) -> Frame {
                     session: "General".into(),
                     visit: Some(VisitId(i as u32)),
                     channel: Some(ChannelId(7)),
-                    channel_name: Some(format!("ch-{i}")),
+                    channel_name: Some(format!("ch-{i}").into()),
                     request: Request::get(
                         format!("http://app-{}.example.de/r{i}", rng.below(50))
                             .parse()
@@ -375,4 +375,103 @@ fn deeply_nested_capture_payload_is_a_typed_error() {
     stats.extend_from_slice(&nested);
     let result = on_worker_stack(move || parse_stats_request(&stats).map(drop));
     assert!(result.is_err(), "a nested STATS request must be rejected");
+}
+
+/// A capture batch of one exchange whose JSON has `from` replaced by
+/// each of `tos`, decoded; the untouched batch decodes to itself.
+fn tampered_capture_batches(from: &str, tos: &[&str]) -> Vec<Result<(), FrameError>> {
+    let exchange = CapturedExchange {
+        session: "General".into(),
+        visit: Some(VisitId(0)),
+        channel: Some(ChannelId(1)),
+        channel_name: Some("Das Erste".into()),
+        request: Request::get("http://pixel.tvping.com/p?a=1&flag".parse().unwrap())
+            .at(Timestamp::from_unix(7))
+            .build(),
+        response: Response::builder(Status::OK).build(),
+    };
+    let payload = capture_frame(0, std::slice::from_ref(&exchange)).payload;
+    assert_eq!(parse_capture_batch(&payload).expect("decodes"), [exchange]);
+    let text = String::from_utf8(payload).unwrap();
+    assert!(text.contains(from), "{from} in {text}");
+    tos.iter()
+        .map(|to| parse_capture_batch(text.replacen(from, to, 1).as_bytes()).map(drop))
+        .collect()
+}
+
+/// Asserts every result is a `BadPayload` for `CAPTURE` naming `part`.
+fn assert_rejected(results: &[Result<(), FrameError>], part: &str) {
+    for result in results {
+        match result {
+            Err(FrameError::BadPayload { command, detail }) => {
+                assert_eq!(*command, Command::Capture);
+                assert!(detail.contains(part), "{detail}");
+            }
+            other => panic!("expected BadPayload naming {part}, got {other:?}"),
+        }
+    }
+}
+
+/// A URL host the parser would reject, or would lower-case into a
+/// different text, is a typed error.
+#[test]
+fn capture_url_with_an_invalid_host_is_a_typed_error() {
+    let results = tampered_capture_batches(
+        "\"host\":\"pixel.tvping.com\"",
+        &[
+            "\"host\":\"pixel.tv_ping.com\"",
+            "\"host\":\"pixel..tvping.com\"",
+            "\"host\":\"\"",
+            "\"host\":\"pixel.tvping.com/x\"",
+            "\"host\":\"Pixel.TVping.com\"",
+        ],
+    );
+    assert_rejected(&results, "Url.host");
+}
+
+/// An `etld1` that is not the host's registrable domain is a typed
+/// error.
+#[test]
+fn capture_url_with_a_foreign_etld1_is_a_typed_error() {
+    let results = tampered_capture_batches(
+        "\"etld1\":\"tvping.com\"",
+        &[
+            "\"etld1\":\"ping.com\"",
+            "\"etld1\":\"pixel.tvping.com\"",
+            "\"etld1\":\"\"",
+        ],
+    );
+    assert_rejected(&results, "Url.etld1");
+}
+
+/// Query pairs that would not split back out of the URL's text (a name
+/// holding `&`, `=` or `#`, a value holding `&` or `#`, an empty pair)
+/// are a typed error.
+#[test]
+fn capture_url_with_an_unrepresentable_query_pair_is_a_typed_error() {
+    let results = tampered_capture_batches(
+        "[\"a\",\"1\"]",
+        &[
+            "[\"a&b\",\"1\"]",
+            "[\"a=b\",\"1\"]",
+            "[\"a#\",\"1\"]",
+            "[\"a\",\"1&b=2\"]",
+            "[\"a\",\"1#x\"]",
+            "[\"\",\"\"]",
+            "[\"a\"]",
+            "[\"a\",1]",
+        ],
+    );
+    assert_rejected(&results, "Url.query");
+}
+
+/// A URL whose text before the query is longer than its `u16` offsets
+/// address is a typed error, not a truncated or panicking decode.
+#[test]
+fn capture_url_longer_than_its_offsets_is_a_typed_error() {
+    let long_path = format!("\"path\":\"/{}\"", "p".repeat(usize::from(u16::MAX)));
+    let results = tampered_capture_batches("\"path\":\"/p\"", &[&long_path]);
+    assert_rejected(&results, "too long");
+    let fits = format!("\"path\":\"/{}\"", "p".repeat(60_000));
+    assert!(tampered_capture_batches("\"path\":\"/p\"", &[&fits])[0].is_ok());
 }

@@ -64,7 +64,7 @@ proptest! {
         let measured: std::collections::BTreeSet<_> =
             ds.channels_measured.iter().copied().collect();
         for capture in &ds.captures {
-            prop_assert_eq!(&capture.session, "Red");
+            prop_assert_eq!(&*capture.session, "Red");
             if let Some(ch) = capture.channel {
                 prop_assert!(measured.contains(&ch), "attributed to unmeasured {ch}");
             }

@@ -92,7 +92,7 @@ fn third_party_rules_spare_first_party_traffic() {
     let count_fp = |ds: &hbbtv_study::RunDataset| {
         ds.captures
             .iter()
-            .filter(|c| c.request.url.etld1() == &fp)
+            .filter(|c| c.request.url.etld1() == fp)
             .count()
     };
     assert!(
@@ -121,8 +121,11 @@ fn script_rules_block_scripts() {
     let script_domain = unprotected
         .captures
         .iter()
-        .filter(|c| c.request.url.path().ends_with(".js") && !fps.contains(c.request.url.etld1()))
-        .map(|c| c.request.url.etld1().clone())
+        .filter(|c| {
+            c.request.url.path().ends_with(".js")
+                && !fps.contains(&c.request.url.etld1().to_owned())
+        })
+        .map(|c| c.request.url.etld1().to_owned())
         .next()
         .expect("some third party serves scripts");
 
@@ -131,9 +134,7 @@ fn script_rules_block_scripts() {
     let surviving_js = protected
         .captures
         .iter()
-        .filter(|c| {
-            c.request.url.etld1() == &script_domain && c.request.url.path().ends_with(".js")
-        })
+        .filter(|c| c.request.url.etld1() == script_domain && c.request.url.path().ends_with(".js"))
         .count();
     assert_eq!(surviving_js, 0, "$script rules must block script fetches");
 }
@@ -153,7 +154,7 @@ fn blocked_requests_never_reach_the_capture_log() {
             !protected
                 .captures
                 .iter()
-                .any(|c| c.request.url.etld1() == &rule.domain),
+                .any(|c| c.request.url.etld1() == rule.domain),
             "{} leaked past the block list",
             rule.domain
         );
