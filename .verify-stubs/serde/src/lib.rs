@@ -136,6 +136,18 @@ impl std::ops::Index<usize> for Value {
 
 // ---- primitive impls --------------------------------------------------
 
+/// The integer an integral `F64` holds, for a `TryFrom` into the
+/// target type. A value outside `i128` saturates, which no target up
+/// to 64 bits accepts either.
+fn integral_f64(x: f64) -> Option<i128> {
+    (x.fract() == 0.0).then_some(x as i128)
+}
+
+/// The error for a number outside the target type's range.
+fn out_of_range(n: impl std::fmt::Display, ty: &str) -> String {
+    format!("{n} is out of range for {ty}")
+}
+
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -143,10 +155,13 @@ macro_rules! impl_unsigned {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, String> {
+                let ty = stringify!($t);
                 match v {
-                    Value::U64(n) => Ok(*n as $t),
-                    Value::I64(n) if *n >= 0 => Ok(*n as $t),
-                    Value::F64(x) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as $t),
+                    Value::U64(n) => <$t>::try_from(*n).map_err(|_| out_of_range(n, ty)),
+                    Value::I64(n) => <$t>::try_from(*n).map_err(|_| out_of_range(n, ty)),
+                    Value::F64(x) => integral_f64(*x)
+                        .ok_or_else(|| format!("expected unsigned int, got {v:?}"))
+                        .and_then(|n| <$t>::try_from(n).map_err(|_| out_of_range(x, ty))),
                     Value::Str(s) => s.parse::<$t>().map_err(|e| e.to_string()),
                     other => Err(format!("expected unsigned int, got {other:?}")),
                 }
@@ -164,10 +179,13 @@ macro_rules! impl_signed {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, String> {
+                let ty = stringify!($t);
                 match v {
-                    Value::U64(n) => Ok(*n as $t),
-                    Value::I64(n) => Ok(*n as $t),
-                    Value::F64(x) if x.fract() == 0.0 => Ok(*x as $t),
+                    Value::U64(n) => <$t>::try_from(*n).map_err(|_| out_of_range(n, ty)),
+                    Value::I64(n) => <$t>::try_from(*n).map_err(|_| out_of_range(n, ty)),
+                    Value::F64(x) => integral_f64(*x)
+                        .ok_or_else(|| format!("expected int, got {v:?}"))
+                        .and_then(|n| <$t>::try_from(n).map_err(|_| out_of_range(x, ty))),
                     Value::Str(s) => s.parse::<$t>().map_err(|e| e.to_string()),
                     other => Err(format!("expected int, got {other:?}")),
                 }

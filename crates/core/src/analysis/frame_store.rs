@@ -88,6 +88,49 @@ pub(crate) const FLAG_FINGERPRINT: u8 = 2;
 pub(crate) const FLAG_CANONICAL: u8 = 4;
 
 impl SegmentCols {
+    /// An empty block with room for `rows` exchanges and `cookie_rows`
+    /// cookie rows.
+    pub(crate) fn with_capacity(rows: usize, cookie_rows: usize) -> Self {
+        let mut cookie_off = Vec::with_capacity(rows + 1);
+        cookie_off.push(0);
+        SegmentCols {
+            url_sym: Vec::with_capacity(rows),
+            etld1_sym: Vec::with_capacity(rows),
+            channel: Vec::with_capacity(rows),
+            chan_label: Vec::with_capacity(rows),
+            content_type: Vec::with_capacity(rows),
+            flags: Vec::with_capacity(rows),
+            cookie_off,
+            cookie_key: Vec::with_capacity(cookie_rows),
+            cookie_domain: Vec::with_capacity(cookie_rows),
+        }
+    }
+
+    /// Joins the blocks of consecutive exchange ranges, in order, into
+    /// one block.
+    pub(crate) fn concat(mut parts: Vec<SegmentCols>) -> SegmentCols {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let rows = parts.iter().map(SegmentCols::len).sum();
+        let cookie_rows = parts.iter().map(|p| p.cookie_key.len()).sum();
+        let mut all = SegmentCols::with_capacity(rows, cookie_rows);
+        for p in &parts {
+            let base = all.cookie_key.len() as u32;
+            all.url_sym.extend_from_slice(&p.url_sym);
+            all.etld1_sym.extend_from_slice(&p.etld1_sym);
+            all.channel.extend_from_slice(&p.channel);
+            all.chan_label.extend_from_slice(&p.chan_label);
+            all.content_type.extend_from_slice(&p.content_type);
+            all.flags.extend_from_slice(&p.flags);
+            all.cookie_off
+                .extend(p.cookie_off[1..].iter().map(|o| o + base));
+            all.cookie_key.extend_from_slice(&p.cookie_key);
+            all.cookie_domain.extend_from_slice(&p.cookie_domain);
+        }
+        all
+    }
+
     /// Number of exchanges in the segment.
     pub(crate) fn len(&self) -> usize {
         self.url_sym.len()

@@ -10,9 +10,9 @@
 //!   visit and the ordered results merge per run in canonical channel
 //!   order.
 //! * The heavy analysis loops are folds over independent captures:
-//!   the analysis engine's per-capture scan, URL probes, and row-chunk
-//!   partials when it seals an epoch, and the naive oracle's per-pass
-//!   scans. [`par_chunks`] splits a slice into fixed-length chunks and
+//!   the analysis engine's per-capture scan, column fill, filter-list
+//!   probes and row-chunk partials when it seals an epoch, and the
+//!   naive oracle's per-pass scans. [`par_chunks`] splits a slice into fixed-length chunks and
 //!   `par_map`s the per-chunk partial statistics, and
 //!   [`par_chunks_auto`] uses the crate's fixed chunk length.
 //!
@@ -32,12 +32,21 @@ use std::sync::{Mutex, OnceLock};
 /// runs every call inline on its caller.
 pub const WORKERS_ENV: &str = "HBBTV_POOL_WORKERS";
 
-/// The chunk length of [`par_chunks_auto`] and of the engine's
-/// row-chunk partials. A scoped helper thread costs about 30 µs to
-/// spawn and join on an idle 2-vCPU box, and milliseconds when the host
-/// holds back the other vCPU, so a batch goes parallel only once it
-/// spans more than one chunk of this many cheap items.
+/// The chunk length of [`par_chunks_auto`] and of the engine's per-row
+/// work (capture scans, column fills, memo-miss scans, row partials),
+/// whose items cost tens to hundreds of nanoseconds, so a chunk costs
+/// 0.1–1 ms. A scoped helper thread costs about 30 µs to spawn and join
+/// on an idle 2-vCPU box, and milliseconds when the host holds back the
+/// other vCPU, so a batch goes parallel only once it spans more than
+/// one chunk.
 pub(crate) const CHUNK_LEN: usize = 4096;
+
+/// The chunk length of the engine's filter-list probes: one new URL
+/// (about 3.4 µs: seven list queries plus the leak needles) or one
+/// class-memo miss (about 1.3 µs: five list queries). A chunk costs
+/// 0.3–0.9 ms, the same grain as a [`CHUNK_LEN`] chunk of cheap items,
+/// so a few hundred probes already split across executors.
+pub(crate) const PROBE_CHUNK_LEN: usize = 256;
 
 thread_local! {
     /// The executor count installed by [`Runtime::install`].

@@ -465,6 +465,26 @@ fn capture_url_with_an_unrepresentable_query_pair_is_a_typed_error() {
     assert_rejected(&results, "Url.query");
 }
 
+/// An integer outside its field's type is a typed error, not a
+/// truncated or saturated decode: a `u32` visit id takes `u32::MAX` but
+/// not `u32::MAX + 1` (which a cast would read as visit 0), and no
+/// unsigned field takes a negative number.
+#[test]
+fn capture_integer_out_of_range_is_a_typed_error() {
+    let results = tampered_capture_batches(
+        "\"visit\":0",
+        &[
+            "\"visit\":4294967296",
+            "\"visit\":4294967299",
+            "\"visit\":-1",
+        ],
+    );
+    assert_rejected(&results, "out of range for u32");
+    let results = tampered_capture_batches("\"visit\":0", &["\"visit\":1.5"]);
+    assert_rejected(&results, "expected unsigned int");
+    assert!(tampered_capture_batches("\"visit\":0", &["\"visit\":4294967295"])[0].is_ok());
+}
+
 /// A URL whose text before the query is longer than its `u16` offsets
 /// address is a typed error, not a truncated or panicking decode.
 #[test]

@@ -65,9 +65,10 @@ fn telemetry_never_changes_the_study() {
 
 /// The classify-once invariant: one study classifies each exchange at
 /// most once. The analysis engine memoizes the five list verdicts per
-/// distinct (URL, party relation, content type) key and publishes its
-/// memo misses as `frame.classify_calls`, so the real classification
-/// count lands well below one per exchange.
+/// distinct (URL, party relation, resource kind) key, the lists seeing
+/// the content type only through its kind, and publishes its memo
+/// misses as `frame.classify_calls`, so the real classification count
+/// lands well below one per exchange.
 #[test]
 fn classify_runs_at_most_once_per_exchange_per_study() {
     let eco = Ecosystem::with_scale(SEED, SCALE);
