@@ -1,18 +1,12 @@
-//! Shared byte-level Aho–Corasick automaton.
+//! Byte-level Aho–Corasick automaton.
 //!
-//! Two consumers, one machine: the policy keyword scanner
-//! (`hbbtv-policies`, ~95 bilingual needles over policy texts) and the
-//! filter-list residual engine (`hbbtv-filterlists`, one literal per
-//! substring/start-anchored rule, up to ~10^4 needles at 10^5-rule list
-//! scale). Both need the same thing — one forward pass over a byte
-//! stream that reports every needle occurrence — but at very different
-//! needle counts, so the transition table is *byte-class compressed*: a
-//! 256-entry class map folds every byte that occurs in no needle into
-//! class 0 (provably always transitioning to the root), and the dense
-//! `states × classes` table only spends columns on bytes that actually
-//! appear. At policy scale that is ~30 columns instead of 256; at
-//! filter-list scale it keeps a 10^4-needle automaton in single-digit
-//! megabytes where a raw 256-wide table would cost ~25× more.
+//! The policy keyword scanner (`hbbtv-policies`, ~95 bilingual needles
+//! over policy texts) needs one forward pass over a byte stream that
+//! reports every needle occurrence. The transition table is *byte-class
+//! compressed*: a 256-entry class map folds every byte that occurs in
+//! no needle into class 0 (provably always transitioning to the root),
+//! and the dense `states × classes` table only spends columns on bytes
+//! that actually appear — ~30 columns instead of 256 at policy scale.
 //!
 //! The automaton is case-exact: callers that want folding (policies)
 //! fold bytes *before* stepping. Matching is reported per needle id via

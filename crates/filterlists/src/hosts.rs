@@ -48,10 +48,9 @@ pub fn parse_hosts(text: &str) -> HashSet<String> {
 }
 
 /// Whether `host` is blocked by a parsed domain set: an exact match or a
-/// subdomain of a listed domain. The match path itself runs on the
-/// engine's arena-backed [`DomainSet`](crate::engine::DomainSet); this
-/// set-based twin stays as the readable reference the tests compare
-/// semantics against.
+/// subdomain of a listed domain. A list matches by scanning its domains
+/// with `host_matches_domain`; this label walk over the set is the
+/// independent reference the tests pin those semantics with.
 #[cfg(test)]
 pub(crate) fn host_blocked<S: std::hash::BuildHasher>(
     domains: &HashSet<String, S>,
@@ -109,6 +108,19 @@ bare-domain.tv
         assert!(host_blocked(&d, "a.b.tracker.de"));
         assert!(!host_blocked(&d, "nottracker.de"));
         assert!(!host_blocked(&d, "tracker.de.evil.com"));
+        // The list's domain scan agrees with the label walk.
+        let list = crate::FilterList::parse_hosts_list("h", "tracker.de\n");
+        for host in [
+            "tracker.de",
+            "a.tracker.de",
+            "a.b.tracker.de",
+            "nottracker.de",
+            "tracker.de.evil.com",
+        ] {
+            let url: hbbtv_net::Url = format!("http://{host}/x").parse().unwrap();
+            let ctx = crate::RequestContext::third_party_image();
+            assert_eq!(list.matches(&url, ctx), host_blocked(&d, host), "{host}");
+        }
     }
 
     #[test]

@@ -37,13 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod bundled;
-mod engine;
 mod hosts;
 mod matcher;
 mod rule;
-pub mod stats;
 
 pub use hosts::parse_hosts;
-pub use matcher::{FilterList, ListStats, MatchOutcome, RequestContext, UrlView};
+pub use matcher::{FilterList, ListStats, RequestContext, UrlView};
 pub use rule::{parse_adblock_line, Anchor, ResourceKind, Rule, RuleOptions};
-pub use stats::MatcherStats;

@@ -1,7 +1,6 @@
 //! Filter-list matching over captured URLs.
 
-use crate::engine::{DomainSet, RuleIndex};
-use crate::rule::{after_host, parse_adblock_line, ResourceKind, Rule};
+use crate::rule::{after_host, host_matches_domain, parse_adblock_line, ResourceKind, Rule};
 use hbbtv_net::Url;
 use serde::{Deserialize, Serialize};
 
@@ -26,14 +25,14 @@ impl RequestContext {
     }
 }
 
-/// A borrowed view of one serialized URL: everything the match engine
-/// reads, with the post-host slice precomputed, so a match call does no
+/// A borrowed view of one serialized URL: everything the matcher reads,
+/// with the post-host slice precomputed, so a match call does no
 /// allocation at all. Serialize the URL once per exchange, build the
 /// view, and probe as many lists as needed.
 ///
 /// `host` must be the URL's actual hostname (as a parsed
-/// [`Url`](hbbtv_net::Url) guarantees); the engine's domain buckets key
-/// on host labels and assume hosts contain no `*`.
+/// [`Url`](hbbtv_net::Url) guarantees): `||` rules and hosts-list
+/// domains are compared against it label by label.
 ///
 /// # Examples
 ///
@@ -72,10 +71,6 @@ impl<'a> UrlView<'a> {
     pub fn of_url(url: &'a Url) -> Self {
         UrlView::new(url.as_str(), url.host(), url.etld1().as_str())
     }
-
-    pub(crate) fn after_host(&self) -> &'a str {
-        self.after_host
-    }
 }
 
 /// Aggregate statistics from matching a URL set against a list.
@@ -100,6 +95,9 @@ impl ListStats {
 
 /// A named filter list in either Adblock or hosts syntax.
 ///
+/// Matching is one linear scan: the bundled lists hold 77 rules in all,
+/// so a query costs tens to hundreds of nanoseconds (DESIGN §6).
+///
 /// # Examples
 ///
 /// ```
@@ -116,35 +114,22 @@ pub struct FilterList {
     name: String,
     rules: Vec<Rule>,
     exceptions: Vec<Rule>,
-    hosts: DomainSet,
-    index: RuleIndex,
-    exception_index: RuleIndex,
+    /// Hosts-list domains, sorted.
+    domains: Vec<String>,
 }
 
 impl FilterList {
-    /// Parses an Adblock-syntax list and builds its match index.
+    /// Parses an Adblock-syntax list.
     pub fn parse_adblock(name: &str, text: &str) -> Self {
-        let mut rules = Vec::new();
-        let mut exceptions = Vec::new();
-        for line in text.lines() {
-            if let Some(rule) = parse_adblock_line(line) {
-                if rule.exception {
-                    exceptions.push(rule);
-                } else {
-                    rules.push(rule);
-                }
-            }
-        }
-        let index = RuleIndex::build(&rules);
-        let exception_index = RuleIndex::build(&exceptions);
-        crate::stats::note_engine(index.automaton_states() + exception_index.automaton_states());
+        let (exceptions, rules) = text
+            .lines()
+            .filter_map(parse_adblock_line)
+            .partition(|rule| rule.exception);
         FilterList {
             name: name.to_string(),
             rules,
             exceptions,
-            hosts: DomainSet::default(),
-            index,
-            exception_index,
+            domains: Vec::new(),
         }
     }
 
@@ -152,14 +137,11 @@ impl FilterList {
     pub fn parse_hosts_list(name: &str, text: &str) -> Self {
         let mut domains: Vec<String> = crate::hosts::parse_hosts(text).into_iter().collect();
         domains.sort();
-        crate::stats::note_engine(0);
         FilterList {
             name: name.to_string(),
             rules: Vec::new(),
             exceptions: Vec::new(),
-            hosts: DomainSet::build(&domains),
-            index: RuleIndex::default(),
-            exception_index: RuleIndex::default(),
+            domains,
         }
     }
 
@@ -170,7 +152,7 @@ impl FilterList {
 
     /// Number of active (non-exception) rules plus blocked domains.
     pub fn len(&self) -> usize {
-        self.rules.len() + self.hosts.len()
+        self.rules.len() + self.domains.len()
     }
 
     /// Whether the list is empty.
@@ -185,92 +167,35 @@ impl FilterList {
         self.matches_view(&UrlView::of_url(url), ctx)
     }
 
-    /// Detailed match outcome, exposing which rule fired.
-    pub fn matching_rule(&self, url: &Url, ctx: RequestContext) -> MatchOutcome<'_> {
-        self.matching_rule_view(&UrlView::of_url(url), ctx)
-    }
-
     /// [`FilterList::matches`] over a caller-built view — the zero-alloc
-    /// steady-state path. Runs entirely on the compiled index: no
-    /// `Rule` value is touched.
+    /// steady-state path. Scans the hosts-list domains, then the block
+    /// rules in list order; the exceptions are scanned only after a
+    /// block rule fired.
     pub fn matches_view(&self, view: &UrlView<'_>, ctx: RequestContext) -> bool {
-        if self.hosts.blocks_host(view.host) {
+        if self
+            .domains
+            .iter()
+            .any(|d| host_matches_domain(view.host, d))
+        {
             return true;
         }
-        self.index.any_match(view, ctx) && !self.exception_index.any_match(view, ctx)
+        let applies = |rule: &Rule| {
+            options_allow(rule, ctx)
+                && rule.pattern_matches_at(view.text, view.host, view.after_host)
+        };
+        self.rules.iter().any(applies) && !self.exceptions.iter().any(applies)
     }
 
-    /// [`FilterList::matching_rule`] over a caller-built view. The indexed
-    /// lookup reports the same first-in-list-order rule as the linear
-    /// scan (see [`FilterList::matching_rule_linear`]).
-    pub fn matching_rule_view(&self, view: &UrlView<'_>, ctx: RequestContext) -> MatchOutcome<'_> {
-        if self.hosts.blocks_host(view.host) {
-            return MatchOutcome::HostBlocked;
-        }
-        match self.index.first_match(view, ctx) {
-            None => MatchOutcome::NoMatch,
-            Some(i) => {
-                if self.exception_index.any_match(view, ctx) {
-                    MatchOutcome::Allowed
-                } else {
-                    MatchOutcome::Blocked(&self.rules[i as usize])
-                }
-            }
-        }
-    }
-
-    /// Reference implementation: the naive O(rules) scan the indexed
-    /// engine replaced, kept verbatim for differential tests and the
-    /// `kernels` benchmark baseline.
+    /// The same verdict as [`FilterList::matches`]: there is only one
+    /// match path. Kept under this name because the repository
+    /// benchmark's replay oracle calls it.
     pub fn matches_linear(&self, url: &Url, ctx: RequestContext) -> bool {
-        match self.matching_rule_linear(url, ctx) {
-            MatchOutcome::Blocked(_) | MatchOutcome::HostBlocked => true,
-            MatchOutcome::Allowed | MatchOutcome::NoMatch => false,
-        }
-    }
-
-    /// Reference implementation of [`FilterList::matching_rule`]: a
-    /// linear first-match scan over the rule vector.
-    pub fn matching_rule_linear(&self, url: &Url, ctx: RequestContext) -> MatchOutcome<'_> {
-        if self.hosts.blocks_host(url.host()) {
-            return MatchOutcome::HostBlocked;
-        }
-        let text = url.as_str();
-        let host = url.host();
-        let hit = self.rules.iter().find(|r| rule_applies(r, text, host, ctx));
-        match hit {
-            None => MatchOutcome::NoMatch,
-            Some(rule) => {
-                let excepted = self
-                    .exceptions
-                    .iter()
-                    .any(|e| rule_applies(e, text, host, ctx));
-                if excepted {
-                    MatchOutcome::Allowed
-                } else {
-                    MatchOutcome::Blocked(rule)
-                }
-            }
-        }
+        self.matches(url, ctx)
     }
 }
 
-/// The result of matching one URL against a list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchOutcome<'a> {
-    /// A block rule fired (and no exception overrode it).
-    Blocked(&'a Rule),
-    /// The host appears in the hosts/domain table.
-    HostBlocked,
-    /// A block rule fired but an `@@` exception allowed the request.
-    Allowed,
-    /// Nothing matched.
-    NoMatch,
-}
-
-/// The `$third-party`/`$image`/`$script` option gate, shared by the
-/// linear scan and the indexed engine.
-pub(crate) fn options_allow(rule: &Rule, ctx: RequestContext) -> bool {
+/// The `$third-party`/`$image`/`$script` option gate.
+fn options_allow(rule: &Rule, ctx: RequestContext) -> bool {
     if rule.options.third_party_only && !ctx.third_party {
         return false;
     }
@@ -284,10 +209,6 @@ pub(crate) fn options_allow(rule: &Rule, ctx: RequestContext) -> bool {
         return false;
     }
     true
-}
-
-fn rule_applies(rule: &Rule, url_text: &str, host: &str, ctx: RequestContext) -> bool {
-    options_allow(rule, ctx) && rule.pattern_matches(url_text, host)
 }
 
 #[cfg(test)]
@@ -321,7 +242,26 @@ mod tests {
         );
         assert!(list.matches(&url("http://ads.example.de/x"), any_ctx()));
         assert!(!list.matches(&url("http://ads.example.de/ok"), any_ctx()));
+        assert!(!list.matches(&url("http://clean.de/page"), any_ctx()));
         assert_eq!(list.len(), 1);
+        // Rules that can never anchor on a host sit beside one that can.
+        let list = FilterList::parse_adblock(
+            "t",
+            "||/path-only
+||a*b.de^
+||real.de^
+",
+        );
+        assert_eq!(list.len(), 3);
+        assert!(list.matches(&url("http://cdn.real.de/path-only"), any_ctx()));
+        assert!(!list.matches(&url("http://fake.de/path-only"), any_ctx()));
+        assert!(!list.matches(&url("http://axb.de/"), any_ctx()));
+        // Many substring rules: only the one the URL carries fires.
+        let lines: Vec<String> = (0..200).map(|i| format!("/frag{i}/")).collect();
+        let list = FilterList::parse_adblock("t", &lines.join("\n"));
+        assert!(list.matches(&url("http://x.de/frag123/pixel"), any_ctx()));
+        assert!(!list.matches(&url("http://x.de/clean/path"), any_ctx()));
+        assert!(!list.matches(&url("http://x.de/frag200/pixel"), any_ctx()));
     }
 
     #[test]
@@ -368,6 +308,43 @@ mod tests {
                 kind: ResourceKind::Script
             }
         ));
+        // Each kind-constrained rule fires for its own kind only.
+        for kind in [
+            ResourceKind::Document,
+            ResourceKind::Image,
+            ResourceKind::Other,
+        ] {
+            let ctx = RequestContext {
+                third_party: true,
+                kind,
+            };
+            assert!(!list.matches(&url("http://x.de/lib.js"), ctx), "{kind:?}");
+        }
+        for kind in [ResourceKind::Document, ResourceKind::Other] {
+            let ctx = RequestContext {
+                third_party: true,
+                kind,
+            };
+            assert!(!list.matches(&url("http://x.de/pixel"), ctx), "{kind:?}");
+        }
+        // A kind-neutral rule beside them fires for every kind.
+        let list = FilterList::parse_adblock("t", "||pix.de^$image\n||neutral.de^\n");
+        for kind in [
+            ResourceKind::Document,
+            ResourceKind::Script,
+            ResourceKind::Image,
+            ResourceKind::Other,
+        ] {
+            let ctx = RequestContext {
+                third_party: true,
+                kind,
+            };
+            assert!(list.matches(&url("http://neutral.de/x"), ctx));
+            assert_eq!(
+                list.matches(&url("http://pix.de/x"), ctx),
+                kind == ResourceKind::Image
+            );
+        }
     }
 
     #[test]
@@ -376,15 +353,12 @@ mod tests {
         assert!(list.matches(&url("http://cdn.tracker.tv/x"), any_ctx()));
         assert!(!list.matches(&url("http://other.tv/x"), any_ctx()));
         assert_eq!(list.name(), "pihole");
-    }
-
-    #[test]
-    fn matching_rule_reports_source() {
-        let list = FilterList::parse_adblock("t", "||flagged.de^\n");
-        match list.matching_rule(&url("http://flagged.de/"), any_ctx()) {
-            MatchOutcome::Blocked(r) => assert_eq!(r.source, "||flagged.de^"),
-            other => panic!("expected block, got {other:?}"),
-        }
+        let list = FilterList::parse_hosts_list("h", "0.0.0.0 tracker.de\nads.example.com\n");
+        assert_eq!(list.len(), 2);
+        assert!(list.matches(&url("http://a.b.tracker.de/x"), any_ctx()));
+        assert!(list.matches(&url("http://ads.example.com/x"), any_ctx()));
+        assert!(!list.matches(&url("http://example.com/x"), any_ctx()));
+        assert!(!list.matches(&url("http://nottracker.de/x"), any_ctx()));
     }
 
     #[test]
@@ -402,59 +376,5 @@ mod tests {
         let list = FilterList::parse_adblock("empty", "! only comments\n");
         assert!(list.is_empty());
         assert!(!list.matches(&url("http://anything.de/"), any_ctx()));
-    }
-
-    /// The indexed engine must report exactly what the linear scan
-    /// reports — same outcome variant *and* same firing rule — for all
-    /// four [`MatchOutcome`] shapes.
-    #[test]
-    fn indexed_outcomes_mirror_linear_scan() {
-        let list = FilterList::parse_adblock(
-            "t",
-            // Two rules that could both fire on flagged.de URLs: list
-            // order decides which one is reported.
-            "||flagged.de^\n/banner\n@@||flagged.de/ok^\n",
-        );
-        let hosts = FilterList::parse_hosts_list("h", "0.0.0.0 pinned.tv\n");
-        let cases = [
-            // Blocked by the first rule in list order, not the substring
-            // rule that also matches.
-            url("http://flagged.de/banner"),
-            // Blocked by the residual substring rule only.
-            url("http://clean.de/banner.gif"),
-            // Exception-allowed.
-            url("http://flagged.de/ok"),
-            // No match at all.
-            url("http://clean.de/page"),
-        ];
-        for u in &cases {
-            assert_eq!(
-                list.matching_rule(u, any_ctx()),
-                list.matching_rule_linear(u, any_ctx()),
-                "outcome diverged for {u}"
-            );
-            assert_eq!(
-                list.matches(u, any_ctx()),
-                list.matches_linear(u, any_ctx())
-            );
-        }
-        match list.matching_rule(&url("http://flagged.de/banner"), any_ctx()) {
-            MatchOutcome::Blocked(r) => assert_eq!(r.source, "||flagged.de^"),
-            other => panic!("expected first-rule block, got {other:?}"),
-        }
-        assert_eq!(
-            list.matching_rule(&url("http://flagged.de/ok"), any_ctx()),
-            MatchOutcome::Allowed
-        );
-        // Host-table blocks go through the same fused path.
-        let u = url("http://cdn.pinned.tv/x");
-        assert_eq!(
-            hosts.matching_rule(&u, any_ctx()),
-            MatchOutcome::HostBlocked
-        );
-        assert_eq!(
-            hosts.matching_rule(&u, any_ctx()),
-            hosts.matching_rule_linear(&u, any_ctx())
-        );
     }
 }

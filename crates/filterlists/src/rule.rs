@@ -139,8 +139,9 @@ impl Rule {
     }
 
     /// [`Rule::pattern_matches`] with the post-host slice already
-    /// computed — the zero-alloc entry point the match engine and
-    /// [`UrlView`](crate::UrlView) use.
+    /// computed — the zero-alloc entry point
+    /// [`FilterList::matches_view`](crate::FilterList::matches_view)
+    /// uses.
     pub(crate) fn pattern_matches_at(&self, url_text: &str, host: &str, after: &str) -> bool {
         match self.anchor {
             Anchor::Domain => {
@@ -168,7 +169,7 @@ impl Rule {
 
 /// Splits a `||` pattern into its domain part and path remainder
 /// (`tracker.de/pixel` → `("tracker.de", "/pixel")`).
-pub(crate) fn split_domain_pattern(pattern: &str) -> (&str, &str) {
+fn split_domain_pattern(pattern: &str) -> (&str, &str) {
     match pattern.find('/') {
         Some(i) => (&pattern[..i], &pattern[i..]),
         None => (pattern, ""),
@@ -209,37 +210,28 @@ fn is_separator(c: char) -> bool {
     !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '%'))
 }
 
-/// A sequence of `*`-separated literal parts, abstracted so the one
-/// backtracking matcher serves every storage layout: the per-call split
-/// (`&[&str]`), and the engine's arena-backed `(offset, len)` ranges.
-pub(crate) trait Parts<'p>: Copy {
-    /// Splits off the first part, or `None` when exhausted.
-    fn split_first(self) -> Option<(&'p str, Self)>;
-}
-
-impl<'p, S: AsRef<str>> Parts<'p> for &'p [S] {
-    #[inline]
-    fn split_first(self) -> Option<(&'p str, Self)> {
-        <[S]>::split_first(self).map(|(p, rest)| (p.as_ref(), rest))
+/// Splits off the first non-empty `*`-separated literal part of
+/// `pattern`, returning it and the rest of the pattern; `None` when
+/// nothing but `*`s is left. Consecutive, leading and trailing stars
+/// yield no empty parts, and nothing is allocated.
+fn next_part(pattern: &str) -> Option<(&str, &str)> {
+    let pattern = pattern.trim_start_matches('*');
+    if pattern.is_empty() {
+        return None;
     }
+    Some(pattern.split_at(pattern.find('*').unwrap_or(pattern.len())))
 }
 
-/// Recursive matcher over `*`-separated literal parts with backtracking.
+/// Recursive matcher over the `*`-separated literal parts of `pattern`
+/// with backtracking.
 ///
 /// `anchored` requires the first part to match at the very start of
 /// `text`; every later part may match anywhere after the previous one
 /// (that is what the `*` between them means). When `end_sep` is set, the
 /// character right after the final matched part must be a separator (or
-/// the end of the text). Generic over the part representation (see
-/// [`Parts`]) so the linear scan and the indexed engine run through
-/// exactly the same code.
-pub(crate) fn parts_match<'p, P: Parts<'p>>(
-    text: &str,
-    parts: P,
-    anchored: bool,
-    end_sep: bool,
-) -> bool {
-    match parts.split_first() {
+/// the end of the text).
+fn parts_match(text: &str, pattern: &str, anchored: bool, end_sep: bool) -> bool {
+    match next_part(pattern) {
         None => !end_sep || text.is_empty() || text.chars().next().map(is_separator) == Some(true),
         Some((p, rest)) => {
             if anchored {
@@ -248,19 +240,21 @@ pub(crate) fn parts_match<'p, P: Parts<'p>>(
                     None => false,
                 }
             } else {
-                // Backtrack over every occurrence of `p`.
+                // `contains` takes a vectorized path that `find` does
+                // not, and almost every URL lacks the literal.
+                if !text.contains(p) {
+                    return false;
+                }
+                // Backtrack over every occurrence of `p`, stepping past
+                // its first character (not byte) to stay on a boundary.
+                let step = p.chars().next().map_or(1, char::len_utf8);
                 let mut start = 0;
-                while start <= text.len() {
-                    match text[start..].find(p) {
-                        Some(i) => {
-                            let abs = start + i;
-                            if parts_match(&text[abs + p.len()..], rest, false, end_sep) {
-                                return true;
-                            }
-                            start = abs + 1;
-                        }
-                        None => return false,
+                while let Some(i) = text[start..].find(p) {
+                    let abs = start + i;
+                    if parts_match(&text[abs + p.len()..], rest, false, end_sep) {
+                        return true;
                     }
+                    start = abs + step;
                 }
                 false
             }
@@ -268,33 +262,19 @@ pub(crate) fn parts_match<'p, P: Parts<'p>>(
     }
 }
 
-/// Splits a pattern on `*`, dropping empty segments (consecutive or
-/// leading/trailing stars).
-fn split_pattern(pattern: &str) -> Vec<&str> {
-    pattern.split('*').filter(|p| !p.is_empty()).collect()
-}
-
 /// Matches `pattern` (with `*` wildcards) against the start of `text`.
 fn wildcard_match(text: &str, pattern: &str, end_separator: bool) -> bool {
-    let parts = split_pattern(pattern);
-    if parts.is_empty() {
-        return true;
-    }
     let anchored = !pattern.starts_with('*');
     // A trailing `*` swallows the end-separator requirement.
     let end_sep = end_separator && !pattern.ends_with('*');
-    parts_match(text, parts.as_slice(), anchored, end_sep)
+    parts_match(text, pattern, anchored, end_sep)
 }
 
 /// Finds `pattern` anywhere inside `text`.
 fn wildcard_find(text: &str, pattern: &str, end_separator: bool) -> bool {
-    let parts = split_pattern(pattern);
-    if parts.is_empty() {
-        return true;
-    }
     let end_sep = end_separator && !pattern.ends_with('*');
     // Unanchored throughout: the first part may start anywhere.
-    parts_match(text, parts.as_slice(), false, end_sep)
+    parts_match(text, pattern, false, end_sep)
 }
 
 #[cfg(test)]
@@ -345,6 +325,12 @@ mod tests {
         assert!(!r.pattern_matches("http://pixel/pixel", "pixel"));
         assert!(!host_matches_domain("x.de", ""));
         assert!(!host_matches_domain("", ""));
+        // A `*` in the domain part never equals a real host's labels.
+        let r = rule("||a*b.de^");
+        assert_eq!(r.anchor, Anchor::Domain);
+        assert!(!r.pattern_matches("http://axb.de/", "axb.de"));
+        assert!(!r.pattern_matches("http://ab.de/", "ab.de"));
+        assert!(!r.pattern_matches("http://a.b.de/", "a.b.de"));
     }
 
     #[test]
@@ -378,6 +364,28 @@ mod tests {
         let r = rule("/track/*/pixel");
         assert!(r.pattern_matches("http://x.de/track/v2/pixel.gif", "x.de"));
         assert!(!r.pattern_matches("http://x.de/track/pixel", "x.de"));
+        // The first `/a` is not directly followed by `b`, a later one
+        // is. With `^`, the first `b` after `/a` is followed by `-`, not
+        // a separator, so the matcher must go on to a later `b`.
+        let r = rule("/a*b");
+        assert!(r.pattern_matches("http://x.de/ax/ab", "x.de"));
+        assert!(!r.pattern_matches("http://x.de/ax/a", "x.de"));
+        let r = rule("/a*b^");
+        assert!(r.pattern_matches("http://x.de/ab-c/ab?x=1", "x.de"));
+        assert!(!r.pattern_matches("http://x.de/ab-c/abc", "x.de"));
+        // Backtracking past a non-ASCII literal stays on char
+        // boundaries.
+        let r = rule("ü*x");
+        assert!(!r.pattern_matches("http://x.de/üy", "x.de"));
+        assert!(r.pattern_matches("http://x.de/üyüx", "x.de"));
+        // An all-wildcard rule matches every URL.
+        let r = rule("*");
+        assert!(r.pattern_matches("http://x.de/", "x.de"));
+        assert!(r.pattern_matches("https://other.tv/p?q=1", "other.tv"));
+        // Leading, trailing and doubled stars add no empty parts.
+        let r = rule("|http://**x.de/*");
+        assert!(r.pattern_matches("http://ads.x.de/p", "ads.x.de"));
+        assert!(!r.pattern_matches("https://x.de/p", "x.de"));
     }
 
     #[test]

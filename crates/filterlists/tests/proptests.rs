@@ -21,50 +21,6 @@ fn any_ctx() -> RequestContext {
     }
 }
 
-/// A small closed pool of domains shared between the rule generator and
-/// the URL generator, so the differential test actually exercises hits
-/// (bucket probes) and not just misses.
-fn pool_domain() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("ads.de"),
-        Just("cdn.tv"),
-        Just("track.com"),
-        Just("media.net"),
-    ]
-    .prop_map(str::to_string)
-}
-
-/// One filter-list line covering every rule shape the engine routes
-/// differently: domain buckets, start anchors, residual substrings,
-/// wildcards, the empty-domain edge case, exceptions, and options.
-fn rule_line() -> impl Strategy<Value = String> {
-    (
-        pool_domain(),
-        "[a-z]{2,5}",
-        0usize..6,
-        any::<bool>(),
-        0usize..4,
-    )
-        .prop_map(|(d, frag, shape, exception, opt)| {
-            let body = match shape {
-                0 => format!("||{d}^"),
-                1 => format!("||{d}/{frag}"),
-                2 => format!("|http://{d}/{frag}"),
-                3 => format!("/{frag}"),
-                4 => format!("||{d}/*/{frag}"),
-                _ => format!("||/{frag}"),
-            };
-            let opts = match opt {
-                0 => "",
-                1 => "$third-party",
-                2 => "$image",
-                _ => "$script",
-            };
-            let at = if exception { "@@" } else { "" };
-            format!("{at}{body}{opts}")
-        })
-}
-
 proptest! {
     /// `||domain^` always blocks that domain and all subdomains, never a
     /// lookalike suffix domain.
@@ -117,42 +73,6 @@ proptest! {
     fn parse_is_total(line in "[ -~]{0,60}") {
         let _ = parse_adblock_line(&line);
         let _ = parse_hosts(&line);
-    }
-
-    /// Differential test: the indexed engine agrees with the retained
-    /// naive linear scan on every generated (rule set, URL, context)
-    /// triple — both the boolean verdict and the reported outcome
-    /// (which specific rule fired, in list order).
-    #[test]
-    fn indexed_engine_equals_linear_scan(
-        lines in prop::collection::vec(rule_line(), 1..12),
-        host_d in pool_domain(),
-        sub in "[a-z]{1,5}",
-        path in "/[a-z0-9/]{0,10}",
-        host_shape in 0usize..3,
-        third in any::<bool>(),
-    ) {
-        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        let list = FilterList::parse_adblock("diff", &text);
-        let host = match host_shape {
-            0 => host_d.clone(),
-            1 => format!("{sub}.{host_d}"),
-            _ => format!("{sub}{host_d}"), // lookalike suffix, no dot
-        };
-        let url: Url = format!("http://{host}{path}").parse().unwrap();
-        for kind in [ResourceKind::Other, ResourceKind::Image, ResourceKind::Script] {
-            let ctx = RequestContext { third_party: third, kind };
-            prop_assert_eq!(
-                list.matches(&url, ctx),
-                list.matches_linear(&url, ctx),
-                "matches diverged for {} against:\n{}", url, text
-            );
-            prop_assert_eq!(
-                list.matching_rule(&url, ctx),
-                list.matching_rule_linear(&url, ctx),
-                "outcome diverged for {} against:\n{}", url, text
-            );
-        }
     }
 
     /// A substring rule matches iff the URL text contains the literal

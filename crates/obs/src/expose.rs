@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maps a metric name onto the Prometheus charset: any character
 /// outside `[a-zA-Z0-9_:]` becomes `_`, and a leading digit gets a `_`
@@ -183,8 +183,18 @@ impl Drop for ScrapeServer {
     }
 }
 
-/// Reads one request, answers it, closes. Any socket error just drops
-/// the connection — a scraper retries, the collector must not care.
+/// How long one connection may take to deliver its whole request. The
+/// responder serves one connection at a time, so a client that sends a
+/// byte now and then must not hold `/metrics` and `/health` any longer.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A request that reaches this many bytes without its header terminator
+/// is answered as it stands (a `GET` has no body).
+const MAX_REQUEST_LEN: usize = 4096;
+
+/// Reads one request, answers it, closes. Any socket error, or a
+/// request still incomplete at [`REQUEST_DEADLINE`], just drops the
+/// connection — a scraper retries, the collector must not care.
 fn handle_conn(
     mut stream: TcpStream,
     tel: &Telemetry,
@@ -194,17 +204,26 @@ fn handle_conn(
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    // Read until the header terminator; request bodies are not a thing
-    // for GET, and 4 KiB bounds a garbage client.
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 4096 {
-        match stream.read(&mut chunk) {
+    // Each read waits only for what is left of the deadline, and the
+    // terminator search covers the new bytes plus the 3 before them.
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        let n = match stream.read(&mut chunk) {
             Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => n,
             Err(_) => return,
+        };
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        if buf[from..].windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= MAX_REQUEST_LEN {
+            break;
         }
     }
     let request = String::from_utf8_lossy(&buf);
@@ -371,5 +390,73 @@ ingest_batch_exchanges_count 4
         assert!(health.contains("\"status\":\"Healthy\""));
         assert!(get("/nope").starts_with("HTTP/1.0 404"));
         drop(server);
+    }
+
+    fn start_server() -> ScrapeServer {
+        let watchdog = Arc::new(Mutex::new(Watchdog::new(HealthThresholds::default())));
+        ScrapeServer::start("127.0.0.1:0".parse().unwrap(), tel(), watchdog).unwrap()
+    }
+
+    /// A client that sends one byte every 300 ms never completes its
+    /// request. It must lose the responder at [`REQUEST_DEADLINE`], so a
+    /// scrape queued behind it is answered within the deadline plus
+    /// slack, not whenever the dripping stops.
+    #[test]
+    fn a_dripping_client_cannot_hold_the_scrape_endpoint() {
+        let server = start_server();
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut drip = TcpStream::connect(server.addr()).unwrap();
+        let dripping = Arc::clone(&stop);
+        let dripper = std::thread::spawn(move || {
+            let start = Instant::now();
+            while !dripping.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
+                if drip.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        // Connected first, the dripper is accepted first.
+        let start = Instant::now();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        write!(s, "GET /health HTTP/1.0\r\n\r\n").unwrap();
+        let mut out = String::new();
+        let _ = s.read_to_string(&mut out);
+        let waited = start.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        dripper.join().unwrap();
+        assert!(out.starts_with("HTTP/1.0 200 OK\r\n"), "{out:?}");
+        assert!(
+            waited < REQUEST_DEADLINE + Duration::from_millis(1500),
+            "the scrape waited {waited:?} behind a dripping client"
+        );
+    }
+
+    /// A 4 KiB request line with no terminator is answered at the size
+    /// cap, not held until the deadline: the fastest of five round
+    /// trips, each sent in 16-byte writes, stays far below
+    /// [`REQUEST_DEADLINE`].
+    #[test]
+    fn an_unterminated_4k_request_is_answered_within_the_deadline() {
+        let server = start_server();
+        let mut request = b"GET /".to_vec();
+        request.resize(MAX_REQUEST_LEN, b'a');
+        let best = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                let mut s = TcpStream::connect(server.addr()).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                for piece in request.chunks(16) {
+                    s.write_all(piece).unwrap();
+                }
+                let mut out = String::new();
+                let _ = s.read_to_string(&mut out);
+                assert!(out.starts_with("HTTP/1.0 404"), "{out:?}");
+                start.elapsed()
+            })
+            .min()
+            .expect("five samples");
+        assert!(best < REQUEST_DEADLINE / 4, "answered after {best:?}");
     }
 }

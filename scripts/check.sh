@@ -5,12 +5,8 @@
 #
 #     scripts/check.sh                # full gate
 #     scripts/check.sh --quick        # fmt + clippy only (fast inner loop)
-#     scripts/check.sh --bench-smoke  # also smoke-run the matcher benches
-#                                     # and 5 s perfbench paper_batch and
-#                                     # live_epochs runs
-#     scripts/check.sh --matcher-smoke # also regenerate BENCH_matcher.json
-#                                     # at 10^2..10^5 rules and assert the
-#                                     # indexed engine's scaling contract
+#     scripts/check.sh --bench-smoke  # also run 5 s perfbench paper_batch
+#                                     # and live_epochs runs
 #     scripts/check.sh --obs-smoke    # also run a journaled study and
 #                                     # verify the journal + golden snapshot
 #     scripts/check.sh --analysis-smoke  # also run the engine-vs-naive
@@ -36,7 +32,6 @@ set -eu
 
 quick=0
 bench_smoke=0
-matcher_smoke=0
 obs_smoke=0
 analysis_smoke=0
 digest_smoke=0
@@ -47,7 +42,6 @@ for arg in "$@"; do
     case "$arg" in
         --quick) quick=1 ;;
         --bench-smoke) bench_smoke=1 ;;
-        --matcher-smoke) matcher_smoke=1 ;;
         --obs-smoke) obs_smoke=1 ;;
         --analysis-smoke) analysis_smoke=1 ;;
         --digest-smoke) digest_smoke=1 ;;
@@ -56,7 +50,6 @@ for arg in "$@"; do
         --status-smoke) status_smoke=1 ;;
         --all-smokes)
             bench_smoke=1
-            matcher_smoke=1
             obs_smoke=1
             analysis_smoke=1
             digest_smoke=1
@@ -65,7 +58,7 @@ for arg in "$@"; do
             status_smoke=1
             ;;
         *)
-            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--matcher-smoke] [--obs-smoke] [--analysis-smoke] [--digest-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
+            echo "usage: scripts/check.sh [--quick] [--bench-smoke] [--obs-smoke] [--analysis-smoke] [--digest-smoke] [--ingest-smoke] [--frame-smoke] [--status-smoke] [--all-smokes]" >&2
             exit 2
             ;;
     esac
@@ -95,14 +88,6 @@ echo "==> cargo test -q"
 cargo test -q
 
 if [ "$bench_smoke" -eq 1 ]; then
-    # Each criterion bench body runs once (`--test` mode): catches
-    # bit-rot in the bench targets without the full sampling run.
-    echo "==> cargo bench -p hbbtv-bench --bench kernels -- --test"
-    cargo bench -p hbbtv-bench --bench kernels -- --test
-    # Fixed-seed indexed-vs-linear matcher throughput, recorded for the
-    # PR that introduced the indexed engine.
-    echo "==> matcher_bench (writes BENCH_matcher.json)"
-    cargo run --release -p hbbtv-bench --bin matcher_bench BENCH_matcher.json
     # Short runs of the repository benchmark's batch and live workloads:
     # each last line must report that every oracle check passed.
     for workload in paper_batch live_epochs; do
@@ -118,55 +103,6 @@ if [ "$bench_smoke" -eq 1 ]; then
                 ;;
         esac
     done
-fi
-
-if [ "$matcher_smoke" -eq 1 ]; then
-    # The indexed engine's scaling contract, measured on the 10^2..10^5
-    # synthetic sweep (the binary itself already asserts indexed ==
-    # linear outcomes at every scale before writing a row):
-    #   * speedup is monotone non-decreasing across 1k -> 10k -> 100k
-    #     (the pre-automaton engine regressed 39x -> 30x at the last
-    #     step it could measure);
-    #   * residual checks per query at 10^4 rules dropped >= 10x vs the
-    #     frozen pre-automaton baseline;
-    #   * the 10^5 row exists and its first-match histogram is not
-    #     degenerate.
-    echo "==> matcher_smoke (regenerates BENCH_matcher.json)"
-    cargo run --release -p hbbtv-bench --bin matcher_bench BENCH_matcher.json
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - BENCH_matcher.json <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-rows = {row["rules"]: row for row in report["scales"]}
-for n in (1_000, 10_000, 100_000):
-    assert n in rows, f"missing {n}-rule row"
-
-s1k, s10k, s100k = (rows[n]["speedup"] for n in (1_000, 10_000, 100_000))
-assert s1k <= s10k <= s100k, \
-    f"speedup not monotone: 1k={s1k} 10k={s10k} 100k={s100k}"
-
-# Frozen baseline from the last pre-automaton BENCH_matcher.json
-# (linear residual scan): 13,824 residual checks over 87 queries at
-# 10^4 rules, i.e. ~158.9 checks/query.
-BASELINE_RESIDUAL_PER_QUERY = 13_824 / 87
-eng = rows[10_000]["engine"]
-per_query = eng["residual_checks"] / max(eng["queries"], 1)
-assert per_query <= BASELINE_RESIDUAL_PER_QUERY / 10, \
-    f"residual checks/query at 10^4 = {per_query:.1f}, " \
-    f"needs <= {BASELINE_RESIDUAL_PER_QUERY / 10:.1f}"
-
-big = rows[100_000]
-assert big["engine"]["first_match_p50"] < big["engine"]["first_match_p99"], \
-    "first-match histogram is degenerate at 10^5"
-
-print(f"matcher smoke OK: speedup {s1k:.0f}x -> {s10k:.0f}x -> {s100k:.0f}x, "
-      f"residual/query {per_query:.2f} (baseline {BASELINE_RESIDUAL_PER_QUERY:.1f})")
-EOF
-    else
-        echo "python3 unavailable; skipping BENCH_matcher.json assertions" >&2
-    fi
 fi
 
 if [ "$obs_smoke" -eq 1 ]; then
