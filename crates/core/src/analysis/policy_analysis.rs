@@ -45,8 +45,9 @@ impl PolicyAnalysis {
         Self::aggregate(corpus, window_reports)
     }
 
-    /// The pre-optimization reference path: the linear (unmemoized,
-    /// non-automaton) pipeline plus the naive per-policy capture re-scan.
+    /// The pre-optimization reference path: the unmemoized pipeline
+    /// (the same annotator, no per-text memo) plus the naive per-policy
+    /// capture re-scan.
     /// Kept as the differential-testing and benchmark baseline.
     pub fn compute_reference(dataset: &StudyDataset) -> Self {
         let documents = Self::gather_docs(dataset);

@@ -87,9 +87,9 @@ impl StudyReport {
     }
 
     /// The naive oracle: every pass re-derives what it needs straight
-    /// from the dataset, sequentially, with the linear (unmemoized,
-    /// non-automaton) policy pipeline. Kept as the parity and benchmark
-    /// baseline for [`StudyReport::compute`].
+    /// from the dataset, sequentially, with the unmemoized policy
+    /// pipeline (the same annotator, no per-text memo). Kept as the
+    /// parity and benchmark baseline for [`StudyReport::compute`].
     pub fn compute_naive(eco: &Ecosystem, dataset: &StudyDataset) -> Self {
         Self::compute_naive_with_telemetry(eco, dataset, &Telemetry::disabled())
     }

@@ -13,6 +13,12 @@
 //! Anything that is not the exact magic request is ignored — the
 //! responder never answers noise, so it cannot be used as an
 //! amplification reflector on a shared segment.
+//!
+//! Each datagram costs O(64) whatever its size: the responder reads
+//! into a 64-byte buffer (the kernel truncates a longer datagram and
+//! drops the rest) and compares what it read with the 16-byte magic. A
+//! 64 KiB datagram, or the magic followed by junk, is therefore as cheap
+//! to reject as a short one.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -148,5 +154,66 @@ mod tests {
         assert!(socket.recv_from(&mut buf).is_err(), "noise gets no answer");
         let port = discover(responder.addr(), Duration::from_secs(5)).unwrap();
         assert_eq!(port, 4712, "responder still serves real requests");
+    }
+
+    /// The worst case the module doc states: a burst of the largest
+    /// datagrams, and of the magic with junk after it, gets no answer,
+    /// and a real request after the burst is answered within 2 s.
+    #[test]
+    fn noise_burst_is_never_answered_and_a_request_after_it_is() {
+        let responder = DiscoveryResponder::start("127.0.0.1:0".parse().unwrap(), 4713).unwrap();
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        // 65,507 bytes is the largest IPv4 UDP payload, just under 64 KiB.
+        let largest = vec![b'x'; 65_507];
+        let mut magic_then_junk = DISCOVERY_REQUEST.to_vec();
+        magic_then_junk.resize(65_507, b'!');
+        let noise: [&[u8]; 5] = [
+            &largest,
+            &magic_then_junk,
+            &magic_then_junk[..DISCOVERY_REQUEST.len() + 1],
+            &DISCOVERY_REQUEST[..DISCOVERY_REQUEST.len() - 1],
+            b"",
+        ];
+        for _ in 0..50 {
+            for datagram in noise {
+                socket.send_to(datagram, responder.addr()).unwrap();
+            }
+        }
+
+        // Ask until answered (the kernel may drop a request while the
+        // burst fills the responder's buffer), then read until 100 ms
+        // pass quietly, so a late answer to noise would still be seen.
+        socket
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let (mut requests, mut answers) = (0, 0);
+        let mut buf = [0u8; 64];
+        loop {
+            if answers == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "no answer within 2 s of the burst"
+                );
+                socket.send_to(DISCOVERY_REQUEST, responder.addr()).unwrap();
+                requests += 1;
+            }
+            match socket.recv_from(&mut buf) {
+                Ok((n, _)) => {
+                    assert_eq!(&buf[..n], b"HBBTV-INGEST v1 4713");
+                    answers += 1;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if answers > 0 {
+                        break;
+                    }
+                }
+                Err(e) => panic!("discovery socket failed: {e}"),
+            }
+        }
+        assert!(
+            answers <= requests,
+            "{answers} answers to {requests} requests"
+        );
     }
 }

@@ -6,11 +6,10 @@
 //! bilingual dictionaries — playing both roles.
 
 use crate::gdpr::{GdprArticle, IpAnonymization, LegalBasis};
-use crate::scan::{group, hit, scanner};
 use serde::{Deserialize, Serialize};
 
 /// Needles signalling first-party collection.
-pub(crate) const FIRST_PARTY_NEEDLES: &[&str] = &[
+const FIRST_PARTY_NEEDLES: &[&str] = &[
     "wir erheben",
     "wir verarbeiten",
     "we collect",
@@ -19,7 +18,7 @@ pub(crate) const FIRST_PARTY_NEEDLES: &[&str] = &[
 ];
 
 /// Needles signalling third-party sharing.
-pub(crate) const THIRD_PARTY_NEEDLES: &[&str] = &[
+const THIRD_PARTY_NEEDLES: &[&str] = &[
     "drittanbieter",
     "dritter anbieter",
     "dienste dritter",
@@ -30,17 +29,17 @@ pub(crate) const THIRD_PARTY_NEEDLES: &[&str] = &[
 ];
 
 /// Needles naming IP addresses as collected data.
-pub(crate) const IP_COLLECTION_NEEDLES: &[&str] = &["ip-adresse", "ip adresse", "ip address"];
+const IP_COLLECTION_NEEDLES: &[&str] = &["ip-adresse", "ip adresse", "ip address"];
 
 /// Needles for coverage/reach-analysis cookies.
-pub(crate) const COVERAGE_NEEDLES: &[&str] = &[
+const COVERAGE_NEEDLES: &[&str] = &[
     "reichweitenmessung",
     "audience measurement",
     "coverage analysis",
 ];
 
 /// Needles for profiling / ad personalization.
-pub(crate) const PROFILING_NEEDLES: &[&str] = &[
+const PROFILING_NEEDLES: &[&str] = &[
     "profilbildung",
     "personalisierung von werbung",
     "profiling",
@@ -48,14 +47,14 @@ pub(crate) const PROFILING_NEEDLES: &[&str] = &[
 ];
 
 /// Needles declaring full IP anonymization.
-pub(crate) const IP_FULL_NEEDLES: &[&str] = &[
+const IP_FULL_NEEDLES: &[&str] = &[
     "vollständig anonymisiert",
     "fully anonymized",
     "fully anonymised",
 ];
 
 /// Needles declaring truncated IP anonymization.
-pub(crate) const IP_TRUNCATED_NEEDLES: &[&str] = &[
+const IP_TRUNCATED_NEEDLES: &[&str] = &[
     "gekürzt",
     "letzten drei ziffern",
     "truncated",
@@ -63,24 +62,23 @@ pub(crate) const IP_TRUNCATED_NEEDLES: &[&str] = &[
 ];
 
 /// Needles pointing viewers at the blue remote button.
-pub(crate) const BLUE_BUTTON_NEEDLES: &[&str] = &["blaue taste", "blue button"];
+const BLUE_BUTTON_NEEDLES: &[&str] = &["blaue taste", "blue button"];
 
 /// Needles tying cookie use to the TDDDG/TTDSG.
-pub(crate) const TDDDG_NEEDLES: &[&str] = &["tdddg", "ttdsg"];
+const TDDDG_NEEDLES: &[&str] = &["tdddg", "ttdsg"];
 
 /// Needles for opt-out statements.
-pub(crate) const OPT_OUT_NEEDLES: &[&str] = &["opt-out", "opt out"];
+const OPT_OUT_NEEDLES: &[&str] = &["opt-out", "opt out"];
 
 /// Needles for vague hedging statements.
-pub(crate) const VAGUE_NEEDLES: &[&str] = &[
+const VAGUE_NEEDLES: &[&str] = &[
     "gegebenenfalls",
     "soweit dies erforderlich erscheint",
     "where appropriate",
 ];
 
 /// Needles declaring indefinite retention.
-pub(crate) const INDEFINITE_NEEDLES: &[&str] =
-    &["unbestimmte zeit", "indefinite", "unbegrenzte dauer"];
+const INDEFINITE_NEEDLES: &[&str] = &["unbestimmte zeit", "indefinite", "unbegrenzte dauer"];
 
 /// MAPP-style data practices the analysis looks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,11 +136,11 @@ impl PolicyAnnotation {
 
 /// Annotates a policy text.
 ///
-/// One pass over the raw text via the shared Aho–Corasick automaton
-/// ([`crate::scan`]); no lowercased copy is allocated unless the text
-/// declares a profiling window (the rare case that needs the positional
-/// parser). Equivalent to [`annotate_policy_linear`] — a differential
-/// proptest holds the two together.
+/// Lowercases the text once, then checks each needle group with
+/// `contains`. The corpus annotates each unique policy text only once,
+/// so a study annotates a few dozen texts. The round-trip
+/// proptests check it against [`render_policy`](crate::render_policy),
+/// which shares no code with it.
 ///
 /// # Examples
 ///
@@ -154,73 +152,6 @@ impl PolicyAnnotation {
 /// assert!(ann.rights.contains(&hbbtv_policies::GdprArticle::Art15));
 /// ```
 pub fn annotate_policy(text: &str) -> PolicyAnnotation {
-    let bits = scanner().scan(text);
-    let mut practices = Vec::new();
-    if hit(bits, group::FIRST_PARTY_COLLECTION) {
-        practices.push(DataPractice::FirstPartyCollection);
-    }
-    if hit(bits, group::THIRD_PARTY_SHARING) {
-        practices.push(DataPractice::ThirdPartySharing);
-    }
-    if hit(bits, group::IP_ADDRESS_COLLECTION) {
-        practices.push(DataPractice::IpAddressCollection);
-    }
-    if hit(bits, group::COVERAGE_ANALYSIS) {
-        practices.push(DataPractice::CoverageAnalysisCookies);
-    }
-    if hit(bits, group::PROFILING) {
-        practices.push(DataPractice::Profiling);
-    }
-
-    let ip_anonymization = if hit(bits, group::IP_ANON_FULL) {
-        IpAnonymization::Full
-    } else if hit(bits, group::IP_ANON_TRUNCATED) {
-        IpAnonymization::Truncated
-    } else {
-        IpAnonymization::None
-    };
-
-    // The window parser is positional, so it still needs the lowercased
-    // text — but only when the automaton saw a window marker, which only
-    // window-declaring policies do.
-    let profiling_window = if hit(bits, group::WINDOW_GERMAN) || hit(bits, group::WINDOW_ENGLISH) {
-        parse_profiling_window(&text.to_lowercase())
-    } else {
-        None
-    };
-
-    PolicyAnnotation {
-        practices,
-        mentions_hbbtv: hit(bits, group::HBBTV),
-        blue_button_hint: hit(bits, group::BLUE_BUTTON),
-        rights: GdprArticle::RIGHTS
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| hit(bits, group::RIGHTS_BASE + i as u32))
-            .map(|(_, a)| a)
-            .collect(),
-        legal_bases: LegalBasis::ALL
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| hit(bits, group::LEGAL_BASIS_BASE + i as u32))
-            .map(|(_, b)| b)
-            .collect(),
-        ip_anonymization,
-        profiling_window,
-        mentions_tdddg: hit(bits, group::TDDDG),
-        opt_out_statements: hit(bits, group::OPT_OUT),
-        vague_statements: hit(bits, group::VAGUE),
-        hbbtv_email: hit(bits, group::HBBTV_EMAIL),
-        indefinite_retention: hit(bits, group::INDEFINITE_RETENTION),
-    }
-}
-
-/// The pre-automaton annotator: lowercase the whole text, then one
-/// `contains` scan per needle. Kept as the differential-testing
-/// reference for [`annotate_policy`] (compare `matches_linear` in
-/// `hbbtv-filterlists`) and as the baseline the benchmarks measure
-/// against.
-pub fn annotate_policy_linear(text: &str) -> PolicyAnnotation {
     let lower = text.to_lowercase();
     let mut practices = Vec::new();
     if contains_any(&lower, FIRST_PARTY_NEEDLES) {
@@ -376,16 +307,143 @@ mod tests {
         assert!(ann.uses_legitimate_interest());
     }
 
+    /// What the annotator reports for a text with no needle in it.
+    fn nothing_found() -> PolicyAnnotation {
+        PolicyAnnotation {
+            practices: Vec::new(),
+            mentions_hbbtv: false,
+            blue_button_hint: false,
+            rights: Vec::new(),
+            legal_bases: Vec::new(),
+            ip_anonymization: IpAnonymization::None,
+            profiling_window: None,
+            mentions_tdddg: false,
+            opt_out_statements: false,
+            vague_statements: false,
+            hbbtv_email: false,
+            indefinite_retention: false,
+        }
+    }
+
+    #[test]
+    fn finds_needles_case_insensitively() {
+        let ann = annotate_policy("Wir ERHEBEN Ihre IP-Adresse über HbbTV.");
+        assert_eq!(
+            ann.practices,
+            vec![
+                DataPractice::FirstPartyCollection,
+                DataPractice::IpAddressCollection
+            ]
+        );
+        assert!(ann.mentions_hbbtv);
+    }
+
+    #[test]
+    fn umlaut_needles_fold_uppercase_variants() {
+        // "gekürzt" (IP truncation) with an uppercase Ü.
+        let ann = annotate_policy("Die IP wird GEKÜRZT gespeichert.");
+        assert_eq!(ann.ip_anonymization, IpAnonymization::Truncated);
+    }
+
+    #[test]
+    fn overlapping_needles_all_report() {
+        // "hbbtv-datenschutz@" contains "hbbtv"; both fields must fire.
+        let ann = annotate_policy("Kontakt: hbbtv-datenschutz@sender.de");
+        assert!(ann.mentions_hbbtv);
+        assert!(ann.hbbtv_email);
+    }
+
+    /// Every needle of every group, uppercased inside unrelated words,
+    /// turns on its field.
+    #[test]
+    fn every_needle_group_fires_its_field() {
+        type Fired = fn(&PolicyAnnotation) -> bool;
+        let groups: [(&[&str], Fired); 14] = [
+            (FIRST_PARTY_NEEDLES, |a| {
+                a.practices.contains(&DataPractice::FirstPartyCollection)
+            }),
+            (THIRD_PARTY_NEEDLES, |a| {
+                a.practices.contains(&DataPractice::ThirdPartySharing)
+            }),
+            (IP_COLLECTION_NEEDLES, |a| {
+                a.practices.contains(&DataPractice::IpAddressCollection)
+            }),
+            (COVERAGE_NEEDLES, |a| {
+                a.practices.contains(&DataPractice::CoverageAnalysisCookies)
+            }),
+            (PROFILING_NEEDLES, |a| {
+                a.practices.contains(&DataPractice::Profiling)
+            }),
+            (IP_FULL_NEEDLES, |a| {
+                a.ip_anonymization == IpAnonymization::Full
+            }),
+            (IP_TRUNCATED_NEEDLES, |a| {
+                a.ip_anonymization == IpAnonymization::Truncated
+            }),
+            (&["hbbtv"], |a| a.mentions_hbbtv),
+            (BLUE_BUTTON_NEEDLES, |a| a.blue_button_hint),
+            (TDDDG_NEEDLES, |a| a.mentions_tdddg),
+            (OPT_OUT_NEEDLES, |a| a.opt_out_statements),
+            (VAGUE_NEEDLES, |a| a.vague_statements),
+            (&["hbbtv-datenschutz@"], |a| a.hbbtv_email),
+            (INDEFINITE_NEEDLES, |a| a.indefinite_retention),
+        ];
+        for (needles, fired) in groups {
+            for needle in needles {
+                let text = format!("Vorab {} danach.", needle.to_uppercase());
+                assert!(fired(&annotate_policy(&text)), "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_anonymization_outranks_truncation() {
+        let ann = annotate_policy("Fully anonymized, otherwise truncated.");
+        assert_eq!(ann.ip_anonymization, IpAnonymization::Full);
+    }
+
+    #[test]
+    fn every_right_and_basis_phrase_is_found_alone() {
+        for art in GdprArticle::RIGHTS {
+            for phrase in art.german_phrases().iter().chain(art.english_phrases()) {
+                let ann = annotate_policy(&format!("Vorab {} danach.", phrase.to_uppercase()));
+                assert_eq!(ann.rights, vec![art], "{phrase:?}");
+            }
+        }
+        for basis in LegalBasis::ALL {
+            for phrase in basis.german_phrases().iter().chain(basis.english_phrases()) {
+                let ann = annotate_policy(&format!("Vorab {} danach.", phrase.to_uppercase()));
+                assert_eq!(ann.legal_bases, vec![basis], "{phrase:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_markers_parse_in_both_languages_and_any_case() {
+        let german = annotate_policy("Profilbildung VON 17 UHR BIS 6 UHR.");
+        assert_eq!(german.profiling_window, Some((17, 6)));
+        let english = annotate_policy("Profiling BETWEEN 23:00 AND 5:00 only.");
+        assert_eq!(english.profiling_window, Some((23, 5)));
+        // A marker without hours declares no window.
+        assert_eq!(annotate_policy("14 Uhr bis morgen").profiling_window, None);
+    }
+
+    #[test]
+    fn empty_and_unrelated_text_match_nothing() {
+        assert_eq!(annotate_policy(""), nothing_found());
+        assert_eq!(
+            annotate_policy("Pfannenset nur 49 Euro, rufen Sie jetzt an!"),
+            nothing_found()
+        );
+    }
+
     #[test]
     fn no_false_positives_on_unrelated_text() {
         let ann = annotate_policy(
             "Willkommen in unserem Teleshop. Heute im Angebot: Pfannenset, \
              nur 49 Euro. Rufen Sie jetzt an!",
         );
-        assert!(ann.practices.is_empty());
-        assert!(ann.rights.is_empty());
-        assert!(!ann.mentions_hbbtv);
-        assert_eq!(ann.profiling_window, None);
+        assert_eq!(ann, nothing_found());
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! | Language detection (majority voting) | [`detect_language`] |
 //! | Policy/other classifiers (99+% F1) | [`PolicyClassifier`] (naive Bayes, trained at runtime on the bundled corpus) |
 //! | SHA-1 dedup + SimHash grouping | [`sha1_hex`], [`SimHash`], [`PolicyCorpus`] |
-//! | MAPP / GDPR annotation | [`annotate_policy`], [`GdprArticle`], [`LegalBasis`] |
+//! | MAPP / GDPR annotation | [`annotate_policy`] (lowercase once, one `contains` per needle group), [`GdprArticle`], [`LegalBasis`] |
 //! | Policy-vs-practice comparison | [`compliance`] |
 //!
 //! Policy *texts* are produced by the [`generator`] module from
 //! [`PolicyProfile`]s — the simulation's stand-in for the real channels'
 //! documents, rich enough that the annotation stages have real work to
-//! do (and their round-trip is property-tested).
+//! do. The generator is also the annotator's test oracle: every clause
+//! it renders must be recovered, and no clause it leaves out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,10 +37,9 @@ mod gdpr;
 mod hashing;
 mod language;
 mod pipeline;
-mod scan;
 mod text;
 
-pub use annotate::{annotate_policy, annotate_policy_linear, DataPractice, PolicyAnnotation};
+pub use annotate::{annotate_policy, DataPractice, PolicyAnnotation};
 pub use classifier::PolicyClassifier;
 pub use gdpr::{GdprArticle, IpAnonymization, LegalBasis};
 pub use generator::{render_policy, PolicyLanguage, PolicyProfile};

@@ -1,6 +1,6 @@
 //! The end-to-end policy pipeline of §VII-A.
 
-use crate::annotate::{annotate_policy, annotate_policy_linear, PolicyAnnotation};
+use crate::annotate::{annotate_policy, PolicyAnnotation};
 use crate::classifier::PolicyClassifier;
 use crate::hashing::{sha1_hex, SimHash};
 use crate::language::{detect_language, DetectedLanguage};
@@ -130,7 +130,7 @@ struct Memo {
 #[derive(Debug)]
 pub struct PolicyCorpus {
     classifier: PolicyClassifier,
-    /// The reference path: no memo sharing, linear keyword annotation.
+    /// The reference path: no memo sharing.
     linear: bool,
     memo_of: HashMap<String, usize>,
     memos: Vec<Memo>,
@@ -164,10 +164,10 @@ impl PolicyCorpus {
         }
     }
 
-    /// The pre-optimization reference corpus: every document is
-    /// processed independently (no per-text memoization) and annotated
-    /// with the linear keyword scan instead of the automaton. Kept for
-    /// differential testing; its reports equal [`PolicyCorpus::new`]'s.
+    /// The unmemoized reference corpus: every document is extracted,
+    /// classified, hashed and annotated on its own, with no per-text
+    /// memo. That is its only difference from [`PolicyCorpus::new`].
+    /// Kept to check the memo; its reports equal [`PolicyCorpus::new`]'s.
     pub fn linear() -> Self {
         PolicyCorpus {
             linear: true,
@@ -206,8 +206,8 @@ impl PolicyCorpus {
         Self::new().fold(documents, manual_override)
     }
 
-    /// [`PolicyCorpus::run_refs`] on the [`PolicyCorpus::linear`]
-    /// reference path; the report is identical.
+    /// [`PolicyCorpus::run_refs`] on the unmemoized
+    /// [`PolicyCorpus::linear`] reference path; the report is identical.
     pub fn run_refs_linear<F>(documents: &[DocRef<'_>], manual_override: F) -> PolicyCorpusReport
     where
         F: FnMut(usize, &DocRef<'_>) -> bool,
@@ -267,16 +267,9 @@ impl PolicyCorpus {
         let simhash = *memo
             .simhash
             .get_or_insert_with(|| SimHash::of_text(&memo.main));
-        let linear = self.linear;
         let annotation = memo
             .annotation
-            .get_or_insert_with(|| {
-                if linear {
-                    annotate_policy_linear(&memo.main)
-                } else {
-                    annotate_policy(&memo.main)
-                }
-            })
+            .get_or_insert_with(|| annotate_policy(&memo.main))
             .clone();
         self.unique.push(UniquePolicy {
             channel: doc.channel.to_string(),

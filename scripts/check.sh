@@ -11,9 +11,10 @@
 #                                     # verify the journal + golden snapshot
 #     scripts/check.sh --analysis-smoke  # also run the engine-vs-naive
 #                                        # study bench and the parity suite
-#     scripts/check.sh --digest-smoke # also pin the scale-1.0 datasets of
-#                                     # seeds 42 and 7 to their recorded
-#                                     # JSON lengths and digests
+#     scripts/check.sh --digest-smoke # also pin the scale-1.0 datasets and
+#                                     # rendered tables of seeds 42 and 7
+#                                     # to their recorded lengths and
+#                                     # digests
 #     scripts/check.sh --ingest-smoke # also run the streaming collector
 #                                     # end to end: discovery, streamed-vs-
 #                                     # in-process report diff, fault sweep
@@ -140,10 +141,11 @@ if [ "$analysis_smoke" -eq 1 ]; then
 fi
 
 if [ "$digest_smoke" -eq 1 ]; then
-    # The reference workloads' datasets, byte for byte: the serialized
-    # scale-1.0 study of seeds 42 and 7 keeps its pinned length and
-    # FNV-1a digest (ignored in the debug suite; release mode here).
-    echo "==> scale-1.0 dataset digests (seeds 42 and 7)"
+    # The reference workloads, byte for byte: the serialized scale-1.0
+    # study of seeds 42 and 7 and its rendered tables keep their pinned
+    # lengths and FNV-1a digests (ignored in the debug suite; release
+    # mode here).
+    echo "==> scale-1.0 dataset and table digests (seeds 42 and 7)"
     cargo test --release --test determinism -- --ignored --exact \
         scale_one_dataset_digests_are_pinned
 fi

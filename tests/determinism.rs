@@ -247,22 +247,34 @@ fn run_all_output_digest_is_pinned() {
     }
 }
 
-/// Pins the reference workloads' datasets: at scale 1.0, the serialized
-/// study of seeds 42 and 7 keeps the length and FNV-1a digest recorded
-/// here. Each run is serialized on its own and streamed through the
-/// digest inside the `{"runs":[…]}` envelope, so the check holds one
-/// run's JSON at a time, not the whole study's. Run it in release mode:
+/// Pins the reference workloads' datasets and rendered tables: at scale
+/// 1.0, the serialized study of seeds 42 and 7 and its rendered Tables
+/// I–V keep the lengths and FNV-1a digests recorded here. The tables
+/// pin covers what the dataset pin cannot, such as policy annotation.
+/// Each run is serialized on its own and streamed through the digest
+/// inside the `{"runs":[…]}` envelope, so the check holds one run's
+/// JSON at a time, not the whole study's. Run it in release mode:
 /// `cargo test --release --test determinism -- --ignored --exact
 /// scale_one_dataset_digests_are_pinned`.
 #[test]
 #[ignore = "scale 1.0: minutes in a debug build"]
 fn scale_one_dataset_digests_are_pinned() {
-    const PINNED: [(u64, (usize, u64)); 2] = [
-        (42, (290_442_738, 4_917_891_409_894_537_627)),
-        (7, (291_015_250, 11_261_837_626_445_476_493)),
+    type Pin = (usize, u64);
+    const PINNED: [(u64, Pin, Pin); 2] = [
+        (
+            42,
+            (290_442_738, 4_917_891_409_894_537_627),
+            (7_990, 10_674_362_191_330_097_668),
+        ),
+        (
+            7,
+            (291_015_250, 11_261_837_626_445_476_493),
+            (7_985, 8_092_655_687_949_587_168),
+        ),
     ];
-    for (seed, pinned) in PINNED {
-        let ds = StudyHarness::new(&Ecosystem::with_scale(seed, 1.0)).run_all();
+    for (seed, dataset, tables) in PINNED {
+        let eco = Ecosystem::with_scale(seed, 1.0);
+        let ds = StudyHarness::new(&eco).run_all();
         let mut len = 0;
         let mut hash = fnv1a64(b"");
         let mut feed = |bytes: &[u8]| {
@@ -277,6 +289,9 @@ fn scale_one_dataset_digests_are_pinned() {
             feed(serde_json::to_string(run).expect("serializes").as_bytes());
         }
         feed(b"]}");
-        assert_eq!((len, hash), pinned, "seed {seed}");
+        assert_eq!((len, hash), dataset, "seed {seed} dataset");
+        let rendered = StudyReport::compute(&eco, &ds).render(&ds);
+        let got = (rendered.len(), fnv1a64(rendered.as_bytes()));
+        assert_eq!(got, tables, "seed {seed} tables");
     }
 }
