@@ -10,9 +10,9 @@
 //! Each poll sends one out-of-band `STATS` frame on a persistent
 //! connection and renders the answer: health verdict (with reasons when
 //! not healthy), session accounting, throughput counters, and the
-//! backpressure picture. `--count 0` (the default) polls forever;
-//! `scripts/check.sh --status-smoke` runs it with `--count 3` against
-//! the status smoke's held-open collector.
+//! backpressure picture. `--count 0` (the default) polls forever; the
+//! crate's `cli` test runs it with `--count 3` against an in-process
+//! collector.
 
 use hbbtv_ingest::frame::StatsRequest;
 use hbbtv_ingest::{Command, Frame, FrameDecoder, StatsReport};

@@ -13,7 +13,8 @@
 //! and all five measurement runs are performed.
 
 use hbbtv_bench::cli::study_args_or_exit;
-use hbbtv_bench::{full_report, run_study};
+use hbbtv_bench::run_study;
+use hbbtv_study::report::StudyReport;
 use hbbtv_study::tables;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         dataset.total_requests(),
         dataset.total_screenshots()
     );
-    let report = full_report(&eco, &dataset);
+    let report = StudyReport::compute(&eco, &dataset);
 
     if want("funnel") {
         let (funnel, _) = eco.lineup().funnel(|_, ait| ait.signals_hbbtv());

@@ -1,12 +1,10 @@
 //! Shared scaffolding for the `repro` binary, which prints every table
-//! and figure of the paper, and for the other binaries and benches of
-//! this crate.
+//! and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hbbtv_study::report::StudyReport;
-use hbbtv_study::{Ecosystem, RunKind, StudyDataset, StudyHarness};
+use hbbtv_study::{Ecosystem, StudyDataset, StudyHarness};
 
 /// Default seed for reproduction runs.
 pub const DEFAULT_SEED: u64 = 42;
@@ -18,23 +16,8 @@ pub fn run_study(seed: u64, scale: f64) -> (Ecosystem, StudyDataset) {
     (eco, dataset)
 }
 
-/// Builds a world and runs a subset of runs (cheaper for benches).
-pub fn run_study_subset(seed: u64, scale: f64, runs: &[RunKind]) -> (Ecosystem, StudyDataset) {
-    let eco = Ecosystem::with_scale(seed, scale);
-    let harness = StudyHarness::new(&eco);
-    let dataset = StudyDataset {
-        runs: runs.iter().map(|&r| harness.run(r)).collect(),
-    };
-    (eco, dataset)
-}
-
-/// Computes the full report for a study.
-pub fn full_report(eco: &Ecosystem, dataset: &StudyDataset) -> StudyReport {
-    StudyReport::compute(eco, dataset)
-}
-
-/// The `[--scale <s>] [--seed <n>]` command line shared by `repro` and
-/// `study_telemetry`, parsed into typed errors instead of panics.
+/// The `[--scale <s>] [--seed <n>]` command line of `repro`, parsed
+/// into typed errors instead of panics.
 pub mod cli {
     use std::fmt;
 
@@ -126,14 +109,6 @@ pub mod cli {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn subset_study_builds() {
-        let (eco, ds) = run_study_subset(1, 0.05, &[RunKind::General]);
-        assert_eq!(ds.runs.len(), 1);
-        let report = full_report(&eco, &ds);
-        assert!(report.tracking.pixel_total > 0);
-    }
 
     fn parse(args: &[&str]) -> Result<cli::StudyArgs, cli::ArgError> {
         cli::parse_study_args(args.iter().map(|a| a.to_string()), 1.0)

@@ -1,7 +1,8 @@
-//! The study binaries reject bad command lines with a usage line and
-//! exit status 2, never with a panic; `collector_status` reports an
-//! unreachable collector with exit status 1, also without a panic.
+//! `repro` rejects bad command lines with a usage line and exit status
+//! 2, never with a panic; `collector_status` polls a live collector and
+//! reports an unreachable one with exit status 1, also without a panic.
 
+use hbbtv_ingest::{IngestConfig, IngestServer};
 use std::net::TcpListener;
 use std::process::Command;
 
@@ -36,10 +37,24 @@ fn repro_rejects_bad_arguments_with_exit_2() {
 }
 
 #[test]
-fn study_telemetry_rejects_bad_arguments_with_exit_2() {
-    for args in BAD {
-        assert_usage_error(env!("CARGO_BIN_EXE_study_telemetry"), args);
-    }
+fn collector_status_polls_a_live_collector() {
+    let server = IngestServer::start(IngestConfig::default()).expect("collector starts");
+    let target = server.addr().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_collector_status"))
+        .args([target.as_str(), "--interval-ms", "200", "--count", "3"])
+        .output()
+        .expect("the binary starts");
+    server.shutdown();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines.iter().all(|l| l.contains("health=")), "{stdout}");
 }
 
 #[test]

@@ -5,7 +5,7 @@ use crate::analysis::tracking::TrackingAnalysis;
 use crate::ecosystem::Ecosystem;
 use hbbtv_broadcast::{ChannelCategory, ChannelId};
 use hbbtv_net::CookieKey;
-use hbbtv_stats::{kruskal_wallis, mann_whitney_u, EffectSize, KruskalWallis, MannWhitney};
+use hbbtv_stats::{kruskal_wallis, mann_whitney_u, KruskalWallis, MannWhitney};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-category tracking statistics (Figure 7).
@@ -140,11 +140,6 @@ impl ChildrenCaseStudy {
             .map(|r| !r.significant())
             .unwrap_or(true)
     }
-}
-
-/// Convenience: classifies the effect size label of a KW result.
-pub fn effect_label(kw: &KruskalWallis) -> EffectSize {
-    kw.effect_size_class()
 }
 
 #[cfg(test)]

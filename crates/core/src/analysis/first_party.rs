@@ -99,14 +99,6 @@ impl FirstPartyMap {
     pub fn iter(&self) -> impl Iterator<Item = (&ChannelId, &Etld1)> {
         self.map.iter()
     }
-
-    /// The distinct first-party domains.
-    pub fn distinct_first_parties(&self) -> Vec<&Etld1> {
-        let mut v: Vec<&Etld1> = self.map.values().collect();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]

@@ -49,9 +49,6 @@ pub(crate) const HBFS_VERSION: u16 = 1;
 /// Header length in bytes.
 const HEADER_LEN: usize = 24;
 
-/// Environment variable capping resident segment bytes.
-pub const FRAME_BUDGET_ENV: &str = "HBBTV_FRAME_BUDGET_BYTES";
-
 /// One epoch segment's immutable columns. Exchange-indexed columns are
 /// parallel (`n_ex` entries); `cookie_off` holds `n_ex + 1` prefix
 /// offsets into the row-indexed columns (`n_rows` entries), so exchange
@@ -314,14 +311,6 @@ impl FrameStore {
             spill_writes: 0,
             spill_loads: 0,
         }
-    }
-
-    /// Reads the budget from [`FRAME_BUDGET_ENV`]; unset or unparsable
-    /// means unlimited.
-    pub(crate) fn budget_from_env() -> Option<usize> {
-        std::env::var(FRAME_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
     }
 
     fn seg_path(dir: &std::path::Path, i: usize) -> PathBuf {

@@ -47,12 +47,9 @@
 //!   the stale partials went into from the segments' partials: the
 //!   runs of the recomputed segments, and the graph or sync
 //!   accumulator when their partials were recomputed.
-//! * A resident-byte budget ([`FRAME_BUDGET_ENV`], or an explicit
-//!   [`IncrementalStudy::with_budget`]) caps how many segment blocks
-//!   stay in memory; the least-recently-used blocks spill through
-//!   [`FrameStore`] and reload transparently.
-//!
-//! [`FRAME_BUDGET_ENV`]: crate::analysis::frame_store::FRAME_BUDGET_ENV
+//! * A resident-byte budget ([`IncrementalStudy::with_budget`]) caps
+//!   how many segment blocks stay in memory; the least-recently-used
+//!   blocks spill through [`FrameStore`] and reload transparently.
 
 use crate::analysis::category::{CategoryAnalysis, ChildrenCaseStudy};
 use crate::analysis::classify::resource_kind_of_content;
@@ -2323,12 +2320,9 @@ impl Default for IncrementalStudy {
 }
 
 impl IncrementalStudy {
-    /// A study with the resident budget read from [`FRAME_BUDGET_ENV`]
-    /// (unset = keep everything resident).
-    ///
-    /// [`FRAME_BUDGET_ENV`]: crate::analysis::frame_store::FRAME_BUDGET_ENV
+    /// A study with no resident budget: every segment stays in memory.
     pub fn new() -> Self {
-        Self::with_budget(FrameStore::budget_from_env())
+        Self::with_budget(None)
     }
 
     /// A study with an explicit resident-byte budget for segment

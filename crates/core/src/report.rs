@@ -91,99 +91,46 @@ impl StudyReport {
     /// pipeline (the same annotator, no per-text memo). Kept as the
     /// parity and benchmark baseline for [`StudyReport::compute`].
     pub fn compute_naive(eco: &Ecosystem, dataset: &StudyDataset) -> Self {
-        Self::compute_naive_with_telemetry(eco, dataset, &Telemetry::disabled())
-    }
-
-    /// [`StudyReport::compute_naive`], timing each pass under a span on
-    /// `tel` (the same span names and order as the engine, so the two
-    /// profiles compare stage by stage).
-    pub fn compute_naive_with_telemetry(
-        eco: &Ecosystem,
-        dataset: &StudyDataset,
-        tel: &Telemetry,
-    ) -> Self {
-        let whole = tel.span("analysis.report");
-        let first_parties = {
-            let _s = tel.span("analysis.first_parties");
-            FirstPartyMap::identify(dataset)
-        };
-        let tracking = {
-            let _s = tel.span("analysis.tracking");
-            TrackingAnalysis::compute(dataset, &first_parties)
-        };
-        let cookies = {
-            let _s = tel.span("analysis.cookies");
-            CookieAnalysis::compute(dataset, &first_parties)
-        };
-        let categories = {
-            let _s = tel.span("analysis.categories");
-            CategoryAnalysis::compute(eco, &tracking)
-        };
+        let first_parties = FirstPartyMap::identify(dataset);
+        let tracking = TrackingAnalysis::compute(dataset, &first_parties);
+        let cookies = CookieAnalysis::compute(dataset, &first_parties);
+        let categories = CategoryAnalysis::compute(eco, &tracking);
 
         // Targeting cookies for the children case study.
-        let children = {
-            let _s = tel.span("analysis.children");
-            let cookiepedia = Cookiepedia::bundled();
-            let mut targeting: BTreeSet<CookieKey> = BTreeSet::new();
-            let mut cookie_channels: BTreeMap<CookieKey, BTreeSet<ChannelId>> = BTreeMap::new();
-            for run_ds in &dataset.runs {
-                for c in &run_ds.captures {
-                    for sc in c.response.set_cookies() {
-                        let domain = if sc.explicit_domain {
-                            sc.cookie.domain.clone()
-                        } else {
-                            c.request.url.etld1().to_owned()
-                        };
-                        let key = CookieKey {
-                            domain,
-                            name: sc.cookie.name.clone(),
-                        };
-                        if let Some(ch) = c.channel {
-                            cookie_channels.entry(key.clone()).or_default().insert(ch);
-                        }
-                        if cookiepedia.classify(&key) == Some(CookieCategory::Targeting) {
-                            targeting.insert(key);
-                        }
+        let cookiepedia = Cookiepedia::bundled();
+        let mut targeting: BTreeSet<CookieKey> = BTreeSet::new();
+        let mut cookie_channels: BTreeMap<CookieKey, BTreeSet<ChannelId>> = BTreeMap::new();
+        for run_ds in &dataset.runs {
+            for c in &run_ds.captures {
+                for sc in c.response.set_cookies() {
+                    let domain = if sc.explicit_domain {
+                        sc.cookie.domain.clone()
+                    } else {
+                        c.request.url.etld1().to_owned()
+                    };
+                    let key = CookieKey {
+                        domain,
+                        name: sc.cookie.name.clone(),
+                    };
+                    if let Some(ch) = c.channel {
+                        cookie_channels.entry(key.clone()).or_default().insert(ch);
+                    }
+                    if cookiepedia.classify(&key) == Some(CookieCategory::Targeting) {
+                        targeting.insert(key);
                     }
                 }
             }
-            ChildrenCaseStudy::compute(eco, &tracking, &targeting, &cookie_channels)
-        };
-
-        let leakage = {
-            let _s = tel.span("analysis.leakage");
-            LeakageAnalysis::compute(dataset)
-        };
-        let syncing = {
-            let _s = tel.span("analysis.syncing");
-            SyncingAnalysis::compute(dataset)
-        };
-        let graph = {
-            let _s = tel.span("analysis.graph");
-            GraphAnalysis::compute(dataset, &first_parties)
-        };
-        let consent = {
-            let _s = tel.span("analysis.consent");
-            ConsentAnalysis::compute(dataset)
-        };
-        let policies = {
-            let _s = tel.span("analysis.policies");
-            PolicyAnalysis::compute_reference(dataset)
-        };
-        let significance = {
-            let _s = tel.span("analysis.significance");
-            SignificanceReport::compute(dataset)
-        };
-        drop(whole);
+        }
+        let children = ChildrenCaseStudy::compute(eco, &tracking, &targeting, &cookie_channels);
 
         StudyReport {
             protocol: dataset.protocol_splits(),
-            leakage,
-            syncing,
-            graph,
-            consent,
-            policies,
-            significance,
+            leakage: LeakageAnalysis::compute(dataset),
+            syncing: SyncingAnalysis::compute(dataset),
+            graph: GraphAnalysis::compute(dataset, &first_parties),
+            consent: ConsentAnalysis::compute(dataset),
+            policies: PolicyAnalysis::compute_reference(dataset),
+            significance: SignificanceReport::compute(dataset),
             categories,
             children,
             cookies,

@@ -8,7 +8,6 @@ use crate::analysis::{
     CategoryAnalysis, ConsentAnalysis, CookieAnalysis, GraphAnalysis, TrackingAnalysis,
 };
 use crate::dataset::StudyDataset;
-use crate::run::RunKind;
 use hbbtv_consent::OverlayKind;
 use std::fmt::Write as _;
 
@@ -288,15 +287,11 @@ pub fn figure8(graph: &GraphAnalysis) -> String {
     s
 }
 
-/// All runs in Table I order (helper for reports).
-pub fn run_order() -> [RunKind; 5] {
-    RunKind::ALL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::FirstPartyMap;
+    use crate::run::RunKind;
     use crate::{Ecosystem, StudyHarness};
 
     #[test]

@@ -37,16 +37,10 @@ pub struct LiveStudy {
 }
 
 impl LiveStudy {
-    /// A live study for `study`, with the segment budget taken from the
-    /// `HBBTV_FRAME_BUDGET_BYTES` environment variable (unset = keep
-    /// every segment resident).
+    /// A live study for `study` with no segment budget: every segment
+    /// stays resident.
     pub fn new(study: impl Into<String>) -> LiveStudy {
-        LiveStudy {
-            study: study.into(),
-            inc: IncrementalStudy::new(),
-            epoch_captures: 0,
-            next: 0,
-        }
+        Self::with_budget(study, None)
     }
 
     /// A live study with an explicit resident-byte budget for segment

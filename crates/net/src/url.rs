@@ -279,11 +279,6 @@ impl Url {
         &self.text
     }
 
-    /// Appends the serialized URL to `buf`.
-    pub fn write_into(&self, buf: &mut String) {
-        buf.push_str(&self.text);
-    }
-
     /// The serialized URL as a fresh string.
     pub fn to_text(&self) -> String {
         self.text.clone()

@@ -47,11 +47,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets the count to zero (bench warm-up isolation).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A signed instantaneous value (queue depths, worker counts).
@@ -223,15 +218,6 @@ impl Histogram {
             }
         }
         self.state.max.load(Ordering::Relaxed)
-    }
-
-    /// Clears all buckets (bench warm-up isolation).
-    pub fn reset(&self) {
-        for c in &self.state.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.state.sum.store(0, Ordering::Relaxed);
-        self.state.max.store(0, Ordering::Relaxed);
     }
 
     /// Cumulative `(upper_bound, count_le_upper)` pairs for every

@@ -164,14 +164,6 @@ impl<B: NetworkBackend> Tv<B> {
         }
     }
 
-    /// Mutable access to the network backend, for drivers that need to
-    /// feed it out-of-band context (e.g. the harness tells its backend
-    /// which first party is currently tuned so an on-device block list
-    /// can evaluate `$third-party` rules).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
     /// Connects or disconnects the TV from the Internet. Without a
     /// connection the linear program still shows but no HbbTV content
     /// loads (§II).

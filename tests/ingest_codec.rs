@@ -5,7 +5,9 @@
 //! order and integrity but not read boundaries, so the properties here
 //! split encoded streams at every kind of awkward place. The dual
 //! property is robustness: no byte prefix, however hostile, may panic
-//! the decoder or make it hallucinate a frame that was never encoded.
+//! the decoder or make it hallucinate a frame that was never encoded,
+//! and no near-valid capture payload may panic the payload decoder or
+//! take it more than linear time.
 
 use hbbtv_broadcast::ChannelId;
 use hbbtv_ingest::fault::SplitMix64;
@@ -290,6 +292,200 @@ proptest! {
     }
 }
 
+/// Picks one of `options`.
+fn pick<'a>(rng: &mut SplitMix64, options: &[&'a str]) -> &'a str {
+    options[rng.below(options.len())]
+}
+
+/// The families of [`hostile_capture_payload`].
+const HOSTILE_KINDS: usize = 4;
+
+/// `base` (a valid capture batch's text) made hostile in family `kind`
+/// at size `n`, so it reaches the decode paths that random bytes almost
+/// never do: 0 nests arrays and objects `n` deep where a number
+/// belongs, 1 puts a run of `n` escapes in a string, 2 puts a huge or
+/// malformed number in an integer field, and 3 bends one `Url` part
+/// (host, eTLD+1, path length against the `u16` offsets, port, query
+/// pair). Every size-independent choice is drawn before the size is
+/// used, so one seed at two sizes gives the same payload, only longer.
+fn hostile_capture_payload(kind: usize, n: usize, rng: &mut SplitMix64, base: &str) -> String {
+    match kind {
+        0 => {
+            let nest: String = (0..n)
+                .map(|_| if rng.below(2) == 0 { "[" } else { "{\"a\":" })
+                .collect();
+            base.replacen("\"visit\":0", &format!("\"visit\":{nest}"), 1)
+        }
+        1 => {
+            const ESCAPES: &[&str] = &[
+                "\\n",
+                "\\\"",
+                "\\\\",
+                "\\/",
+                "\\u00e9",
+                "\\ud83d\\udcfa",
+                "\\ud800",
+                "\\udc00",
+                "\\x",
+                "\\u12g4",
+                "\\u",
+            ];
+            let (run, tail) = (pick(rng, ESCAPES), pick(rng, ESCAPES));
+            base.replacen("Das Erste", &(run.repeat(n) + tail), 1)
+        }
+        2 => {
+            let field = pick(
+                rng,
+                &[
+                    "\"visit\":0",
+                    "\"channel\":1",
+                    "\"timestamp\":7",
+                    "\"status\":200",
+                    "\"body_len\":0",
+                    "\"port\":null",
+                ],
+            );
+            let shape = rng.below(4);
+            let fixed = pick(
+                rng,
+                &[
+                    "18446744073709551616",
+                    "-9223372036854775809",
+                    "4294967296",
+                    "65536",
+                    "-1",
+                    "-0",
+                    "1e400",
+                    "1.5",
+                    "0x10",
+                    "00",
+                    "1.",
+                    "+1",
+                    "1e",
+                    "-",
+                    "NaN",
+                ],
+            );
+            let digits: String = (0..n)
+                .map(|_| char::from(b'0' + rng.below(10) as u8))
+                .collect();
+            let number = match shape {
+                0 => digits,
+                1 => format!("-{digits}"),
+                2 => format!("1.{digits}e-{digits}"),
+                _ => fixed.to_string(),
+            };
+            let name = field.split(':').next().unwrap();
+            base.replacen(field, &format!("{name}:{number}"), 1)
+        }
+        _ => {
+            // `http://pixel.tvping.com` is 23 bytes before the path.
+            let (from, to) = match rng.below(5) {
+                0 => {
+                    let bad = pick(rng, &["_", ".", "/", " ", "A", "é", ":", "%", "\\u0000"]);
+                    let at = rng.below("pixel.tvping.com".len() + 1);
+                    let mut host = "pixel.tvping.com".to_string();
+                    host.insert_str(at, bad);
+                    let labels = if rng.below(2) == 0 { 0 } else { n };
+                    (
+                        "\"host\":\"pixel.tvping.com\"",
+                        format!("\"host\":\"{}{host}\"", "a.".repeat(labels)),
+                    )
+                }
+                1 => {
+                    let host = "pixel.tvping.com";
+                    let cut = rng.below(host.len() + 1);
+                    let etld1 = pick(rng, &[&host[cut..], "ping.com", "com", "tvping.de"]);
+                    ("\"etld1\":\"tvping.com\"", format!("\"etld1\":\"{etld1}\""))
+                }
+                2 => {
+                    let len = usize::from(u16::MAX) - 23 - 8 + rng.below(16);
+                    let path = match rng.below(4) {
+                        0 => format!("/{}", "p".repeat(len)),
+                        1 => "p".repeat(n),
+                        2 => format!("/{}?", "p".repeat(n)),
+                        _ => format!("/{}#", "p".repeat(n)),
+                    };
+                    ("\"path\":\"/p\"", format!("\"path\":\"{path}\""))
+                }
+                3 => {
+                    let port = 65_530 + rng.below(12);
+                    ("\"port\":null", format!("\"port\":{port}"))
+                }
+                _ => {
+                    let (k, v) = (rng.below(3), rng.below(3));
+                    let mut text = |len| -> String {
+                        (0..len)
+                            .map(|_| pick(rng, &["a", "&", "=", "#", "%", "é", " "]))
+                            .collect()
+                    };
+                    let (name, value) = (text(k), text(v));
+                    (
+                        "[\"a\",\"1\"]",
+                        format!("[\"{name}\",\"{value}{}\"]", "v".repeat(n)),
+                    )
+                }
+            };
+            base.replacen(from, &to, 1)
+        }
+    }
+}
+
+/// A capture payload either decodes to a batch that re-encodes to an
+/// identical decode, or fails with a typed `BadPayload` for `CAPTURE`.
+fn assert_decodes_or_is_typed(payload: &[u8]) {
+    match parse_capture_batch(payload) {
+        Ok(batch) => {
+            let again = parse_capture_batch(&capture_frame(0, &batch).payload);
+            assert_eq!(again.expect("a decoded batch re-encodes"), batch);
+        }
+        Err(FrameError::BadPayload { command, .. }) => assert_eq!(command, Command::Capture),
+        Err(other) => panic!("expected BadPayload, got {other:?}"),
+    }
+}
+
+/// The structured counterpart of the noise property: hostile payloads
+/// built from a valid batch (see [`hostile_capture_payload`]) decode or
+/// fail with a typed error, without a panic and on the collector's
+/// 2 MiB worker stack. Each family decodes in linear time: doubling its
+/// size stays well under a 3x slower decode, where a parser that
+/// rescanned per nesting level, escape or digit would be quadratic.
+#[test]
+fn structured_hostile_payloads_decode_or_fail_typed() {
+    on_worker_stack(|| {
+        let base = sample_capture_text();
+        for seed in 0..400u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n = 1 + rng.below(5_000);
+            let kind = seed as usize % HOSTILE_KINDS;
+            assert_decodes_or_is_typed(
+                hostile_capture_payload(kind, n, &mut rng, &base).as_bytes(),
+            );
+        }
+        for kind in 0..HOSTILE_KINDS {
+            for seed in 0..4u64 {
+                let [one, two] = [20_000, 40_000]
+                    .map(|n| hostile_capture_payload(kind, n, &mut SplitMix64::new(seed), &base));
+                let best = |payload: &str| {
+                    (0..5)
+                        .map(|_| {
+                            let t = Instant::now();
+                            assert_decodes_or_is_typed(std::hint::black_box(payload.as_bytes()));
+                            t.elapsed()
+                        })
+                        .min()
+                        .expect("five samples")
+                };
+                let (t1, t2) = (best(&one), best(&two));
+                assert!(
+                    t2 < 3 * t1.max(Duration::from_micros(200)),
+                    "family {kind}, seed {seed}: 2x payload took {t2:?} against {t1:?}"
+                );
+            }
+        }
+    });
+}
+
 /// Best of five decodes of one capture payload.
 fn best_decode_time(payload: &[u8]) -> Duration {
     (0..5)
@@ -377,9 +573,9 @@ fn deeply_nested_capture_payload_is_a_typed_error() {
     assert!(result.is_err(), "a nested STATS request must be rejected");
 }
 
-/// A capture batch of one exchange whose JSON has `from` replaced by
-/// each of `tos`, decoded; the untouched batch decodes to itself.
-fn tampered_capture_batches(from: &str, tos: &[&str]) -> Vec<Result<(), FrameError>> {
+/// The JSON text of a valid capture batch of one exchange; the batch
+/// decodes to itself.
+fn sample_capture_text() -> String {
     let exchange = CapturedExchange {
         session: "General".into(),
         visit: Some(VisitId(0)),
@@ -392,7 +588,13 @@ fn tampered_capture_batches(from: &str, tos: &[&str]) -> Vec<Result<(), FrameErr
     };
     let payload = capture_frame(0, std::slice::from_ref(&exchange)).payload;
     assert_eq!(parse_capture_batch(&payload).expect("decodes"), [exchange]);
-    let text = String::from_utf8(payload).unwrap();
+    String::from_utf8(payload).unwrap()
+}
+
+/// A capture batch of one exchange whose JSON has `from` replaced by
+/// each of `tos`, decoded.
+fn tampered_capture_batches(from: &str, tos: &[&str]) -> Vec<Result<(), FrameError>> {
+    let text = sample_capture_text();
     assert!(text.contains(from), "{from} in {text}");
     tos.iter()
         .map(|to| parse_capture_batch(text.replacen(from, to, 1).as_bytes()).map(drop))

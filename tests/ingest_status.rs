@@ -11,7 +11,8 @@
 
 use hbbtv_ingest::frame::StatsRequest;
 use hbbtv_ingest::{
-    shard_study, Command, Frame, FrameDecoder, IngestConfig, IngestServer, SimTvClient, StatsReport,
+    shard_study, Command, Frame, FrameDecoder, IngestConfig, IngestServer, LiveStudy, SimTvClient,
+    StatsReport,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -97,6 +98,15 @@ fn stats_and_scrape_agree_mid_stream_and_reconcile_at_quiesce() {
         .expect("healthy session streams");
     assert_eq!(report.acked_exchanges, report.exchanges);
 
+    // A live study on the collector's own scope, so one STATS answer
+    // covers its frame.* cells next to ingest.*.
+    let mut live = LiveStudy::new("done").with_telemetry(server.telemetry().clone());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while live.poll(&server) == 0 {
+        assert!(Instant::now() < deadline, "the done run never landed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
     // One session parked mid-stream: everything except VISIT_END + BYE.
     let mid_spec = shard_study("midway", &fixture, 1)
         .expect("shards")
@@ -163,6 +173,11 @@ fn stats_and_scrape_agree_mid_stream_and_reconcile_at_quiesce() {
         "midway + observer live"
     );
     assert!(stats.counters["ingest.stats_requests"] >= 1);
+    assert_eq!(
+        stats.gauges.get("frame.resident_bytes"),
+        Some(&(live.incremental().resident_bytes() as i64)),
+        "the live study's frame.* cells share the collector scope"
+    );
 
     // The session table: the parked session mid-visit with its
     // identity, and the observer marked as such.

@@ -10,12 +10,14 @@
 //!    prove out on the same workload.
 //! 2. **Determinism**: a real harness-built study streamed through the
 //!    collector reassembles into a dataset whose full analysis report
-//!    renders byte-identically to the in-process build.
+//!    renders byte-identically to the in-process build, and a spilling
+//!    live study polled after every run renders each prefix
+//!    byte-identically too.
 
-use hbbtv_ingest::{shard_study, IngestConfig, IngestServer, SimTvClient};
+use hbbtv_ingest::{shard_study, IngestConfig, IngestServer, LiveStudy, SimTvClient};
 use hbbtv_study::report::StudyReport;
-use hbbtv_study::{Ecosystem, StudyHarness};
-use std::time::Duration;
+use hbbtv_study::{Ecosystem, StudyDataset, StudyHarness};
+use std::time::{Duration, Instant};
 
 #[path = "golden_fixture.rs"]
 mod golden_fixture;
@@ -118,8 +120,8 @@ fn thousand_concurrent_sessions_reconcile_at_every_pool_shape() {
         // Live-session accounting: every accepted session closed, so
         // the gauge is back to zero and the terminal counters cover the
         // accepts exactly (no observers in this fleet).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while tel.gauge("ingest.sessions_open").get() != 0 && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tel.gauge("ingest.sessions_open").get() != 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(tel.gauge("ingest.sessions_open").get(), 0);
@@ -129,36 +131,76 @@ fn thousand_concurrent_sessions_reconcile_at_every_pool_shape() {
 }
 
 /// The determinism bar: a full harness-built study, streamed sharded
-/// through the collector, renders its complete analysis report
-/// byte-identically to the in-process build.
+/// through the collector run by run, renders its complete analysis
+/// report byte-identically to the in-process build. A [`LiveStudy`]
+/// under a resident budget smaller than its frame polls the collector
+/// after every run, and each live render equals the post-hoc render
+/// over the same prefix of runs.
 #[test]
 fn streamed_study_renders_byte_identically_to_in_process() {
+    /// About a third of the frame's resident size here (415 kB in
+    /// memory), so segments spill.
+    const BUDGET: usize = 128 * 1024;
     let eco = Ecosystem::with_scale(77, 0.05);
     let dataset = StudyHarness::new(&eco).run_all();
     let in_process_render = StudyReport::compute(&eco, &dataset).render(&dataset);
 
     let server = IngestServer::start(IngestConfig::default()).expect("server starts");
     let addr = server.addr();
+    let mut live = LiveStudy::with_budget("real", Some(BUDGET)).epoch_captures(97);
 
-    // Shard every run 3 ways and stream all sessions concurrently.
-    let specs = shard_study("real", &dataset, 3).expect("dataset shards");
-    assert!(specs.len() >= dataset.runs.len(), "at least one per run");
-    let threads: Vec<_> = specs
-        .into_iter()
-        .map(|spec| std::thread::spawn(move || SimTvClient::new().stream(addr, &spec)))
-        .collect();
+    // Stream one run at a time, each sharded 3 ways over concurrent
+    // sessions, so the live study reports while later runs are still
+    // to come.
     let mut streamed_exchanges = 0u64;
-    for t in threads {
-        let report = t.join().expect("session thread").expect("session streams");
-        assert_eq!(report.acked_exchanges, report.exchanges);
-        streamed_exchanges += report.exchanges;
+    for (done, run) in dataset.runs.iter().enumerate() {
+        let one_run = StudyDataset {
+            runs: vec![run.clone()],
+        };
+        let specs = shard_study("real", &one_run, 3).expect("run shards");
+        let threads: Vec<_> = specs
+            .into_iter()
+            .map(|spec| std::thread::spawn(move || SimTvClient::new().stream(addr, &spec)))
+            .collect();
+        for t in threads {
+            let report = t.join().expect("session thread").expect("session streams");
+            assert_eq!(report.acked_exchanges, report.exchanges);
+            streamed_exchanges += report.exchanges;
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while live.poll(&server) == 0 {
+            assert!(Instant::now() < deadline, "run {:?} never landed", run.run);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(live.runs_ingested(), done + 1);
+
+        let prefix = StudyDataset {
+            runs: dataset.runs[..=done].to_vec(),
+        };
+        assert_eq!(
+            live.render(&eco),
+            StudyReport::compute(&eco, &prefix).render(&prefix),
+            "live report drifted from post-hoc after {} runs",
+            done + 1
+        );
+        let inc = live.incremental();
+        assert!(
+            inc.partials_folded() <= inc.segments() as u64 + inc.delta_recomputes(),
+            "live reports re-folded history: {} partials for {} segments and {} recomputes",
+            inc.partials_folded(),
+            inc.segments(),
+            inc.delta_recomputes()
+        );
+        assert!(
+            inc.resident_bytes() <= BUDGET,
+            "{} resident",
+            inc.resident_bytes()
+        );
     }
+    assert!(live.incremental().spill_writes() > 0, "the budget spills");
+
     let total_captures: usize = dataset.runs.iter().map(|r| r.captures.len()).sum();
     assert_eq!(streamed_exchanges, total_captures as u64);
-
-    let streamed = server
-        .wait_study("real", dataset.runs.len(), Duration::from_secs(60))
-        .expect("study reassembles");
     assert_eq!(
         server.telemetry().counter_value("ingest.exchanges"),
         total_captures as u64
@@ -166,12 +208,13 @@ fn streamed_study_renders_byte_identically_to_in_process() {
 
     // Dataset equality first (better diagnostics), then the actual bar:
     // byte-identical rendered analysis.
+    let streamed = live.dataset();
     assert_eq!(
-        serde_json::to_string(&streamed).unwrap(),
+        serde_json::to_string(streamed).unwrap(),
         serde_json::to_string(&dataset).unwrap(),
         "reassembled dataset diverged"
     );
-    let streamed_render = StudyReport::compute(&eco, &streamed).render(&streamed);
+    let streamed_render = StudyReport::compute(&eco, streamed).render(streamed);
     assert_eq!(
         streamed_render, in_process_render,
         "rendered analysis diverged between streamed and in-process datasets"

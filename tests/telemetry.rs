@@ -152,43 +152,49 @@ fn journal_is_byte_stable_across_scheduling() {
 }
 
 /// Summed per-visit proxy counters equal what the dataset actually
-/// captured — the reconciliation check of the issue's acceptance list.
+/// captured, in Metrics and in Profile mode alike.
 #[test]
 fn run_telemetry_reconciles_with_dataset() {
     let eco = Ecosystem::with_scale(SEED, SCALE);
-    let harness = StudyHarness::with_telemetry(&eco, TelemetryConfig::metrics());
-    let dataset = harness.run_all();
-    let tel = harness.telemetry().expect("metrics mode records telemetry");
+    for config in [
+        TelemetryConfig::metrics(),
+        TelemetryConfig::profile(Arc::new(NullRecorder)),
+    ] {
+        let mode = config.mode;
+        let harness = StudyHarness::with_telemetry(&eco, config);
+        let dataset = harness.run_all();
+        let tel = harness.telemetry().expect("the scope records telemetry");
 
-    assert_eq!(tel.runs.len(), RunKind::ALL.len());
-    for (run_tel, run_ds) in tel.runs.iter().zip(&dataset.runs) {
-        assert_eq!(run_tel.run, run_ds.run.label());
+        assert_eq!(tel.runs.len(), RunKind::ALL.len());
+        for (run_tel, run_ds) in tel.runs.iter().zip(&dataset.runs) {
+            assert_eq!(run_tel.run, run_ds.run.label());
+            assert_eq!(
+                run_tel.exchanges_recorded,
+                run_ds.captures.len() as u64,
+                "{mode:?} {}: exchange counters must sum to captured exchanges",
+                run_tel.run
+            );
+            assert_eq!(
+                run_tel.visits,
+                run_ds.channels_measured.len() as u64,
+                "{mode:?} {}: one visit per measured channel",
+                run_tel.run
+            );
+            // The per-visit capture histogram saw every visit and sums
+            // to the same total the counters report.
+            let captures = run_tel.visit_captures().expect("capture histogram");
+            assert_eq!(captures.count, run_tel.visits);
+            assert_eq!(captures.sum, run_tel.exchanges_recorded);
+        }
         assert_eq!(
-            run_tel.exchanges_recorded,
-            run_ds.captures.len() as u64,
-            "{}: exchange counters must sum to captured exchanges",
-            run_tel.run
+            tel.total_exchanges(),
+            dataset
+                .runs
+                .iter()
+                .map(|r| r.captures.len() as u64)
+                .sum::<u64>()
         );
-        assert_eq!(
-            run_tel.visits,
-            run_ds.channels_measured.len() as u64,
-            "{}: one visit per measured channel",
-            run_tel.run
-        );
-        // The per-visit capture histogram saw every visit and sums to
-        // the same total the counters report.
-        let captures = run_tel.visit_captures().expect("capture histogram");
-        assert_eq!(captures.count, run_tel.visits);
-        assert_eq!(captures.sum, run_tel.exchanges_recorded);
     }
-    assert_eq!(
-        tel.total_exchanges(),
-        dataset
-            .runs
-            .iter()
-            .map(|r| r.captures.len() as u64)
-            .sum::<u64>()
-    );
 }
 
 /// Every visit span is a child of its run's span, and ids stay
