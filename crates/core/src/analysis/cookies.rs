@@ -14,34 +14,6 @@ use hbbtv_stats::{describe, Describe};
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The analysis engine's `Set-Cookie` fast path: borrows exactly the
-/// fields the cookie rows keep — trimmed name and value, and the host
-/// of the explicit `Domain` attribute when present — with the same
-/// accept/skip rule as [`hbbtv_net::SetCookie::parse`] (last `Domain`
-/// wins, leading dot stripped; the owner is [`Etld1::from_host`] of
-/// it). Expiry and flag attributes are skipped; no row ever reads them.
-/// A unit test below diffs every extracted row against the full parser.
-pub(crate) fn lean_set_cookie(v: &str) -> Option<(&str, &str, Option<&str>)> {
-    let mut parts = v.split(';').map(str::trim);
-    let pair = parts.next()?;
-    let (name, value) = pair.split_once('=')?;
-    let name = name.trim();
-    if name.is_empty() {
-        return None;
-    }
-    let mut domain = None;
-    for attr in parts {
-        let (key, val) = match attr.split_once('=') {
-            Some((k, v)) => (k.trim(), v.trim()),
-            None => (attr, ""),
-        };
-        if key.eq_ignore_ascii_case("domain") {
-            domain = Some(val.trim_start_matches('.'));
-        }
-    }
-    Some((name, value.trim(), domain))
-}
-
 /// Per-chunk partial of the §V-C capture scan. Every field is a set (or
 /// map of sets), so merging two partials is a union — associative and
 /// commutative, which keeps [`CookieAnalysis::compute`] deterministic
@@ -506,36 +478,5 @@ mod tests {
         let fp = FirstPartyMap::identify(&ds);
         let c = CookieAnalysis::compute(&ds, &fp);
         assert!(c.per_run[&RunKind::General].local_storage > 0);
-    }
-
-    #[test]
-    fn lean_set_cookie_matches_the_full_parser() {
-        for raw in [
-            "uid=abc123; Domain=xiti.com; Secure",
-            "a=b",
-            " sp = v ; domain = .tracker.example ; Max-Age=60",
-            "n=v; Domain=a.com; Domain=b.com",
-            "n=v; Domain",
-            "n=v; Domain=; HttpOnly",
-            "n=  padded value  ; Expires=1695000000",
-            "=novalue",
-            "bare",
-            "",
-        ] {
-            let lean = lean_set_cookie(raw);
-            match hbbtv_net::SetCookie::parse(raw) {
-                Ok(sc) => {
-                    let (name, value, domain) =
-                        lean.unwrap_or_else(|| panic!("lean rejected accepted header {raw:?}"));
-                    assert_eq!(name, sc.cookie.name, "{raw:?}");
-                    assert_eq!(value, sc.cookie.value, "{raw:?}");
-                    assert_eq!(domain.is_some(), sc.explicit_domain, "{raw:?}");
-                    if let Some(d) = domain {
-                        assert_eq!(Etld1::from_host(d), sc.cookie.domain, "{raw:?}");
-                    }
-                }
-                Err(_) => assert!(lean.is_none(), "lean accepted rejected header {raw:?}"),
-            }
-        }
     }
 }

@@ -22,7 +22,7 @@
 //!   tables (chunks in capture order), folding the chunks' first-party
 //!   election candidates, and invalidating segments. Every per-row
 //!   step runs on the workers in row chunks: the scan (URL text, the
-//!   pixel/fingerprint heuristics, the lean `Set-Cookie` parse, body
+//!   pixel/fingerprint heuristics, the borrowed `Set-Cookie` view, body
 //!   leak verdicts), the chunk's column slice and election candidates,
 //!   the class-memo miss scan (the memo is an array per URL symbol)
 //!   and the row partials. The list probes of new URLs and of memo
@@ -54,9 +54,7 @@
 use crate::analysis::category::{CategoryAnalysis, ChildrenCaseStudy};
 use crate::analysis::classify::resource_kind_of_content;
 use crate::analysis::consent_analysis::{ConsentAnalysis, OverlayRow, PrivacyPrevalenceRow};
-use crate::analysis::cookies::{
-    lean_set_cookie, CookieAnalysis, CookieRow, SymCookiePartial, ThirdPartyRow,
-};
+use crate::analysis::cookies::{CookieAnalysis, CookieRow, SymCookiePartial, ThirdPartyRow};
 use crate::analysis::ecosystem_graph::{GraphAnalysis, CHANNEL_PREFIX};
 use crate::analysis::first_party::FirstPartyMap;
 use crate::analysis::frame_store::{
@@ -333,8 +331,8 @@ struct SeenCookie {
 }
 
 /// One chunk of an epoch, scanned on a worker: the pure per-capture
-/// work (URL serialization, the pixel/fingerprint heuristics, the lean
-/// `Set-Cookie` parse, body leak verdicts) plus chunk-local interning.
+/// work (URL serialization, the pixel/fingerprint heuristics, the
+/// borrowed `Set-Cookie` view, body leak verdicts) plus chunk-local interning.
 ///
 /// Each local table receives its keys in the order a per-capture walk
 /// interns them into the global table: a URL's eTLD+1 and then its
@@ -419,12 +417,9 @@ impl ChunkScan {
             }
             .map_or(u32::MAX, |l| labels.intern(l, |l| l.to_string()));
 
-            let set_cookies = c
-                .response
-                .headers
-                .get_all("Set-Cookie")
-                .filter_map(lean_set_cookie);
-            for (name, value, domain) in set_cookies {
+            for set_cookie in c.response.set_cookie_views() {
+                let (name, value, domain) =
+                    (set_cookie.name, set_cookie.value, set_cookie.domain());
                 let owner = domain.unwrap_or(url.etld1().as_str());
                 let seen = match seen_cookies.entry((owner, name, value)) {
                     Entry::Occupied(e) => e.into_mut(),

@@ -7,8 +7,8 @@
 //!
 //! * The study harness fans every `(run, visit)` slot of a study out in
 //!   one call (`StudyHarness::run_all`); each item is one hermetic
-//!   visit and the ordered results merge per run in canonical channel
-//!   order.
+//!   visit, and the item that completes a run assembles it from the
+//!   run's visits in canonical channel order.
 //! * The heavy analysis loops are folds over independent captures:
 //!   the analysis engine's per-capture scan, column fill, filter-list
 //!   probes and row-chunk partials when it seals an epoch, and the

@@ -26,8 +26,9 @@
 //! records. Because no state flows between visits,
 //! [`StudyHarness::run_all`] plans all five runs up front, fans every
 //! `(run, visit)` slot of the study out in one ordered [`par_map`], and
-//! merges each run's visits in canonical channel order — byte-identical
-//! to [`StudyHarness::run_all_sequential`], which drives the very same
+//! the executor that finishes a run's last visit assembles that run in
+//! canonical channel order — byte-identical to
+//! [`StudyHarness::run_all_sequential`], which drives the very same
 //! per-visit function on the calling thread, slot by slot.
 
 use crate::analysis::par_map;
@@ -35,9 +36,7 @@ use crate::dataset::{RunDataset, StudyDataset, VisitSummary};
 use crate::ecosystem::Ecosystem;
 use crate::run::RunKind;
 use hbbtv_filterlists::{FilterList, RequestContext, ResourceKind};
-use hbbtv_net::{
-    ContentType, CookieKey, Duration, Etld1, Request, Response, SimClock, Status, Timestamp,
-};
+use hbbtv_net::{ContentType, Duration, Etld1, Request, Response, SimClock, Status, Timestamp};
 use hbbtv_obs::{keys, RunTelemetry, Span, StudyTelemetry, Telemetry, TelemetryConfig};
 use hbbtv_proxy::{CapturedExchange, Proxy, ProxyMetrics, VisitHandle};
 use hbbtv_trackers::ResponderContext;
@@ -47,7 +46,6 @@ use hbbtv_tv::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -284,11 +282,13 @@ impl<'a> StudyHarness<'a> {
     /// timeline and RNGs seeded only from `(ecosystem seed, run kind)`,
     /// and each visit inside a run is hermetic (see the module docs), so
     /// the parallel execution is byte-identical to
-    /// [`StudyHarness::run_all_sequential`]. Results are assembled in
-    /// [`RunKind::ALL`] order regardless of which executor finished
-    /// first. One flat batch lets an executor that drains one run's
-    /// visits move straight on to the next run's, so the long-tailed
-    /// channels (`visit_wall_p99 ≫ p50`) never gate a whole run.
+    /// [`StudyHarness::run_all_sequential`]. Each run is assembled in
+    /// canonical channel order by whichever executor finishes its last
+    /// visit, while the others go on with later runs' visits, and the
+    /// runs come back in [`RunKind::ALL`] order. One flat batch lets an
+    /// executor that drains one run's visits move straight on to the
+    /// next run's, so the long-tailed channels (`visit_wall_p99 ≫ p50`)
+    /// never gate a whole run.
     pub fn run_all(&self) -> StudyDataset {
         let runs = self.perform(&RunKind::ALL, None, true);
         self.flush_journal();
@@ -328,10 +328,12 @@ impl<'a> StudyHarness<'a> {
         self.perform(&[kind], Some(blocklist), false).remove(0)
     }
 
-    /// Performs the runs `kinds` in order: plans every run, performs
+    /// Performs the runs `kinds` in order: plans every run, then performs
     /// every `(run, visit)` slot — in one [`par_map`] when `parallel`,
-    /// else in protocol order on the calling thread — then closes each
-    /// run over its visits.
+    /// else in protocol order on the calling thread. Whichever executor
+    /// finishes a run's last visit assembles that run right away, in
+    /// canonical channel order, while the other executors go on with
+    /// the remaining visits.
     fn perform(
         &self,
         kinds: &[RunKind],
@@ -339,38 +341,49 @@ impl<'a> StudyHarness<'a> {
         parallel: bool,
     ) -> Vec<RunDataset> {
         let plans: Vec<RunPlan> = kinds.iter().map(|&kind| self.plan(kind)).collect();
-        let slots: Vec<(&RunPlan, usize)> = plans
+        let slots: Vec<(usize, usize)> = plans
             .iter()
-            .flat_map(|plan| (0..plan.order.len()).map(move |seq| (plan, seq)))
+            .enumerate()
+            .flat_map(|(run, plan)| (0..plan.order.len()).map(move |seq| (run, seq)))
             .collect();
-        let visit = |&(plan, seq): &(&RunPlan, usize)| self.visit_channel(plan, seq, blocklist);
-        let outcomes: Vec<VisitOutcome> = if parallel {
+        // Each run's finished visits by position, and how many are in.
+        let pending: Vec<Mutex<(Vec<Option<VisitOutcome>>, usize)>> = plans
+            .iter()
+            .map(|plan| Mutex::new(((0..plan.order.len()).map(|_| None).collect(), 0)))
+            .collect();
+        let visit = |&(run, seq): &(usize, usize)| {
+            let plan = &plans[run];
+            let outcome = self.visit_channel(plan, seq, blocklist);
+            let visits = {
+                let mut pending = pending[run].lock().expect("visit outcome lock");
+                pending.0[seq] = Some(outcome);
+                pending.1 += 1;
+                if pending.1 < plan.order.len() {
+                    return None;
+                }
+                std::mem::take(&mut pending.0)
+            };
+            let visits = visits.into_iter().map(|o| o.expect("every visit is in"));
+            Some((run, assemble(plan, visits.collect())))
+        };
+        let assembled: Vec<Option<(usize, RunDataset)>> = if parallel {
             par_map(&slots, |_, slot| visit(slot))
         } else {
             slots.iter().map(visit).collect()
         };
-        let mut outcomes = outcomes.into_iter();
+        let mut datasets: Vec<Option<RunDataset>> = plans.iter().map(|_| None).collect();
+        for (run, dataset) in assembled.into_iter().flatten() {
+            datasets[run] = Some(dataset);
+        }
         plans
             .into_iter()
-            .map(|plan| {
-                let visits: Vec<VisitOutcome> = outcomes.by_ref().take(plan.order.len()).collect();
-                // Fold the per-visit scopes into the run scope in
-                // canonical channel order — merge order is fixed here,
-                // never by the executors, so metrics and journal are
-                // byte-stable.
-                if plan.tel.is_enabled() {
-                    let count = plan.tel.counter(keys::VISITS);
-                    let visit_captures = plan.tel.histogram(keys::VISIT_CAPTURES);
-                    for outcome in &visits {
-                        count.inc();
-                        visit_captures.record(outcome.captures.len() as u64);
-                        plan.tel.merge_child(&outcome.tel);
-                    }
-                }
+            .zip(datasets)
+            .map(|(plan, dataset)| {
+                // A run with no visit on the air has no last visit.
+                let dataset = dataset.unwrap_or_else(|| assemble(&plan, Vec::new()));
                 // The span opened at planning time, so in `Profile`
                 // mode its wall time covers the whole shared batch.
                 drop(plan.span);
-                let dataset = merge_run(plan.kind, visits);
                 self.finish_run(plan.kind, plan.tel);
                 dataset
             })
@@ -550,17 +563,31 @@ impl<'a> StudyHarness<'a> {
     }
 }
 
-/// Merges visit outcomes, already in canonical channel order, into one
-/// [`RunDataset`]. Cookie jars merge the way one jar would have
+/// Assembles a run from its visit outcomes, in canonical channel order,
+/// under the run scope's `assemble` span. The per-visit telemetry
+/// scopes fold into the run scope in that order too — merge order is
+/// fixed here, never by the executors, so metrics and journal are
+/// byte-stable. Cookie jars merge the way one jar would have
 /// accumulated them (keyed by `(domain, name)`, later visits overwrite
 /// values while the earliest `created` survives); local storage merges
 /// keyed by `(origin, key)`.
-fn merge_run(kind: RunKind, outcomes: Vec<VisitOutcome>) -> RunDataset {
+fn assemble(plan: &RunPlan, outcomes: Vec<VisitOutcome>) -> RunDataset {
+    let tel = &plan.tel;
+    let _span = tel.span("assemble");
+    if tel.is_enabled() {
+        let count = tel.counter(keys::VISITS);
+        let visit_captures = tel.histogram(keys::VISIT_CAPTURES);
+        for outcome in &outcomes {
+            count.inc();
+            visit_captures.record(outcome.captures.len() as u64);
+            tel.merge_child(&outcome.tel);
+        }
+    }
     let mut channels_measured = Vec::new();
     let mut channel_names = BTreeMap::new();
     let mut visits = Vec::new();
     let mut captures = Vec::with_capacity(outcomes.iter().map(|o| o.captures.len()).sum());
-    let mut cookie_jar: BTreeMap<CookieKey, StoredCookie> = BTreeMap::new();
+    let mut cookies: Vec<StoredCookie> = Vec::new();
     let mut storage: BTreeMap<(String, String), String> = BTreeMap::new();
     let mut screenshots = Vec::new();
     let mut interactions = 0usize;
@@ -576,19 +603,7 @@ fn merge_run(kind: RunKind, outcomes: Vec<VisitOutcome>) -> RunDataset {
             captures: outcome.captures.len(),
         });
         captures.extend(outcome.captures);
-        for cookie in outcome.cookies {
-            match cookie_jar.entry(cookie.cookie.key()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(cookie);
-                }
-                Entry::Occupied(mut slot) => {
-                    let created = slot.get().created.min(cookie.created);
-                    let mut merged = cookie;
-                    merged.created = created;
-                    slot.insert(merged);
-                }
-            }
-        }
+        cookies.extend(outcome.cookies);
         for (origin, key, value) in outcome.local_storage {
             storage.insert((origin, key), value);
         }
@@ -598,14 +613,29 @@ fn merge_run(kind: RunKind, outcomes: Vec<VisitOutcome>) -> RunDataset {
             consented_channels.push(outcome.id);
         }
     }
+    // The stable sort keeps each key's cookies in visit order, so the
+    // last visit's cookie wins, carrying the earliest `created`.
+    fn key(sc: &StoredCookie) -> (&str, &str) {
+        (sc.cookie.domain.as_str(), sc.cookie.name.as_str())
+    }
+    cookies.sort_by(|a, b| key(a).cmp(&key(b)));
+    cookies.dedup_by(|later, kept| {
+        if key(later) != key(kept) {
+            return false;
+        }
+        let created = kept.created.min(later.created);
+        std::mem::swap(later, kept);
+        kept.created = created;
+        true
+    });
 
     RunDataset {
-        run: kind,
+        run: plan.kind,
         channels_measured,
         channel_names,
         visits,
         captures,
-        cookies: cookie_jar.into_values().collect(),
+        cookies,
         local_storage: storage
             .into_iter()
             .map(|((origin, key), value)| (origin, key, value))

@@ -10,6 +10,7 @@
 
 use crate::error::ParseUrlError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Public suffixes with two labels; every other host registers its
@@ -133,11 +134,10 @@ impl Etld1 {
     /// Derives the registrable domain of an arbitrary host string. A
     /// host that is already lower case is not copied first.
     pub fn from_host(host: &str) -> Self {
-        if host.bytes().any(|b| b.is_ascii_uppercase()) {
-            Etld1(registrable_domain(&host.to_ascii_lowercase()))
-        } else {
-            Etld1(registrable_domain(host))
-        }
+        Etld1Ref::of_host(host).map_or_else(
+            || Etld1(registrable_domain(&host.to_ascii_lowercase())),
+            Etld1Ref::to_owned,
+        )
     }
 
     /// The domain as a string slice.
@@ -154,6 +154,13 @@ impl Etld1 {
 impl fmt::Display for Etld1 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Lets a map keyed by `Etld1` be searched with a borrowed domain.
+impl Borrow<str> for Etld1 {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -196,6 +203,14 @@ impl<'a> Etld1Ref<'a> {
     /// Wraps a slice already known to be a registrable domain.
     pub(crate) fn new(domain: &'a str) -> Self {
         Etld1Ref(domain)
+    }
+
+    /// The registrable domain of `host`, sliced out of it; `None` when
+    /// the host has an upper-case letter, whose domain
+    /// [`Etld1::from_host`] lower-cases into a string of its own.
+    pub fn of_host(host: &'a str) -> Option<Self> {
+        (!host.bytes().any(|b| b.is_ascii_uppercase()))
+            .then(|| Etld1Ref(&host[registrable_start(host)..]))
     }
 
     /// The domain as a string slice.

@@ -4,7 +4,7 @@
 //! analysis pipeline: method, URL, headers (notably `Referer`, `Cookie`,
 //! `Set-Cookie`, `Content-Type`), status, body bytes, and timestamps.
 
-use crate::cookie::SetCookie;
+use crate::cookie::{find_byte, trim, SetCookie, SetCookieParts, SetCookieView};
 use crate::time::Timestamp;
 use crate::url::Url;
 use serde::{value, Deserialize, Serialize, Value};
@@ -155,14 +155,24 @@ impl Headers {
         pairs: impl IntoIterator<Item = (&'a str, &'a str), IntoIter: Clone>,
     ) -> Self {
         let pairs = pairs.into_iter();
-        let mut h = Headers {
-            text: String::with_capacity(pairs.clone().map(|(n, v)| n.len() + v.len()).sum()),
-            ends: Vec::with_capacity(2 * pairs.clone().count()),
-        };
+        let mut h = Headers::with_capacity(
+            pairs.clone().map(|(n, v)| n.len() + v.len()).sum(),
+            pairs.clone().count(),
+        );
         for (n, v) in pairs {
             h.push(n, v);
         }
         h
+    }
+
+    /// An empty collection with room for `text` bytes of names and
+    /// values and for `headers` headers, so pushing exactly that much
+    /// allocates nothing more.
+    pub fn with_capacity(text: usize, headers: usize) -> Self {
+        Headers {
+            text: String::with_capacity(text),
+            ends: Vec::with_capacity(2 * headers),
+        }
     }
 
     /// Appends a header.
@@ -171,13 +181,34 @@ impl Headers {
     ///
     /// If the collection's text would exceed `u32::MAX` bytes.
     pub fn push(&mut self, name: &str, value: &str) {
-        self.text.reserve_exact(name.len() + value.len());
+        self.push_with(name, value.len(), |text| text.push_str(value));
+    }
+
+    /// Appends a header whose value `write` appends to the collection's
+    /// text, after room for `value_len` more bytes is made: a value
+    /// written from parts is never built on its own first.
+    ///
+    /// # Panics
+    ///
+    /// If the collection's text would exceed `u32::MAX` bytes.
+    pub fn push_with(&mut self, name: &str, value_len: usize, write: impl FnOnce(&mut String)) {
+        self.text.reserve_exact(name.len() + value_len);
         self.ends.reserve_exact(2);
-        for part in [name, value] {
-            self.text.push_str(part);
-            let end = u32::try_from(self.text.len()).expect("header text fits u32 offsets");
-            self.ends.push(end);
-        }
+        self.text.push_str(name);
+        self.end_part();
+        write(&mut self.text);
+        self.end_part();
+    }
+
+    fn end_part(&mut self) {
+        let end = u32::try_from(self.text.len()).expect("header text fits u32 offsets");
+        self.ends.push(end);
+    }
+
+    /// The text buffer's capacity, for the exact-length checks.
+    #[cfg(test)]
+    pub(crate) fn text_capacity(&self) -> usize {
+        self.text.capacity()
     }
 
     /// First value of a header, case-insensitively.
@@ -297,6 +328,30 @@ impl Request {
         self.headers.get("Cookie")
     }
 
+    /// The `name=value` pairs of the `Cookie` header: each `;`-separated
+    /// item trimmed and split at its first `=`; an item without `=` is
+    /// skipped.
+    pub fn cookies(&self) -> impl Iterator<Item = (&str, &str)> {
+        let mut rest = self.cookie_header();
+        std::iter::from_fn(move || loop {
+            let text = rest?;
+            let item = match find_byte(text, b';') {
+                Some(i) => {
+                    rest = Some(&text[i + 1..]);
+                    &text[..i]
+                }
+                None => {
+                    rest = None;
+                    text
+                }
+            };
+            let item = trim(item);
+            if let Some(eq) = find_byte(item, b'=') {
+                return Some((&item[..eq], &item[eq + 1..]));
+            }
+        })
+    }
+
     /// All text the analysis searches for leaked data: URL + body.
     pub fn searchable_text(&self) -> String {
         format!("{} {}", self.url, self.body)
@@ -384,6 +439,13 @@ impl Response {
             .collect()
     }
 
+    /// All `Set-Cookie` headers, read in place; invalid ones are skipped.
+    pub fn set_cookie_views(&self) -> impl Iterator<Item = SetCookieView<'_>> {
+        self.headers
+            .get_all("Set-Cookie")
+            .filter_map(|v| SetCookieView::parse(v).ok())
+    }
+
     /// The `Location` redirect target, if present and valid.
     pub fn location(&self) -> Option<Url> {
         self.headers
@@ -426,8 +488,17 @@ impl ResponseBuilder {
     }
 
     /// Adds a `Set-Cookie` header.
-    pub fn set_cookie(mut self, sc: &SetCookie) -> Self {
-        self.headers.push("Set-Cookie", &sc.header_value());
+    pub fn set_cookie(self, sc: &SetCookie) -> Self {
+        self.set_cookie_parts(&sc.parts())
+    }
+
+    /// Adds a `Set-Cookie` header written from borrowed parts straight
+    /// into the header text.
+    pub fn set_cookie_parts(mut self, parts: &SetCookieParts<'_>) -> Self {
+        self.headers
+            .push_with("Set-Cookie", parts.text_len(), |text| {
+                parts.write(text).expect("writing to a String cannot fail");
+            });
         self
     }
 

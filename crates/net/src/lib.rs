@@ -35,11 +35,13 @@ mod http;
 mod time;
 mod url;
 
-pub use cookie::{Cookie, CookieKey, SameSite, SetCookie};
+pub use cookie::{
+    Cookie, CookieAttributes, CookieKey, SameSite, SetCookie, SetCookieParts, SetCookieView,
+};
 pub use domain::{registrable_domain, Etld1, Etld1Ref, Host};
 pub use error::{ParseCookieError, ParseUrlError};
 pub use http::{
     ContentType, Headers, Method, Request, RequestBuilder, Response, ResponseBuilder, Status,
 };
-pub use time::{Duration, SimClock, Timestamp};
+pub use time::{Duration, SimClock, Timestamp, UnixText};
 pub use url::{Scheme, Url};

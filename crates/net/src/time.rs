@@ -41,6 +41,31 @@ impl Timestamp {
         self.0
     }
 
+    /// The seconds since the Unix epoch as decimal text, on the stack.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hbbtv_net::Timestamp;
+    /// assert_eq!(Timestamp::from_unix(1_700_000_000).unix_text().as_str(), "1700000000");
+    /// assert_eq!(Timestamp::from_unix(0).unix_text().as_str(), "0");
+    /// ```
+    pub fn unix_text(self) -> UnixText {
+        let mut text = UnixText {
+            digits: [0; 20],
+            start: 20,
+        };
+        let mut n = self.0;
+        loop {
+            text.start -= 1;
+            text.digits[text.start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return text;
+            }
+        }
+    }
+
     /// Seconds elapsed since `earlier`, saturating at zero if `earlier` is
     /// in the future.
     pub fn since(self, earlier: Timestamp) -> Duration {
@@ -65,6 +90,21 @@ impl Timestamp {
     /// The day index since the Unix epoch (UTC midnight boundaries).
     pub fn day_index(self) -> u64 {
         self.0 / 86_400
+    }
+}
+
+/// The decimal text of a [`Timestamp`]'s unix seconds, held on the
+/// stack so writing it into a header or a URL allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct UnixText {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl UnixText {
+    /// The digits as a string slice.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
     }
 }
 

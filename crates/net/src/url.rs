@@ -90,7 +90,9 @@ impl Url {
     /// unsupported, the host/port are malformed, or the URL up to its
     /// query is longer than [`u16::MAX`] bytes.
     pub fn parse(s: &str) -> Result<Self, ParseUrlError> {
-        let (scheme, rest) = match s.split_once("://") {
+        // A byte window, not a `&str` pattern: that costs a searcher.
+        let sep = s.as_bytes().windows(3).position(|w| w == b"://");
+        let (scheme, rest) = match sep.map(|i| (&s[..i], &s[i + 3..])) {
             Some(("http", rest)) => (Scheme::Http, rest),
             Some(("https", rest)) => (Scheme::Https, rest),
             Some((other, _)) => return Err(ParseUrlError::UnsupportedScheme(other.to_string())),
@@ -305,7 +307,9 @@ fn query_len<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> usize {
 /// that pair (see [`split_query`]).
 fn representable_pair(name: &str, value: &str) -> bool {
     let empty = name.is_empty() && value.is_empty();
-    !empty && !name.contains(['&', '=', '#']) && !value.contains(['&', '#'])
+    !empty
+        && !name.bytes().any(|b| matches!(b, b'&' | b'=' | b'#'))
+        && !value.bytes().any(|b| matches!(b, b'&' | b'#'))
 }
 
 fn decimal_len(n: u16) -> usize {

@@ -2,7 +2,8 @@
 
 use crate::ids::IdMinter;
 use hbbtv_net::{
-    ContentType, Duration, Etld1, Request, Response, SetCookie, Status, Timestamp, Url,
+    ContentType, Duration, Etld1, Request, Response, ResponseBuilder, SetCookieParts, Status,
+    Timestamp, Url,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -144,21 +145,29 @@ impl TrackerService {
     /// The cookie name used for a specific request (site-suffixed when
     /// [`TrackerService::with_per_site_cookie`] is configured).
     pub fn effective_cookie_name(&self, req: &Request) -> Option<String> {
-        let base = self.cookie_name.as_deref()?;
-        if self.per_site_cookie {
-            if let Some(site) = req.url.query_param("site") {
-                if !site.is_empty() {
-                    return Some(format!("{base}_{site}"));
-                }
-            }
-        }
-        Some(base.to_string())
+        self.cookie_name_parts(req).map(|parts| parts.concat())
     }
 
-    /// The user ID the requesting TV presents for this service, parsed
+    /// The cookie name for `req` as pieces: the base name, then `_` and
+    /// the request's non-empty `site` parameter when cookies are per
+    /// site, borrowed from the service and the request.
+    fn cookie_name_parts<'a>(&'a self, req: &'a Request) -> Option<[&'a str; 3]> {
+        let base = self.cookie_name.as_deref()?;
+        let site = self
+            .per_site_cookie
+            .then(|| req.url.query_param("site"))
+            .flatten()
+            .filter(|site| !site.is_empty());
+        Some(match site {
+            Some(site) => [base, "_", site],
+            None => [base, "", ""],
+        })
+    }
+
+    /// The user ID the requesting TV presents for this service, borrowed
     /// from the `Cookie` header.
-    pub fn presented_id(&self, req: &Request) -> Option<String> {
-        presented_value(req, &self.effective_cookie_name(req)?)
+    pub fn presented_id<'a>(&self, req: &'a Request) -> Option<&'a str> {
+        presented_value(req, self.cookie_name_parts(req)?)
     }
 
     /// Answers a request according to the service's behavior.
@@ -178,35 +187,43 @@ impl TrackerService {
         }
     }
 
-    /// Returns the `Set-Cookie` to (re)establish this service's ID
-    /// cookie, reusing the presented value when the TV already has one.
+    /// Adds the `Set-Cookie` that (re)establishes this service's ID
+    /// cookie, written straight into the response's header text. The
+    /// value is `forced_value`, else the ID the TV presents, else a
+    /// fresh one.
     fn id_cookie<R: Rng>(
         &self,
+        b: ResponseBuilder,
         req: &Request,
         ctx: &mut ResponderContext<'_, R>,
-        forced_value: Option<String>,
-    ) -> Option<SetCookie> {
-        let name = self.effective_cookie_name(req)?;
-        let value = forced_value
-            .or_else(|| presented_value(req, &name))
-            .unwrap_or_else(|| self.minter.mint(ctx.rng));
-        Some(SetCookie::persistent(
+        forced_value: Option<&str>,
+    ) -> ResponseBuilder {
+        let Some(name) = self.cookie_name_parts(req) else {
+            return b;
+        };
+        let minted;
+        let value = match forced_value.or_else(|| presented_value(req, name)) {
+            Some(value) => value,
+            None => {
+                minted = self.minter.mint(ctx.rng);
+                &minted
+            }
+        };
+        b.set_cookie_parts(&SetCookieParts {
             name,
             value,
-            self.domain.clone(),
-            ctx.now + self.cookie_ttl,
-        ))
+            domain: Some(self.domain.as_str()),
+            expires: Some(ctx.now + self.cookie_ttl),
+            ..SetCookieParts::default()
+        })
     }
 
     fn pixel_response<R: Rng>(&self, req: &Request, ctx: &mut ResponderContext<'_, R>) -> Response {
-        let mut b = Response::builder(Status::OK)
+        let b = Response::builder(Status::OK)
             .content_type(ContentType::Image)
             // A 43-byte GIF89a — below the 45-byte pixel threshold.
             .body_len(43);
-        if let Some(sc) = self.id_cookie(req, ctx, None) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+        self.id_cookie(b, req, ctx, None).build()
     }
 
     fn analytics_response<R: Rng>(
@@ -214,13 +231,10 @@ impl TrackerService {
         req: &Request,
         ctx: &mut ResponderContext<'_, R>,
     ) -> Response {
-        let mut b = Response::builder(Status::OK)
+        let b = Response::builder(Status::OK)
             .content_type(ContentType::Json)
             .body("{\"status\":\"ok\"}");
-        if let Some(sc) = self.id_cookie(req, ctx, None) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+        self.id_cookie(b, req, ctx, None).build()
     }
 
     fn fingerprint_response<R: Rng>(
@@ -246,24 +260,18 @@ impl TrackerService {
              beacon('{host}', png, gl, screen.width, screen.height);\n",
             host = self.host
         );
-        let mut b = Response::builder(Status::OK)
+        let b = Response::builder(Status::OK)
             .content_type(ContentType::JavaScript)
             .body(body);
-        if let Some(sc) = self.id_cookie(req, ctx, None) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+        self.id_cookie(b, req, ctx, None).build()
     }
 
     fn ad_response<R: Rng>(&self, req: &Request, ctx: &mut ResponderContext<'_, R>) -> Response {
-        let mut b = Response::builder(Status::OK)
+        let b = Response::builder(Status::OK)
             .content_type(ContentType::Image)
             // Ad creatives are real images, far above the pixel bound.
             .body_len(18_432);
-        if let Some(sc) = self.id_cookie(req, ctx, None) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+        self.id_cookie(b, req, ctx, None).build()
     }
 
     fn sync_source_response<R: Rng>(
@@ -272,22 +280,22 @@ impl TrackerService {
         ctx: &mut ResponderContext<'_, R>,
         partner_host: &str,
     ) -> Response {
-        let uid = self
-            .presented_id(req)
-            .unwrap_or_else(|| self.minter.mint(ctx.rng));
+        let minted;
+        let uid = match self.presented_id(req) {
+            Some(uid) => uid,
+            None => {
+                minted = self.minter.mint(ctx.rng);
+                &minted
+            }
+        };
         let location: Url = format!("http://{partner_host}/sync")
             .parse()
             .expect("partner host yields a valid URL");
-        let location = location
-            .with_param("uid", &uid)
-            .with_param("src", &self.host);
-        let mut b = Response::builder(Status::FOUND)
+        let location = location.with_params([("uid", uid), ("src", self.host.as_str())]);
+        let b = Response::builder(Status::FOUND)
             .content_type(ContentType::Other)
-            .header("Location", &location.to_string());
-        if let Some(sc) = self.id_cookie(req, ctx, Some(uid)) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+            .header("Location", location.as_str());
+        self.id_cookie(b, req, ctx, Some(uid)).build()
     }
 
     fn sync_target_response<R: Rng>(
@@ -296,23 +304,21 @@ impl TrackerService {
         ctx: &mut ResponderContext<'_, R>,
     ) -> Response {
         // Adopt the partner-provided ID so both parties share it.
-        let partner_uid = req.url.query_param("uid").map(str::to_string);
-        let mut b = Response::builder(Status::OK)
+        let b = Response::builder(Status::OK)
             .content_type(ContentType::Image)
             .body_len(43);
-        if let Some(sc) = self.id_cookie(req, ctx, partner_uid) {
-            b = b.set_cookie(&sc);
-        }
-        b.build()
+        self.id_cookie(b, req, ctx, req.url.query_param("uid"))
+            .build()
     }
 
     fn cdn_response(&self, req: &Request) -> Response {
-        let (ct, body): (ContentType, String) = if req.url.path().ends_with(".js") {
+        let path = req.url.path().as_bytes();
+        let (ct, body): (ContentType, String) = if path.ends_with(b".js") {
             (
                 ContentType::JavaScript,
                 "export function render(el) { el.show(); }".to_string(),
             )
-        } else if req.url.path().ends_with(".css") {
+        } else if path.ends_with(b".css") {
             (ContentType::Css, ".overlay { opacity: 0.9; }".to_string())
         } else {
             (ContentType::Image, String::new())
@@ -327,11 +333,16 @@ impl TrackerService {
     }
 }
 
-/// The value of the cookie `name` in the request's `Cookie` header.
-fn presented_value(req: &Request, name: &str) -> Option<String> {
-    req.cookie_header()?.split(';').find_map(|kv| {
-        let (k, v) = kv.trim().split_once('=')?;
-        (k == name).then(|| v.to_string())
+/// The value of the cookie named by the pieces `name` in the request's
+/// `Cookie` header.
+fn presented_value<'a>(req: &'a Request, name: [&str; 3]) -> Option<&'a str> {
+    req.cookies().find_map(|(k, v)| {
+        // Byte slices: a `&str` prefix pattern costs a searcher set-up.
+        let rest = name.iter().try_fold(k.as_bytes(), |rest, piece| {
+            let (head, tail) = rest.split_at_checked(piece.len())?;
+            (head == piece.as_bytes()).then_some(tail)
+        })?;
+        rest.is_empty().then_some(v)
     })
 }
 

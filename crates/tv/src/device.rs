@@ -1,9 +1,8 @@
 //! The device profile and program metadata.
 
 use hbbtv_apps::LeakItem;
-use hbbtv_net::Timestamp;
+use hbbtv_net::UnixText;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Static device attributes an application can exfiltrate (§V-B's
 /// "technical data").
@@ -68,22 +67,22 @@ impl ProgramInfo {
 
 impl DeviceProfile {
     /// Resolves the concrete value an application would send for a leak
-    /// item, borrowed where the profile or program already holds it.
-    /// Identifier items (`UserId`, `SessionId`) are resolved by the
-    /// runtime from its cookie state, not here.
+    /// item, borrowed from the profile, the program, or the request's
+    /// `local_time` text. Identifier items (`UserId`, `SessionId`) are
+    /// resolved by the runtime from its cookie state, not here.
     pub fn leak_value<'a>(
         &'a self,
         item: LeakItem,
         program: &'a ProgramInfo,
         channel_name: &'a str,
-        now: Timestamp,
-    ) -> Option<Cow<'a, str>> {
-        Some(Cow::Borrowed(match item {
+        local_time: &'a UnixText,
+    ) -> Option<&'a str> {
+        Some(match item {
             LeakItem::Manufacturer => &self.manufacturer,
             LeakItem::Model => &self.model,
             LeakItem::OperatingSystem => &self.os,
             LeakItem::Language => &self.language,
-            LeakItem::LocalTime => return Some(Cow::Owned(now.as_unix().to_string())),
+            LeakItem::LocalTime => local_time.as_str(),
             LeakItem::IpAddress => &self.ip,
             LeakItem::MacAddress => &self.mac,
             LeakItem::Genre => &program.genre,
@@ -91,7 +90,7 @@ impl DeviceProfile {
             LeakItem::ChannelName => channel_name,
             LeakItem::Brand => program.brand.as_deref()?,
             LeakItem::UserId | LeakItem::SessionId => return None,
-        }))
+        })
     }
 }
 
@@ -112,7 +111,7 @@ mod tests {
     fn leak_values_resolve() {
         let d = DeviceProfile::study_tv();
         let p = ProgramInfo::new("PAW Patrol", "Children");
-        let t = Timestamp::from_unix(1_700_000_000);
+        let t = &hbbtv_net::Timestamp::from_unix(1_700_000_000).unix_text();
         assert_eq!(
             d.leak_value(LeakItem::Genre, &p, "KiKA", t).unwrap(),
             "Children"
@@ -142,7 +141,7 @@ mod tests {
         let d = DeviceProfile::study_tv();
         let mut p = ProgramInfo::new("Movie", "Movies");
         p.brand = Some("L'Oreal".to_string());
-        let t = Timestamp::from_unix(0);
+        let t = &hbbtv_net::Timestamp::from_unix(0).unix_text();
         assert_eq!(
             d.leak_value(LeakItem::Brand, &p, "RTL", t).unwrap(),
             "L'Oreal"

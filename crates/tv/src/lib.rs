@@ -31,4 +31,4 @@ pub use backend::NetworkBackend;
 pub use device::{DeviceProfile, ProgramInfo};
 pub use runtime::{ChannelContext, RcButton, Tv};
 pub use screen::Screenshot;
-pub use storage::{CookieJar, LocalStorage, StoredCookie};
+pub use storage::{CookieHeader, CookieJar, LocalStorage, StoredCookie};

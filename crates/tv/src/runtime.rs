@@ -9,10 +9,9 @@ use hbbtv_apps::{
 };
 use hbbtv_broadcast::{Ait, ChannelDescriptor};
 use hbbtv_consent::{ButtonAction, ConsentNotice, ScreenContent};
-use hbbtv_net::{Headers, Method, Request, SetCookie, SimClock, Timestamp};
+use hbbtv_net::{Etld1Ref, Headers, Method, Request, SimClock, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Maximum redirect-chain depth the browser follows (cookie syncing uses
@@ -208,7 +207,7 @@ impl<B: NetworkBackend> Tv<B> {
     /// wipes both, and returns the snapshots. Local-storage entries come
     /// back as `(origin, key, value)` strings, the dataset's wire shape.
     pub fn extract_storage(&mut self) -> (Vec<StoredCookie>, Vec<(String, String, String)>) {
-        let cookies = self.jar.all().cloned().collect();
+        let cookies = self.jar.take_all();
         let storage = self
             .storage
             .all()
@@ -575,32 +574,30 @@ impl<B: NetworkBackend> Tv<B> {
     /// The request a load issues now: the load's URL with its leaked
     /// items appended (the query of a GET, else the body), and the
     /// runtime's headers. The URL, body and header list are each
-    /// allocated once at their final length.
+    /// written once at their final length, straight from the values
+    /// they carry.
     fn build_request(&self, load: &ResourceLoad, referer: Option<&str>) -> Request {
         let now = self.clock.now();
+        let local_time = now.unix_text();
         let no_program = ProgramInfo::default();
         let (channel_name, program) = match &self.ctx {
             Some(c) => (c.descriptor.name.as_str(), &c.program),
             None => ("", &no_program),
         };
-        let leaks: Vec<(&str, Cow<'_, str>)> = load
-            .leaks
-            .items()
-            .iter()
-            .filter_map(|&item| {
-                let value = match item {
-                    LeakItem::UserId => Some(Cow::Borrowed(
-                        self.jar
-                            .any_value_for(load.url.etld1(), now)
-                            .unwrap_or(&self.session_id),
-                    )),
-                    LeakItem::SessionId => Some(Cow::Borrowed(self.session_id.as_str())),
-                    other => self.device.leak_value(other, program, channel_name, now),
-                };
-                value.map(|v| (item.param_name(), v))
-            })
-            .collect();
-        let pairs = leaks.iter().map(|(k, v)| (*k, v.as_ref()));
+        let pairs = load.leaks.items().iter().filter_map(|&item| {
+            let value = match item {
+                LeakItem::UserId => Some(
+                    self.jar
+                        .any_value_for(load.url.etld1(), now)
+                        .unwrap_or(&self.session_id),
+                ),
+                LeakItem::SessionId => Some(self.session_id.as_str()),
+                other => self
+                    .device
+                    .leak_value(other, program, channel_name, &local_time),
+            };
+            value.map(|v| (item.param_name(), v))
+        });
         let (url, body) = if load.method == Method::Get {
             (load.url.with_params(pairs), String::new())
         } else {
@@ -616,17 +613,7 @@ impl<B: NetworkBackend> Tv<B> {
             }
             (load.url.clone(), body)
         };
-        let cookie = self.jar.header_for(url.etld1(), now);
-        let headers = Headers::from_pairs(
-            [
-                Some(("User-Agent", self.device.os.as_str())),
-                self.dnt.then_some(("DNT", "1")),
-                referer.map(|r| ("Referer", r)),
-                cookie.as_deref().map(|c| ("Cookie", c)),
-            ]
-            .into_iter()
-            .flatten(),
-        );
+        let headers = self.request_headers(url.etld1(), referer, self.dnt, now);
         Request {
             method: match load.method {
                 Method::Post => Method::Post,
@@ -639,6 +626,37 @@ impl<B: NetworkBackend> Tv<B> {
         }
     }
 
+    /// A request's headers, written once at their final length: the
+    /// user agent, `DNT` when `dnt`, the `Referer` if any, and the
+    /// jar's live cookies for `domain` written straight into the list.
+    fn request_headers(
+        &self,
+        domain: Etld1Ref<'_>,
+        referer: Option<&str>,
+        dnt: bool,
+        now: Timestamp,
+    ) -> Headers {
+        let fixed = [
+            Some(("User-Agent", self.device.os.as_str())),
+            dnt.then_some(("DNT", "1")),
+            referer.map(|r| ("Referer", r)),
+        ];
+        let cookie = self.jar.cookie_header(domain, now);
+        let fixed = fixed.into_iter().flatten();
+        let mut headers = Headers::with_capacity(
+            fixed.clone().map(|(n, v)| n.len() + v.len()).sum::<usize>()
+                + cookie.map_or(0, |c| "Cookie".len() + c.text_len()),
+            fixed.clone().count() + usize::from(cookie.is_some()),
+        );
+        for (name, value) in fixed {
+            headers.push(name, value);
+        }
+        if let Some(cookie) = cookie {
+            headers.push_with("Cookie", cookie.text_len(), |text| cookie.write(text));
+        }
+        headers
+    }
+
     /// Sends a request, stores the cookies its response sets under the
     /// request's eTLD+1, and follows a redirect with the request's URL
     /// as the follow-up's `Referer`.
@@ -647,10 +665,8 @@ impl<B: NetworkBackend> Tv<B> {
         let jar = &mut self.jar;
         let mut redirect = None;
         self.backend.fetch(req, |req, resp| {
-            for header in resp.headers.get_all("Set-Cookie") {
-                if let Ok(sc) = SetCookie::parse(header) {
-                    jar.apply(sc, req.url.etld1(), now);
-                }
+            for header in resp.set_cookie_views() {
+                jar.apply_view(header, req.url.etld1(), now);
             }
             if depth < MAX_REDIRECTS && resp.status.is_redirect() {
                 redirect = resp
@@ -661,16 +677,7 @@ impl<B: NetworkBackend> Tv<B> {
         let Some((location, referer)) = redirect else {
             return;
         };
-        let cookie = self.jar.header_for(location.etld1(), now);
-        let headers = Headers::from_pairs(
-            [
-                Some(("User-Agent", self.device.os.as_str())),
-                Some(("Referer", referer.as_str())),
-                cookie.as_deref().map(|c| ("Cookie", c)),
-            ]
-            .into_iter()
-            .flatten(),
-        );
+        let headers = self.request_headers(location.etld1(), Some(&referer), false, now);
         let follow_up = Request {
             method: Method::Get,
             url: location,
@@ -703,7 +710,7 @@ mod tests {
     use hbbtv_apps::{AppBuilder, LeakSpec, ResourceKind};
     use hbbtv_broadcast::{AppControlCode, Satellite};
     use hbbtv_consent::{branding_catalog, NoticeBranding, OverlayKind};
-    use hbbtv_net::{ContentType, Duration, Response, Status, Url};
+    use hbbtv_net::{ContentType, Duration, Response, SetCookie, Status, Url};
     use std::cell::RefCell;
     use std::rc::Rc;
 

@@ -7,7 +7,7 @@
 //! cookies across channels — the basis of the cross-channel-tracking
 //! analysis (§V-C2).
 
-use hbbtv_net::{Cookie, CookieKey, Etld1, Etld1Ref, SetCookie, Timestamp};
+use hbbtv_net::{Cookie, Etld1, Etld1Ref, SetCookie, SetCookieView, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -25,10 +25,13 @@ pub struct StoredCookie {
 }
 
 /// The TV's cookie jar, keyed by (domain, name) at eTLD+1 granularity —
-/// the resolution at which the paper counts "distinct cookies".
+/// the resolution at which the paper counts "distinct cookies". Each
+/// domain's cookies sit in a map of their own, so a request's `Cookie`
+/// header reads only its domain's entries, and a `Set-Cookie` finds its
+/// entry by the borrowed domain and name.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CookieJar {
-    cookies: BTreeMap<CookieKey, StoredCookie>,
+    cookies: BTreeMap<Etld1, BTreeMap<String, StoredCookie>>,
 }
 
 impl CookieJar {
@@ -37,87 +40,131 @@ impl CookieJar {
         CookieJar::default()
     }
 
-    /// Applies a `Set-Cookie`, scoping host-only cookies to
-    /// `default_domain` (the responding host's eTLD+1). An existing
-    /// entry is updated in place: its value, expiry and `updated` change,
-    /// `created` stays. Returns the key under which the cookie is stored.
-    pub fn apply(
+    /// Applies a `Set-Cookie` read in place, scoping host-only cookies
+    /// to `default_domain` (the responding host's eTLD+1). An existing
+    /// entry is updated in place: its value, expiry and `updated`
+    /// change, `created` stays. Only a new cookie allocates.
+    pub fn apply_view(
         &mut self,
-        sc: SetCookie,
+        header: SetCookieView<'_>,
         default_domain: Etld1Ref<'_>,
         now: Timestamp,
-    ) -> CookieKey {
-        let Cookie {
-            name,
-            value,
-            domain,
-        } = sc.cookie;
-        let domain = if sc.explicit_domain {
-            domain
-        } else {
-            default_domain.to_owned()
+    ) {
+        let attrs = header.attributes();
+        let owned;
+        let domain = match attrs.domain {
+            None => default_domain,
+            Some(host) => match Etld1Ref::of_host(host) {
+                Some(domain) => domain,
+                None => {
+                    owned = Etld1::from_host(host);
+                    owned.view()
+                }
+            },
         };
-        let key = CookieKey { domain, name };
-        if let Some(entry) = self.cookies.get_mut(&key) {
-            entry.cookie.value = value;
-            entry.expires = sc.expires;
+        self.store(domain, header.name, header.value, attrs.expires, now);
+    }
+
+    /// Applies a parsed `Set-Cookie`, like [`CookieJar::apply_view`].
+    pub fn apply(&mut self, sc: &SetCookie, default_domain: Etld1Ref<'_>, now: Timestamp) {
+        let domain = if sc.explicit_domain {
+            sc.cookie.domain.view()
+        } else {
+            default_domain
+        };
+        self.store(domain, &sc.cookie.name, &sc.cookie.value, sc.expires, now);
+    }
+
+    fn store(
+        &mut self,
+        domain: Etld1Ref<'_>,
+        name: &str,
+        value: &str,
+        expires: Option<Timestamp>,
+        now: Timestamp,
+    ) {
+        if let Some(entry) = self
+            .cookies
+            .get_mut(domain.as_str())
+            .and_then(|names| names.get_mut(name))
+        {
+            entry.cookie.value.clear();
+            entry.cookie.value.push_str(value);
+            entry.expires = expires;
             entry.updated = now;
-            return key;
+            return;
         }
-        let cookie = Cookie::new(key.name.clone(), value, key.domain.clone());
-        self.cookies.insert(
-            key.clone(),
+        if !self.cookies.contains_key(domain.as_str()) {
+            self.cookies.insert(domain.to_owned(), BTreeMap::new());
+        }
+        let names = self
+            .cookies
+            .get_mut(domain.as_str())
+            .expect("inserted above");
+        names.insert(
+            name.to_string(),
             StoredCookie {
-                cookie,
-                expires: sc.expires,
+                cookie: Cookie::new(name, value, domain.to_owned()),
+                expires,
                 created: now,
                 updated: now,
             },
         );
-        key
     }
 
-    /// The `Cookie:` header value for a request to `domain` — its live
-    /// cookies as `name=value` pairs in name order, joined by `"; "` — or
-    /// `None` if the TV holds no live cookies for it.
-    pub fn header_for(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<String> {
-        let live = || {
-            self.cookies
-                .values()
-                .filter(move |sc| sc.cookie.domain == domain && !is_expired(sc, now))
+    /// The `Cookie:` header a request to `domain` carries — its live
+    /// cookies as `name=value` pairs in name order, joined by `"; "` —
+    /// or `None` if the TV holds no live cookies for it.
+    pub fn cookie_header(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<CookieHeader<'_>> {
+        let cookies = self.cookies.get(domain.as_str())?;
+        let header = CookieHeader {
+            cookies,
+            now,
+            len: 0,
         };
-        let len = live()
+        let len = header
+            .live()
             .map(|sc| sc.cookie.name.len() + 1 + sc.cookie.value.len())
             .reduce(|len, pair| len + 2 + pair)?;
-        let mut header = String::with_capacity(len);
-        for sc in live() {
-            if !header.is_empty() {
-                header.push_str("; ");
-            }
-            header.push_str(&sc.cookie.name);
-            header.push('=');
-            header.push_str(&sc.cookie.value);
-        }
-        Some(header)
+        Some(CookieHeader { len, ..header })
+    }
+
+    /// The [`CookieJar::cookie_header`] text as a string of its own.
+    pub fn header_for(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<String> {
+        let header = self.cookie_header(domain, now)?;
+        let mut text = String::with_capacity(header.text_len());
+        header.write(&mut text);
+        Some(text)
     }
 
     /// The first live cookie value for `domain` (used to fill `uid=`
     /// leak parameters the way real apps echo their tracker's cookie).
     pub fn any_value_for(&self, domain: Etld1Ref<'_>, now: Timestamp) -> Option<&str> {
         self.cookies
+            .get(domain.as_str())?
             .values()
-            .find(|sc| sc.cookie.domain == domain && !is_expired(sc, now))
+            .find(|sc| !is_expired(sc, now))
             .map(|sc| sc.cookie.value.as_str())
     }
 
-    /// All stored cookies (the post-run SSH extraction).
+    /// All stored cookies in (domain, name) order (the post-run SSH
+    /// extraction).
     pub fn all(&self) -> impl Iterator<Item = &StoredCookie> {
-        self.cookies.values()
+        self.cookies.values().flat_map(BTreeMap::values)
+    }
+
+    /// Moves every stored cookie out in (domain, name) order, leaving
+    /// the jar empty.
+    pub fn take_all(&mut self) -> Vec<StoredCookie> {
+        std::mem::take(&mut self.cookies)
+            .into_values()
+            .flat_map(BTreeMap::into_values)
+            .collect()
     }
 
     /// Number of stored cookies.
     pub fn len(&self) -> usize {
-        self.cookies.len()
+        self.cookies.values().map(BTreeMap::len).sum()
     }
 
     /// Whether the jar is empty.
@@ -128,6 +175,41 @@ impl CookieJar {
     /// Wipes the jar (between measurement runs).
     pub fn wipe(&mut self) {
         self.cookies.clear();
+    }
+}
+
+/// A request's `Cookie` header value, read from the jar as it is
+/// written: [`CookieHeader::text_len`] sizes the header buffer, and
+/// [`CookieHeader::write`] fills it without building the value first.
+#[derive(Debug, Clone, Copy)]
+pub struct CookieHeader<'a> {
+    cookies: &'a BTreeMap<String, StoredCookie>,
+    now: Timestamp,
+    len: usize,
+}
+
+impl<'a> CookieHeader<'a> {
+    fn live(self) -> impl Iterator<Item = &'a StoredCookie> {
+        self.cookies
+            .values()
+            .filter(move |sc| !is_expired(sc, self.now))
+    }
+
+    /// The length of the header value.
+    pub fn text_len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends the header value to `out`.
+    pub fn write(&self, out: &mut String) {
+        for (i, sc) in self.live().enumerate() {
+            if i > 0 {
+                out.push_str("; ");
+            }
+            out.push_str(&sc.cookie.name);
+            out.push('=');
+            out.push_str(&sc.cookie.value);
+        }
     }
 }
 
@@ -197,12 +279,9 @@ mod tests {
     #[test]
     fn host_only_cookies_get_default_domain() {
         let mut jar = CookieJar::new();
-        let key = jar.apply(SetCookie::session("sid", "x1"), d("zdf.de").view(), T0);
-        assert_eq!(key.domain.as_str(), "zdf.de");
-        assert_eq!(key.name, "sid");
+        jar.apply(&SetCookie::session("sid", "x1"), d("zdf.de").view(), T0);
         let stored = jar.all().next().unwrap();
-        assert_eq!(stored.cookie.domain.as_str(), "zdf.de");
-        assert_eq!(stored.cookie.key(), key);
+        assert_eq!(stored.cookie, Cookie::new("sid", "x1", d("zdf.de")));
         assert_eq!(jar.header_for(d("zdf.de").view(), T0).unwrap(), "sid=x1");
         assert_eq!(jar.header_for(d("ard.de").view(), T0), None);
     }
@@ -211,38 +290,41 @@ mod tests {
     fn explicit_domain_wins() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("uid", "abc", d("xiti.com"), T1);
-        jar.apply(sc, d("zdf.de").view(), T0);
+        jar.apply(&sc, d("zdf.de").view(), T0);
         assert!(jar.header_for(d("xiti.com").view(), T0).is_some());
         assert!(jar.header_for(d("zdf.de").view(), T0).is_none());
+        // Read in place, the `Domain` host is scoped to its eTLD+1.
+        let view = SetCookieView::parse("v=1; Domain=.an.XITI.com").unwrap();
+        jar.apply_view(view, d("zdf.de").view(), T0);
+        assert_eq!(
+            jar.header_for(d("xiti.com").view(), T0).unwrap(),
+            "uid=abc; v=1"
+        );
     }
 
     #[test]
     fn update_keeps_created_bumps_updated() {
         const T2: Timestamp = Timestamp::from_unix(1_700_000_200);
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
-        let key = jar.apply(SetCookie::session("a", "2"), d("x.de").view(), T1);
+        jar.apply(&SetCookie::session("a", "1"), d("x.de").view(), T0);
+        jar.apply(&SetCookie::session("a", "2"), d("x.de").view(), T1);
         let stored = jar.all().next().unwrap();
         assert_eq!(stored.cookie.value, "2");
         assert_eq!(stored.expires, None);
         assert_eq!(stored.created, T0);
         assert_eq!(stored.updated, T1);
-        assert_eq!(stored.cookie.key(), key);
         assert_eq!(jar.len(), 1, "same key overwrites");
 
         // A persistent update of the same cookie overwrites the expiry
         // too, and a later one replaces it again.
-        let again = jar.apply(
-            SetCookie::persistent("a", "3", d("x.de"), T2),
+        jar.apply(
+            &SetCookie::persistent("a", "3", d("x.de"), T2),
             d("y.de").view(),
             T1,
         );
-        assert_eq!(again, key);
-        jar.apply(
-            SetCookie::persistent("a", "4", d("x.de"), T2 + hbbtv_net::Duration::from_secs(9)),
-            d("y.de").view(),
-            T2,
-        );
+        assert_eq!(jar.len(), 1);
+        let view = SetCookieView::parse("a=4; Domain=x.de; Expires=1700000209").unwrap();
+        jar.apply_view(view, d("y.de").view(), T2);
         let stored = jar.all().next().unwrap();
         assert_eq!(jar.len(), 1);
         assert_eq!(stored.cookie, Cookie::new("a", "4", d("x.de")));
@@ -255,7 +337,7 @@ mod tests {
     fn expired_cookies_are_not_sent() {
         let mut jar = CookieJar::new();
         let sc = SetCookie::persistent("u", "v", d("t.de"), T1);
-        jar.apply(sc, d("t.de").view(), T0);
+        jar.apply(&sc, d("t.de").view(), T0);
         assert!(jar.header_for(d("t.de").view(), T0).is_some());
         assert!(
             jar.header_for(d("t.de").view(), T1).is_none(),
@@ -266,14 +348,14 @@ mod tests {
     #[test]
     fn multiple_cookies_join_with_semicolons() {
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("b", "2"), d("x.de").view(), T0);
+        jar.apply(&SetCookie::session("b", "2"), d("x.de").view(), T0);
         jar.apply(
-            SetCookie::persistent("c", "3", d("x.de"), T1),
+            &SetCookie::persistent("c", "3", d("x.de"), T1),
             d("x.de").view(),
             T0,
         );
-        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
-        jar.apply(SetCookie::session("z", "9"), d("other.de").view(), T0);
+        jar.apply(&SetCookie::session("a", "1"), d("x.de").view(), T0);
+        jar.apply(&SetCookie::session("z", "9"), d("other.de").view(), T0);
         assert_eq!(
             jar.header_for(d("x.de").view(), T0).unwrap(),
             "a=1; b=2; c=3"
@@ -283,13 +365,17 @@ mod tests {
         assert_eq!(header, "a=1; b=2");
         assert_eq!(header.capacity(), header.len());
         assert_eq!(jar.header_for(d("other.de").view(), T1).unwrap(), "z=9");
+        let taken = jar.take_all();
+        let keys: Vec<String> = taken.iter().map(|sc| sc.cookie.key().to_string()).collect();
+        assert_eq!(keys, ["other.de/z", "x.de/a", "x.de/b", "x.de/c"]);
+        assert!(jar.is_empty());
     }
 
     #[test]
     fn any_value_for_returns_live_value() {
         let mut jar = CookieJar::new();
         jar.apply(
-            SetCookie::session("uid", "zzz9"),
+            &SetCookie::session("uid", "zzz9"),
             d("tvping.com").view(),
             T0,
         );
@@ -297,15 +383,15 @@ mod tests {
         assert_eq!(jar.any_value_for(d("other.de").view(), T0), None);
         // An expired cookie is skipped in favour of a live one.
         jar.apply(
-            SetCookie::persistent("a_old", "gone", d("t.de"), T1),
+            &SetCookie::persistent("a_old", "gone", d("t.de"), T1),
             d("t.de").view(),
             T0,
         );
-        jar.apply(SetCookie::session("b_new", "live"), d("t.de").view(), T0);
+        jar.apply(&SetCookie::session("b_new", "live"), d("t.de").view(), T0);
         assert_eq!(jar.any_value_for(d("t.de").view(), T0), Some("gone"));
         assert_eq!(jar.any_value_for(d("t.de").view(), T1), Some("live"));
         jar.apply(
-            SetCookie::persistent("b_new", "x", d("t.de"), T1),
+            &SetCookie::persistent("b_new", "x", d("t.de"), T1),
             d("t.de").view(),
             T0,
         );
@@ -315,7 +401,7 @@ mod tests {
     #[test]
     fn wipe_clears_everything() {
         let mut jar = CookieJar::new();
-        jar.apply(SetCookie::session("a", "1"), d("x.de").view(), T0);
+        jar.apply(&SetCookie::session("a", "1"), d("x.de").view(), T0);
         jar.wipe();
         assert!(jar.is_empty());
 

@@ -224,7 +224,9 @@ fn fnv1a64_extend(h: u64, bytes: &[u8]) -> u64 {
 /// parallel == sequential tests above would drift together if a change
 /// to the visit path altered a byte. The serialized dataset and the
 /// rendered tables at (seed 42, scale 0.05) must keep the lengths and
-/// FNV-1a digests recorded here, at one and at two executors. A
+/// FNV-1a digests recorded here, at one, two and eight executors (eight
+/// oversubscribes the 2-vCPU reference box, so every run can be
+/// assembled on a thread of its own). A
 /// deliberate change to the simulated world (or, for `TABLES`, to the
 /// renderers) updates these constants in the same commit.
 #[test]
@@ -232,7 +234,7 @@ fn run_all_output_digest_is_pinned() {
     const DATASET: (usize, u64) = (11_858_177, 15_706_177_644_372_311_720);
     const TABLES: (usize, u64) = (7_637, 11_309_708_543_252_639_002);
     let eco = Ecosystem::with_scale(42, 0.05);
-    for workers in [1, 2] {
+    for workers in [1, 2, 8] {
         let (json, tables) = Runtime::with_workers(workers).install(|| {
             let ds = StudyHarness::new(&eco).run_all();
             let json = serde_json::to_string(&ds).expect("serializes");

@@ -185,6 +185,13 @@ fn run_telemetry_reconciles_with_dataset() {
             let captures = run_tel.visit_captures().expect("capture histogram");
             assert_eq!(captures.count, run_tel.visits);
             assert_eq!(captures.sum, run_tel.exchanges_recorded);
+            // Profile mode times each run's assembly once, beside the
+            // per-visit walls.
+            if mode == TelemetryMode::Profile {
+                let assemble = &run_tel.histograms["wall.assemble"];
+                assert_eq!(assemble.count, 1, "{}: one assembly per run", run_tel.run);
+                assert_eq!(run_tel.histograms["wall.visit"].count, run_tel.visits);
+            }
         }
         assert_eq!(
             tel.total_exchanges(),
