@@ -1,5 +1,5 @@
 //! Out-of-core storage for epoch segments: the on-disk `HBFS` column
-//! format and the [`FrameStore`] that spills and reloads segments under
+//! format and the `FrameStore` that spills and reloads segments under
 //! a resident-byte budget.
 //!
 //! Each epoch segment of the incremental frame (see

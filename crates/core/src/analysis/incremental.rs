@@ -12,7 +12,7 @@
 //! both, any earlier segments invalidated by a first-party flip or a
 //! new sync-value owner), not to the whole dataset:
 //!
-//! * Each epoch seals into an immutable [`SegmentCols`] block of
+//! * Each epoch seals into an immutable `SegmentCols` block of
 //!   fixed-width symbol columns. The variable-width tables (URL texts,
 //!   eTLD+1s, cookie keys, graph labels, sync values) grow
 //!   monotonically in the builder and are shared by every segment, so
@@ -49,7 +49,7 @@
 //!   accumulator when their partials were recomputed.
 //! * A resident-byte budget ([`IncrementalStudy::with_budget`]) caps
 //!   how many segment blocks stay in memory; the least-recently-used
-//!   blocks spill through [`FrameStore`] and reload transparently.
+//!   blocks spill through `FrameStore` and reload transparently.
 
 use crate::analysis::category::{CategoryAnalysis, ChildrenCaseStudy};
 use crate::analysis::classify::resource_kind_of_content;

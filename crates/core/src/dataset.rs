@@ -19,8 +19,8 @@ pub struct VisitSummary {
     pub channel: ChannelId,
     /// When the visit opened on the run's simulated clock.
     pub opened: Timestamp,
-    /// Number of exchanges captured during the visit (before grace
-    /// re-attribution, which can only move an exchange one visit back).
+    /// Number of exchanges the visit recorded: the length of its slice
+    /// of the run's capture log, tagged or not.
     pub captures: usize,
 }
 
@@ -72,9 +72,8 @@ impl RunDataset {
         protocol_split(self.captures.len(), https)
     }
 
-    /// Captures attributed to each channel (after grace re-attribution)
-    /// — the per-channel traffic slices every downstream analysis is
-    /// computed over.
+    /// Captures attributed to each channel — the per-channel traffic
+    /// slices every downstream analysis is computed over.
     pub fn per_channel_capture_counts(&self) -> BTreeMap<ChannelId, usize> {
         let mut counts = BTreeMap::new();
         for c in &self.captures {
@@ -85,7 +84,7 @@ impl RunDataset {
         counts
     }
 
-    /// Captures attributed to each visit (after grace re-attribution).
+    /// Captures attributed to each visit.
     pub fn per_visit_capture_counts(&self) -> BTreeMap<VisitId, usize> {
         let mut counts = BTreeMap::new();
         for c in &self.captures {

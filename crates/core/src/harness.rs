@@ -22,14 +22,15 @@
 //! visit position, channel id)`: it owns a fresh [`Tv`] (empty cookie
 //! jar and local storage), a [`SimClock`] offset to the visit's slot in
 //! the run's timeline, RNGs seeded from `(run seed, channel id)`, and a
-//! [`Proxy`] shard into which a single [`hbbtv_proxy::VisitHandle`]
-//! records. Because no state flows between visits,
-//! [`StudyHarness::run_all`] plans all five runs up front, fans every
-//! `(run, visit)` slot of the study out in one ordered [`par_map`], and
-//! the executor that finishes a run's last visit assembles that run in
-//! canonical channel order — byte-identical to
-//! [`StudyHarness::run_all_sequential`], which drives the very same
-//! per-visit function on the calling thread, slot by slot.
+//! [`VisitLog`] its TV records into. So every exchange is tagged with
+//! exactly the visit that issued it, and a run's capture log is its
+//! visits' logs concatenated in channel order. Because no state flows
+//! between visits, [`StudyHarness::run_all`] plans all five runs up
+//! front, fans every `(run, visit)` slot of the study out in one ordered
+//! [`par_map`], and the executor that finishes a run's last visit
+//! assembles that run in canonical channel order. The result is
+//! byte-identical at any executor count: at one, [`par_map`] is an
+//! in-order loop on the calling thread.
 
 use crate::analysis::par_map;
 use crate::dataset::{RunDataset, StudyDataset, VisitSummary};
@@ -38,7 +39,7 @@ use crate::run::RunKind;
 use hbbtv_filterlists::{FilterList, RequestContext, ResourceKind};
 use hbbtv_net::{ContentType, Duration, Etld1, Request, Response, SimClock, Status, Timestamp};
 use hbbtv_obs::{keys, RunTelemetry, Span, StudyTelemetry, Telemetry, TelemetryConfig};
-use hbbtv_proxy::{CapturedExchange, Proxy, ProxyMetrics, VisitHandle};
+use hbbtv_proxy::{CapturedExchange, ProxyMetrics, VisitId, VisitLog};
 use hbbtv_trackers::ResponderContext;
 use hbbtv_tv::{
     ChannelContext, DeviceProfile, NetworkBackend, RcButton, Screenshot, StoredCookie, Tv,
@@ -51,10 +52,10 @@ use std::sync::Mutex;
 
 /// The network backend for one simulated channel visit: answers from
 /// the tracker registry (plus the first parties' policy routes) and
-/// records every exchange through the visit's proxy handle.
+/// records every exchange into the visit's capture log.
 struct EcoBackend<'a> {
     eco: &'a Ecosystem,
-    visit: VisitHandle,
+    log: &'a mut VisitLog,
     clock: SimClock,
     rng: StdRng,
     /// An on-device block list (the §VIII protection-mechanism
@@ -104,7 +105,7 @@ impl NetworkBackend for EcoBackend<'_> {
             }
         };
         on_response(&request, &response);
-        self.visit.record(request, response);
+        self.log.record(request, response);
     }
 }
 
@@ -253,11 +254,10 @@ impl<'a> StudyHarness<'a> {
 
     /// Writes every buffered journal event to the configured sink, in
     /// canonical run order, and clears the buffers (summaries stay).
-    /// [`run_all`] and [`run_all_sequential`] call this automatically;
-    /// single-run callers invoke it once their runs are done.
+    /// [`run_all`] calls this automatically; single-run callers invoke
+    /// it once their runs are done.
     ///
     /// [`run_all`]: StudyHarness::run_all
-    /// [`run_all_sequential`]: StudyHarness::run_all_sequential
     pub fn flush_journal(&self) {
         let Some(shared) = &self.tel else { return };
         if !shared.config.mode.journal_on() {
@@ -281,65 +281,38 @@ impl<'a> StudyHarness<'a> {
     /// against freshly wiped TV state; here each run owns an isolated
     /// timeline and RNGs seeded only from `(ecosystem seed, run kind)`,
     /// and each visit inside a run is hermetic (see the module docs), so
-    /// the parallel execution is byte-identical to
-    /// [`StudyHarness::run_all_sequential`]. Each run is assembled in
-    /// canonical channel order by whichever executor finishes its last
-    /// visit, while the others go on with later runs' visits, and the
-    /// runs come back in [`RunKind::ALL`] order. One flat batch lets an
-    /// executor that drains one run's visits move straight on to the
-    /// next run's, so the long-tailed channels (`visit_wall_p99 ≫ p50`)
-    /// never gate a whole run.
+    /// the study is byte-identical at any executor count. Each run is
+    /// assembled in canonical channel order by whichever executor
+    /// finishes its last visit, while the others go on with later runs'
+    /// visits, and the runs come back in [`RunKind::ALL`] order. One
+    /// flat batch lets an executor that drains one run's visits move
+    /// straight on to the next run's, so the long-tailed channels
+    /// (`visit_wall_p99 ≫ p50`) never gate a whole run.
     pub fn run_all(&self) -> StudyDataset {
-        let runs = self.perform(&RunKind::ALL, None, true);
+        let runs = self.perform(&RunKind::ALL, None);
         self.flush_journal();
         StudyDataset { runs }
     }
 
-    /// Performs all five measurement runs on the calling thread, visits
-    /// strictly in protocol order — the reference the determinism
-    /// guarantee tests compare [`run_all`] against.
-    ///
-    /// [`run_all`]: StudyHarness::run_all
-    pub fn run_all_sequential(&self) -> StudyDataset {
-        let runs = self.perform(&RunKind::ALL, None, false);
-        self.flush_journal();
-        StudyDataset { runs }
-    }
-
-    /// Performs one measurement run, visits in protocol order on the
-    /// calling thread.
+    /// Performs one measurement run, its channel visits fanned out over
+    /// [`par_map`].
     pub fn run(&self, kind: RunKind) -> RunDataset {
-        self.perform(&[kind], None, false).remove(0)
-    }
-
-    /// Performs one measurement run with its channel visits fanned out
-    /// over [`par_map`]. Byte-identical to [`StudyHarness::run`]: both
-    /// drive the same hermetic per-visit function, and [`par_map`]
-    /// returns visit outcomes in canonical channel order regardless of
-    /// scheduling.
-    pub fn run_parallel(&self, kind: RunKind) -> RunDataset {
-        self.perform(&[kind], None, true).remove(0)
+        self.perform(&[kind], None).remove(0)
     }
 
     /// Performs one measurement run with an on-device block list active
     /// (the §VIII protection evaluation: blocked requests never leave
     /// the TV).
     pub fn run_with_blocklist(&self, kind: RunKind, blocklist: &FilterList) -> RunDataset {
-        self.perform(&[kind], Some(blocklist), false).remove(0)
+        self.perform(&[kind], Some(blocklist)).remove(0)
     }
 
     /// Performs the runs `kinds` in order: plans every run, then performs
-    /// every `(run, visit)` slot — in one [`par_map`] when `parallel`,
-    /// else in protocol order on the calling thread. Whichever executor
+    /// every `(run, visit)` slot in one [`par_map`]. Whichever executor
     /// finishes a run's last visit assembles that run right away, in
     /// canonical channel order, while the other executors go on with
     /// the remaining visits.
-    fn perform(
-        &self,
-        kinds: &[RunKind],
-        blocklist: Option<&FilterList>,
-        parallel: bool,
-    ) -> Vec<RunDataset> {
+    fn perform(&self, kinds: &[RunKind], blocklist: Option<&FilterList>) -> Vec<RunDataset> {
         let plans: Vec<RunPlan> = kinds.iter().map(|&kind| self.plan(kind)).collect();
         let slots: Vec<(usize, usize)> = plans
             .iter()
@@ -366,11 +339,7 @@ impl<'a> StudyHarness<'a> {
             let visits = visits.into_iter().map(|o| o.expect("every visit is in"));
             Some((run, assemble(plan, visits.collect())))
         };
-        let assembled: Vec<Option<(usize, RunDataset)>> = if parallel {
-            par_map(&slots, |_, slot| visit(slot))
-        } else {
-            slots.iter().map(visit).collect()
-        };
+        let assembled = par_map(&slots, |_, slot| visit(slot));
         let mut datasets: Vec<Option<RunDataset>> = plans.iter().map(|_| None).collect();
         for (run, dataset) in assembled.into_iter().flatten() {
             datasets[run] = Some(dataset);
@@ -417,7 +386,7 @@ impl<'a> StudyHarness<'a> {
     /// One hermetic channel visit, the `seq`-th of `plan`: a pure
     /// function of `(ecosystem, run kind, visit position, channel id)`.
     /// Owns a fresh TV, a clock offset to the visit's slot
-    /// (`start_time + seq · watch_time`), a proxy shard, and RNGs seeded
+    /// (`start_time + seq · watch_time`), a capture log, and RNGs seeded
     /// from `(run seed, channel id)` — so the same arguments produce the
     /// same outcome on any thread in any order.
     fn visit_channel(
@@ -440,20 +409,23 @@ impl<'a> StudyHarness<'a> {
         let mut visit_span = tel.span("visit");
         visit_span.add_field("seq", seq);
         visit_span.add_field("channel", id.0 as u64);
-        let proxy = Proxy::new();
-        proxy.start_session_at(kind.label(), seq as u32);
-        if tel.is_enabled() {
-            proxy.set_metrics(ProxyMetrics {
-                exchanges: tel.counter(keys::PROXY_EXCHANGES),
-                bytes: tel.counter(keys::PROXY_BYTES),
-            });
-        }
-        let visit = proxy.begin_visit(id, &bp.plan.name, clock.now());
+        let metrics = tel.is_enabled().then(|| ProxyMetrics {
+            exchanges: tel.counter(keys::PROXY_EXCHANGES),
+            bytes: tel.counter(keys::PROXY_BYTES),
+        });
+        let mut log = VisitLog::open(
+            kind.label(),
+            VisitId(seq as u32),
+            id,
+            &bp.plan.name,
+            opened,
+            metrics,
+        );
 
         let visit_seed = plan.seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let backend = EcoBackend {
             eco: self.eco,
-            visit,
+            log: &mut log,
             clock: clock.clone(),
             rng: StdRng::seed_from_u64(visit_seed ^ 0xBAC5),
             blocklist,
@@ -543,7 +515,7 @@ impl<'a> StudyHarness<'a> {
         let (cookies, local_storage) = tv.extract_storage();
         tv.power_off();
 
-        let captures = proxy.take_captures();
+        let captures = log.into_captures();
         visit_span.add_field("captures", captures.len());
         visit_span.add_field("consented", consented);
         drop(visit_span);
@@ -597,7 +569,7 @@ fn assemble(plan: &RunPlan, outcomes: Vec<VisitOutcome>) -> RunDataset {
         channels_measured.push(outcome.id);
         channel_names.insert(outcome.id, outcome.name);
         visits.push(VisitSummary {
-            visit: hbbtv_proxy::VisitId(seq as u32),
+            visit: VisitId(seq as u32),
             channel: outcome.id,
             opened: outcome.opened,
             captures: outcome.captures.len(),
@@ -696,6 +668,7 @@ fn interaction_sequence(rng: &mut StdRng) -> Vec<RcButton> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Runtime;
     use crate::ecosystem::Ecosystem;
 
     fn small_world() -> Ecosystem {
@@ -764,8 +737,7 @@ mod tests {
                 assert_eq!(summary.channel, ch);
             }
         }
-        // Per-visit capture counts re-derive from the tags; the grace
-        // rule can only shift counts between adjacent visits.
+        // Per-visit capture counts re-derive from the tags.
         let tagged: usize = ds.per_visit_capture_counts().values().sum();
         assert_eq!(tagged, attributed);
     }
@@ -790,12 +762,42 @@ mod tests {
         }
     }
 
+    /// A run's capture log is its visits' logs concatenated in channel
+    /// order, and each visit tags only its own slice: with its own id
+    /// and channel, or not at all. Ingest's visit sharding streams each
+    /// visit's slice as recorded, so it relies on this.
+    #[test]
+    fn each_visit_tags_only_its_own_slice_of_the_log() {
+        let eco = small_world();
+        let study = StudyHarness::new(&eco).run_all();
+        for ds in &study.runs {
+            let mut rest = ds.captures.as_slice();
+            for (k, summary) in ds.visits.iter().enumerate() {
+                assert!(summary.captures <= rest.len(), "{} visit {k}", ds.run);
+                let (slice, tail) = rest.split_at(summary.captures);
+                rest = tail;
+                let own = VisitId(k as u32);
+                assert_eq!(summary.visit, own);
+                for c in slice {
+                    match c.visit {
+                        Some(v) => {
+                            assert_eq!(v, own, "{} visit {k}", ds.run);
+                            assert_eq!(c.channel, Some(summary.channel));
+                        }
+                        None => assert_eq!((c.channel, &c.channel_name), (None, &None)),
+                    }
+                }
+            }
+            assert!(rest.is_empty(), "{}: captures past the last visit", ds.run);
+        }
+    }
+
     #[test]
     fn parallel_visits_match_sequential_visits() {
         let eco = small_world();
         let harness = StudyHarness::new(&eco);
-        let sequential = harness.run(RunKind::Blue);
-        let parallel = harness.run_parallel(RunKind::Blue);
+        let sequential = Runtime::with_workers(1).install(|| harness.run(RunKind::Blue));
+        let parallel = Runtime::with_workers(2).install(|| harness.run(RunKind::Blue));
         assert_eq!(sequential.captures, parallel.captures);
         assert_eq!(sequential.cookies, parallel.cookies);
         assert_eq!(sequential.local_storage, parallel.local_storage);

@@ -12,7 +12,7 @@
 //!
 //! [`SimTvClient::stream`] performs one healthy session;
 //! [`SimTvClient::stream_with_fault`] compiles the same frames through a
-//! [`FaultPlan`](crate::fault::FaultPlan) and executes the resulting
+//! [`FaultPlan`] and executes the resulting
 //! fault script instead, returning what the client observed (server
 //! error, hangup, GC).
 

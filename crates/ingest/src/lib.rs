@@ -23,7 +23,7 @@
 //!   payload is the same serde schema as the golden study dataset.
 //! - [`session`]: the per-connection protocol state machine (pure: it
 //!   consumes frames, emits actions, never touches a socket) and the
-//!   [`Assembler`](session::Assembler) that reassembles shard results
+//!   [`Assembler`] that reassembles shard results
 //!   into runs and studies.
 //! - [`server`]: the threaded collector — nonblocking acceptor, reader
 //!   threads, a dispatcher that JSON-decodes capture batches with the
@@ -32,18 +32,18 @@
 //!   (`ingest.sessions`, `ingest.frames`, `ingest.bytes`,
 //!   `ingest.backpressure_stalls`, …). The operations plane rides the
 //!   same port: any connection may send a `STATS` frame and get back a
-//!   [`StatsReport`](frame::StatsReport) (health verdict, metric
+//!   [`StatsReport`] (health verdict, metric
 //!   snapshot, per-session table), and
 //!   [`IngestConfig::scrape_addr`](server::IngestConfig::scrape_addr)
 //!   mounts a Prometheus-style `/metrics` + `/health` endpoint.
-//! - [`client`]: [`SimTvClient`](client::SimTvClient) and the
-//!   visit-range sharding ([`shard_study`](client::shard_study)) that
+//! - [`client`]: [`SimTvClient`] and the
+//!   visit-range sharding ([`shard_study`]) that
 //!   turns a dataset into a fleet of sessions.
 //! - [`fault`]: seeded fault scripts (torn frames, mid-frame
 //!   disconnects, duplicates, reorders, garbage, stalls) for the
 //!   fault-injection suite.
 //! - [`discovery`]: the UDP "where is the collector?" responder.
-//! - [`live`]: [`LiveStudy`](live::LiveStudy), which drains complete
+//! - [`live`]: [`LiveStudy`], which drains complete
 //!   runs out of a collector in canonical order into the incremental
 //!   study engine, so a rendered report is available mid-stream —
 //!   byte-identical to the post-hoc build over the same runs.

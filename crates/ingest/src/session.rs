@@ -27,9 +27,9 @@
 //!
 //! A run streams in as `shards` sessions, each carrying a **contiguous
 //! range of visits** and exactly the capture-log slice those visits
-//! recorded — the same decomposition `hbbtv_proxy::VisitHandle` gives
-//! the parallel harness, where the run's capture log is the
-//! concatenation of per-visit shard logs in canonical visit order.
+//! recorded — the same decomposition the parallel harness makes, where
+//! the run's capture log is the concatenation of the per-visit
+//! `hbbtv_proxy::VisitLog`s in canonical visit order.
 //! Reassembly is therefore pure concatenation in shard order, which is
 //! what makes a streamed dataset byte-identical to its in-process
 //! original.

@@ -23,7 +23,7 @@
 //! # The determinism contract
 //!
 //! Timing is dual-clock. Sim-time (from the scope's
-//! [`SimClock`](hbbtv_net::SimClock)) stamps every journal event, so
+//! [`SimClock`]) stamps every journal event, so
 //! [`TelemetryMode::Journal`] output is byte-stable across reruns and
 //! thread counts. Wall-clock timings and scheduling-dependent stats are
 //! confined to [`TelemetryMode::Profile`]. And in every mode, analysis

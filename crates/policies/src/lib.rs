@@ -45,5 +45,5 @@ pub use gdpr::{GdprArticle, IpAnonymization, LegalBasis};
 pub use generator::{render_policy, PolicyLanguage, PolicyProfile};
 pub use hashing::{hamming_distance, sha1_hex, SimHash};
 pub use language::{detect_language, DetectedLanguage};
-pub use pipeline::{CollectedDocument, DocRef, PolicyCorpus, PolicyCorpusReport, UniquePolicy};
+pub use pipeline::{DocRef, PolicyCorpus, PolicyCorpusReport, UniquePolicy};
 pub use text::extract_main_text;

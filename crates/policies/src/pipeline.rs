@@ -14,26 +14,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 const SIMHASH_THRESHOLD: u32 = 6;
 
 /// One document pulled from the captured traffic (an HTML response that
-/// might be a policy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CollectedDocument {
-    /// Where the document was served from.
-    pub url: Url,
-    /// The channel on which it was captured.
-    pub channel: String,
-    /// The measurement run (e.g. `"Yellow"`).
-    pub run: String,
-    /// The raw page text.
-    pub raw_text: String,
-}
-
-/// A borrowed view of one collected document.
-///
-/// The §VII corpus collection used to clone every large HTML body into
-/// a [`CollectedDocument`]; callers that already hold the captures can
-/// hand the pipeline these views instead and no body is copied. The
-/// owned type remains for callers that construct documents from scratch
-/// ([`PolicyCorpus::run`] adapts it to this view internally).
+/// might be a policy), borrowed from the captures so that no body is
+/// copied.
 #[derive(Debug, Clone, Copy)]
 pub struct DocRef<'a> {
     /// Where the document was served from.
@@ -173,24 +155,6 @@ impl PolicyCorpus {
             linear: true,
             ..Self::new()
         }
-    }
-
-    /// Runs the pipeline over owned documents (see
-    /// [`PolicyCorpus::run_refs`]).
-    pub fn run<F>(documents: &[CollectedDocument], mut manual_override: F) -> PolicyCorpusReport
-    where
-        F: FnMut(&CollectedDocument) -> bool,
-    {
-        let refs: Vec<DocRef<'_>> = documents
-            .iter()
-            .map(|d| DocRef {
-                url: &d.url,
-                channel: &d.channel,
-                run: &d.run,
-                raw_text: &d.raw_text,
-            })
-            .collect();
-        Self::run_refs(&refs, |i, _| manual_override(&documents[i]))
     }
 
     /// Pushes every document into a fresh corpus and reports it.
@@ -358,26 +322,42 @@ mod tests {
     use super::*;
     use crate::generator::{render_policy, PolicyProfile};
 
-    fn doc(channel: &str, run: &str, text: &str) -> CollectedDocument {
-        CollectedDocument {
-            url: format!("http://hbbtv.{}.de/datenschutz", channel.to_lowercase())
-                .parse()
-                .unwrap(),
-            channel: channel.to_string(),
-            run: run.to_string(),
-            raw_text: text.to_string(),
-        }
+    /// Runs the pipeline over `(channel, run, text)` documents, each
+    /// served from its channel's own host.
+    fn run(
+        docs: &[(&str, &str, impl AsRef<str>)],
+        manual_override: impl FnMut(usize, &DocRef<'_>) -> bool,
+    ) -> PolicyCorpusReport {
+        let urls: Vec<Url> = docs
+            .iter()
+            .map(|(channel, ..)| {
+                format!("http://hbbtv.{}.de/datenschutz", channel.to_lowercase())
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        let refs: Vec<DocRef<'_>> = docs
+            .iter()
+            .zip(&urls)
+            .map(|((channel, run, text), url)| DocRef {
+                url,
+                channel,
+                run,
+                raw_text: text.as_ref(),
+            })
+            .collect();
+        PolicyCorpus::run_refs(&refs, manual_override)
     }
 
     #[test]
     fn dedups_per_channel_but_keeps_cross_channel_copies() {
         let shared = render_policy(&PolicyProfile::typical("Gruppe", "Gruppen Media"));
         let docs = vec![
-            doc("KanalA", "Red", &shared),
-            doc("KanalA", "Yellow", &shared), // same channel, same hash → dropped
-            doc("KanalB", "Red", &shared),    // different channel → kept
+            ("KanalA", "Red", &shared),
+            ("KanalA", "Yellow", &shared), // same channel, same hash → dropped
+            ("KanalB", "Red", &shared),    // different channel → kept
         ];
-        let report = PolicyCorpus::run(&docs, |_| false);
+        let report = run(&docs, |_, _| false);
         assert_eq!(report.policies_collected, 3);
         assert_eq!(report.unique.len(), 2);
         // The two kept copies are (at least) near-duplicates.
@@ -387,13 +367,13 @@ mod tests {
 
     #[test]
     fn non_policies_are_dropped() {
-        let docs = vec![doc(
+        let docs = [(
             "Teleshop",
             "General",
             "Nur heute: das grosse Pfannenset für 49,99 Euro! Rufen Sie jetzt an \
              und sichern Sie sich gratis Versand für alle Bestellungen.",
         )];
-        let report = PolicyCorpus::run(&docs, |_| false);
+        let report = run(&docs, |_, _| false);
         assert_eq!(report.policies_collected, 0);
         assert!(report.unique.is_empty());
     }
@@ -407,9 +387,9 @@ mod tests {
              Grosse Rabatte im Teleshop heute Abend viele Angebote!",
             render_policy(&PolicyProfile::typical("Misch", "Misch Media"))
         );
-        let docs = vec![doc("Misch", "Blue", &mixed)];
-        let strict = PolicyCorpus::run(&docs, |_| false);
-        let corrected = PolicyCorpus::run(&docs, |d| d.channel == "Misch");
+        let docs = [("Misch", "Blue", mixed)];
+        let strict = run(&docs, |_, _| false);
+        let corrected = run(&docs, |_, d| d.channel == "Misch");
         // Whether or not the classifier already accepts the mixed text,
         // the corrected run must contain it and count corrections
         // consistently.
@@ -422,11 +402,11 @@ mod tests {
         let a = render_policy(&PolicyProfile::typical("Eins", "Eins Media"));
         let b = render_policy(&PolicyProfile::typical("Zwei", "Zwei Media"));
         let docs = vec![
-            doc("Eins", "Yellow", &a),
-            doc("Zwei", "Yellow", &b),
-            doc("Eins", "Red", &a),
+            ("Eins", "Yellow", &a),
+            ("Zwei", "Yellow", &b),
+            ("Eins", "Red", &a),
         ];
-        let report = PolicyCorpus::run(&docs, |_| false);
+        let report = run(&docs, |_, _| false);
         assert_eq!(report.policies_per_run["Yellow"], 2);
         assert_eq!(report.policies_per_run["Red"], 1);
         assert_eq!(report.language_counts["German"], 3);
@@ -446,10 +426,10 @@ mod tests {
         p2.opt_out_statements = true;
         p2.profiling_window = Some((17, 6));
         let docs = vec![
-            doc("Eins", "Red", &render_policy(&p1)),
-            doc("Zwei", "Red", &render_policy(&p2)),
+            ("Eins", "Red", render_policy(&p1)),
+            ("Zwei", "Red", render_policy(&p2)),
         ];
-        let report = PolicyCorpus::run(&docs, |_| false);
+        let report = run(&docs, |_, _| false);
         assert_eq!(report.unique.len(), 2);
         assert!(
             report.simhash_groups.is_empty(),
@@ -461,9 +441,14 @@ mod tests {
     #[test]
     fn host_domain_extracted() {
         let text = render_policy(&PolicyProfile::typical("Eins", "Eins Media"));
-        let mut d = doc("Eins", "Red", &text);
-        d.url = "http://cdn.smartclip.net/policies/eins".parse().unwrap();
-        let report = PolicyCorpus::run(&[d], |_| false);
+        let url = "http://cdn.smartclip.net/policies/eins".parse().unwrap();
+        let d = DocRef {
+            url: &url,
+            channel: "Eins",
+            run: "Red",
+            raw_text: &text,
+        };
+        let report = PolicyCorpus::run_refs(&[d], |_, _| false);
         assert_eq!(report.unique[0].host_domain, "smartclip.net");
     }
 }

@@ -2,7 +2,7 @@
 
 use hbbtv_broadcast::ChannelId;
 use hbbtv_net::{Request, Response, Status, Timestamp};
-use hbbtv_proxy::Proxy;
+use hbbtv_proxy::{VisitId, VisitLog};
 use proptest::prelude::*;
 
 const T0: u64 = 1_700_000_000;
@@ -11,32 +11,41 @@ fn ok() -> Response {
     Response::builder(Status::OK).build()
 }
 
+fn open(channel: ChannelId, name: &str) -> VisitLog {
+    VisitLog::open(
+        "t",
+        VisitId(0),
+        channel,
+        name,
+        Timestamp::from_unix(T0),
+        None,
+    )
+}
+
 proptest! {
-    /// Requests inside a channel's watch window are attributed to it;
-    /// requests before any switch are not.
+    /// Requests inside a visit's watch window are attributed to its
+    /// channel; requests from before the visit opened are not.
     #[test]
     fn attribution_respects_the_active_window(
         offsets in prop::collection::vec(0u64..900, 1..40),
     ) {
-        let proxy = Proxy::new();
-        proxy.start_session("t");
-        // Pre-switch traffic stays unattributed.
-        proxy.record(
+        let mut log = open(ChannelId(9), "Ch9");
+        // Traffic from before the switch stays unattributed.
+        log.record(
             Request::get("http://boot.de/x".parse().unwrap())
                 .at(Timestamp::from_unix(T0 - 5))
                 .build(),
             ok(),
         );
-        proxy.notify_channel_switch(ChannelId(9), "Ch9", Timestamp::from_unix(T0));
         for &o in &offsets {
-            proxy.record(
+            log.record(
                 Request::get("http://hbbtv-ch9.de/r".parse().unwrap())
                     .at(Timestamp::from_unix(T0 + o))
                     .build(),
                 ok(),
             );
         }
-        let log = proxy.captures();
+        let log = log.into_captures();
         prop_assert_eq!(log[0].channel, None);
         for c in &log[1..] {
             prop_assert_eq!(c.channel, Some(ChannelId(9)));
@@ -49,47 +58,20 @@ proptest! {
     fn capture_log_is_lossless(
         hosts in prop::collection::vec("[a-z]{3,8}", 1..30),
     ) {
-        let proxy = Proxy::new();
-        proxy.start_session("t");
-        proxy.notify_channel_switch(ChannelId(1), "A", Timestamp::from_unix(T0));
+        let mut log = open(ChannelId(1), "A");
         for (i, h) in hosts.iter().enumerate() {
-            proxy.record(
+            log.record(
                 Request::get(format!("http://{h}.de/{i}").parse().unwrap())
                     .at(Timestamp::from_unix(T0 + i as u64))
                     .build(),
                 ok(),
             );
         }
-        let log = proxy.captures();
+        let log = log.into_captures();
         prop_assert_eq!(log.len(), hosts.len());
         for (i, (c, h)) in log.iter().zip(hosts.iter()).enumerate() {
             prop_assert_eq!(c.request.url.host(), format!("{h}.de"));
             prop_assert_eq!(c.request.url.path(), format!("/{i}"));
         }
-    }
-
-    /// After a switch, attribution moves to the new channel for plain
-    /// requests regardless of timing within the window.
-    #[test]
-    fn switch_moves_attribution(gap in 1u64..900) {
-        let proxy = Proxy::new();
-        proxy.start_session("t");
-        proxy.notify_channel_switch(ChannelId(1), "A", Timestamp::from_unix(T0));
-        proxy.record(
-            Request::get("http://a.de/1".parse().unwrap())
-                .at(Timestamp::from_unix(T0 + 1))
-                .build(),
-            ok(),
-        );
-        proxy.notify_channel_switch(ChannelId(2), "B", Timestamp::from_unix(T0 + 900));
-        proxy.record(
-            Request::get("http://b.de/2".parse().unwrap())
-                .at(Timestamp::from_unix(T0 + 900 + gap))
-                .build(),
-            ok(),
-        );
-        let log = proxy.captures();
-        prop_assert_eq!(log[0].channel, Some(ChannelId(1)));
-        prop_assert_eq!(log[1].channel, Some(ChannelId(2)));
     }
 }

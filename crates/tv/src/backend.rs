@@ -6,9 +6,9 @@ use hbbtv_net::{Request, Response};
 ///
 /// In the physical setup this is the Wi-Fi hotspot + mitmproxy + the
 /// Internet; in the simulation the study harness implements it by
-/// answering from the tracker registry and recording through a
-/// per-visit proxy handle (`hbbtv_proxy::VisitHandle`), so every
-/// exchange is tagged with the channel visit that issued it.
+/// answering from the tracker registry and recording into a per-visit
+/// capture log (`hbbtv_proxy::VisitLog`), so every exchange is tagged
+/// with the channel visit that issued it.
 ///
 /// Implementations receive every request the TV issues — including
 /// redirect-chain follow-ups — in the order the TV sends them. A

@@ -4,7 +4,8 @@
 # Run from the repository root before every merge:
 #
 #     scripts/check.sh                # full gate
-#     scripts/check.sh --quick        # fmt + clippy only (fast inner loop)
+#     scripts/check.sh --quick        # fmt + clippy + rustdoc only (fast
+#                                     # inner loop)
 #     scripts/check.sh --bench-smoke  # also run 5 s perfbench paper_batch
 #                                     # and live_epochs runs
 #     scripts/check.sh --digest-smoke # also pin the scale-1.0 datasets and
@@ -44,6 +45,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+# Broken or private intra-doc links (say, to a deleted item) fail here.
+echo "==> cargo doc (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 if [ "$quick" -eq 1 ]; then
     echo "Quick checks passed (tests skipped)."

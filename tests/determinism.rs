@@ -38,7 +38,7 @@ fn same_seed_same_study() {
 fn parallel_run_all_matches_sequential() {
     let eco = Ecosystem::with_scale(13, 0.05);
     let parallel = StudyHarness::new(&eco).run_all();
-    let sequential = StudyHarness::new(&eco).run_all_sequential();
+    let sequential = Runtime::with_workers(1).install(|| StudyHarness::new(&eco).run_all());
 
     let kinds: Vec<RunKind> = parallel.runs.iter().map(|r| r.run).collect();
     assert_eq!(
@@ -87,8 +87,8 @@ fn channel_parallel_single_run_matches_sequential() {
     let eco = Ecosystem::with_scale(21, 0.05);
     let harness = StudyHarness::new(&eco);
     for kind in RunKind::ALL {
-        let sequential = harness.run(kind);
-        let parallel = harness.run_parallel(kind);
+        let sequential = Runtime::with_workers(1).install(|| harness.run(kind));
+        let parallel = harness.run(kind);
         assert_eq!(
             serde_json::to_string(&parallel).expect("serializes"),
             serde_json::to_string(&sequential).expect("serializes"),
@@ -115,7 +115,7 @@ proptest! {
     fn channel_parallel_study_is_byte_identical_across_seeds(seed in 0u64..1_000_000) {
         let eco = Ecosystem::with_scale(seed, 0.02);
         let parallel = StudyHarness::new(&eco).run_all();
-        let sequential = StudyHarness::new(&eco).run_all_sequential();
+        let sequential = Runtime::with_workers(1).install(|| StudyHarness::new(&eco).run_all());
 
         prop_assert_eq!(
             serde_json::to_string(&parallel).expect("serializes"),

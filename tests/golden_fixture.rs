@@ -5,26 +5,35 @@
 //! it with `#[path = "golden_fixture.rs"] mod golden_fixture;`.
 //!
 //! It covers every field of the wire format: visit tags (including one
-//! grace re-attribution performed by the real proxy logic), cookies,
-//! local storage, screenshots, and consent outcomes. No RNG anywhere,
-//! so the serialized bytes are stable across platforms and toolchains.
+//! capture whose tag differs from the visit slice that ships it),
+//! cookies, local storage, screenshots, and consent outcomes. No RNG
+//! anywhere, so the serialized bytes are stable across platforms and
+//! toolchains.
 
 use hbbtv_broadcast::ChannelId;
 use hbbtv_consent::ScreenContent;
 use hbbtv_net::{ContentType, Cookie, Etld1, Request, Response, Status, Timestamp};
-use hbbtv_proxy::{Proxy, VisitId};
+use hbbtv_proxy::{VisitId, VisitLog};
 use hbbtv_study::{RunDataset, RunKind, StudyDataset, VisitSummary};
 use hbbtv_tv::{Screenshot, StoredCookie};
 use std::collections::BTreeMap;
 
 /// Builds the golden dataset: one `General` run, two visits, four
-/// captures (one re-attributed across the visit boundary).
+/// captures (one tagged with the visit before the slice that ships it).
 pub fn golden_fixture() -> StudyDataset {
-    let proxy = Proxy::new();
-    proxy.start_session("General");
+    let log = |id, channel, name, opened| {
+        VisitLog::open(
+            "General",
+            VisitId(id),
+            ChannelId(channel),
+            name,
+            Timestamp::from_unix(opened),
+            None,
+        )
+    };
 
     // Visit 0: ARD Eins. Two exchanges, one setting a cookie.
-    let ard = proxy.begin_visit(ChannelId(1), "ARD Eins", Timestamp::from_unix(100));
+    let mut ard = log(0, 1, "ARD Eins", 100);
     ard.record(
         Request::get("http://app.ard-eins.de/index.html".parse().unwrap())
             .at(Timestamp::from_unix(110))
@@ -48,12 +57,12 @@ pub fn golden_fixture() -> StudyDataset {
             .build(),
     );
 
-    // Visit 1: RTL Zwei. The first exchange arrives 3 s after the
-    // switch, refers back to the previous channel's app host, and is
-    // re-attributed to visit 0 by the boundary grace rule; the second is
-    // ordinary visit-1 traffic.
-    let rtl = proxy.begin_visit(ChannelId(2), "RTL Zwei", Timestamp::from_unix(1000));
-    rtl.record(
+    // A late beacon of ARD's app, 3 s after the switch to RTL Zwei,
+    // referring back to ARD's app and tagged visit 0 (inside visit 0's
+    // window). The summaries below count it in visit 1's slice: the
+    // wire format carries a capture's tag apart from the slice that
+    // ships it, and ingest must keep both as they are.
+    ard.record(
         Request::get("https://late.example.de/beacon".parse().unwrap())
             .header("Referer", "http://app.ard-eins.de/index.html")
             .at(Timestamp::from_unix(1003))
@@ -62,6 +71,9 @@ pub fn golden_fixture() -> StudyDataset {
             .content_type(ContentType::Other)
             .build(),
     );
+
+    // Visit 1: RTL Zwei, ordinary visit-1 traffic.
+    let mut rtl = log(1, 2, "RTL Zwei", 1000);
     rtl.record(
         Request::get("http://app.rtl-zwei.de/start.html".parse().unwrap())
             .at(Timestamp::from_unix(1020))
@@ -93,7 +105,7 @@ pub fn golden_fixture() -> StudyDataset {
                 captures: 2,
             },
         ],
-        captures: proxy.captures(),
+        captures: [ard.into_captures(), rtl.into_captures()].concat(),
         cookies: vec![StoredCookie {
             cookie: Cookie::new("uid", "u-4711", Etld1::from_host("tracker.example.de")),
             expires: Some(Timestamp::from_unix(86_550)),

@@ -70,7 +70,7 @@ fn chunk_partials_are_identical_across_worker_counts() {
 fn study_report_renders_identically_at_every_worker_count() {
     let eco = render_study();
     let reference = {
-        let ds = StudyHarness::new(&eco).run_all_sequential();
+        let ds = Runtime::with_workers(1).install(|| StudyHarness::new(&eco).run_all());
         StudyReport::compute(&eco, &ds).render(&ds)
     };
     for workers in FORCED {
@@ -226,7 +226,7 @@ fn env_worker_count_render_child() {
 fn global_runtime_renders_identically_at_env_worker_counts() {
     let eco = render_study();
     let reference = {
-        let ds = StudyHarness::new(&eco).run_all_sequential();
+        let ds = Runtime::with_workers(1).install(|| StudyHarness::new(&eco).run_all());
         StudyReport::compute(&eco, &ds).render(&ds)
     };
     let exe = std::env::current_exe().expect("the test binary's path");

@@ -41,17 +41,13 @@ fn run_dataset_round_trips_through_json() {
 fn study_dataset_wire_format_matches_golden_snapshot() {
     let fixture = golden_fixture();
 
-    // The fixture exercises real attribution: the late beacon carries
-    // visit 0's tag, everything else its own visit's.
+    // The late beacon carries visit 0's tag, everything else its own
+    // visit's.
     let captures = &fixture.runs[0].captures;
     assert_eq!(captures.len(), 4);
     assert_eq!(captures[0].visit, Some(VisitId(0)));
     assert_eq!(captures[1].visit, Some(VisitId(0)));
-    assert_eq!(
-        captures[2].visit,
-        Some(VisitId(0)),
-        "boundary grace re-attributes the late beacon to the previous visit"
-    );
+    assert_eq!(captures[2].visit, Some(VisitId(0)));
     assert_eq!(captures[2].channel, Some(ChannelId(1)));
     assert_eq!(captures[3].visit, Some(VisitId(1)));
 

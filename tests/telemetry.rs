@@ -2,6 +2,7 @@
 //! study produces byte-identical datasets, the journal is stable across
 //! scheduling, and the summaries reconcile with what the dataset holds.
 
+use hbbtv_study::analysis::Runtime;
 use hbbtv_study::obs::{Event, FieldValue, MemoryRecorder, NullRecorder};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, RunKind, StudyHarness, Telemetry, TelemetryConfig, TelemetryMode};
@@ -137,7 +138,7 @@ fn journal_is_byte_stable_across_scheduling() {
         if parallel {
             harness.run_all();
         } else {
-            harness.run_all_sequential();
+            Runtime::with_workers(1).install(|| harness.run_all());
         }
         sink.take().iter().map(Event::to_json).collect()
     };
