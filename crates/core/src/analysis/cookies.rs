@@ -4,7 +4,6 @@
 //! classification.
 
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::parallel::par_chunks_auto;
 use crate::analysis::tracking::{is_fingerprint_script, is_tracking_pixel};
 use crate::dataset::StudyDataset;
 use crate::run::RunKind;
@@ -14,10 +13,8 @@ use hbbtv_stats::{describe, Describe};
 use hbbtv_trackers::{CookieCategory, Cookiepedia};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-chunk partial of the §V-C capture scan. Every field is a set (or
-/// map of sets), so merging two partials is a union — associative and
-/// commutative, which keeps [`CookieAnalysis::compute`] deterministic
-/// under [`par_chunks_auto`] no matter how captures land in chunks.
+/// One run's (or, merged, the whole study's) §V-C capture scan. Every
+/// field is a set (or map of sets), so merging two partials is a union.
 #[derive(Default)]
 pub(crate) struct CookiePartial {
     /// Distinct jar keys observed in the scanned captures.
@@ -212,12 +209,11 @@ impl CookieAnalysis {
         let mut global = CookiePartial::default();
         let mut ls_total = 0usize;
 
-        // Scans one capture slice into a partial; fanned over chunks by
-        // `par_chunks_auto` and merged left-to-right, which yields the same
-        // sets as the original sequential loop.
-        let scan = |captures: &[hbbtv_proxy::CapturedExchange]| {
-            let mut p = CookiePartial::default();
-            for c in captures {
+        for run_ds in &dataset.runs {
+            // Observed Set-Cookie events attributed to channels, in one
+            // plain loop over the run's captures.
+            let mut run = CookiePartial::default();
+            for c in &run_ds.captures {
                 // A "tracking request" per §V-D: pixel, fingerprint, or
                 // known (filter-list-flagged) tracker.
                 // §V-D probes every list with the canonical
@@ -242,48 +238,36 @@ impl CookieAnalysis {
                         domain: domain.clone(),
                         name: sc.cookie.name.clone(),
                     };
-                    p.keys.insert(key.clone());
-                    p.parties.insert(domain.clone());
+                    run.keys.insert(key.clone());
+                    run.parties.insert(domain.clone());
                     if tracking {
-                        p.keys_by_tracking.insert(key.clone());
+                        run.keys_by_tracking.insert(key.clone());
                     }
                     if let Some(ch) = c.channel {
-                        p.per_channel_keys
+                        run.per_channel_keys
                             .entry(ch)
                             .or_default()
                             .insert(key.clone());
                         if fp_map.is_third_party(ch, &domain) {
-                            p.tp_keys.insert(key.clone());
-                            p.per_channel_3p_keys
+                            run.tp_keys.insert(key.clone());
+                            run.per_channel_3p_keys
                                 .entry(ch)
                                 .or_default()
                                 .insert(key.clone());
-                            p.tp_parties
+                            run.tp_parties
                                 .entry(domain.clone())
                                 .or_default()
                                 .insert(key.clone());
-                            p.party_channels
+                            run.party_channels
                                 .entry(domain.clone())
                                 .or_default()
                                 .insert(ch);
                         } else {
-                            p.fp_keys.insert(key.clone());
+                            run.fp_keys.insert(key.clone());
                         }
                     }
                 }
             }
-            p
-        };
-
-        for run_ds in &dataset.runs {
-            // Observed Set-Cookie events attributed to channels.
-            let run = par_chunks_auto(&run_ds.captures, scan).into_iter().fold(
-                CookiePartial::default(),
-                |mut acc, p| {
-                    acc.merge(p);
-                    acc
-                },
-            );
             per_run.insert(
                 run_ds.run,
                 CookieRow {

@@ -61,7 +61,7 @@ use crate::analysis::frame_store::{
     FrameStore, SegmentCols, FLAG_CANONICAL, FLAG_FINGERPRINT, FLAG_PIXEL,
 };
 use crate::analysis::leakage::{LeakageAnalysis, GENRE_KEYWORDS};
-use crate::analysis::parallel::{par_chunks, par_chunks_auto, par_map, CHUNK_LEN, PROBE_CHUNK_LEN};
+use crate::analysis::parallel::{par_chunks, par_map, CHUNK_LEN, PROBE_CHUNK_LEN};
 use crate::analysis::policy_analysis::PolicyAnalysis;
 use crate::analysis::significance::SignificanceReport;
 use crate::analysis::syncing::{is_potential_id, SyncEvent, SyncingAnalysis};
@@ -1118,7 +1118,7 @@ impl FrameBuilder {
         let mut phases = Phases::start(tel);
         let needles = &self.needles;
         let mut scans: Vec<ChunkScan> =
-            par_chunks_auto(caps, |chunk| ChunkScan::of(chunk, needles));
+            par_chunks(caps, CHUNK_LEN, |chunk| ChunkScan::of(chunk, needles));
         phases.lap("wall.frame.scan");
         // Each chunk's first capture in the epoch.
         let starts: Vec<usize> = scans
@@ -1835,13 +1835,8 @@ impl FrameBuilder {
     fn fold_tracking(&self, dataset: &StudyDataset) -> TrackingAnalysis {
         let mut per_run = BTreeMap::new();
         for (run_ds, acc) in dataset.runs.iter().zip(&self.runs) {
-            let run = &acc.tracking.row;
             let row: &mut TrackingRow = per_run.entry(run_ds.run).or_default();
-            row.on_pihole += run.on_pihole;
-            row.on_easylist += run.on_easylist;
-            row.on_easyprivacy += run.on_easyprivacy;
-            row.tracking_pixels += run.tracking_pixels;
-            row.fingerprints += run.fingerprints;
+            row.add_row(&acc.tracking.row);
         }
         TrackingAnalysis::finish(per_run, self.tracking_all.resolve(&self.etld1s))
     }

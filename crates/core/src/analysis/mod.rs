@@ -30,7 +30,7 @@ pub use ecosystem_graph::GraphAnalysis;
 pub use first_party::FirstPartyMap;
 pub use incremental::IncrementalStudy;
 pub use leakage::LeakageAnalysis;
-pub use parallel::{par_chunks, par_chunks_auto, par_map, Runtime, WORKERS_ENV};
+pub use parallel::{par_chunks, par_map, Runtime, WORKERS_ENV};
 pub use policy_analysis::PolicyAnalysis;
 pub use rule_derivation::{DerivedList, DerivedRule, RuleEvidence};
 pub use significance::SignificanceReport;

@@ -11,10 +11,10 @@
 //!   run's visits in canonical channel order.
 //! * The heavy analysis loops are folds over independent captures:
 //!   the analysis engine's per-capture scan, column fill, filter-list
-//!   probes and row-chunk partials when it seals an epoch, and the
-//!   naive oracle's per-pass scans. [`par_chunks`] splits a slice into fixed-length chunks and
-//!   `par_map`s the per-chunk partial statistics, and
-//!   [`par_chunks_auto`] uses the crate's fixed chunk length.
+//!   probes and row-chunk partials when it seals an epoch.
+//!   [`par_chunks`] splits a slice into fixed-length chunks and
+//!   `par_map`s the per-chunk partial statistics. (The naive oracle
+//!   that checks the engine scans each run in one plain loop.)
 //!
 //! Each call runs on the calling thread plus `executors − 1` threads
 //! spawned in one scope; every executor claims items one at a time from
@@ -32,13 +32,12 @@ use std::sync::{Mutex, OnceLock};
 /// runs every call inline on its caller.
 pub const WORKERS_ENV: &str = "HBBTV_POOL_WORKERS";
 
-/// The chunk length of [`par_chunks_auto`] and of the engine's per-row
-/// work (capture scans, column fills, memo-miss scans, row partials),
-/// whose items cost tens to hundreds of nanoseconds, so a chunk costs
-/// 0.1–1 ms. A scoped helper thread costs about 30 µs to spawn and join
-/// on an idle 2-vCPU box, and milliseconds when the host holds back the
-/// other vCPU, so a batch goes parallel only once it spans more than
-/// one chunk.
+/// The chunk length of the engine's per-row work (capture scans, column
+/// fills, memo-miss scans, row partials), whose items cost tens to
+/// hundreds of nanoseconds, so a chunk costs 0.1–1 ms. A scoped helper
+/// thread costs about 30 µs to spawn and join on an idle 2-vCPU box, and
+/// milliseconds when the host holds back the other vCPU, so a batch goes
+/// parallel only once it spans more than one chunk.
 pub(crate) const CHUNK_LEN: usize = 4096;
 
 /// The chunk length of the engine's filter-list probes: one new URL
@@ -88,6 +87,19 @@ impl Runtime {
         self.workers
     }
 
+    /// How many executors a parallel call from this thread gets now:
+    /// one inside an item, else the installed or global count (at least
+    /// one).
+    pub fn current_workers() -> usize {
+        if IN_ITEM.get() {
+            return 1;
+        }
+        INSTALLED
+            .get()
+            .unwrap_or_else(|| Runtime::global().workers())
+            .max(1)
+    }
+
     /// Runs `f` with this runtime's executor count for every
     /// `par_map`/`par_chunks` the calling thread issues inside it.
     /// Installations nest; the previous count is restored on return or
@@ -114,26 +126,12 @@ fn configured_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// How many executors a call from this thread gets: one inside an
-/// item, else the installed or global count (at least one).
-fn executors() -> usize {
-    if IN_ITEM.get() {
-        return 1;
-    }
-    INSTALLED
-        .get()
-        .unwrap_or_else(|| Runtime::global().workers())
-        .max(1)
-}
-
 /// Maps `f` over `items` in `chunk_len`-sized chunks and returns the
 /// per-chunk results in chunk order.
 ///
 /// The final chunk may be shorter. With a single chunk, or with one
 /// executor, `f` runs on the calling thread — the result is identical
 /// either way, which is what makes the analyses over it deterministic.
-/// Callers that only need *some* deterministic chunking — every
-/// internal capture-scan does — should prefer [`par_chunks_auto`].
 ///
 /// # Panics
 ///
@@ -158,22 +156,6 @@ where
     assert!(chunk_len > 0, "chunk_len must be positive");
     let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
     par_map(&chunks, |_, chunk| f(chunk))
-}
-
-/// [`par_chunks`] with the crate's chunk length of 4,096 items, so an
-/// input of at most that many runs inline on the calling thread.
-///
-/// Chunk boundaries never change a fold's result, because every
-/// analysis built on chunk partials merges them associatively over
-/// ordered disjoint segments (enforced by the engine-parity suite and
-/// `matches_sequential_fold_for_many_chunk_sizes`).
-pub fn par_chunks_auto<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    par_chunks(items, CHUNK_LEN, f)
 }
 
 /// Maps `f` over `items` and returns the results **in item order**.
@@ -208,7 +190,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let executors = executors().min(items.len());
+    let executors = Runtime::current_workers().min(items.len());
     if executors <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -318,11 +300,13 @@ mod tests {
         }
     }
 
+    /// At the engine's chunk length an input of 10,000 items splits
+    /// into three chunks whose partials sum to the sequential fold.
     #[test]
-    fn auto_chunking_matches_the_sequential_fold() {
+    fn engine_chunk_length_matches_the_sequential_fold() {
         let items: Vec<u64> = (0..10_000).map(|i| i * 7 % 1009).collect();
-        let partials = par_chunks_auto(&items, |c| c.iter().sum::<u64>());
-        assert!(!partials.is_empty());
+        let partials = par_chunks(&items, CHUNK_LEN, |c| c.iter().sum::<u64>());
+        assert_eq!(partials.len(), 3);
         assert_eq!(
             partials.iter().sum::<u64>(),
             items.iter().sum::<u64>(),
@@ -334,7 +318,7 @@ mod tests {
     fn empty_input_yields_no_chunks() {
         let partials = par_chunks(&[] as &[u8], 16, |c| c.len());
         assert!(partials.is_empty());
-        assert!(par_chunks_auto(&[] as &[u8], |c| c.len()).is_empty());
+        assert!(par_chunks(&[] as &[u8], CHUNK_LEN, |c| c.len()).is_empty());
     }
 
     #[test]
@@ -370,9 +354,9 @@ mod tests {
         let outer = Runtime::with_workers(1);
         let inner = Runtime::with_workers(2);
         outer.install(|| {
-            assert_eq!(executors(), 1);
-            inner.install(|| assert_eq!(executors(), 2));
-            assert_eq!(executors(), 1);
+            assert_eq!(Runtime::current_workers(), 1);
+            inner.install(|| assert_eq!(Runtime::current_workers(), 2));
+            assert_eq!(Runtime::current_workers(), 1);
         });
     }
 

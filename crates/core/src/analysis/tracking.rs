@@ -3,7 +3,6 @@
 
 use crate::analysis::classify::ExchangeClass;
 use crate::analysis::first_party::FirstPartyMap;
-use crate::analysis::parallel::par_chunks_auto;
 use crate::dataset::StudyDataset;
 use crate::run::RunKind;
 use hbbtv_broadcast::ChannelId;
@@ -95,11 +94,8 @@ pub struct TrackingAnalysis {
     pub trackers_per_channel: BTreeMap<ChannelId, usize>,
 }
 
-/// Per-chunk partial of the §V-D scan. Every field merges
-/// associatively and commutatively (counts add, sets union, maps merge
-/// by key), so folding chunk partials in any order reproduces the
-/// sequential fold exactly; [`par_chunks_auto`] hands them back in chunk
-/// order regardless.
+/// The whole-study accumulator of the §V-D scan, the input of
+/// [`TrackingAnalysis::finish`].
 #[derive(Debug, Default)]
 pub(crate) struct TrackingPartial {
     row: TrackingRow,
@@ -120,36 +116,14 @@ pub(crate) struct TrackingPartial {
     trackers_per_channel: BTreeMap<ChannelId, BTreeSet<Etld1>>,
 }
 
-impl TrackingPartial {
-    pub(crate) fn merge(&mut self, other: TrackingPartial) {
-        self.row.on_pihole += other.row.on_pihole;
-        self.row.on_easylist += other.row.on_easylist;
-        self.row.on_easyprivacy += other.row.on_easyprivacy;
-        self.row.tracking_pixels += other.row.tracking_pixels;
-        self.row.fingerprints += other.row.fingerprints;
-        self.total += other.total;
-        self.perflyst_hits += other.perflyst_hits;
-        self.kamran_hits += other.kamran_hits;
-        self.pixel_parties.extend(other.pixel_parties);
-        self.channels_with_pixels.extend(other.channels_with_pixels);
-        for (d, chs) in other.pixel_party_channels {
-            self.pixel_party_channels.entry(d).or_default().extend(chs);
-        }
-        for (d, n) in other.pixel_party_requests {
-            *self.pixel_party_requests.entry(d).or_insert(0) += n;
-        }
-        self.fp_channels.extend(other.fp_channels);
-        self.fp_providers.extend(other.fp_providers);
-        self.fp_provider_is_fp.extend(other.fp_provider_is_fp);
-        self.fp_requests_first_party += other.fp_requests_first_party;
-        self.fp_el += other.fp_el;
-        self.fp_ep += other.fp_ep;
-        for (ch, n) in other.req_per_channel {
-            *self.req_per_channel.entry(ch).or_insert(0) += n;
-        }
-        for (ch, set) in other.trackers_per_channel {
-            self.trackers_per_channel.entry(ch).or_default().extend(set);
-        }
+impl TrackingRow {
+    /// Adds `other`'s counts to this row.
+    pub(crate) fn add_row(&mut self, other: &TrackingRow) {
+        self.on_pihole += other.on_pihole;
+        self.on_easylist += other.on_easylist;
+        self.on_easyprivacy += other.on_easyprivacy;
+        self.tracking_pixels += other.tracking_pixels;
+        self.fingerprints += other.fingerprints;
     }
 }
 
@@ -181,11 +155,7 @@ pub(crate) struct SymTrackingPartial {
 
 impl SymTrackingPartial {
     pub(crate) fn merge(&mut self, other: &SymTrackingPartial) {
-        self.row.on_pihole += other.row.on_pihole;
-        self.row.on_easylist += other.row.on_easylist;
-        self.row.on_easyprivacy += other.row.on_easyprivacy;
-        self.row.tracking_pixels += other.row.tracking_pixels;
-        self.row.fingerprints += other.row.fingerprints;
+        self.row.add_row(&other.row);
         self.total += other.total;
         self.perflyst_hits += other.perflyst_hits;
         self.kamran_hits += other.kamran_hits;
@@ -254,16 +224,15 @@ impl SymTrackingPartial {
 }
 
 impl TrackingAnalysis {
-    /// Runs the full §V-D computation.
-    ///
-    /// Captures are scanned in parallel chunks (see
-    /// [`crate::analysis::par_chunks_auto`]); the per-chunk partials merge
-    /// deterministically, so the result is identical to a sequential
-    /// scan.
+    /// Runs the full §V-D computation: one plain loop over each run's
+    /// captures, writing the run's Table III row and the whole-study
+    /// accumulator directly.
     pub fn compute(dataset: &StudyDataset, fp_map: &FirstPartyMap) -> Self {
-        let scan = |chunk: &[CapturedExchange]| -> TrackingPartial {
-            let mut p = TrackingPartial::default();
-            for c in chunk {
+        let mut per_run: BTreeMap<RunKind, TrackingRow> = BTreeMap::new();
+        let mut p = TrackingPartial::default();
+        for run_ds in &dataset.runs {
+            let row = per_run.entry(run_ds.run).or_default();
+            for c in &run_ds.captures {
                 p.total += 1;
                 // One fused classification per exchange: eTLD+1, party
                 // relationship, resource kind, and all five list
@@ -272,13 +241,13 @@ impl TrackingAnalysis {
                 let domain = cls.etld1;
                 let (on_el, on_ep, on_ph) = (cls.on_easylist, cls.on_easyprivacy, cls.on_pihole);
                 if on_el {
-                    p.row.on_easylist += 1;
+                    row.on_easylist += 1;
                 }
                 if on_ep {
-                    p.row.on_easyprivacy += 1;
+                    row.on_easyprivacy += 1;
                 }
                 if on_ph {
-                    p.row.on_pihole += 1;
+                    row.on_pihole += 1;
                 }
                 if cls.on_perflyst {
                     p.perflyst_hits += 1;
@@ -290,7 +259,7 @@ impl TrackingAnalysis {
                 let pixel = is_tracking_pixel(c);
                 let fingerprint = is_fingerprint_script(c);
                 if pixel {
-                    p.row.tracking_pixels += 1;
+                    row.tracking_pixels += 1;
                     p.pixel_parties.insert(domain.clone());
                     *p.pixel_party_requests.entry(domain.clone()).or_insert(0) += 1;
                     if let Some(ch) = c.channel {
@@ -302,7 +271,7 @@ impl TrackingAnalysis {
                     }
                 }
                 if fingerprint {
-                    p.row.fingerprints += 1;
+                    row.fingerprints += 1;
                     p.fp_providers.insert(domain.clone());
                     if let Some(ch) = c.channel {
                         p.fp_channels.insert(ch);
@@ -328,25 +297,11 @@ impl TrackingAnalysis {
                     }
                 }
             }
-            p
-        };
-
-        let mut per_run: BTreeMap<RunKind, TrackingRow> = BTreeMap::new();
-        let mut global = TrackingPartial::default();
-        for run_ds in &dataset.runs {
-            let mut merged = TrackingPartial::default();
-            for partial in par_chunks_auto(&run_ds.captures, scan) {
-                merged.merge(partial);
-            }
-            let row = per_run.entry(run_ds.run).or_default();
-            row.on_pihole += merged.row.on_pihole;
-            row.on_easylist += merged.row.on_easylist;
-            row.on_easyprivacy += merged.row.on_easyprivacy;
-            row.tracking_pixels += merged.row.tracking_pixels;
-            row.fingerprints += merged.row.fingerprints;
-            global.merge(merged);
         }
-        Self::finish(per_run, global)
+        for row in per_run.values() {
+            p.row.add_row(row);
+        }
+        Self::finish(per_run, p)
     }
 
     /// The order-independent tail shared by both scan paths.

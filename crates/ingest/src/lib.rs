@@ -42,7 +42,6 @@
 //! - [`fault`]: seeded fault scripts (torn frames, mid-frame
 //!   disconnects, duplicates, reorders, garbage, stalls) for the
 //!   fault-injection suite.
-//! - [`discovery`]: the UDP "where is the collector?" responder.
 //! - [`live`]: [`LiveStudy`], which drains complete
 //!   runs out of a collector in canonical order into the incremental
 //!   study engine, so a rendered report is available mid-stream —
@@ -52,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod discovery;
 pub mod fault;
 pub mod frame;
 pub mod live;
@@ -63,7 +61,6 @@ pub use client::{
     shard_run, shard_study, trailer_of, ClientError, ClientReport, FaultOutcome, SessionSpec,
     SimTvClient, StreamOptions,
 };
-pub use discovery::{discover, DiscoveryResponder};
 pub use fault::{FaultKind, FaultPlan, FaultStep};
 pub use frame::{
     parse_stats_request, Command, Frame, FrameDecoder, RunTrailer, SessionStat, StatsReport,

@@ -6,8 +6,8 @@
 //! * **Acceptor** — one thread polling the listener; beyond
 //!   [`IngestConfig::max_sessions`] live connections it refuses (closes)
 //!   new sockets instead of queueing unbounded state.
-//! * **Readers** — [`IngestConfig::reader_threads`] threads, each
-//!   multiplexing a share of the connections over non-blocking reads.
+//! * **Readers** — two threads (`READER_THREADS`), each multiplexing a
+//!   share of the connections over non-blocking reads.
 //!   Readers run the [`SessionState`] machine inline (control frames are
 //!   cheap) and push `CAPTURE` payloads onto the session's bounded
 //!   pending queue. When that queue is full the reader simply **stops
@@ -16,7 +16,9 @@
 //!   never buffers unboundedly, it slows the TVs down.
 //! * **Dispatcher** — one thread draining pending queues in connection
 //!   order and fanning the JSON batch decodes out with the ordered
-//!   scoped map `hbbtv_study::analysis::par_map`. Results are
+//!   scoped map `hbbtv_study::analysis::par_map`, at the executor count
+//!   that was in effect on the thread that called
+//!   [`IngestServer::start`]. Results are
 //!   applied back per session *in queue order*, so a session's capture
 //!   log grows exactly in streamed order regardless of worker count.
 //!   The dispatcher also finalizes drained `BYE` sessions (deferred ACK
@@ -35,8 +37,7 @@ use crate::frame::{
 };
 use crate::session::{Action, Assembler, SessionState, Violation};
 use hbbtv_obs::{
-    keys, Counter, Gauge, HealthThresholds, Histogram, ScrapeServer, SimClock, Telemetry,
-    TelemetryMode, Watchdog,
+    keys, Counter, Gauge, Histogram, ScrapeServer, SimClock, Telemetry, TelemetryMode, Watchdog,
 };
 use hbbtv_study::analysis::Runtime;
 use hbbtv_study::{RunDataset, RunKind, StudyDataset};
@@ -49,96 +50,82 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`IngestServer`].
+/// Reader threads multiplexing connections (bounded regardless of
+/// session count).
+const READER_THREADS: usize = 2;
+
+/// Maximum undecoded capture batches buffered per session before the
+/// reader stops reading its socket (the backpressure bound).
+const SESSION_QUEUE: usize = 8;
+
+/// Settings of an [`IngestServer`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Address to listen on; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Reader threads multiplexing connections (bounded regardless of
-    /// session count).
-    pub reader_threads: usize,
     /// Maximum live connections; further accepts are refused.
     pub max_sessions: usize,
-    /// Maximum undecoded capture batches buffered per session before the
-    /// reader stops reading its socket (the backpressure bound).
-    pub session_queue: usize,
     /// A session with no frame for this long is rejected and collected.
     pub heartbeat_timeout: Duration,
-    /// Telemetry mode for the server's `ingest.*` counters and
-    /// histograms.
-    pub telemetry: TelemetryMode,
-    /// Decode with this many executors, the dispatcher thread included
-    /// (1 decodes inline on the dispatcher); `None` uses the
-    /// process-wide [`Runtime::global`] count. Tests sweep {1, 2, 8}
-    /// through this knob.
-    pub pool_workers: Option<usize>,
     /// Mount a Prometheus-style scrape endpoint on this address (port 0
     /// picks an ephemeral port); `None` (the default) mounts nothing.
     pub scrape_addr: Option<SocketAddr>,
-    /// Thresholds for the health watchdog behind `/health`, the
-    /// `health_status` gauge, and the `STATS` answer.
-    pub health: HealthThresholds,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
-            reader_threads: 2,
             max_sessions: 2048,
-            session_queue: 8,
             heartbeat_timeout: Duration::from_secs(30),
-            telemetry: TelemetryMode::Metrics,
-            pool_workers: None,
             scrape_addr: None,
-            health: HealthThresholds::default(),
         }
     }
 }
 
 /// The `ingest.*` metric cells, pre-resolved once.
 #[derive(Debug, Clone)]
-pub struct IngestMetrics {
+struct IngestMetrics {
     /// Sessions accepted (`ingest.sessions`).
-    pub sessions: Counter,
+    sessions: Counter,
     /// Sessions that finalized cleanly (`ingest.sessions_completed`).
-    pub sessions_completed: Counter,
+    sessions_completed: Counter,
     /// Sessions rejected for protocol violations
     /// (`ingest.sessions_rejected`).
-    pub sessions_rejected: Counter,
+    sessions_rejected: Counter,
     /// Sessions collected by the heartbeat GC (`ingest.sessions_gc`).
-    pub sessions_gc: Counter,
+    sessions_gc: Counter,
     /// Connections refused at the accept cap (`ingest.sessions_refused`).
-    pub sessions_refused: Counter,
+    sessions_refused: Counter,
     /// Observer connections that closed cleanly after only `STATS`
     /// traffic (`ingest.sessions_observer`).
-    pub sessions_observer: Counter,
+    sessions_observer: Counter,
     /// `STATS` requests answered (`ingest.stats_requests`). STATS frames
     /// are *not* counted in `ingest.frames` — they are out-of-band — but
     /// their bytes do land in `ingest.bytes`.
-    pub stats_requests: Counter,
+    stats_requests: Counter,
     /// Frames consumed (`ingest.frames`).
-    pub frames: Counter,
+    frames: Counter,
     /// Raw bytes read off sockets (`ingest.bytes`).
-    pub bytes: Counter,
+    bytes: Counter,
     /// Exchanges decoded out of capture batches (`ingest.exchanges`).
-    pub exchanges: Counter,
+    exchanges: Counter,
     /// Reader stalls on a full session queue
     /// (`ingest.backpressure_stalls`).
-    pub backpressure_stalls: Counter,
+    backpressure_stalls: Counter,
     /// Per-batch exchange counts (`ingest.batch_exchanges`).
-    pub batch_exchanges: Histogram,
+    batch_exchanges: Histogram,
     /// Per-session exchange totals at finalize
     /// (`ingest.session_exchanges`).
-    pub session_exchanges: Histogram,
+    session_exchanges: Histogram,
     /// Live sessions right now (`ingest.sessions_open`, gauge).
-    pub sessions_open: Gauge,
+    sessions_open: Gauge,
     /// Undecoded batches queued across sessions, set once per dispatcher
     /// round (`ingest.queue_depth`, gauge).
-    pub queue_depth: Gauge,
+    queue_depth: Gauge,
     /// High-water mark of the queue depth (`ingest.queue_depth_hw`,
     /// gauge).
-    pub queue_depth_hw: Gauge,
+    queue_depth_hw: Gauge,
 }
 
 impl IngestMetrics {
@@ -310,6 +297,8 @@ struct Shared {
     epoch: Instant,
     /// The health watchdog, shared with the scrape endpoint.
     watchdog: Arc<Mutex<Watchdog>>,
+    /// The executor count of the batch decodes.
+    runtime: Runtime,
 }
 
 impl Shared {
@@ -425,69 +414,74 @@ pub struct IngestServer {
 
 impl IngestServer {
     /// Binds and starts the collector (and, when
-    /// [`IngestConfig::scrape_addr`] is set, its scrape endpoint).
+    /// [`IngestConfig::scrape_addr`] is set, its scrape endpoint). Batch
+    /// decodes run at the executor count in effect on the calling
+    /// thread ([`Runtime::current_workers`]), so
+    /// `Runtime::with_workers(n).install(|| IngestServer::start(cfg))`
+    /// fixes it at `n`.
     pub fn start(cfg: IngestConfig) -> std::io::Result<IngestServer> {
         let listener = TcpListener::bind(cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let telemetry = Telemetry::scope(cfg.telemetry, SimClock::new(), 0);
+        let telemetry = Telemetry::scope(TelemetryMode::Metrics, SimClock::new(), 0);
         let metrics = IngestMetrics::resolve(&telemetry);
-        let readers = cfg.reader_threads.max(1);
-        let watchdog = Arc::new(Mutex::new(Watchdog::new(cfg.health.clone())));
-        let scrape = match cfg.scrape_addr {
-            Some(scrape_addr) => Some(ScrapeServer::start(
-                scrape_addr,
-                telemetry.clone(),
-                Arc::clone(&watchdog),
-            )?),
-            None => None,
-        };
-        let shared = Arc::new(Shared {
-            telemetry,
-            metrics,
-            conns: Mutex::new(Vec::new()),
-            inboxes: (0..readers).map(|_| Mutex::new(Vec::new())).collect(),
-            active_keys: Mutex::new(HashSet::new()),
-            assembler: Mutex::new(Assembler::new()),
-            rejected: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            table: Mutex::new(Vec::new()),
-            epoch: Instant::now(),
-            watchdog,
-            cfg,
-        });
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ingest-accept".into())
-                    .spawn(move || acceptor_loop(&shared, listener))?,
-            );
-        }
-        for r in 0..readers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ingest-read-{r}"))
-                    .spawn(move || reader_loop(&shared, r))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ingest-dispatch".into())
-                    .spawn(move || dispatcher_loop(&shared))?,
-            );
-        }
-        Ok(IngestServer {
-            shared,
+        let scrape_addr = cfg.scrape_addr;
+        // The server exists before any thread starts, so an early `?`
+        // below drops it and `Drop` stops and joins what already runs.
+        let mut server = IngestServer {
+            shared: Arc::new(Shared {
+                telemetry,
+                metrics,
+                conns: Mutex::new(Vec::new()),
+                inboxes: (0..READER_THREADS)
+                    .map(|_| Mutex::new(Vec::new()))
+                    .collect(),
+                active_keys: Mutex::new(HashSet::new()),
+                assembler: Mutex::new(Assembler::new()),
+                rejected: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+                table: Mutex::new(Vec::new()),
+                epoch: Instant::now(),
+                watchdog: Arc::new(Mutex::new(Watchdog::new())),
+                runtime: Runtime::with_workers(Runtime::current_workers()),
+                cfg,
+            }),
             addr,
-            threads,
-            scrape,
-        })
+            threads: Vec::new(),
+            scrape: None,
+        };
+        if let Some(scrape_addr) = scrape_addr {
+            server.scrape = Some(ScrapeServer::start(
+                scrape_addr,
+                server.shared.telemetry.clone(),
+                Arc::clone(&server.shared.watchdog),
+            )?);
+        }
+        server.spawn("ingest-accept".into(), move |shared| {
+            acceptor_loop(shared, listener)
+        })?;
+        for r in 0..READER_THREADS {
+            server.spawn(format!("ingest-read-{r}"), move |shared| {
+                reader_loop(shared, r)
+            })?;
+        }
+        server.spawn("ingest-dispatch".into(), dispatcher_loop)?;
+        Ok(server)
+    }
+
+    /// Starts one server thread over the shared state and keeps its
+    /// handle for [`IngestServer::shutdown`].
+    fn spawn(
+        &mut self,
+        name: String,
+        body: impl FnOnce(&Shared) + Send + 'static,
+    ) -> std::io::Result<()> {
+        let shared = Arc::clone(&self.shared);
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(&shared))?;
+        self.threads.push(handle);
+        Ok(())
     }
 
     /// The bound TCP address.
@@ -603,7 +597,11 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shared.conns.lock().len() >= shared.cfg.max_sessions {
+                // The live-session gauge, not the registry: a closed
+                // session leaves the registry only at the next dispatcher
+                // sweep, and must not hold its slot until then.
+                let open = usize::try_from(shared.metrics.sessions_open.get()).unwrap_or(0);
+                if open >= shared.cfg.max_sessions {
                     shared.metrics.sessions_refused.inc();
                     drop(stream);
                     continue;
@@ -654,7 +652,7 @@ fn reader_loop(shared: &Shared, index: usize) {
             }
             // Backpressure: a full pending queue parks the socket
             // unread; the client's writes stall on TCP flow control.
-            if conn.queue_len() >= shared.cfg.session_queue {
+            if conn.queue_len() >= SESSION_QUEUE {
                 if !conn.stalled {
                     conn.stalled = true;
                     conn.info.stalled.store(true, Ordering::Relaxed);
@@ -804,13 +802,8 @@ fn drive_frames(shared: &Shared, conn: &mut Conn) -> bool {
 }
 
 fn dispatcher_loop(shared: &Shared) {
-    let private_pool = shared.cfg.pool_workers.map(Runtime::with_workers);
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let worked = match &private_pool {
-            Some(rt) => rt.install(|| dispatch_round(shared)),
-            None => dispatch_round(shared),
-        };
-        if !worked {
+        if !shared.runtime.install(|| dispatch_round(shared)) {
             std::thread::sleep(Duration::from_millis(1));
         }
     }

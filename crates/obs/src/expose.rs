@@ -7,10 +7,6 @@
 //! sanitized (`ingest.sessions` → `ingest_sessions`) and emitted in
 //! sorted order, so the output is stable for golden tests and diffing.
 //!
-//! [`ExpositionCache`] makes an idle collector scrape for near-zero
-//! cost: it keys the rendered text on [`Telemetry::metrics_fingerprint`]
-//! and only re-renders when some metric actually moved.
-//!
 //! [`ScrapeServer`] serves `/metrics` and `/health` over one minimal
 //! HTTP/1.0 responder thread on a `TcpListener` — no dependencies, no
 //! keep-alive, every response `Connection: close`. It is a read-only
@@ -79,48 +75,10 @@ pub fn render_exposition(tel: &Telemetry) -> String {
     out
 }
 
-/// A fingerprint-keyed cache over [`render_exposition`]: re-renders
-/// only when some metric moved since the last call.
-#[derive(Debug, Default)]
-pub struct ExpositionCache {
-    fingerprint: u64,
-    text: Arc<str>,
-    renders: u64,
-}
-
-impl ExpositionCache {
-    /// An empty cache (first render always happens).
-    pub fn new() -> ExpositionCache {
-        ExpositionCache {
-            fingerprint: 0,
-            text: Arc::from(""),
-            renders: 0,
-        }
-    }
-
-    /// The current exposition text, re-rendered only if the scope's
-    /// fingerprint changed since the previous call.
-    pub fn render(&mut self, tel: &Telemetry) -> Arc<str> {
-        let fp = tel.metrics_fingerprint();
-        if self.renders == 0 || fp != self.fingerprint {
-            self.fingerprint = fp;
-            self.text = Arc::from(render_exposition(tel).as_str());
-            self.renders += 1;
-        }
-        Arc::clone(&self.text)
-    }
-
-    /// How many times the text was actually rendered (the no-re-render
-    /// test pins this).
-    pub fn renders(&self) -> u64 {
-        self.renders
-    }
-}
-
 /// The std-only scrape endpoint. Serves, until dropped:
 ///
-/// * `GET /metrics` — [`render_exposition`] output (cached by
-///   fingerprint) plus a `health_status` gauge and one
+/// * `GET /metrics` — [`render_exposition`] output, rendered afresh
+///   for each request, plus a `health_status` gauge and one
 ///   `health_reason{code,severity}` sample per active reason.
 /// * `GET /health` — the [`Watchdog`] report as JSON.
 ///
@@ -148,12 +106,9 @@ impl ScrapeServer {
         let thread = std::thread::Builder::new()
             .name("obs-scrape".into())
             .spawn(move || {
-                let mut cache = ExpositionCache::new();
                 while !stop.load(Ordering::SeqCst) {
                     match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            handle_conn(stream, &tel, &watchdog, &mut cache);
-                        }
+                        Ok((stream, _peer)) => handle_conn(stream, &tel, &watchdog),
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(1));
                         }
@@ -195,12 +150,7 @@ const MAX_REQUEST_LEN: usize = 4096;
 /// Reads one request, answers it, closes. Any socket error, or a
 /// request still incomplete at [`REQUEST_DEADLINE`], just drops the
 /// connection — a scraper retries, the collector must not care.
-fn handle_conn(
-    mut stream: TcpStream,
-    tel: &Telemetry,
-    watchdog: &Mutex<Watchdog>,
-    cache: &mut ExpositionCache,
-) {
+fn handle_conn(mut stream: TcpStream, tel: &Telemetry, watchdog: &Mutex<Watchdog>) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
@@ -235,7 +185,7 @@ fn handle_conn(
     let (status, content_type, body) = match path {
         "/metrics" => {
             let report = watchdog.lock().assess(tel);
-            let mut body = cache.render(tel).to_string();
+            let mut body = render_exposition(tel);
             let _ = writeln!(body, "# TYPE health_status gauge");
             let _ = writeln!(body, "health_status {}", report.status.code());
             for r in &report.reasons {
@@ -272,7 +222,6 @@ fn handle_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::HealthThresholds;
     use crate::hub::TelemetryMode;
     use hbbtv_net::SimClock;
 
@@ -345,29 +294,10 @@ ingest_batch_exchanges_count 4
     }
 
     #[test]
-    fn cache_skips_re_render_on_an_unchanged_hub() {
-        let tel = tel();
-        tel.counter("c").add(7);
-        tel.histogram("h").record(3);
-        let mut cache = ExpositionCache::new();
-        let first = cache.render(&tel);
-        assert_eq!(cache.renders(), 1);
-        for _ in 0..10 {
-            let again = cache.render(&tel);
-            assert!(Arc::ptr_eq(&first, &again), "idle scrape reuses the text");
-        }
-        assert_eq!(cache.renders(), 1, "no re-render while nothing moved");
-        tel.counter("c").inc();
-        let after = cache.render(&tel);
-        assert_eq!(cache.renders(), 2, "a moved counter re-renders");
-        assert!(after.contains("c 8"));
-    }
-
-    #[test]
     fn scrape_server_answers_metrics_and_health() {
         let tel = tel();
         tel.counter("ingest.sessions").add(5);
-        let watchdog = Arc::new(Mutex::new(Watchdog::new(HealthThresholds::default())));
+        let watchdog = Arc::new(Mutex::new(Watchdog::new()));
         let server = ScrapeServer::start(
             "127.0.0.1:0".parse().unwrap(),
             tel.clone(),
@@ -393,7 +323,7 @@ ingest_batch_exchanges_count 4
     }
 
     fn start_server() -> ScrapeServer {
-        let watchdog = Arc::new(Mutex::new(Watchdog::new(HealthThresholds::default())));
+        let watchdog = Arc::new(Mutex::new(Watchdog::new()));
         ScrapeServer::start("127.0.0.1:0".parse().unwrap(), tel(), watchdog).unwrap()
     }
 

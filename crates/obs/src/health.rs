@@ -10,8 +10,9 @@
 //! instantaneous gauges (queue depth, frame-store residency), compares
 //! each signal against a degraded and an unhealthy threshold, and
 //! applies hysteresis — status worsens immediately but only recovers
-//! after [`HealthThresholds::recover_after`] consecutive cleaner
-//! assessments, so a flapping signal cannot flap the verdict.
+//! after [`RECOVER_AFTER`] consecutive cleaner assessments, so a
+//! flapping signal cannot flap the verdict. The thresholds are module
+//! constants.
 //!
 //! The watchdog is a pure observer: it reads metric cells and keeps its
 //! own small state (previous counter values, streak), never steering
@@ -63,41 +64,25 @@ impl fmt::Display for HealthStatus {
     }
 }
 
-/// Degraded/unhealthy cut-offs for each watched signal, plus the
-/// hysteresis depth. Each pair is `(degraded, unhealthy)` with
-/// `degraded <= unhealthy`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthThresholds {
-    /// Backpressure stalls per second (`ingest.backpressure_stalls`
-    /// delta rate). Occasional stalls are the backpressure design
-    /// working; a sustained rate means the pool cannot keep up.
-    pub stall_rate: (f64, f64),
-    /// Heartbeat-GC'd sessions per second (`ingest.sessions_gc` delta
-    /// rate). TVs silently dying is the paper's overnight failure mode.
-    pub gc_rate: (f64, f64),
-    /// Undecoded batches queued (`ingest.queue_depth`).
-    pub queue_depth: (i64, i64),
-    /// Frame-store residency as a fraction of the configured budget
-    /// (`frame.resident_bytes / frame.budget_bytes`; skipped when no
-    /// budget gauge is set). Over 1.0 means a segment pinned past the
-    /// budget.
-    pub residency: (f64, f64),
-    /// Consecutive cleaner assessments required before the reported
-    /// status improves (worsening is always immediate).
-    pub recover_after: u32,
-}
+// Degraded/unhealthy cut-offs for each watched signal, as
+// `(degraded, unhealthy)` pairs, plus the hysteresis depth.
 
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            stall_rate: (1.0, 10.0),
-            gc_rate: (0.2, 2.0),
-            queue_depth: (64, 512),
-            residency: (1.0, 2.0),
-            recover_after: 2,
-        }
-    }
-}
+/// Backpressure stalls per second (`ingest.backpressure_stalls` delta
+/// rate). Occasional stalls are the backpressure design working; a
+/// sustained rate means the pool cannot keep up.
+const STALL_RATE: (f64, f64) = (1.0, 10.0);
+/// Heartbeat-GC'd sessions per second (`ingest.sessions_gc` delta rate).
+/// TVs silently dying is the paper's overnight failure mode.
+const GC_RATE: (f64, f64) = (0.2, 2.0);
+/// Undecoded batches queued (`ingest.queue_depth`).
+const QUEUE_DEPTH: (f64, f64) = (64.0, 512.0);
+/// Frame-store residency as a fraction of the configured budget
+/// (`frame.resident_bytes / frame.budget_bytes`; skipped when no budget
+/// gauge is set). Over 1.0 means a segment pinned past the budget.
+const RESIDENCY: (f64, f64) = (1.0, 2.0);
+/// Consecutive cleaner assessments required before the reported status
+/// improves (worsening is always immediate).
+const RECOVER_AFTER: u32 = 2;
 
 /// One signal past a threshold.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,11 +150,10 @@ struct PrevSample {
     gc: u64,
 }
 
-/// The watchdog itself: thresholds plus the small state that rate
-/// derivation and hysteresis need. See the module docs.
+/// The watchdog itself: the small state that rate derivation and
+/// hysteresis need. See the module docs.
 #[derive(Debug)]
 pub struct Watchdog {
-    thresholds: HealthThresholds,
     prev: Option<PrevSample>,
     status: HealthStatus,
     clean_streak: u32,
@@ -177,24 +161,18 @@ pub struct Watchdog {
 
 impl Default for Watchdog {
     fn default() -> Self {
-        Watchdog::new(HealthThresholds::default())
+        Watchdog::new()
     }
 }
 
 impl Watchdog {
-    /// A watchdog with the given thresholds, initially healthy.
-    pub fn new(thresholds: HealthThresholds) -> Watchdog {
+    /// A watchdog, initially healthy.
+    pub fn new() -> Watchdog {
         Watchdog {
-            thresholds,
             prev: None,
             status: HealthStatus::Healthy,
             clean_streak: 0,
         }
-    }
-
-    /// The thresholds this watchdog applies.
-    pub fn thresholds(&self) -> &HealthThresholds {
-        &self.thresholds
     }
 
     /// Assesses `tel` now, deriving rates from the wall-clock elapsed
@@ -247,7 +225,6 @@ impl Watchdog {
             0.0
         };
 
-        let t = &self.thresholds;
         let mut reasons = Vec::new();
         let mut judge = |code: &str, value: f64, (deg, unh): (f64, f64), what: &str| {
             let severity = if value >= unh {
@@ -273,20 +250,20 @@ impl Watchdog {
         judge(
             "stall_rate",
             stall_rate,
-            t.stall_rate,
+            STALL_RATE,
             "backpressure stalls/s",
         );
-        judge("gc_rate", gc_rate, t.gc_rate, "heartbeat-GC'd sessions/s");
+        judge("gc_rate", gc_rate, GC_RATE, "heartbeat-GC'd sessions/s");
         judge(
             "queue_depth",
             queue_depth as f64,
-            (t.queue_depth.0 as f64, t.queue_depth.1 as f64),
+            QUEUE_DEPTH,
             "undecoded batches queued",
         );
         judge(
             "residency",
             residency,
-            t.residency,
+            RESIDENCY,
             "frame-store budget residency",
         );
 
@@ -300,7 +277,7 @@ impl Watchdog {
             self.clean_streak = 0;
         } else {
             self.clean_streak += 1;
-            if self.clean_streak >= self.thresholds.recover_after {
+            if self.clean_streak >= RECOVER_AFTER {
                 self.status = raw;
                 self.clean_streak = 0;
             }
@@ -356,14 +333,11 @@ mod tests {
     fn recovery_needs_consecutive_clean_assessments() {
         let tel = tel();
         let gc = tel.counter(crate::keys::INGEST_SESSIONS_GC);
-        let mut dog = Watchdog::new(HealthThresholds {
-            recover_after: 2,
-            ..HealthThresholds::default()
-        });
+        let mut dog = Watchdog::new();
         dog.assess_at(&tel, 0.0);
         gc.add(10);
         assert_eq!(dog.assess_at(&tel, 1.0).status, HealthStatus::Unhealthy);
-        // Signal stops; the verdict lags by recover_after assessments.
+        // Signal stops; the verdict lags by RECOVER_AFTER assessments.
         let r = dog.assess_at(&tel, 1.0);
         assert_eq!(r.raw, HealthStatus::Healthy);
         assert_eq!(r.status, HealthStatus::Unhealthy, "hysteresis holds");

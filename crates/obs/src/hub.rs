@@ -408,40 +408,6 @@ impl Telemetry {
                 .collect(),
         }
     }
-
-    /// A cheap change fingerprint over every metric cell of this scope:
-    /// an FNV-1a fold of each name and its current value (count/sum/max
-    /// for histograms). Two calls return the same value iff no metric
-    /// moved in between (modulo 64-bit collision, which only costs one
-    /// redundant re-render). Allocation-free; disabled scopes return 0.
-    pub fn metrics_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn fold(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        }
-        let Some(inner) = &self.inner else { return 0 };
-        let mut h = OFFSET;
-        for (name, c) in inner.counters.lock().iter() {
-            fold(&mut h, name.as_bytes());
-            fold(&mut h, &c.get().to_le_bytes());
-        }
-        for (name, g) in inner.gauges.lock().iter() {
-            fold(&mut h, name.as_bytes());
-            fold(&mut h, &g.get().to_le_bytes());
-        }
-        for (name, hist) in inner.histograms.lock().iter() {
-            fold(&mut h, name.as_bytes());
-            // Every record() moves count; sum and max catch merges of
-            // degenerate all-zero histograms growing max-only.
-            fold(&mut h, &hist.count().to_le_bytes());
-            fold(&mut h, &hist.sum().to_le_bytes());
-            fold(&mut h, &hist.max().to_le_bytes());
-        }
-        h
-    }
 }
 
 /// An open span: RAII scope timing with parent/child nesting.

@@ -40,9 +40,9 @@ mod journal;
 mod metrics;
 mod summary;
 
-pub use expose::{render_exposition, sanitize_metric_name, ExpositionCache, ScrapeServer};
+pub use expose::{render_exposition, sanitize_metric_name, ScrapeServer};
 pub use hbbtv_net::{SimClock, Timestamp};
-pub use health::{HealthReason, HealthReport, HealthStatus, HealthThresholds, Watchdog};
+pub use health::{HealthReason, HealthReport, HealthStatus, Watchdog};
 pub use hub::{Span, Telemetry, TelemetryConfig, TelemetryMode};
 pub use journal::{Event, FieldValue, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};

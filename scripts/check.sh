@@ -4,8 +4,8 @@
 # Run from the repository root before every merge:
 #
 #     scripts/check.sh                # full gate
-#     scripts/check.sh --quick        # fmt + clippy + rustdoc only (fast
-#                                     # inner loop)
+#     scripts/check.sh --quick        # fmt + clippy + rustdoc + perfbench
+#                                     # compile only (fast inner loop)
 #     scripts/check.sh --bench-smoke  # also run 5 s perfbench paper_batch
 #                                     # and live_epochs runs
 #     scripts/check.sh --digest-smoke # also pin the scale-1.0 datasets and
@@ -50,6 +50,17 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+# Building perfbench re-resolves its lockfile, so the committed one is
+# put back on exit, pass or fail (this step and --bench-smoke).
+lock_copy="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" perfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
+
+# perfbench is its own workspace over the library APIs; a change that
+# breaks it fails every benchmark run.
+echo "==> cargo check perfbench"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$quick" -eq 1 ]; then
     echo "Quick checks passed (tests skipped)."
     exit 0
@@ -61,11 +72,6 @@ cargo test -q
 if [ "$bench_smoke" -eq 1 ]; then
     # Short runs of the repository benchmark's batch and live workloads:
     # each last line must report that every oracle check passed.
-    # Building perfbench re-resolves its lockfile, so the committed one
-    # is put back on exit, pass or fail.
-    lock_copy="$(mktemp)"
-    cp perfbench/Cargo.lock "$lock_copy"
-    trap 'cp "$lock_copy" perfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
     for workload in paper_batch live_epochs; do
         echo "==> perfbench $workload (5 s, oracle must pass)"
         last=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \

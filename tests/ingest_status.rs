@@ -265,6 +265,77 @@ fn stats_and_scrape_agree_mid_stream_and_reconcile_at_quiesce() {
     server.shutdown();
 }
 
+/// The accept cap: with `max_sessions: 1`, a connection opened while
+/// another is live is refused (closed unread and counted in
+/// `ingest.sessions_refused`, not `ingest.sessions`), and once the live
+/// one has closed the next connection is accepted and streams a whole
+/// session.
+#[test]
+fn accept_cap_refuses_past_max_sessions_and_admits_after_a_close() {
+    let server = IngestServer::start(IngestConfig {
+        max_sessions: 1,
+        ..IngestConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let tel = server.telemetry();
+    let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    let idle = TcpStream::connect(addr).expect("first connection");
+    wait_until("the first accept", &|| {
+        tel.counter_value("ingest.sessions") == 1
+    });
+
+    let mut refused = TcpStream::connect(addr).expect("the handshake completes");
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout sets");
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        refused.read(&mut byte).expect("refused socket reads EOF"),
+        0,
+        "the collector closes a connection past the cap unread"
+    );
+    assert_eq!(tel.counter_value("ingest.sessions_refused"), 1);
+    assert_eq!(tel.counter_value("ingest.sessions"), 1);
+
+    // The idle connection hangs up without a HELLO: one rejection,
+    // which frees its slot at once, not at the dispatcher's next sweep,
+    // so the session below connects as soon as the gauge reads 0.
+    let spec = shard_study("after-cap", &golden_fixture(), 1)
+        .expect("shards")
+        .remove(0);
+    drop(idle);
+    wait_until("the idle session to close", &|| {
+        tel.gauge("ingest.sessions_open").get() == 0
+    });
+    let report = SimTvClient::new()
+        .stream(addr, &spec)
+        .expect("a connection after the close is accepted");
+    assert_eq!(report.acked_exchanges, report.exchanges);
+
+    assert_eq!(tel.counter_value("ingest.sessions"), 2);
+    assert_eq!(tel.counter_value("ingest.sessions_refused"), 1);
+    assert_eq!(tel.counter_value("ingest.sessions_completed"), 1);
+    assert_eq!(tel.counter_value("ingest.sessions_rejected"), 1);
+    assert_eq!(
+        tel.gauge("ingest.sessions_open").get() as u64
+            + tel.counter_value("ingest.sessions_completed")
+            + tel.counter_value("ingest.sessions_rejected")
+            + tel.counter_value("ingest.sessions_gc")
+            + tel.counter_value("ingest.sessions_observer"),
+        tel.counter_value("ingest.sessions"),
+        "every accepted session is open or ended in exactly one terminal state"
+    );
+    server.shutdown();
+}
+
 /// STATS traffic is invisible to the capture path's frame accounting:
 /// `ingest.frames` counts exactly the fleet's protocol frames however
 /// many STATS requests are answered alongside them.

@@ -5,9 +5,9 @@
 //! 1. **Scale**: a thousand-plus concurrent sessions — far more
 //!    sessions than reader threads — all land, with the `ingest.*`
 //!    counters reconciling exactly against the data that was streamed.
-//!    The sweep runs at forced decode-pool worker counts {1, 2, 8}, so
-//!    the single-threaded, small, and oversubscribed pool shapes all
-//!    prove out on the same workload.
+//!    The sweep starts the collector under forced executor counts
+//!    {1, 2, 8}, so the single-threaded, small, and oversubscribed
+//!    decode shapes all prove out on the same workload.
 //! 2. **Determinism**: a real harness-built study streamed through the
 //!    collector reassembles into a dataset whose full analysis report
 //!    renders byte-identically to the in-process build, and a spilling
@@ -15,6 +15,7 @@
 //!    byte-identically too.
 
 use hbbtv_ingest::{shard_study, IngestConfig, IngestServer, LiveStudy, SimTvClient};
+use hbbtv_study::analysis::Runtime;
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, StudyDataset, StudyHarness};
 use std::time::{Duration, Instant};
@@ -33,21 +34,24 @@ fn thousand_concurrent_sessions_reconcile_at_every_pool_shape() {
     let fixture = golden_fixture();
     let fixture_json = serde_json::to_string(&fixture).expect("fixture serializes");
 
-    for pool_workers in [1usize, 2, 8] {
-        let server = IngestServer::start(IngestConfig {
-            max_sessions: 2 * STUDIES + 16,
-            pool_workers: Some(pool_workers),
-            ..IngestConfig::default()
-        })
-        .expect("server starts");
+    for workers in [1usize, 2, 8] {
+        // The collector decodes at the executor count in effect where
+        // it starts.
+        let server = Runtime::with_workers(workers)
+            .install(|| {
+                IngestServer::start(IngestConfig {
+                    max_sessions: 2 * STUDIES + 16,
+                    ..IngestConfig::default()
+                })
+            })
+            .expect("server starts");
         let addr = server.addr();
 
         // Pre-build every spec, then open all sessions at once.
         let mut specs = Vec::new();
         for s in 0..STUDIES {
             specs.extend(
-                shard_study(&format!("fleet-{pool_workers}-{s}"), &fixture, 2)
-                    .expect("fixture shards"),
+                shard_study(&format!("fleet-{workers}-{s}"), &fixture, 2).expect("fixture shards"),
             );
         }
         assert_eq!(specs.len(), 2 * STUDIES);
@@ -75,16 +79,16 @@ fn thousand_concurrent_sessions_reconcile_at_every_pool_shape() {
             let report = t
                 .join()
                 .expect("session thread")
-                .unwrap_or_else(|e| panic!("workers={pool_workers}: session failed: {e}"));
+                .unwrap_or_else(|e| panic!("workers={workers}: session failed: {e}"));
             assert_eq!(report.acked_exchanges, report.exchanges);
         }
 
         // Every study reassembles byte-identically.
         for s in 0..STUDIES {
-            let study = format!("fleet-{pool_workers}-{s}");
+            let study = format!("fleet-{workers}-{s}");
             let streamed = server
                 .wait_study(&study, 1, Duration::from_secs(30))
-                .unwrap_or_else(|e| panic!("workers={pool_workers}: {e}"));
+                .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
             assert_eq!(
                 serde_json::to_string(&streamed).expect("streamed serializes"),
                 fixture_json,

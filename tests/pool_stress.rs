@@ -10,7 +10,7 @@
 //! `global_runtime_renders_identically_at_env_worker_counts` re-runs
 //! this binary once per setting.
 
-use hbbtv_study::analysis::{par_chunks, par_chunks_auto, par_map, Runtime, WORKERS_ENV};
+use hbbtv_study::analysis::{par_chunks, par_map, Runtime, WORKERS_ENV};
 use hbbtv_study::report::StudyReport;
 use hbbtv_study::{Ecosystem, StudyHarness};
 use std::collections::HashSet;
@@ -143,7 +143,7 @@ fn doubly_nested_calls_complete_with_correct_results() {
     let out = rt.install(|| {
         par_map(&[10u64, 20, 30], |_, &base| {
             let mids: Vec<u64> = (0..500).map(|i| base + i).collect();
-            par_chunks_auto(&mids, |chunk| {
+            par_chunks(&mids, 4096, |chunk| {
                 par_map(chunk, |_, &v| v * 2).into_iter().sum::<u64>()
             })
             .into_iter()
@@ -164,7 +164,7 @@ fn empty_and_single_item_fast_paths() {
             assert!(par_map(&[] as &[u8], |_, &b| b).is_empty());
             assert_eq!(par_map(&[7u8], |i, &b| (i, b)), vec![(0, 7)]);
             assert!(par_chunks(&[] as &[u8], 16, |c| c.len()).is_empty());
-            assert!(par_chunks_auto(&[] as &[u8], |c| c.len()).is_empty());
+            assert!(par_chunks(&[] as &[u8], 4096, |c| c.len()).is_empty());
         });
     }
 }
